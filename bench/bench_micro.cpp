@@ -23,11 +23,13 @@
 ///                   row-streaming baseline, a "simd" section timing the
 ///                   vector paths (8-bit gather leg, 4-bit nibble/pshufb
 ///                   leg) per ISA against the scalar-dispatch blocked
-///                   kernel, plus a quantized-conv end-to-end number — all
-///                   with bitwise-equality flags. Run by scripts/check.sh
-///                   and the bench-smoke workflow; scripts/check_bench.py
-///                   gates the simd_vs_blocked_speedup field against the
-///                   committed baseline.
+///                   kernel, a quantized-conv end-to-end number and a
+///                   per-ISA lut_backward_rows leg against the
+///                   lut_backward oracle — all with bitwise-equality
+///                   flags. Run by scripts/check.sh and the bench-smoke
+///                   workflow; scripts/check_bench.py gates the
+///                   simd_vs_blocked_speedup field against the committed
+///                   baseline.
 #include "amret.hpp"
 
 #include "kernels/simd/simd.hpp"
@@ -582,9 +584,86 @@ int run_tile_sweep() {
 
 // --------------------------------------------------------- BENCH_kernels --
 
+/// The "lut_backward" leg of BENCH_kernels.json: the row-major backward
+/// (lut_backward_rows) on one VGG19-slim-sized conv layer (32x32 channels,
+/// 3x3 taps, batch 32 at 8x8: o=32, p=2048, k=288) under the mul8u_rm8
+/// difference gradient, timed per supported dispatch level and memcmp'd
+/// against the lut_backward oracle. Clears *all_eq on any mismatch.
+std::string backward_leg_json(int iters, bool* all_eq) {
+    const std::int64_t o = 32, p = 2048, k = 288;
+    const appmult::AppMultLut& lut = appmult::Registry::instance().lut("mul8u_rm8");
+    const core::GradLut grad = core::build_difference_grad(lut, 8);
+    util::Rng rng(13);
+    std::vector<std::uint16_t> wq(static_cast<std::size_t>(o * k));
+    std::vector<std::uint16_t> xq(static_cast<std::size_t>(p * k));
+    std::vector<float> gyp(static_cast<std::size_t>(p * o));
+    fill_codes(wq, lut, rng);
+    fill_codes(xq, lut, rng);
+    // About a quarter zeros, as ReLU leaves in a conv's output gradient.
+    for (auto& v : gyp)
+        v = rng.uniform_u64(4) == 0 ? 0.0f : static_cast<float>(rng.normal());
+
+    kernels::LutGemmArgs args;
+    args.bits = 8;
+    args.lut = lut.table().data();
+    args.wq = wq.data();
+    args.xq = xq.data();
+    args.o = o;
+    args.p = p;
+    args.k = k;
+    args.scale_w = 0.01f;
+    args.zero_w = 120;
+    args.zero_x = 130;
+    std::vector<float> gw_ref(wq.size()), gx_ref(xq.size());
+    std::vector<float> gw(wq.size()), gx(xq.size());
+    const double oracle_ms = time_ms_best(iters, [&] {
+        std::fill(gw_ref.begin(), gw_ref.end(), 0.0f);
+        std::fill(gx_ref.begin(), gx_ref.end(), 0.0f);
+        kernels::lut_backward(args, gyp.data(), grad.dw_table().data(),
+                              grad.dx_table().data(), gw_ref.data(),
+                              gx_ref.data());
+    });
+
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "  \"lut_backward\": {\n"
+                  "    \"o\": %lld, \"p\": %lld, \"k\": %lld, \"bits\": 8,\n"
+                  "    \"oracle_ms\": %.4f",
+                  static_cast<long long>(o), static_cast<long long>(p),
+                  static_cast<long long>(k), oracle_ms);
+    std::string j = buf;
+    kernels::Workspace ws;
+    for (const auto isa : supported_isas()) {
+        kernels::simd::set_isa_for_test(isa);
+        const double ms = time_ms_best(iters, [&] {
+            std::fill(gw.begin(), gw.end(), 0.0f);
+            std::fill(gx.begin(), gx.end(), 0.0f);
+            ws.reset();
+            kernels::lut_backward_rows(args, gyp.data(), grad.dw_table().data(),
+                                       grad.dx_t_table().data(), gw.data(),
+                                       gx.data(), ws);
+        });
+        kernels::simd::clear_isa_override();
+        const bool eq =
+            std::memcmp(gw.data(), gw_ref.data(), gw.size() * sizeof(float)) == 0 &&
+            std::memcmp(gx.data(), gx_ref.data(), gx.size() * sizeof(float)) == 0;
+        *all_eq = *all_eq && eq;
+        const char* name = kernels::simd::isa_name(isa);
+        std::snprintf(buf, sizeof(buf),
+                      ",\n    \"%s_ms\": %.4f,\n    \"%s_bitwise_equal\": %s",
+                      name, ms, name, eq ? "true" : "false");
+        j += buf;
+        std::printf("lut_backward [%s]: %.3f ms (oracle %.3f ms), "
+                    "bitwise_equal=%d\n",
+                    name, ms, oracle_ms, eq ? 1 : 0);
+    }
+    return j + "\n  }";
+}
+
 /// Emits results/BENCH_kernels.json: LUT-GEMM forward throughput of the
-/// blocked and tiled kernels against the PR-3 row-streaming baseline, plus a
-/// quantized-conv end-to-end scalar-vs-blocked comparison. Every leg carries
+/// blocked and tiled kernels against the row-streaming baseline, a
+/// quantized-conv end-to-end scalar-vs-blocked comparison and the backward
+/// leg (backward_leg_json). Every leg carries
 /// a bitwise-equality flag; a false flag fails the run (a perf shortfall
 /// only prints — machine-dependent numbers should not gate CI).
 int run_kernels_json() {
@@ -786,6 +865,9 @@ int run_kernels_json() {
                     static_cast<std::size_t>(conv_y[0].numel()) * sizeof(float)) ==
             0;
 
+    bool backward_eq = true;
+    const std::string backward_json = backward_leg_json(5, &backward_eq);
+
     std::filesystem::create_directories("results");
     std::FILE* f = std::fopen("results/BENCH_kernels.json", "w");
     if (!f) {
@@ -814,7 +896,8 @@ int run_kernels_json() {
         "    \"blocked_ms\": %.4f,\n"
         "    \"blocked_vs_scalar_speedup\": %.3f,\n"
         "    \"bitwise_equal\": %s\n"
-        "  }\n"
+        "  },\n"
+        "%s\n"
         "}\n",
         static_cast<long long>(g.args.o), static_cast<long long>(g.args.p),
         static_cast<long long>(g.args.k), g.args.bits,
@@ -823,7 +906,7 @@ int run_kernels_json() {
         rowstream_ms / tiled_ms, rowstream_ms / blocked_ms,
         tiled_eq ? "true" : "false", blocked_eq ? "true" : "false",
         simd_json.c_str(), conv_ms[0], conv_ms[1], conv_ms[0] / conv_ms[1],
-        conv_eq ? "true" : "false");
+        conv_eq ? "true" : "false", backward_json.c_str());
     std::fclose(f);
 
     std::printf("lut_gemm forward (o=%lld p=%lld k=%lld): rowstream %.3f ms, "
@@ -837,7 +920,7 @@ int run_kernels_json() {
     std::printf("simd best: %s at %.2fx vs scalar-dispatch blocked\n",
                 best_overall.c_str(), best_overall_speedup);
     std::printf("wrote results/BENCH_kernels.json\n");
-    if (!tiled_eq || !blocked_eq || !conv_eq || !simd_all_eq) {
+    if (!tiled_eq || !blocked_eq || !conv_eq || !simd_all_eq || !backward_eq) {
         std::fprintf(stderr, "BENCH_kernels: bitwise equality violated\n");
         return 1;
     }

@@ -166,7 +166,7 @@ Tensor ApproxConv2d::forward_quant(const Tensor& x, State& st, nn::Context& ctx)
     Tensor po(Shape{positions, out_ch_});
     if (st.blocked) {
         const kernels::Tuning& tiles = kernels::Tuning::current();
-        st.wpan = kernels::pack_quantized_weights(
+        const kernels::WeightPanels wpan = kernels::pack_quantized_weights(
             st.wq, bits,
             kernels::make_panel_plan(out_ch_, patch, tiles.to, tiles.tk),
             st.ws);
@@ -174,15 +174,14 @@ Tensor ApproxConv2d::forward_quant(const Tensor& x, State& st, nn::Context& ctx)
             x.data(), st.geom, xparams,
             kernels::make_panel_plan(positions, patch, tiles.tp, tiles.tk),
             st.ws);
-        st.xpan = xq.panels;
-        st.xq = kernels::QuantView{nullptr, xq.in_range, xparams,
+        st.xq = kernels::QuantView{xq.codes, xq.in_range, xparams,
                                    positions * patch};
 
         kernels::BlockedGemmArgs args;
         args.bits = bits;
         args.lut = mult_.lut->table().data();
-        args.w = st.wpan;
-        args.x = st.xpan;
+        args.w = wpan;
+        args.x = xq.panels;
         args.o = out_ch_;
         args.p = positions;
         args.k = patch;
@@ -250,45 +249,30 @@ Tensor ApproxConv2d::backward_quant(const Tensor& gy, State& st, nn::Context& ct
                           [&](std::int64_t b, std::int64_t e) {
         for (std::int64_t i = b; i < e; ++i) gx_raw[i] = 0.0f;
     });
-    if (st.blocked) {
-        kernels::BlockedGemmArgs args;
-        args.bits = mult_.bits();
-        args.lut = mult_.lut->table().data();
-        args.w = st.wpan;
-        args.x = st.xpan;
-        args.o = out_ch_;
-        args.p = p;
-        args.k = patch;
-        args.scale_x = scale_x;
-        args.zero_x = static_cast<std::int32_t>(st.xq.params.zero_point);
-        if (per_channel_) {
-            args.scale_w_per_o = st.wscale_per_o;
-            args.zero_w_per_o = st.wzero_per_o;
-        } else {
-            args.scale_w = st.wq.params.scale;
-            args.zero_w = static_cast<std::int32_t>(st.wq.params.zero_point);
-        }
-        kernels::lut_backward_blocked(args, gyp, mult_.grad->dw_table().data(),
-                                      mult_.grad->dx_table().data(), gw_raw,
-                                      gx_raw, st.ws);
+    kernels::LutGemmArgs args;
+    args.bits = mult_.bits();
+    args.lut = mult_.lut->table().data();
+    args.wq = st.wq.codes;
+    args.xq = st.xq.codes;
+    args.o = out_ch_;
+    args.p = p;
+    args.k = patch;
+    args.scale_x = scale_x;
+    args.zero_x = static_cast<std::int32_t>(st.xq.params.zero_point);
+    if (per_channel_) {
+        args.scale_w_per_o = st.wscale_per_o;
+        args.zero_w_per_o = st.wzero_per_o;
     } else {
-        kernels::LutGemmArgs args;
-        args.bits = mult_.bits();
-        args.lut = mult_.lut->table().data();
-        args.wq = st.wq.codes;
-        args.xq = st.xq.codes;
-        args.o = out_ch_;
-        args.p = p;
-        args.k = patch;
-        args.scale_x = scale_x;
-        args.zero_x = static_cast<std::int32_t>(st.xq.params.zero_point);
-        if (per_channel_) {
-            args.scale_w_per_o = st.wscale_per_o;
-            args.zero_w_per_o = st.wzero_per_o;
-        } else {
-            args.scale_w = st.wq.params.scale;
-            args.zero_w = static_cast<std::int32_t>(st.wq.params.zero_point);
-        }
+        args.scale_w = st.wq.params.scale;
+        args.zero_w = static_cast<std::int32_t>(st.wq.params.zero_point);
+    }
+    // Both layouts keep row-major codes; the blocked one runs the
+    // vectorized backward, which is bitwise-equal to the scalar oracle.
+    if (st.blocked) {
+        kernels::lut_backward_rows(args, gyp, mult_.grad->dw_table().data(),
+                                   mult_.grad->dx_t_table().data(), gw_raw,
+                                   gx_raw, st.ws);
+    } else {
         kernels::lut_backward(args, gyp, mult_.grad->dw_table().data(),
                               mult_.grad->dx_table().data(), gw_raw, gx_raw);
     }
@@ -397,7 +381,7 @@ Tensor ApproxLinear::forward(const Tensor& x, nn::Context& ctx) {
     Tensor y(Shape{st.batch, out_features_});
     if (st.blocked) {
         const kernels::Tuning& tiles = kernels::Tuning::current();
-        st.wpan = kernels::pack_quantized_weights(
+        const kernels::WeightPanels wpan = kernels::pack_quantized_weights(
             st.wq, bits,
             kernels::make_panel_plan(out_features_, in_features_, tiles.to,
                                      tiles.tk),
@@ -407,15 +391,14 @@ Tensor ApproxLinear::forward(const Tensor& x, nn::Context& ctx) {
             kernels::make_panel_plan(st.batch, in_features_, tiles.tp,
                                      tiles.tk),
             st.ws);
-        st.xpan = xq.panels;
-        st.xq = kernels::QuantView{nullptr, xq.in_range, xparams,
+        st.xq = kernels::QuantView{xq.codes, xq.in_range, xparams,
                                    st.batch * in_features_};
 
         kernels::BlockedGemmArgs args;
         args.bits = bits;
         args.lut = mult_.lut->table().data();
-        args.w = st.wpan;
-        args.x = st.xpan;
+        args.w = wpan;
+        args.x = xq.panels;
         args.o = out_features_;
         args.p = st.batch;
         args.k = in_features_;
@@ -466,36 +449,23 @@ Tensor ApproxLinear::backward(const Tensor& gy, nn::Context& ctx) {
         for (std::int64_t i = b; i < e; ++i) gw_raw[i] = 0.0f;
     });
     Tensor gx(Shape{st.batch, in_features_}); // zero-initialized
+    kernels::LutGemmArgs args;
+    args.bits = mult_.bits();
+    args.lut = mult_.lut->table().data();
+    args.wq = st.wq.codes;
+    args.xq = st.xq.codes;
+    args.o = out_features_;
+    args.p = st.batch;
+    args.k = in_features_;
+    args.scale_w = st.wq.params.scale;
+    args.scale_x = scale_x;
+    args.zero_w = static_cast<std::int32_t>(st.wq.params.zero_point);
+    args.zero_x = static_cast<std::int32_t>(st.xq.params.zero_point);
     if (st.blocked) {
-        kernels::BlockedGemmArgs args;
-        args.bits = mult_.bits();
-        args.lut = mult_.lut->table().data();
-        args.w = st.wpan;
-        args.x = st.xpan;
-        args.o = out_features_;
-        args.p = st.batch;
-        args.k = in_features_;
-        args.scale_w = st.wq.params.scale;
-        args.scale_x = scale_x;
-        args.zero_w = static_cast<std::int32_t>(st.wq.params.zero_point);
-        args.zero_x = static_cast<std::int32_t>(st.xq.params.zero_point);
-        kernels::lut_backward_blocked(args, gy.data(),
-                                      mult_.grad->dw_table().data(),
-                                      mult_.grad->dx_table().data(), gw_raw,
-                                      gx.data(), st.ws);
+        kernels::lut_backward_rows(args, gy.data(), mult_.grad->dw_table().data(),
+                                   mult_.grad->dx_t_table().data(), gw_raw,
+                                   gx.data(), st.ws);
     } else {
-        kernels::LutGemmArgs args;
-        args.bits = mult_.bits();
-        args.lut = mult_.lut->table().data();
-        args.wq = st.wq.codes;
-        args.xq = st.xq.codes;
-        args.o = out_features_;
-        args.p = st.batch;
-        args.k = in_features_;
-        args.scale_w = st.wq.params.scale;
-        args.scale_x = scale_x;
-        args.zero_w = static_cast<std::int32_t>(st.wq.params.zero_point);
-        args.zero_x = static_cast<std::int32_t>(st.xq.params.zero_point);
         kernels::lut_backward(args, gy.data(), mult_.grad->dw_table().data(),
                               mult_.grad->dx_table().data(), gw_raw, gx.data());
     }

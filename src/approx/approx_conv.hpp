@@ -111,13 +111,12 @@ private:
         kernels::QuantView wq;                // quant mode: codes of weights
         float* wscale_per_o = nullptr;        // per-channel row scales (ws-backed)
         std::int32_t* wzero_per_o = nullptr;  // per-channel row zeros (ws-backed)
-        // Blocked layout (default): codes live pre-tiled in panels, the
-        // activation panels produced by the fused im2col+quantize packer
-        // (xq.codes stays null; the row-major masks/params remain in xq for
-        // the backward epilogues). Captured per forward from layout_mode().
+        // Blocked layout (default): the forward reads panels, which the
+        // fused im2col+quantize packer fills alongside row-major copies of
+        // the codes and masks in xq; the backward reads only the row-major
+        // wq and xq (lut_backward_rows). Captured per forward from
+        // layout_mode().
         bool blocked = false;
-        kernels::WeightPanels wpan;
-        kernels::ActPanels xpan;
     };
 
     tensor::Tensor forward_float(const tensor::Tensor& x, State& st,
@@ -172,8 +171,6 @@ private:
         kernels::QuantView wq;
         std::int64_t batch = 0;
         bool blocked = false;   // see ApproxConv2d::State
-        kernels::WeightPanels wpan;
-        kernels::ActPanels xpan;
     };
 
     std::int64_t in_features_, out_features_;

@@ -22,9 +22,13 @@ const char* gradient_mode_name(GradientMode mode) {
 
 GradLut::GradLut(unsigned bits, std::vector<float> d_dw, std::vector<float> d_dx)
     : bits_(bits), d_dw_(std::move(d_dw)), d_dx_(std::move(d_dx)) {
-    [[maybe_unused]] const std::size_t expected = std::size_t{1} << (2 * bits);
-    assert(d_dw_.size() == expected);
-    assert(d_dx_.size() == expected);
+    const std::size_t n = std::size_t{1} << bits;
+    assert(d_dw_.size() == n * n);
+    assert(d_dx_.size() == n * n);
+    d_dx_t_.resize(d_dx_.size());
+    for (std::size_t w = 0; w < n; ++w)
+        for (std::size_t x = 0; x < n; ++x)
+            d_dx_t_[(x << bits) | w] = d_dx_[(w << bits) | x];
 }
 
 bool GradLut::save(const std::string& path) const {

@@ -52,6 +52,11 @@ public:
 
     [[nodiscard]] const std::vector<float>& dw_table() const { return d_dw_; }
     [[nodiscard]] const std::vector<float>& dx_table() const { return d_dx_; }
+    /// ∂AM/∂X transposed, indexed (X << B) | W: the row-major backward
+    /// kernel (kernels::lut_backward_rows) walks W with X fixed per lane,
+    /// which keeps each lane inside one 2^B-entry row of this copy. Built
+    /// once by the constructor.
+    [[nodiscard]] const std::vector<float>& dx_t_table() const { return d_dx_t_; }
 
     /// Serializes both tables to a small binary file; false on I/O error.
     bool save(const std::string& path) const;
@@ -63,6 +68,7 @@ private:
     unsigned bits_ = 0;
     std::vector<float> d_dw_;
     std::vector<float> d_dx_;
+    std::vector<float> d_dx_t_;
 };
 
 /// STE baseline: ∂AM/∂W = X and ∂AM/∂X = W regardless of the AppMult.

@@ -275,7 +275,7 @@ ActPanels pack_im2col_panels_u8(const std::uint8_t* x,
 ActPanels quantize_im2col_panels(const float* x, const tensor::ConvGeom& geom,
                                  const quant::QuantParams& params,
                                  const PanelPlan& plan, std::uint8_t* in_range,
-                                 Workspace& ws) {
+                                 std::uint16_t* row_codes, Workspace& ws) {
     AMRET_OBS_SPAN("kernels.im2col_panels");
     AMRET_OBS_COUNT("kernels.quantize.elems", plan.rows * plan.depth);
     assert(plan.rows == geom.positions() && plan.depth == geom.patch());
@@ -302,8 +302,10 @@ ActPanels quantize_im2col_panels(const float* x, const tensor::ConvGeom& geom,
             float v = 0.0f;
             if (iy >= 0 && iy < geom.in_h && ix >= 0 && ix < geom.in_w)
                 v = x[n * chw + (taps.c[t] * geom.in_h + iy) * geom.in_w + ix];
+            const auto code = static_cast<std::uint16_t>(params.quantize(v));
             in_range[row * plan.depth + t] = params.in_range(v) ? 1 : 0;
-            return static_cast<std::uint16_t>(params.quantize(v));
+            row_codes[row * plan.depth + t] = code;
+            return code;
         });
     });
     out.codes = codes;
@@ -314,7 +316,7 @@ ActPanels quantize_im2col_panels(const float* x, const tensor::ConvGeom& geom,
 
 ActPanels quantize_into_panels(const float* src, const quant::QuantParams& params,
                                const PanelPlan& plan, std::uint8_t* in_range,
-                               Workspace& ws) {
+                               std::uint16_t* row_codes, Workspace& ws) {
     AMRET_OBS_SPAN("kernels.quantize");
     AMRET_OBS_COUNT("kernels.quantize.elems", plan.rows * plan.depth);
     ActPanels out;
@@ -327,8 +329,10 @@ ActPanels quantize_into_panels(const float* src, const quant::QuantParams& param
         pack_rows_fused(plan, codes, sums, b0, b1,
                         [&](std::int64_t row, std::int64_t kk) -> std::uint16_t {
             const float v = src[row * plan.depth + kk];
+            const auto code = static_cast<std::uint16_t>(params.quantize(v));
             in_range[row * plan.depth + kk] = params.in_range(v) ? 1 : 0;
-            return static_cast<std::uint16_t>(params.quantize(v));
+            row_codes[row * plan.depth + kk] = code;
+            return code;
         });
     });
     out.codes = codes;

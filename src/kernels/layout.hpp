@@ -164,18 +164,20 @@ ActPanels pack_im2col_panels_u8(const std::uint8_t* x,
 
 /// Fused im2col + quantize + pack for the training path: gathers each float
 /// tap of the NCHW input (zero padding), quantizes it under \p params and
-/// writes the code straight into its panel slot. \p in_range (caller-owned,
-/// positions x patch row-major) receives the clamp-STE mask the backward
+/// writes the code straight into its panel slot. \p in_range and
+/// \p row_codes (caller-owned, positions x patch row-major) receive the
+/// clamp-STE mask and a row-major copy of the codes, which the backward
 /// pass consumes. Parallel over position blocks.
 ActPanels quantize_im2col_panels(const float* x, const tensor::ConvGeom& geom,
                                  const quant::QuantParams& params,
                                  const PanelPlan& plan, std::uint8_t* in_range,
-                                 Workspace& ws);
+                                 std::uint16_t* row_codes, Workspace& ws);
 
 /// Fused quantize + pack of a row-major float matrix (the ApproxLinear
-/// activation path). \p in_range is row-major (plan.rows x plan.depth).
+/// activation path). \p in_range and \p row_codes are row-major
+/// (plan.rows x plan.depth).
 ActPanels quantize_into_panels(const float* src, const quant::QuantParams& params,
                                const PanelPlan& plan, std::uint8_t* in_range,
-                               Workspace& ws);
+                               std::uint16_t* row_codes, Workspace& ws);
 
 } // namespace amret::kernels

@@ -184,15 +184,27 @@ void lut_backward(const LutGemmArgs& args, const float* gyp,
                   float* gw_raw, float* gx_raw,
                   const TileConfig& tile = TileConfig{});
 
+/// Backward over the same row-major codes, vectorized; bitwise-identical to
+/// lut_backward (same sums, same zero-initialized gw_raw / gx_raw). The
+/// ∂AM/∂X table is taken transposed, indexed (x << bits) | w
+/// (core::GradLut::dx_t_table()). Both walks put depth indices in the
+/// vector lanes: grad-X fixes each lane's activation code, and so its row
+/// of the transposed table, and replays the row's nonzero output gradients
+/// in ascending o; grad-W fixes each lane's weight code and replays the
+/// column's nonzero gradients in ascending p. Every LUT index is built from
+/// contiguous loads of both code matrices. Parallel over gx rows, then gw
+/// rows; scratch for the nonzero-gradient compaction comes from \p ws.
+void lut_backward_rows(const LutGemmArgs& args, const float* gyp,
+                       const float* grad_w_lut, const float* grad_x_lut_t,
+                       float* gw_raw, float* gx_raw, Workspace& ws);
+
 // ----------------------------------------------------------------------
-// Blocked-layout kernels (PR 8). Operands come pre-tiled as panels
+// Blocked-layout forward. Operands come pre-tiled as panels
 // (layout.hpp) with the Eq. (8) row sums hoisted into the panel headers;
-// the scalar kernels above are retained as the bitwise oracle and every
-// blocked kernel memcmp-matches them (tests/test_layout.cpp):
-//   - forward accumulates in int64, so the panel loop order is exact;
-//   - the blocked backward preserves the scalar accumulation orders
-//     element-for-element (gx: ascending o; gw: ascending p) and evaluates
-//     the identical float expressions, so the float sums match bit for bit.
+// the scalar lut_forward above is retained as the bitwise oracle, and the
+// blocked forward memcmp-matches it because it accumulates in int64, so the
+// panel loop order is exact (tests/test_layout.cpp). The backward needs no
+// panels: lut_backward_rows reads the row-major codes.
 // ----------------------------------------------------------------------
 
 /// One LUT GEMM over blocked operands. Both panels must share the same
@@ -280,12 +292,5 @@ void lut_gemm_blocked_tile(const BlockedGemmArgs& a, std::int64_t rb0,
 /// lut_forward over the same codes. Parallel over position row-blocks.
 void lut_forward_blocked(const BlockedGemmArgs& args, const float* bias,
                          float* y, Workspace& ws);
-
-/// Blocked backward; bitwise-identical to lut_backward over the same codes
-/// (gw_raw / gx_raw row-major, zero-initialized by the caller). Scratch for
-/// the per-row nonzero-gradient compaction comes from \p ws.
-void lut_backward_blocked(const BlockedGemmArgs& args, const float* gyp,
-                          const float* grad_w_lut, const float* grad_x_lut,
-                          float* gw_raw, float* gx_raw, Workspace& ws);
 
 } // namespace amret::kernels

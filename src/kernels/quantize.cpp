@@ -68,8 +68,10 @@ QuantPanels quantize_panels(const float* src, const quant::QuantParams& params,
                             const PanelPlan& plan, Workspace& ws) {
     QuantPanels out;
     out.params = params;
+    out.codes = ws.alloc<std::uint16_t>(plan.rows * plan.depth);
     out.in_range = ws.alloc<std::uint8_t>(plan.rows * plan.depth);
-    out.panels = quantize_into_panels(src, params, plan, out.in_range, ws);
+    out.panels =
+        quantize_into_panels(src, params, plan, out.in_range, out.codes, ws);
     return out;
 }
 
@@ -78,8 +80,10 @@ QuantPanels quantize_conv_panels(const float* x, const tensor::ConvGeom& geom,
                                  const PanelPlan& plan, Workspace& ws) {
     QuantPanels out;
     out.params = params;
+    out.codes = ws.alloc<std::uint16_t>(plan.rows * plan.depth);
     out.in_range = ws.alloc<std::uint8_t>(plan.rows * plan.depth);
-    out.panels = quantize_im2col_panels(x, geom, params, plan, out.in_range, ws);
+    out.panels = quantize_im2col_panels(x, geom, params, plan, out.in_range,
+                                        out.codes, ws);
     return out;
 }
 

@@ -43,11 +43,13 @@ QuantView quantize_weights_per_channel(const float* w, std::int64_t o,
 
 /// Quantized activation operand pre-tiled to the blocked kernel layout
 /// (layout.hpp): codes land directly in (tr x tk) panels with the Eq. (8)
-/// row-sum header hoisted, while the clamp mask stays row-major
-/// (plan.rows x plan.depth) for the STE backward epilogues. Codes and masks
-/// are bitwise-identical to quantize_into over the same values.
+/// row-sum header hoisted for the forward, and a row-major copy of the
+/// codes plus the clamp mask (both plan.rows x plan.depth) serve the
+/// backward (lut_backward_rows and the STE epilogues). Codes and masks are
+/// bitwise-identical to quantize_into over the same values.
 struct QuantPanels {
     ActPanels panels;
+    std::uint16_t* codes = nullptr;   ///< row-major copy of the panel codes
     std::uint8_t* in_range = nullptr; ///< 1 where the STE gradient passes
     quant::QuantParams params;
 };

@@ -198,18 +198,58 @@ bool accumulate_panel(const BlockedGemmArgs& a, std::int64_t rb,
     return false;
 }
 
-bool grad_x_block(const GradXBlockArgs& a) {
-    if (select() < Isa::kAvx2) return false;
-    detail::grad_x_block_avx2(a);
-    AMRET_OBS_COUNT("kernels.simd.grad_x_blocks.avx2", 1);
-    return true;
+void detail::grad_row_scalar(const GradRowArgs& a, std::int64_t kk0) {
+    for (std::int64_t kk = kk0; kk < a.k; ++kk) {
+        const std::uint32_t row = static_cast<std::uint32_t>(a.fixed[kk])
+                                  << a.bits;
+        float acc = a.out[kk];
+        for (std::int64_t j = 0; j < a.cnt; ++j)
+            acc += a.m[j] * (a.lut[row | a.ops[a.off[j] + kk]] - a.z[j]);
+        a.out[kk] = acc;
+    }
 }
 
-bool grad_w_block(const GradWBlockArgs& a) {
-    if (select() < Isa::kAvx2) return false;
-    detail::grad_w_block_avx2(a);
-    AMRET_OBS_COUNT("kernels.simd.grad_w_blocks.avx2", 1);
-    return true;
+namespace {
+
+/// Walks the row with the widest leaf the selected level has and returns
+/// that level; kScalar means the scalar walk ran.
+Isa grad_row(const GradRowArgs& a) {
+    const Isa isa = select();
+    if (isa == Isa::kAvx512) {
+        detail::grad_row_avx512(a);
+    } else if (isa == Isa::kAvx2) {
+        detail::grad_row_avx2(a, 0);
+    } else {
+        detail::grad_row_scalar(a, 0);
+        return Isa::kScalar;
+    }
+    return isa;
+}
+
+} // namespace
+
+void grad_x_row(const GradRowArgs& a) {
+    switch (grad_row(a)) {
+    case Isa::kAvx512:
+        AMRET_OBS_COUNT("kernels.simd.grad_x_blocks.avx512", 1);
+        break;
+    case Isa::kAvx2:
+        AMRET_OBS_COUNT("kernels.simd.grad_x_blocks.avx2", 1);
+        break;
+    default: break;
+    }
+}
+
+void grad_w_row(const GradRowArgs& a) {
+    switch (grad_row(a)) {
+    case Isa::kAvx512:
+        AMRET_OBS_COUNT("kernels.simd.grad_w_blocks.avx512", 1);
+        break;
+    case Isa::kAvx2:
+        AMRET_OBS_COUNT("kernels.simd.grad_w_blocks.avx2", 1);
+        break;
+    default: break;
+    }
 }
 
 } // namespace amret::kernels::simd

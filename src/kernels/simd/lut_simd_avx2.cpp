@@ -6,15 +6,13 @@
 ///   - vector gathers unlock the wide-operand forward: 8 activation codes
 ///     are widened, OR'd with the pre-shifted weight code and gathered from
 ///     the product LUT, accumulating in 4+4 independent int64 lanes;
-///   - the backward gradient-LUT walks vectorize across 8 depth lanes while
-///     the compacted nonzero-gradient replay stays serial per lane.
+///   - the backward row walk vectorizes across 8 depth lanes while the
+///     compacted nonzero-gradient replay stays serial per lane.
 ///
 /// -ffp-contract=off is part of the numerical contract, not an
-/// optimization knob: the scalar tails below repeat the oracle's
-/// mul-then-add float expressions, and under -mavx2 GCC would otherwise
-/// contract them into FMAs that round differently than the oracle built
-/// without AVX2. The vector paths use explicit mul/add intrinsics, which
-/// are never contracted.
+/// optimization knob: the backward walk's multiply-then-add must round
+/// like the oracle's, so it may never be fused into an FMA. Its scalar
+/// tail lives in dispatch.cpp, which builds for the baseline target.
 
 #include "kernels/simd/simd_internal.hpp"
 
@@ -94,86 +92,31 @@ void acc_panel_gather_avx2(const BlockedGemmArgs& a, std::int64_t rb,
     }
 }
 
-void grad_x_block_avx2(const GradXBlockArgs& a) {
-    const std::int64_t kvec = a.kr & ~std::int64_t{7};
-    const int to32 = static_cast<int>(a.to);
-    const __m256i ito = _mm256_setr_epi32(0, to32, 2 * to32, 3 * to32,
-                                          4 * to32, 5 * to32, 6 * to32,
-                                          7 * to32);
-    for (std::int64_t kk0 = 0; kk0 < kvec; kk0 += 8) {
-        alignas(32) std::int32_t xc[8];
-        for (int i = 0; i < 8; ++i) {
-            xc[i] = static_cast<std::int32_t>(
-                a.xpan[(kk0 + i) * a.tp + a.pr_rel]);
-        }
-        const __m256i xcv =
-            _mm256_load_si256(reinterpret_cast<const __m256i*>(xc));
-        __m256 accv = _mm256_loadu_ps(a.gxrow + a.kbase + kk0);
+void grad_row_avx2(const GradRowArgs& a, std::int64_t kk0) {
+    const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(a.bits));
+    for (; kk0 + 8 <= a.k; kk0 += 8) {
+        // One widening load of the fixed row's codes, shifted to table-row
+        // bases once; per j one widening load of the operand row and a
+        // gather that stays inside each lane's table row.
+        const __m256i rows = _mm256_sll_epi32(
+            _mm256_cvtepu16_epi32(_mm_loadu_si128(
+                reinterpret_cast<const __m128i*>(a.fixed + kk0))),
+            shift);
+        __m256 acc = _mm256_loadu_ps(a.out + kk0);
         for (std::int64_t j = 0; j < a.cnt; ++j) {
-            const std::uint32_t* wbase =
-                a.wcodes + a.off[j] + a.kb_off + kk0 * a.to;
-            const __m256i wv = _mm256_i32gather_epi32(
-                reinterpret_cast<const int*>(wbase), ito, 4);
-            const __m256i idx = _mm256_or_si256(wv, xcv);
-            const __m256 lutv = _mm256_i32gather_ps(a.grad_x_lut, idx, 4);
-            // Oracle order per lane: gs = g*s, then gs * (lut - zw), then
-            // add — explicit mul/add intrinsics, never FMA-contracted.
-            const float gs = a.g[j] * a.s[j];
-            accv = _mm256_add_ps(
-                accv, _mm256_mul_ps(_mm256_set1_ps(gs),
-                                    _mm256_sub_ps(lutv,
-                                                  _mm256_set1_ps(a.zw[j]))));
+            const __m256i op = _mm256_cvtepu16_epi32(_mm_loadu_si128(
+                reinterpret_cast<const __m128i*>(a.ops + a.off[j] + kk0)));
+            const __m256 lut =
+                _mm256_i32gather_ps(a.lut, _mm256_or_si256(rows, op), 4);
+            // Oracle order per lane: m * (lut - z), then add — explicit
+            // mul/add intrinsics, never FMA-contracted.
+            acc = _mm256_add_ps(
+                acc, _mm256_mul_ps(_mm256_set1_ps(a.m[j]),
+                                   _mm256_sub_ps(lut, _mm256_set1_ps(a.z[j]))));
         }
-        _mm256_storeu_ps(a.gxrow + a.kbase + kk0, accv);
+        _mm256_storeu_ps(a.out + kk0, acc);
     }
-    for (std::int64_t kk = kvec; kk < a.kr; ++kk) {
-        const std::uint32_t xcs = a.xpan[kk * a.tp + a.pr_rel];
-        const std::int64_t kk_off = a.kb_off + kk * a.to;
-        float acc = a.gxrow[a.kbase + kk];
-        for (std::int64_t j = 0; j < a.cnt; ++j) {
-            const std::uint32_t idx = a.wcodes[a.off[j] + kk_off] | xcs;
-            acc += a.g[j] * a.s[j] * (a.grad_x_lut[idx] - a.zw[j]);
-        }
-        a.gxrow[a.kbase + kk] = acc;
-    }
-}
-
-void grad_w_block_avx2(const GradWBlockArgs& a) {
-    const std::int64_t kvec = a.kr & ~std::int64_t{7};
-    const int to32 = static_cast<int>(a.to);
-    const __m256i ito = _mm256_setr_epi32(0, to32, 2 * to32, 3 * to32,
-                                          4 * to32, 5 * to32, 6 * to32,
-                                          7 * to32);
-    for (std::int64_t kk0 = 0; kk0 < kvec; kk0 += 8) {
-        const std::uint32_t* wb = a.wpan + kk0 * a.to + a.orel;
-        const __m256i wv = _mm256_i32gather_epi32(
-            reinterpret_cast<const int*>(wb), ito, 4);
-        __m256 accv = _mm256_loadu_ps(a.gwrow + a.kbase + kk0);
-        for (std::int64_t j = 0; j < a.cnt; ++j) {
-            const std::uint16_t* xb = a.xpan + kk0 * a.tp + a.pidx[j];
-            alignas(32) std::int32_t xc[8];
-            for (int i = 0; i < 8; ++i)
-                xc[i] = static_cast<std::int32_t>(xb[i * a.tp]);
-            const __m256i idx = _mm256_or_si256(
-                wv, _mm256_load_si256(reinterpret_cast<const __m256i*>(xc)));
-            const __m256 lutv = _mm256_i32gather_ps(a.grad_w_lut, idx, 4);
-            accv = _mm256_add_ps(
-                accv, _mm256_mul_ps(_mm256_set1_ps(a.pg[j]),
-                                    _mm256_sub_ps(lutv,
-                                                  _mm256_set1_ps(a.zx))));
-        }
-        _mm256_storeu_ps(a.gwrow + a.kbase + kk0, accv);
-    }
-    for (std::int64_t kk = kvec; kk < a.kr; ++kk) {
-        const std::uint32_t wshift = a.wpan[kk * a.to + a.orel];
-        const std::uint16_t* xv = a.xpan + kk * a.tp;
-        float acc = a.gwrow[a.kbase + kk];
-        for (std::int64_t j = 0; j < a.cnt; ++j) {
-            const std::uint32_t idx = wshift | xv[a.pidx[j]];
-            acc += a.pg[j] * (a.grad_w_lut[idx] - a.zx);
-        }
-        a.gwrow[a.kbase + kk] = acc;
-    }
+    grad_row_scalar(a, kk0);
 }
 
 } // namespace amret::kernels::simd::detail
@@ -189,8 +132,7 @@ void acc_panel_nibble_avx2(const BlockedGemmArgs&, std::int64_t, std::int64_t,
                            std::int64_t*) {}
 void acc_panel_gather_avx2(const BlockedGemmArgs&, std::int64_t, std::int64_t,
                            std::int64_t*) {}
-void grad_x_block_avx2(const GradXBlockArgs&) {}
-void grad_w_block_avx2(const GradWBlockArgs&) {}
+void grad_row_avx2(const GradRowArgs&, std::int64_t) {}
 
 } // namespace amret::kernels::simd::detail
 

@@ -1,11 +1,11 @@
 /// \file lut_simd_avx512.cpp
-/// \brief AVX-512F leaf kernel (compiled with -mavx512f -ffp-contract=off).
+/// \brief AVX-512F leaf kernels (compiled with -mavx512f -ffp-contract=off).
 ///
-/// Only the wide-operand forward widens here: 16 activation codes per
-/// gather, 8+8 int64 accumulator lanes. The nibble path stays on the AVX2
-/// byte-table copy (pshufb beats gathers for <=4-bit operands even at
-/// 512-bit width) and the backward walks reuse the AVX2 leaves — both
-/// routed by dispatch.cpp, so this TU carries a single kernel.
+/// The wide-operand forward and the backward row walk widen here: 16
+/// activation codes per forward gather into 8+8 int64 accumulator lanes,
+/// and 16 depth lanes per backward gather. The nibble path stays on the
+/// AVX2 byte-table copy (pshufb beats gathers for <=4-bit operands even at
+/// 512-bit width), routed by dispatch.cpp.
 
 #include "kernels/simd/simd_internal.hpp"
 
@@ -107,6 +107,30 @@ void acc_panel_gather_avx512(const BlockedGemmArgs& a, std::int64_t rb,
     }
 }
 
+void grad_row_avx512(const GradRowArgs& a) {
+    const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(a.bits));
+    std::int64_t kk0 = 0;
+    for (; kk0 + 16 <= a.k; kk0 += 16) {
+        const __m512i rows = _mm512_sll_epi32(
+            _mm512_cvtepu16_epi32(_mm256_loadu_si256(
+                reinterpret_cast<const __m256i*>(a.fixed + kk0))),
+            shift);
+        __m512 acc = _mm512_loadu_ps(a.out + kk0);
+        for (std::int64_t j = 0; j < a.cnt; ++j) {
+            const __m512i op = _mm512_cvtepu16_epi32(_mm256_loadu_si256(
+                reinterpret_cast<const __m256i*>(a.ops + a.off[j] + kk0)));
+            const __m512 lut =
+                _mm512_i32gather_ps(_mm512_or_si512(rows, op), a.lut, 4);
+            // Oracle order per lane: m * (lut - z), then add.
+            acc = _mm512_add_ps(
+                acc, _mm512_mul_ps(_mm512_set1_ps(a.m[j]),
+                                   _mm512_sub_ps(lut, _mm512_set1_ps(a.z[j]))));
+        }
+        _mm512_storeu_ps(a.out + kk0, acc);
+    }
+    grad_row_avx2(a, kk0); // at most one 8-lane step, then the scalar tail
+}
+
 } // namespace amret::kernels::simd::detail
 
 #else // !defined(__AVX512F__)
@@ -118,6 +142,7 @@ bool compiled_avx512() { return false; }
 // Unreachable: dispatch.cpp never routes to a level compiled() rejects.
 void acc_panel_gather_avx512(const BlockedGemmArgs&, std::int64_t,
                              std::int64_t, std::int64_t*) {}
+void grad_row_avx512(const GradRowArgs&) {}
 
 } // namespace amret::kernels::simd::detail
 

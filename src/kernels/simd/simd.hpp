@@ -1,9 +1,10 @@
 /// \file simd.hpp
 /// \brief Runtime-dispatched SIMD kernels for the blocked LUT-GEMM family.
 ///
-/// The PR-8 blocked kernels walk panels with scalar loads: one product-LUT
-/// load per MAC in the forward, one gradient-LUT load per (grad, tap) in the
-/// backward. This subtree vectorizes those walks a la T-MAC / DeepGEMM:
+/// The LUT-GEMM kernels make one product-LUT load per MAC in the forward
+/// (over panels) and one gradient-LUT load per (grad, tap) in the backward
+/// (over row-major codes). This subtree vectorizes those walks a la T-MAC /
+/// DeepGEMM:
 ///
 ///   - a pshufb-style in-register 16-entry LUT path for small-operand
 ///     multipliers (bits <= 4): the activation codes are nibble-packed two
@@ -15,18 +16,22 @@
 ///     OR'd with the pre-shifted weight code and looked up with a vector
 ///     gather, accumulating into 4 (AVX2) or 8 (AVX-512) independent int64
 ///     lanes per step;
-///   - gather-vectorized gradient-LUT walks for the backward (AVX2+): lanes
-///     run across the depth axis, the compacted nonzero-gradient replay
-///     stays serial per lane, so every gx/gw element performs the scalar
-///     oracle's float additions in the scalar oracle's order.
+///   - gather-vectorized gradient-LUT walks for the backward over
+///     row-major codes (8 lanes on AVX2, 16 on AVX-512): lanes run across
+///     the depth axis, every LUT index comes from contiguous widening loads,
+///     and the compacted nonzero-gradient replay stays serial per lane, so
+///     every gx/gw element performs the scalar oracle's float additions in
+///     the scalar oracle's order.
 ///
 /// Dispatch contract (DESIGN.md section 17). select() probes the CPU once
 /// (SSSE3 / AVX2 / AVX-512F via cpuid) and honours AMRET_SIMD=
 /// scalar|ssse3|avx2|avx512 as a *cap*: requesting a level the machine or
 /// build lacks falls back to the best supported level below it, with a typed
-/// warning through src/obs. Every entry point below returns false when the
-/// active level has no eligible kernel for the operands; callers then run
-/// the PR-8 blocked loops, which remain the bitwise-determinism oracle:
+/// warning through src/obs. The forward entry point returns false when the
+/// active level has no eligible kernel for the operands, and the caller
+/// then runs its scalar loop; the backward row walks fall back to scalar
+/// code themselves. Every path memcmp-matches the bitwise-determinism
+/// oracles (lut_forward, lut_backward):
 ///   - the forward accumulator is int64, so any lane split is exact and
 ///     SIMD forward output memcmp-equals the scalar oracle;
 ///   - the backward lanes preserve the per-element float op order, so
@@ -44,7 +49,7 @@
 namespace amret::kernels::simd {
 
 /// Instruction-set levels in dispatch order. kScalar always works and means
-/// "run the PR-8 blocked oracle".
+/// "no vector kernels: scalar loops only".
 enum class Isa : int {
     kScalar = 0,
     kSsse3 = 1,
@@ -88,54 +93,44 @@ void set_isa_for_test(Isa isa);
 void clear_isa_override();
 
 // ---------------------------------------------------------------- seams ----
-// Called by the blocked kernels (lut_kernels); each returns false when the
-// selected level has no eligible kernel, in which case the caller must run
-// the scalar blocked loop over the same region.
+// Called by the kernels in lut_kernels.
 
 /// Fills the int64 accumulator tile of block (rb, ob):
 /// acc[oo * x.plan.tr + pp] = sum_k LUT[w, x] over the real depth extent,
 /// for all physical rows (pad lanes accumulate LUT[w, 0]; callers never
-/// read them). \p acc must hold x.plan.tr * w.plan.tr int64s.
+/// read them). \p acc must hold x.plan.tr * w.plan.tr int64s. Returns
+/// false when the selected level has no eligible kernel; the caller then
+/// runs its scalar loop over the same block.
 bool accumulate_panel(const BlockedGemmArgs& a, std::int64_t rb,
                       std::int64_t ob, std::int64_t* acc);
 
-/// One (position row, depth block) segment of the blocked grad-X walk: for
-/// kk in [0, kr), gxrow[kbase + kk] accumulates, over the compacted nonzero
-/// output gradients j in ascending order,
-///   g[j] * s[j] * (grad_x_lut[wcodes[off[j] + kb_off + kk*to] | xc(kk)] - zw[j])
-/// with xc(kk) = xpan[kk * tp + pr_rel].
-struct GradXBlockArgs {
-    const std::uint32_t* wcodes = nullptr; ///< full pre-shifted weight panels
-    const std::uint16_t* xpan = nullptr;   ///< activation panel (rb, kb)
-    const float* grad_x_lut = nullptr;
-    const std::int64_t* off = nullptr; ///< per-j weight panel-row offsets
-    const float* g = nullptr;          ///< per-j output gradients
-    const float* zw = nullptr;         ///< per-j weight zero points
-    const float* s = nullptr;          ///< per-j weight scales
-    std::int64_t cnt = 0;
-    std::int64_t kb_off = 0; ///< kb * w.plan.panel_elems()
-    std::int64_t kr = 0, to = 0, tp = 0;
-    std::int64_t pr_rel = 0, kbase = 0;
-    float* gxrow = nullptr;
+/// One row of the row-major backward walk (lut_backward_rows): for kk in
+/// [0, k), out[kk] accumulates, over the compacted nonzero output gradients
+/// j in ascending order,
+///   m[j] * (lut[(fixed[kk] << bits) | ops[off[j] + kk]] - z[j])
+/// one multiply, then one add, per term — the oracle's float ops in the
+/// oracle's order. Lanes run across kk, so each lane's table row
+/// (fixed[kk] << bits) stays put while j advances. grad-X passes the
+/// activation row as `fixed`, the weight codes as `ops`, the transposed
+/// ∂AM/∂X table, m = g * s_w and z = Z_w; grad-W passes the weight row, the
+/// activation codes, the ∂AM/∂W table, m = g and z = Z_x.
+struct GradRowArgs {
+    unsigned bits = 8;
+    const std::uint16_t* fixed = nullptr; ///< row codes, one per lane (k)
+    const std::uint16_t* ops = nullptr;   ///< row-major codes of the other operand
+    const float* lut = nullptr;           ///< indexed (fixed << bits) | op
+    const std::int64_t* off = nullptr;    ///< per-j row offsets into ops
+    const float* m = nullptr;             ///< per-j multipliers
+    const float* z = nullptr;             ///< per-j zero points
+    std::int64_t cnt = 0, k = 0;
+    float* out = nullptr; ///< k accumulators, read and written back
 };
-bool grad_x_block(const GradXBlockArgs& a);
 
-/// One (output row, position block, depth block) segment of the blocked
-/// grad-W walk: for kk in [0, kr), gwrow[kbase + kk] accumulates, over the
-/// compacted nonzero position gradients j in ascending order,
-///   pg[j] * (grad_w_lut[wpan[kk*to + orel] | xpan[kk*tp + pidx[j]]] - zx)
-struct GradWBlockArgs {
-    const std::uint32_t* wpan = nullptr; ///< weight panel (wrb, kb)
-    const std::uint16_t* xpan = nullptr; ///< activation panel (rb, kb)
-    const float* grad_w_lut = nullptr;
-    const std::int64_t* pidx = nullptr; ///< per-j position lanes
-    const float* pg = nullptr;          ///< per-j output gradients
-    std::int64_t cnt = 0;
-    std::int64_t kr = 0, to = 0, tp = 0;
-    std::int64_t orel = 0, kbase = 0;
-    float zx = 0.0f;
-    float* gwrow = nullptr;
-};
-bool grad_w_block(const GradWBlockArgs& a);
+/// grad-X and grad-W entry points of the same walk. Each runs the widest
+/// leaf the selected level has, or scalar code below AVX2; they differ only
+/// in the counter a vector leaf bumps per row
+/// (kernels.simd.grad_{x,w}_blocks.<isa>).
+void grad_x_row(const GradRowArgs& a);
+void grad_w_row(const GradRowArgs& a);
 
 } // namespace amret::kernels::simd

@@ -43,11 +43,20 @@ void acc_panel_gather_avx2(const BlockedGemmArgs& a, std::int64_t rb,
 void acc_panel_gather_avx512(const BlockedGemmArgs& a, std::int64_t rb,
                              std::int64_t ob, std::int64_t* acc);
 
-// Backward leaves (AVX2): vectorize across 8 independent depth lanes while
-// replaying the compacted nonzero gradients serially per lane — every
-// gx/gw element performs the scalar oracle's float ops in the oracle's
-// order, so results are bitwise-identical.
-void grad_x_block_avx2(const GradXBlockArgs& a);
-void grad_w_block_avx2(const GradWBlockArgs& a);
+// Backward row walk (contract of simd::GradRowArgs): vectorize across 8
+// (AVX2) or 16 (AVX-512) independent depth lanes while replaying the
+// compacted nonzero gradients serially per lane. The AVX-512 leaf hands
+// its last k % 16 lanes to grad_row_avx2, which walks lanes [kk0, k) and
+// hands its last k % 8 to grad_row_scalar. Every gx/gw element performs the
+// scalar oracle's float ops in the oracle's order, so results are
+// bitwise-identical.
+void grad_row_avx2(const GradRowArgs& a, std::int64_t kk0);
+void grad_row_avx512(const GradRowArgs& a);
+
+/// Lanes [kk0, k) of the row walk, one at a time: the vector leaves' tail
+/// and, below AVX2, the whole row. Defined in dispatch.cpp, which builds for
+/// the baseline target, so the multiply-then-add is never contracted into
+/// an FMA.
+void grad_row_scalar(const GradRowArgs& a, std::int64_t kk0);
 
 } // namespace amret::kernels::simd::detail

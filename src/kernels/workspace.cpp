@@ -8,7 +8,14 @@ namespace amret::kernels {
 
 namespace {
 constexpr std::size_t kMinSlabBytes = 1u << 16; // 64 KiB
+
+// Slabs are left uninitialised, as alloc() documents: value-initialising
+// them would memset every byte and keep each arena resident at the full
+// capacity of its doubling chain.
+std::unique_ptr<std::byte[]> slab_bytes(std::size_t n) {
+    return std::make_unique_for_overwrite<std::byte[]>(n);
 }
+} // namespace
 
 std::size_t Workspace::capacity() const {
     std::size_t total = 0;
@@ -44,7 +51,7 @@ void Workspace::reset() {
         // so the next epoch allocates nothing.
         const std::size_t want = std::max(capacity(), used_);
         slabs_.clear();
-        slabs_.push_back(Slab{std::make_unique<std::byte[]>(want), want});
+        slabs_.push_back(Slab{slab_bytes(want), want});
     }
     cursor_ = 0;
     used_ = 0;
@@ -66,7 +73,7 @@ void Workspace::trim(std::size_t keep_bytes) {
         if (slabs_.size() > 1) {
             const std::size_t want = std::max(capacity(), used_);
             slabs_.clear();
-            slabs_.push_back(Slab{std::make_unique<std::byte[]>(want), want});
+            slabs_.push_back(Slab{slab_bytes(want), want});
         }
         cursor_ = 0;
         used_ = 0;
@@ -74,7 +81,7 @@ void Workspace::trim(std::size_t keep_bytes) {
     }
     slabs_.clear();
     if (keep > 0)
-        slabs_.push_back(Slab{std::make_unique<std::byte[]>(keep), keep});
+        slabs_.push_back(Slab{slab_bytes(keep), keep});
     cursor_ = 0;
     used_ = 0;
 }
@@ -99,7 +106,7 @@ void* Workspace::raw_alloc(std::size_t bytes, std::size_t align) {
     // Chain a new slab; old slabs stay alive so earlier pointers remain valid.
     const std::size_t want =
         std::max({kMinSlabBytes, bytes + align, capacity() * 2});
-    slabs_.push_back(Slab{std::make_unique<std::byte[]>(want), want});
+    slabs_.push_back(Slab{slab_bytes(want), want});
     Slab& top = slabs_.back();
     const std::size_t base = reinterpret_cast<std::size_t>(top.data.get());
     const std::size_t aligned = (base + align - 1) & ~(align - 1);

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
 
 namespace {
 
@@ -362,6 +364,75 @@ TEST(ApproxLinear, FloatModeMatchesManual) {
     for (std::int64_t i = 0; i < 2; ++i)
         for (std::int64_t j = 0; j < 2; ++j) ref[i * 2 + j] += lin.bias.value[j];
     for (std::int64_t i = 0; i < y.numel(); ++i) EXPECT_NEAR(y[i], ref[i], 1e-5f);
+}
+
+// ------------------------------------------------------ workspace reuse --
+
+/// Outputs of one quantized forward + backward pass of an approx layer.
+struct PassOut {
+    Tensor y, gx, gw, gb;
+};
+
+template <class Layer>
+PassOut run_pass(Layer& layer, const Tensor& x, const Tensor& gy,
+                 nn::Context& ctx) {
+    PassOut out;
+    out.y = layer.forward(x, ctx);
+    layer.zero_grad();
+    out.gx = layer.backward(gy, ctx);
+    out.gw = layer.weight.grad;
+    out.gb = layer.bias.grad;
+    return out;
+}
+
+::testing::AssertionResult same_bits(const PassOut& a, const PassOut& b) {
+    const std::pair<const Tensor*, const Tensor*> pairs[] = {
+        {&a.y, &b.y}, {&a.gx, &b.gx}, {&a.gw, &b.gw}, {&a.gb, &b.gb}};
+    const char* names[] = {"y", "gx", "gw", "gb"};
+    for (int i = 0; i < 4; ++i) {
+        const Tensor& u = *pairs[i].first;
+        const Tensor& v = *pairs[i].second;
+        if (u.shape() != v.shape() ||
+            std::memcmp(u.data(), v.data(),
+                        static_cast<std::size_t>(u.numel()) * sizeof(float)) != 0)
+            return ::testing::AssertionFailure() << names[i] << " differs";
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(ApproxLayers, DirtyArenaGivesTheSameBitsAsAFreshContext) {
+    // Workspace slabs are not zero-filled, so a layer's arena still holds
+    // what an earlier, larger pass wrote. No pass may read that: through
+    // the dirty arena it must match a fresh Context bit for bit. Eval mode
+    // freezes the observers after the first forward, so both passes
+    // quantize under the same parameters.
+    util::Rng rng(31);
+    const MultiplierConfig config =
+        approx_config("mul8u_rm8", core::GradientMode::kDifference, 4);
+    ApproxConv2d conv(3, 6, 3, 1, 1, rng);
+    ApproxLinear lin(20, 7, rng);
+    conv.set_multiplier(config);
+    lin.set_multiplier(config);
+    conv.set_mode(ComputeMode::kQuantized);
+    lin.set_mode(ComputeMode::kQuantized);
+    conv.set_training(false);
+    lin.set_training(false);
+
+    nn::Context dirty;
+    run_pass(conv, Tensor::randn(Shape{4, 3, 9, 9}, rng, 3.0f),
+             Tensor::randn(Shape{4, 6, 9, 9}, rng), dirty);
+    run_pass(lin, Tensor::randn(Shape{16, 20}, rng, 3.0f),
+             Tensor::randn(Shape{16, 7}, rng), dirty);
+
+    const Tensor xc = Tensor::randn(Shape{2, 3, 7, 7}, rng);
+    const Tensor gyc = Tensor::randn(Shape{2, 6, 7, 7}, rng);
+    const Tensor xl = Tensor::randn(Shape{5, 20}, rng);
+    const Tensor gyl = Tensor::randn(Shape{5, 7}, rng);
+    const PassOut conv_dirty = run_pass(conv, xc, gyc, dirty);
+    const PassOut lin_dirty = run_pass(lin, xl, gyl, dirty);
+    nn::Context fresh;
+    EXPECT_TRUE(same_bits(conv_dirty, run_pass(conv, xc, gyc, fresh)));
+    EXPECT_TRUE(same_bits(lin_dirty, run_pass(lin, xl, gyl, fresh)));
 }
 
 TEST(ConfigureHelpers, ReachEveryApproxLayerInAModel) {

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cmath>
+#include <cstring>
 
 namespace {
 
@@ -307,6 +308,35 @@ TEST(GradLut, SaveLoadRoundTrip) {
 
 TEST(GradLut, LoadMissingOrCorruptFails) {
     EXPECT_TRUE(core::GradLut::load("/no/such/grad.bin").empty());
+}
+
+/// True when dx_t_table() holds every dx_table() entry, bit for bit, at the
+/// transposed index (x << bits) | w.
+bool dx_t_is_exact_transpose(const core::GradLut& g) {
+    const std::uint64_t n = std::uint64_t{1} << g.bits();
+    if (g.dx_t_table().size() != g.dx_table().size()) return false;
+    for (std::uint64_t w = 0; w < n; ++w)
+        for (std::uint64_t x = 0; x < n; ++x)
+            if (std::memcmp(&g.dx_t_table()[(x << g.bits()) | w],
+                            &g.dx_table()[(w << g.bits()) | x],
+                            sizeof(float)) != 0)
+                return false;
+    return true;
+}
+
+TEST(GradLut, TransposedDxTableIsTheExactTranspose) {
+    auto& reg = appmult::Registry::instance();
+    EXPECT_TRUE(dx_t_is_exact_transpose(core::build_ste_grad(8)));
+    const auto diff = core::build_difference_grad(reg.lut("mul8u_rm8"), 8);
+    EXPECT_TRUE(dx_t_is_exact_transpose(diff));
+    const auto diff6 = core::build_difference_grad(reg.lut("mul6u_rm4"), 4);
+    const std::string path = ::testing::TempDir() + "/amret_gradlut_t.bin";
+    ASSERT_TRUE(diff6.save(path));
+    const auto loaded = core::GradLut::load(path);
+    std::remove(path.c_str());
+    ASSERT_FALSE(loaded.empty());
+    EXPECT_TRUE(dx_t_is_exact_transpose(loaded));
+    EXPECT_EQ(loaded.dx_t_table(), diff6.dx_t_table());
 }
 
 } // namespace

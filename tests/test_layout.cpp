@@ -252,39 +252,38 @@ TEST(BlockedKernels, ForwardMatchesScalarOracleBitwise) {
 }
 
 TEST(BlockedKernels, BackwardMatchesScalarOracleBitwise) {
+    // The blocked layout's backward needs no panels: it reads the row-major
+    // codes and the transposed dX table, and must memcmp-match the oracle.
     util::Rng rng(92);
-    for (const GemmShape& sh : kShapes) {
-        const bool per_channel = (sh.p % 2) == 1;
-        const BlockedRandom g(8, sh.o, sh.p, sh.k, per_channel, rng);
-        const std::size_t nw = static_cast<std::size_t>(sh.o * sh.k);
-        const std::size_t nx = static_cast<std::size_t>(sh.p * sh.k);
+    for (const unsigned bits : {4u, 8u}) {
+        for (const GemmShape& sh : kShapes) {
+            const bool per_channel = (sh.p % 2) == 1;
+            const BlockedRandom g(bits, sh.o, sh.p, sh.k, per_channel, rng);
+            const std::size_t nw = static_cast<std::size_t>(sh.o * sh.k);
+            const std::size_t nx = static_cast<std::size_t>(sh.p * sh.k);
 
-        std::vector<float> gw_ref(nw, 0.0f), gx_ref(nx, 0.0f);
-        kernels::lut_backward(g.scalar, g.gyp.data(), g.grad.dw_table().data(),
-                              g.grad.dx_table().data(), gw_ref.data(),
-                              gx_ref.data());
+            std::vector<float> gw_ref(nw, 0.0f), gx_ref(nx, 0.0f);
+            kernels::lut_backward(g.scalar, g.gyp.data(),
+                                  g.grad.dw_table().data(),
+                                  g.grad.dx_table().data(), gw_ref.data(),
+                                  gx_ref.data());
 
-        Workspace ws;
-        std::vector<float> gw(nw), gx(nx);
-        for (const auto& t : kPanelTiles) {
-            ws.reset();
-            const BlockedGemmArgs b = g.blocked(t.tp, t.to, t.tk, ws);
-            std::fill(gw.begin(), gw.end(), 0.0f);
-            std::fill(gx.begin(), gx.end(), 0.0f);
-            kernels::lut_backward_blocked(b, g.gyp.data(),
-                                          g.grad.dw_table().data(),
-                                          g.grad.dx_table().data(), gw.data(),
-                                          gx.data(), ws);
+            Workspace ws;
+            std::vector<float> gw(nw, 0.0f), gx(nx, 0.0f);
+            kernels::lut_backward_rows(g.scalar, g.gyp.data(),
+                                       g.grad.dw_table().data(),
+                                       g.grad.dx_t_table().data(), gw.data(),
+                                       gx.data(), ws);
             ASSERT_EQ(std::memcmp(gw.data(), gw_ref.data(),
                                   nw * sizeof(float)),
                       0)
-                << "gw o=" << sh.o << " p=" << sh.p << " k=" << sh.k
-                << " tiles=(" << t.tp << "," << t.to << "," << t.tk << ")";
+                << "gw bits=" << bits << " o=" << sh.o << " p=" << sh.p
+                << " k=" << sh.k;
             ASSERT_EQ(std::memcmp(gx.data(), gx_ref.data(),
                                   nx * sizeof(float)),
                       0)
-                << "gx o=" << sh.o << " p=" << sh.p << " k=" << sh.k
-                << " tiles=(" << t.tp << "," << t.to << "," << t.tk << ")";
+                << "gx bits=" << bits << " o=" << sh.o << " p=" << sh.p
+                << " k=" << sh.k;
         }
     }
 }
@@ -367,12 +366,14 @@ TEST(FusedIm2col, QuantizePanelsMatchUnfusedFloatPath) {
     std::vector<float> cols(static_cast<std::size_t>(positions * patch));
     kernels::im2col(x.data(), geom, cols.data());
     std::vector<std::uint8_t> mask_want(cols.size(), 2);
+    std::vector<std::uint16_t> rows_want(cols.size(), 2);
     const ActPanels want = kernels::quantize_into_panels(
-        cols.data(), params, plan, mask_want.data(), ws);
+        cols.data(), params, plan, mask_want.data(), rows_want.data(), ws);
 
     std::vector<std::uint8_t> mask_got(cols.size(), 3);
+    std::vector<std::uint16_t> rows_got(cols.size(), 3);
     const ActPanels got = kernels::quantize_im2col_panels(
-        x.data(), geom, params, plan, mask_got.data(), ws);
+        x.data(), geom, params, plan, mask_got.data(), rows_got.data(), ws);
 
     EXPECT_EQ(std::memcmp(got.codes, want.codes,
                           static_cast<std::size_t>(plan.elems()) *
@@ -384,12 +385,16 @@ TEST(FusedIm2col, QuantizePanelsMatchUnfusedFloatPath) {
               0);
     EXPECT_EQ(std::memcmp(mask_got.data(), mask_want.data(), mask_want.size()),
               0);
-    // And the codes really are the quantized column matrix.
+    // And the codes really are the quantized column matrix, in the panels
+    // and in both row-major copies.
     std::vector<std::uint16_t> back(cols.size());
     kernels::unpack_activation_panels(got, back.data());
-    for (std::size_t i = 0; i < cols.size(); ++i)
-        ASSERT_EQ(back[i],
-                  static_cast<std::uint16_t>(params.quantize(cols[i])));
+    for (std::size_t i = 0; i < cols.size(); ++i) {
+        const auto code = static_cast<std::uint16_t>(params.quantize(cols[i]));
+        ASSERT_EQ(back[i], code);
+        ASSERT_EQ(rows_got[i], code);
+        ASSERT_EQ(rows_want[i], code);
+    }
 }
 
 // --------------------------------------- layer-level scalar vs blocked ---

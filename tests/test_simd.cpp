@@ -1,9 +1,10 @@
 // Tests for the runtime-dispatched SIMD LUT-GEMM kernels (kernels/simd):
 // dispatch resolution (parse/cap/override semantics of AMRET_SIMD), the
 // nibble-packed activation sidecar (format and eligibility), and the bitwise
-// contract — every vector kernel's forward, grad-X and grad-W output must
-// memcmp-equal the scalar blocked oracle on every shape, including ragged
-// edges, for 4- and 8-bit codes, per-tensor and per-channel quantization,
+// contract — every vector kernel's forward output must memcmp-equal the
+// scalar blocked oracle, and the row-major backward's grad-X and grad-W the
+// lut_backward oracle, on every shape, including ragged edges and every
+// lane tail, for 4-, 6- and 8-bit codes, per-tensor and per-channel quantization,
 // at both thread-count extremes (registered at AMRET_THREADS=1 and 8 in
 // CMakeLists.txt). The CI simd-dispatch matrix additionally re-runs tier-1
 // under AMRET_SIMD=scalar|ssse3|avx2 so the env-var path is exercised
@@ -172,6 +173,14 @@ TEST(Packed4, AttachIsSkippedWhenIneligible) {
 
 // --------------------------------------- vector kernels vs scalar oracle --
 
+/// Gradient tables of random normal entries: unlike STE, neither table is
+/// symmetric in (w, x) or constant along a row, so a lookup in the wrong
+/// table, the wrong row or with the operands swapped changes the result.
+core::GradLut random_grad(unsigned bits, util::Rng& rng) {
+    const auto draw = [&rng](std::uint64_t, std::uint64_t) { return rng.normal(); };
+    return core::build_custom_grad(bits, draw, draw);
+}
+
 /// Random GEMM operands shared by the scalar oracle and every dispatch
 /// level; mirrors test_layout's fixture plus the packed4 sidecar so 4-bit
 /// runs exercise the pshufb path, not just the gather path.
@@ -186,8 +195,7 @@ struct SimdRandom {
 
     SimdRandom(unsigned bits, std::int64_t o, std::int64_t p, std::int64_t k,
                bool per_channel, util::Rng& rng)
-        : lut(appmult::AppMultLut::exact(bits)),
-          grad(core::build_ste_grad(bits)) {
+        : lut(appmult::AppMultLut::exact(bits)), grad(random_grad(bits, rng)) {
         wq.resize(static_cast<std::size_t>(o * k));
         xq.resize(static_cast<std::size_t>(p * k));
         gyp.resize(static_cast<std::size_t>(p * o));
@@ -300,50 +308,70 @@ TEST(SimdKernels, ForwardMatchesScalarOracleBitwise) {
     }
 }
 
+/// Runs lut_backward_rows under every runnable dispatch level and memcmps
+/// gw and gx against the lut_backward oracle over the same codes.
+::testing::AssertionResult backward_matches_oracle(const SimdRandom& g) {
+    const LutGemmArgs& a = g.scalar;
+    const std::size_t nw = static_cast<std::size_t>(a.o * a.k);
+    const std::size_t nx = static_cast<std::size_t>(a.p * a.k);
+    std::vector<float> gw_ref(nw, 0.0f), gx_ref(nx, 0.0f);
+    kernels::lut_backward(a, g.gyp.data(), g.grad.dw_table().data(),
+                          g.grad.dx_table().data(), gw_ref.data(),
+                          gx_ref.data());
+    Workspace ws;
+    std::vector<float> gw(nw), gx(nx);
+    for (const Isa isa : runnable_isas()) {
+        ScopedIsa pin(isa);
+        std::fill(gw.begin(), gw.end(), 0.0f);
+        std::fill(gx.begin(), gx.end(), 0.0f);
+        ws.reset();
+        kernels::lut_backward_rows(a, g.gyp.data(), g.grad.dw_table().data(),
+                                   g.grad.dx_t_table().data(), gw.data(),
+                                   gx.data(), ws);
+        const bool gw_eq =
+            std::memcmp(gw.data(), gw_ref.data(), nw * sizeof(float)) == 0;
+        const bool gx_eq =
+            std::memcmp(gx.data(), gx_ref.data(), nx * sizeof(float)) == 0;
+        if (!gw_eq || !gx_eq) {
+            return ::testing::AssertionFailure()
+                   << (gw_eq ? "gx " : "gw ") << kernels::simd::isa_name(isa)
+                   << " bits=" << a.bits << " o=" << a.o << " p=" << a.p
+                   << " k=" << a.k
+                   << " per_channel=" << (a.scale_w_per_o != nullptr);
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
 TEST(SimdKernels, BackwardMatchesScalarOracleBitwise) {
     util::Rng rng(102);
-    const std::vector<Isa> isas = runnable_isas();
-    for (const unsigned bits : {4u, 8u}) {
+    for (const unsigned bits : {4u, 6u, 8u}) {
         for (const GemmShape& sh : kShapes) {
             const bool per_channel = (sh.p % 2) == 1;
             const SimdRandom g(bits, sh.o, sh.p, sh.k, per_channel, rng);
-            const std::size_t nw = static_cast<std::size_t>(sh.o * sh.k);
-            const std::size_t nx = static_cast<std::size_t>(sh.p * sh.k);
+            ASSERT_TRUE(backward_matches_oracle(g));
+        }
+    }
+}
 
-            std::vector<float> gw_ref(nw, 0.0f), gx_ref(nx, 0.0f);
-            kernels::lut_backward(g.scalar, g.gyp.data(),
-                                  g.grad.dw_table().data(),
-                                  g.grad.dx_table().data(), gw_ref.data(),
-                                  gx_ref.data());
-
-            Workspace ws;
-            std::vector<float> gw(nw), gx(nx);
-            for (const auto& t : kTiles) {
-                ws.reset();
-                const BlockedGemmArgs b = g.blocked(t.tp, t.to, t.tk, ws);
-                for (const Isa isa : isas) {
-                    ScopedIsa pin(isa);
-                    std::fill(gw.begin(), gw.end(), 0.0f);
-                    std::fill(gx.begin(), gx.end(), 0.0f);
-                    kernels::lut_backward_blocked(
-                        b, g.gyp.data(), g.grad.dw_table().data(),
-                        g.grad.dx_table().data(), gw.data(), gx.data(), ws);
-                    ASSERT_EQ(std::memcmp(gw.data(), gw_ref.data(),
-                                          nw * sizeof(float)),
-                              0)
-                        << "gw " << kernels::simd::isa_name(isa)
-                        << " bits=" << bits << " o=" << sh.o << " p=" << sh.p
-                        << " k=" << sh.k << " tiles=(" << t.tp << "," << t.to
-                        << "," << t.tk << ")";
-                    ASSERT_EQ(std::memcmp(gx.data(), gx_ref.data(),
-                                          nx * sizeof(float)),
-                              0)
-                        << "gx " << kernels::simd::isa_name(isa)
-                        << " bits=" << bits << " o=" << sh.o << " p=" << sh.p
-                        << " k=" << sh.k << " tiles=(" << t.tp << "," << t.to
-                        << "," << t.tk << ")";
-                }
-            }
+TEST(SimdKernels, BackwardCoversEveryLaneTailAndZeroGradients) {
+    // K = 1..17, 31 and 33 leave every remainder of the 16- and 8-lane
+    // steps; one position row and one output column of gyp are all zero,
+    // so one gx row and one gw row have no nonzero gradient to replay.
+    util::Rng rng(104);
+    std::vector<std::int64_t> depths;
+    for (std::int64_t k = 1; k <= 17; ++k) depths.push_back(k);
+    depths.push_back(31);
+    depths.push_back(33);
+    const std::int64_t o = 6, p = 11;
+    for (const unsigned bits : {4u, 6u, 8u}) {
+        for (const std::int64_t k : depths) {
+            SimdRandom g(bits, o, p, k, /*per_channel=*/k % 2 == 1, rng);
+            for (std::int64_t c = 0; c < o; ++c)
+                g.gyp[static_cast<std::size_t>(4 * o + c)] = 0.0f;
+            for (std::int64_t r = 0; r < p; ++r)
+                g.gyp[static_cast<std::size_t>(r * o + 2)] = 0.0f;
+            ASSERT_TRUE(backward_matches_oracle(g));
         }
     }
 }
