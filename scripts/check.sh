@@ -98,15 +98,16 @@ for isa in scalar ssse3 avx2 avx512; do
 done
 end_stage
 
-begin_stage "parallel trainer + obs + serve + layout + simd + assignment under ThreadSanitizer"
+begin_stage "parallel trainer + obs + serve + depthwise + layout + simd + assignment under ThreadSanitizer"
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs" \
-  --target test_train_parallel test_obs test_serve test_layout test_simd \
-  test_assignment
+  --target test_train_parallel test_obs test_serve test_depthwise test_layout \
+  test_simd test_assignment
 AMRET_THREADS=8 TSAN_OPTIONS=halt_on_error=1 \
   ./build-tsan/tests/test_train_parallel --gtest_filter='TrainerDeterminism.*'
 AMRET_THREADS=8 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_obs
 AMRET_THREADS=8 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_serve
+AMRET_THREADS=8 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_depthwise
 AMRET_THREADS=8 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_layout
 AMRET_THREADS=8 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_simd
 AMRET_THREADS=8 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_assignment

@@ -24,6 +24,7 @@
 #include "core/smoothing.hpp"          // Eq. 4-6 primitives
 #include "data/dataset.hpp"            // datasets + loader
 #include "data/shapes.hpp"             // geometric-shapes task
+#include "kernels/depthwise.hpp"       // direct depthwise kernel
 #include "kernels/im2col.hpp"          // im2col/col2im planner
 #include "kernels/layout.hpp"          // blocked panel layouts + fused im2col
 #include "kernels/lut_kernels.hpp"     // tiled LUT-GEMM kernels
@@ -68,5 +69,4 @@
 #include "util/args.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
-#include "util/stopwatch.hpp"
 #include "util/table.hpp"

@@ -1,10 +1,5 @@
 #include "approx/depthwise.hpp"
 
-#include "kernels/im2col.hpp"
-#include "kernels/lut_kernels.hpp"
-#include "runtime/parallel.hpp"
-
-#include <algorithm>
 #include <cassert>
 
 namespace amret::approx {
@@ -12,7 +7,6 @@ namespace amret::approx {
 using tensor::ConvGeom;
 using tensor::Shape;
 using tensor::Tensor;
-namespace tune = kernels::tune;
 
 DepthwiseConv2d::DepthwiseConv2d(std::int64_t channels, std::int64_t kernel,
                                  std::int64_t stride, std::int64_t pad,
@@ -59,203 +53,48 @@ void DepthwiseConv2d::batch_pre_pass(const Tensor& x) {
 
 std::int64_t DepthwiseConv2d::last_forward_macs(const nn::Context& ctx) const {
     const State* st = ctx.peek<State>(*this);
-    if (!st || st->geom.batch == 0) return 0;
-    return st->geom.positions() * kernel_ * kernel_ * channels_;
+    if (!st || st->args.geom.batch == 0) return 0;
+    return st->args.geom.positions() * kernel_ * kernel_ * channels_;
 }
 
 Tensor DepthwiseConv2d::forward(const Tensor& x, nn::Context& ctx) {
     assert(x.rank() == 4 && x.dim(1) == channels_);
     State& st = ctx.state<State>(*this);
-    st.batch = x.dim(0);
-    st.geom = ConvGeom{st.batch, 1, x.dim(2), x.dim(3), kernel_, stride_, pad_};
-    const std::int64_t positions = st.geom.positions();
-    const std::int64_t patch = kernel_ * kernel_;
-
-    // New allocation epoch; the columns (and quant-mode codes/masks below)
-    // stay valid through the matching backward.
+    // New allocation epoch; the input planes and weight codes stay valid
+    // through the matching backward.
     st.ws.reset();
-    st.cols = st.ws.alloc<float>(channels_ * positions * patch);
-    float* cols = st.cols;
-    // Each channel fills its own row block [c * positions, (c+1) * positions).
-    runtime::parallel_for(0, channels_, tune::kGrainChannel,
-                          [&](std::int64_t cb, std::int64_t ce) {
-        for (std::int64_t c = cb; c < ce; ++c)
-            kernels::im2col_channel(x.data(), channels_, c, st.geom,
-                                    cols + c * positions * patch);
-    });
-
-    return mode_ == ComputeMode::kFloat ? forward_float(x, st)
-                                        : forward_quant(x, st, ctx);
-}
-
-Tensor DepthwiseConv2d::forward_float(const Tensor& x, State& st) {
-    const std::int64_t positions = st.geom.positions();
-    const std::int64_t patch = kernel_ * kernel_;
-    const std::int64_t oh = st.geom.out_h(), ow = st.geom.out_w();
-    Tensor y(Shape{st.batch, channels_, oh, ow});
-    const std::int64_t spatial = oh * ow;
-    runtime::parallel_for(0, channels_, tune::kGrainChannel,
-                          [&](std::int64_t cb, std::int64_t ce) {
-        for (std::int64_t c = cb; c < ce; ++c) {
-            const float* wrow = weight.value.data() + c * patch;
-            for (std::int64_t p = 0; p < positions; ++p) {
-                const float* row = st.cols + (c * positions + p) * patch;
-                float acc = bias.value[c];
-                for (std::int64_t k = 0; k < patch; ++k) acc += wrow[k] * row[k];
-                const std::int64_t n = p / spatial, s = p % spatial;
-                y[(n * channels_ + c) * spatial + s] = acc;
-            }
-        }
-    });
-    (void)x;
-    return y;
-}
-
-Tensor DepthwiseConv2d::forward_quant(const Tensor& x, State& st,
-                                      nn::Context& ctx) {
-    assert(mult_.valid() && "set_multiplier() before quantized forward");
-    const unsigned bits = mult_.bits();
-    const std::int64_t positions = st.geom.positions();
-    const std::int64_t patch = kernel_ * kernel_;
-
-    const auto wparams =
-        quant::choose_params(weight.value.min(), weight.value.max(), bits);
-    st.wq = kernels::quantize_into(weight.value.data(), channels_ * patch, wparams,
-                                   st.ws);
-    if ((training_ && !ctx.observers_frozen()) || !act_observer_.initialized())
-        act_observer_.observe(x);
-    const auto xparams = act_observer_.params(bits);
-    st.xq = kernels::quantize_into(st.cols, channels_ * positions * patch, xparams,
-                                   st.ws);
-
-    // Each channel is an independent O = 1 LUT GEMM over its column block.
-    // Scratch is preallocated per chunk (channels here, grain 1) so the
-    // concurrent chunks never touch the single-threaded workspace.
-    const kernels::TileConfig tile;
-    const std::int64_t chunks =
-        runtime::chunk_count(0, channels_, tune::kGrainChannel);
-    std::int64_t* sum_w_buf = st.ws.alloc<std::int64_t>(chunks);
-    std::int64_t* sum_x_buf = st.ws.alloc<std::int64_t>(chunks * positions);
-    std::int64_t* acc_buf = st.ws.alloc<std::int64_t>(chunks * tile.acc_elems());
-    float* po_buf = st.ws.alloc<float>(chunks * positions);
-
-    const std::int64_t oh = st.geom.out_h(), ow = st.geom.out_w();
-    const std::int64_t spatial = oh * ow;
-    Tensor y(Shape{st.batch, channels_, oh, ow});
-    runtime::parallel_for_chunks(0, channels_, tune::kGrainChannel,
-                                 [&](std::int64_t cb, std::int64_t ce,
-                                     std::size_t chunk) {
-        const auto ci = static_cast<std::int64_t>(chunk);
-        kernels::LutGemmScratch scratch{sum_w_buf + ci,
-                                        sum_x_buf + ci * positions,
-                                        acc_buf + ci * tile.acc_elems()};
-        float* po = po_buf + ci * positions;
-        for (std::int64_t c = cb; c < ce; ++c) {
-            kernels::LutGemmArgs args;
-            args.bits = bits;
-            args.lut = mult_.lut->table().data();
-            args.wq = st.wq.codes + c * patch;
-            args.xq = st.xq.codes + c * positions * patch;
-            args.o = 1;
-            args.p = positions;
-            args.k = patch;
-            args.scale_w = wparams.scale;
-            args.scale_x = xparams.scale;
-            args.zero_w = static_cast<std::int32_t>(wparams.zero_point);
-            args.zero_x = static_cast<std::int32_t>(xparams.zero_point);
-            kernels::lut_forward_serial(args, bias.value.data() + c, po, tile,
-                                        scratch);
-            for (std::int64_t p = 0; p < positions; ++p) {
-                const std::int64_t n = p / spatial, s = p % spatial;
-                y[(n * channels_ + c) * spatial + s] = po[p];
-            }
-        }
-    });
+    kernels::DepthwiseArgs& a = st.args;
+    a = kernels::DepthwiseArgs{};
+    a.geom = ConvGeom{x.dim(0), channels_, x.dim(2), x.dim(3), kernel_, stride_, pad_};
+    a.w = weight.value.data();
+    if (mode_ == ComputeMode::kQuantized) {
+        assert(mult_.valid() && "set_multiplier() before quantized forward");
+        const unsigned bits = mult_.bits();
+        a.wq = kernels::quantize_into(
+            weight.value.data(), weight.value.numel(),
+            quant::choose_params(weight.value.min(), weight.value.max(), bits),
+            st.ws);
+        if ((training_ && !ctx.observers_frozen()) || !act_observer_.initialized())
+            act_observer_.observe(x);
+        a.xparams = act_observer_.params(bits);
+        a.lut = mult_.lut->table().data();
+        a.grad_w_lut = mult_.grad->dw_table().data();
+        a.grad_x_lut = mult_.grad->dx_table().data();
+    }
+    Tensor y(Shape{a.geom.batch, channels_, a.geom.out_h(), a.geom.out_w()});
+    st.input = kernels::depthwise_forward(a, x.data(), bias.value.data(), y.data(),
+                                          st.ws);
     return y;
 }
 
 Tensor DepthwiseConv2d::backward(const Tensor& gy, nn::Context& ctx) {
     State& st = ctx.state<State>(*this);
-    const std::int64_t positions = st.geom.positions();
-    const std::int64_t patch = kernel_ * kernel_;
-    const std::int64_t spatial = st.geom.out_h() * st.geom.out_w();
-    const std::int64_t image = st.geom.in_h * st.geom.in_w;
-    assert(gy.numel() == st.batch * channels_ * spatial);
-
-    float* dcols = st.ws.alloc<float>(channels_ * positions * patch);
-    const bool quantized = mode_ == ComputeMode::kQuantized;
-    const float* grad_w_lut = quantized ? mult_.grad->dw_table().data() : nullptr;
-    const float* grad_x_lut = quantized ? mult_.grad->dx_table().data() : nullptr;
-    const unsigned bits = quantized ? mult_.bits() : 0;
-    const float zw = quantized ? st.wq.params.zero_point : 0.0f;
-    const float zx = quantized ? st.xq.params.zero_point : 0.0f;
-    const float sw = quantized ? st.wq.params.scale : 0.0f;
-    const float sx = quantized ? st.xq.params.scale : 0.0f;
-
-    Tensor& wgrad = ctx.grad(weight);
-    Tensor& bgrad = ctx.grad(bias);
-
-    // The gradient loop stays fused (gw / bias / dcols in one pass) rather
-    // than re-seating on the generic lut_backward: the generic kernel skips
-    // zero upstream gradients, while this loop writes drow[k] even for
-    // g == 0 — folding through col2im, that distinction can surface as a
-    // signed-zero difference, and the golden tests pin bitwise identity.
-    // All writes are per-channel slices (gw row, bias grad[c], dcols rows),
-    // so channels parallelize without any reduction.
-    runtime::parallel_for(0, channels_, tune::kGrainChannel,
-                          [&](std::int64_t cb, std::int64_t ce) {
-    for (std::int64_t c = cb; c < ce; ++c) {
-        float* gwrow = wgrad.data() + c * patch;
-        const float* wrow_f = weight.value.data() + c * patch;
-        const std::uint16_t* wrow_q = quantized ? st.wq.codes + c * patch : nullptr;
-        for (std::int64_t p = 0; p < positions; ++p) {
-            const std::int64_t n = p / spatial, s = p % spatial;
-            const float g = gy[(n * channels_ + c) * spatial + s];
-            bgrad[c] += g;
-            float* drow = dcols + (c * positions + p) * patch;
-            if (!quantized) {
-                const float* crow = st.cols + (c * positions + p) * patch;
-                for (std::int64_t k = 0; k < patch; ++k) {
-                    gwrow[k] += g * crow[k];
-                    drow[k] = g * wrow_f[k];
-                }
-            } else {
-                const std::uint16_t* xrow = st.xq.codes + (c * positions + p) * patch;
-                for (std::int64_t k = 0; k < patch; ++k) {
-                    const std::uint32_t idx =
-                        (static_cast<std::uint32_t>(wrow_q[k]) << bits) | xrow[k];
-                    if (st.wq.in_range[c * patch + k])
-                        gwrow[k] += g * sx * (grad_w_lut[idx] - zx);
-                    const bool x_ok = st.xq.in_range[(c * positions + p) * patch + k];
-                    drow[k] = x_ok ? g * sw * (grad_x_lut[idx] - zw) : 0.0f;
-                }
-            }
-        }
-    }
-    });
-
-    // Fold dcols back per channel; each channel folds its contiguous column
-    // block into its own scratch image and copies the result into its gx
-    // slices (disjoint writes).
-    const std::int64_t chunks =
-        runtime::chunk_count(0, channels_, tune::kGrainChannel);
-    float* fold_buf = st.ws.alloc<float>(chunks * st.batch * image);
-    Tensor gx(Shape{st.batch, channels_, st.geom.in_h, st.geom.in_w});
-    const std::int64_t batch = st.batch;
-    runtime::parallel_for_chunks(0, channels_, tune::kGrainChannel,
-                                 [&](std::int64_t cb, std::int64_t ce,
-                                     std::size_t chunk) {
-        float* chan_gx = fold_buf + static_cast<std::int64_t>(chunk) * batch * image;
-        for (std::int64_t c = cb; c < ce; ++c) {
-            std::fill(chan_gx, chan_gx + batch * image, 0.0f);
-            kernels::col2im(dcols + c * positions * patch, st.geom, chan_gx);
-            for (std::int64_t n = 0; n < batch; ++n) {
-                const float* src = chan_gx + n * image;
-                float* dst = gx.data() + (n * channels_ + c) * image;
-                std::copy(src, src + image, dst);
-            }
-        }
-    });
+    const ConvGeom& geom = st.args.geom;
+    assert(gy.numel() == geom.batch * channels_ * geom.out_h() * geom.out_w());
+    Tensor gx(Shape{geom.batch, channels_, geom.in_h, geom.in_w});
+    kernels::depthwise_backward(st.args, st.input, gy.data(),
+                                ctx.grad(weight).data(), ctx.grad(bias).data(),
+                                gx.data(), st.ws);
     return gx;
 }
 

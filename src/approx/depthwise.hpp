@@ -9,11 +9,13 @@
 ///
 /// Quantized mode follows the same Eq. (7)/(8)/(9) scheme as ApproxConv2d:
 /// LUT products forward, gradient-LUT backward, clamp-aware STE through the
-/// quantizers. Per-invocation state (columns, codes, the arena) lives in
-/// the caller's nn::Context.
+/// quantizers, computed by the direct padded-plane kernel
+/// (kernels/depthwise.hpp). Per-invocation state (input planes, codes, the
+/// arena) lives in the caller's nn::Context.
 #pragma once
 
 #include "approx/approx_conv.hpp"
+#include "kernels/depthwise.hpp"
 
 namespace amret::approx {
 
@@ -46,21 +48,15 @@ public:
     [[nodiscard]] std::int64_t last_forward_macs(const nn::Context& ctx) const;
 
 private:
-    // Per-invocation state (nn::Context slot). Forward caches live in the
-    // embedded workspace arena: reset at the start of forward(), valid
-    // through the matching backward (DESIGN.md §10/§11).
+    // Per-invocation state (nn::Context slot). The forward's padded input
+    // planes and weight codes live in the embedded workspace arena: reset
+    // at the start of forward(), valid through the matching backward
+    // (DESIGN.md §10/§11).
     struct State {
-        tensor::ConvGeom geom;  ///< per-channel geometry (in_ch = 1)
-        std::int64_t batch = 0;
         kernels::Workspace ws;
-        float* cols = nullptr;  ///< (C*P, K*K) channel-blocked columns (ws-backed)
-        kernels::QuantView xq;  ///< quant: codes of cols
-        kernels::QuantView wq;  ///< quant: codes of (C, K*K)
+        kernels::DepthwiseArgs args;     ///< geometry, weight codes, x params, tables
+        kernels::DepthwisePlanes input;  ///< padded input planes (ws-backed)
     };
-
-    tensor::Tensor forward_float(const tensor::Tensor& x, State& st);
-    tensor::Tensor forward_quant(const tensor::Tensor& x, State& st,
-                                 nn::Context& ctx);
 
     std::int64_t channels_, kernel_, stride_, pad_;
     ComputeMode mode_ = ComputeMode::kFloat;

@@ -15,22 +15,18 @@ using tensor::Tensor;
 
 namespace {
 
-/// Unfolds the receptive fields of one image's output pixels. \p px points
-/// at the first channel to extract, \p ch_stride is the element stride
-/// between extracted channels and \p channels how many to extract — so the
-/// same core serves full im2col (all channels) and the depthwise
-/// single-channel case. Out-of-image taps read \p pad_value.
+/// Unfolds the receptive fields of one NCHW image's output pixels into
+/// (out_h * out_w, patch) rows. Out-of-image taps read \p pad_value.
 template <typename TIn, typename TOut>
-void unfold_image(const TIn* px, std::int64_t channels, std::int64_t ch_stride,
-                  const ConvGeom& geom, TOut pad_value, TOut* rows) {
+void unfold_image(const TIn* px, const ConvGeom& geom, TOut pad_value, TOut* rows) {
     const std::int64_t oh = geom.out_h(), ow = geom.out_w();
-    const std::int64_t patch = channels * geom.kernel * geom.kernel;
+    const std::int64_t patch = geom.patch();
     for (std::int64_t oy = 0; oy < oh; ++oy) {
         for (std::int64_t ox = 0; ox < ow; ++ox) {
             TOut* row = rows + (oy * ow + ox) * patch;
             std::int64_t idx = 0;
-            for (std::int64_t c = 0; c < channels; ++c) {
-                const TIn* pc = px + c * ch_stride;
+            for (std::int64_t c = 0; c < geom.in_ch; ++c) {
+                const TIn* pc = px + c * geom.in_h * geom.in_w;
                 for (std::int64_t ky = 0; ky < geom.kernel; ++ky) {
                     const std::int64_t iy = oy * geom.stride + ky - geom.pad;
                     for (std::int64_t kx = 0; kx < geom.kernel; ++kx, ++idx) {
@@ -56,8 +52,8 @@ void im2col(const float* x, const ConvGeom& geom, float* cols) {
     runtime::parallel_for(0, geom.batch, tune::kGrainChannel,
                           [&](std::int64_t nb, std::int64_t ne) {
         for (std::int64_t n = nb; n < ne; ++n)
-            unfold_image(x + n * image, geom.in_ch, geom.in_h * geom.in_w, geom,
-                         0.0f, cols + n * rows_per_image * geom.patch());
+            unfold_image(x + n * image, geom, 0.0f,
+                         cols + n * rows_per_image * geom.patch());
     });
 }
 
@@ -70,17 +66,6 @@ Tensor im2col(const Tensor& x, const ConvGeom& geom) {
     return cols;
 }
 
-void im2col_channel(const float* x, std::int64_t total_ch, std::int64_t channel,
-                    const ConvGeom& geom, float* cols) {
-    assert(geom.in_ch == 1);
-    const std::int64_t rows_per_image = geom.out_h() * geom.out_w();
-    const std::int64_t patch = geom.kernel * geom.kernel;
-    for (std::int64_t n = 0; n < geom.batch; ++n) {
-        const float* px = x + (n * total_ch + channel) * geom.in_h * geom.in_w;
-        unfold_image(px, 1, 0, geom, 0.0f, cols + n * rows_per_image * patch);
-    }
-}
-
 void im2col_u8(const std::uint8_t* x, const ConvGeom& geom,
                std::uint16_t zero_point, std::uint16_t* cols) {
     AMRET_OBS_SPAN("kernels.im2col");
@@ -90,8 +75,8 @@ void im2col_u8(const std::uint8_t* x, const ConvGeom& geom,
     runtime::parallel_for(0, geom.batch, tune::kGrainChannel,
                           [&](std::int64_t nb, std::int64_t ne) {
         for (std::int64_t n = nb; n < ne; ++n)
-            unfold_image(x + n * image, geom.in_ch, geom.in_h * geom.in_w, geom,
-                         zero_point, cols + n * rows_per_image * geom.patch());
+            unfold_image(x + n * image, geom, zero_point,
+                         cols + n * rows_per_image * geom.patch());
     });
 }
 

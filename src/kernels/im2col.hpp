@@ -1,10 +1,11 @@
 /// \file im2col.hpp
 /// \brief The single im2col/col2im planner of the kernel layer.
 ///
-/// One templated core replaces the three copies that used to live in
-/// tensor/tensor.cpp (float, zero padding), approx/inference.cpp (uint8 ->
-/// uint16 with zero-point padding) and approx/depthwise.cpp (per-channel
-/// float). All variants unfold an NCHW input into a (positions, patch)
+/// One templated core replaces the copies that used to live in
+/// tensor/tensor.cpp (float, zero padding) and approx/inference.cpp (uint8 ->
+/// uint16 with zero-point padding); the depthwise layer needs no unfold (it
+/// reads taps from padded planes, kernels/depthwise.hpp). Both variants
+/// unfold an NCHW input into a (positions, patch)
 /// row-major matrix whose rows are ordered c-major then kernel row/col,
 /// matching the (O, C, K, K) weight layout. Batch images fill disjoint row
 /// blocks, so the planner parallelizes over images (element values are plain
@@ -23,12 +24,6 @@ void im2col(const float* x, const tensor::ConvGeom& geom, float* cols);
 
 /// Convenience wrapper producing a fresh (positions, patch) tensor.
 tensor::Tensor im2col(const tensor::Tensor& x, const tensor::ConvGeom& geom);
-
-/// Single-channel im2col for depthwise convolution: x is
-/// (N, total_ch, H, W); extracts channel \p channel under \p geom (which has
-/// in_ch == 1) into cols, a (geom.positions(), kernel*kernel) block.
-void im2col_channel(const float* x, std::int64_t total_ch, std::int64_t channel,
-                    const tensor::ConvGeom& geom, float* cols);
 
 /// uint8 -> uint16 im2col with zero-point padding (exact integer-hardware
 /// behaviour): out-of-image taps read as \p zero_point.

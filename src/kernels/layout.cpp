@@ -1,5 +1,6 @@
 #include "kernels/layout.hpp"
 
+#include "kernels/quantize.hpp"
 #include "kernels/tuning.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
@@ -20,40 +21,15 @@ std::uint64_t fnv1a64(std::uint64_t h, std::uint64_t v) {
     return h;
 }
 
-/// Decomposed im2col tap coordinates (c-major, then ky, kx — matching the
-/// (O, C, K, K) weight layout), precomputed once per packing call so the
-/// inner loops do no division.
-struct TapTable {
-    std::int32_t* c = nullptr;
-    std::int32_t* ky = nullptr;
-    std::int32_t* kx = nullptr;
-};
-
-TapTable make_tap_table(const tensor::ConvGeom& geom, Workspace& ws) {
-    const std::int64_t patch = geom.patch();
-    TapTable taps;
-    taps.c = ws.alloc<std::int32_t>(patch);
-    taps.ky = ws.alloc<std::int32_t>(patch);
-    taps.kx = ws.alloc<std::int32_t>(patch);
-    std::int64_t t = 0;
-    for (std::int64_t c = 0; c < geom.in_ch; ++c)
-        for (std::int64_t ky = 0; ky < geom.kernel; ++ky)
-            for (std::int64_t kx = 0; kx < geom.kernel; ++kx, ++t) {
-                taps.c[t] = static_cast<std::int32_t>(c);
-                taps.ky[t] = static_cast<std::int32_t>(ky);
-                taps.kx[t] = static_cast<std::int32_t>(kx);
-            }
-    return taps;
-}
-
-/// Shared skeleton of the fused im2col packers: walks the position rows of
-/// one row-block range, hands each (absolute row, tap index) to \p tap_value
-/// and stores the returned code in its panel slot, accumulating the row-sum
-/// header. Pad slots (rows beyond plan.rows, depth beyond plan.depth) stay 0.
-template <typename TapValue>
+/// Shared skeleton of the fused packers: walks the position rows of one
+/// row-block range, asks \p row_taps(row) once per row for that row's tap
+/// reader, stores each tap(kk) code in its panel slot and accumulates the
+/// row-sum header. Pad slots (rows beyond plan.rows, depth beyond
+/// plan.depth) stay 0.
+template <typename RowTaps>
 void pack_rows_fused(const PanelPlan& plan, std::uint16_t* codes,
                      std::int64_t* sums, std::int64_t rb0, std::int64_t rb1,
-                     TapValue&& tap_value) {
+                     RowTaps&& row_taps) {
     const std::int64_t tr = plan.tr, tk = plan.tk;
     const std::int64_t kblocks = plan.depth_blocks();
     for (std::int64_t rb = rb0; rb < rb1; ++rb) {
@@ -62,13 +38,14 @@ void pack_rows_fused(const PanelPlan& plan, std::uint16_t* codes,
         const std::int64_t pr = plan.block_rows(rb);
         for (std::int64_t rr = 0; rr < pr; ++rr) {
             const std::int64_t row = rb * tr + rr;
+            const auto tap = row_taps(row);
             std::int64_t sum = 0;
             for (std::int64_t kb = 0; kb < kblocks; ++kb) {
                 std::uint16_t* panel = block + kb * plan.panel_elems();
                 const std::int64_t kr = plan.block_depth(kb);
                 const std::int64_t kbase = kb * tk;
                 for (std::int64_t kk = 0; kk < kr; ++kk) {
-                    const std::uint16_t code = tap_value(row, kbase + kk);
+                    const std::uint16_t code = tap(kbase + kk);
                     panel[kk * tr + rr] = code;
                     sum += code;
                 }
@@ -76,6 +53,65 @@ void pack_rows_fused(const PanelPlan& plan, std::uint16_t* codes,
             sums[row] = sum;
         }
     }
+}
+
+/// The im2col taps (c-major, then ky, kx — matching the (O, C, K, K) weight
+/// layout): each tap's kernel offsets and its element offset from a window's
+/// top-left input pixel in \p layout. Built once per packing call.
+struct TapTable {
+    std::int32_t* ky = nullptr;
+    std::int32_t* kx = nullptr;
+    std::int64_t* off = nullptr;
+};
+
+TapTable make_tap_table(const tensor::ConvGeom& geom, ActivationLayout layout,
+                        Workspace& ws) {
+    const std::int64_t patch = geom.patch();
+    TapTable taps;
+    taps.ky = ws.alloc<std::int32_t>(patch);
+    taps.kx = ws.alloc<std::int32_t>(patch);
+    taps.off = ws.alloc<std::int64_t>(patch);
+    std::int64_t t = 0;
+    for (std::int64_t c = 0; c < geom.in_ch; ++c)
+        for (std::int64_t ky = 0; ky < geom.kernel; ++ky)
+            for (std::int64_t kx = 0; kx < geom.kernel; ++kx, ++t) {
+                taps.ky[t] = static_cast<std::int32_t>(ky);
+                taps.kx[t] = static_cast<std::int32_t>(kx);
+                taps.off[t] = layout == ActivationLayout::kNCHW
+                                  ? (c * geom.in_h + ky) * geom.in_w + kx
+                                  : (ky * geom.in_w + kx) * geom.in_ch + c;
+            }
+    return taps;
+}
+
+/// Row-tap reader of the im2col packers, for pack_rows_fused. Each position
+/// row's (n, oy, ox) and window base offset are computed once. A window
+/// inside the image reads every tap through at(row, t, base + off[t]); a
+/// border window checks each tap and takes pad(row, t) outside the image.
+template <typename At, typename Pad>
+auto im2col_row_taps(const tensor::ConvGeom& geom, ActivationLayout layout,
+                     const TapTable& taps, At& at, Pad& pad) {
+    return [&geom, layout, &taps, &at, &pad](std::int64_t row) {
+        const std::int64_t ow = geom.out_w(), spatial = geom.out_h() * ow;
+        const std::int64_t n = row / spatial, s = row % spatial;
+        const std::int64_t iy0 = (s / ow) * geom.stride - geom.pad;
+        const std::int64_t ix0 = (s % ow) * geom.stride - geom.pad;
+        const bool interior = iy0 >= 0 && ix0 >= 0 &&
+                              iy0 + geom.kernel <= geom.in_h &&
+                              ix0 + geom.kernel <= geom.in_w;
+        const std::int64_t base =
+            layout == ActivationLayout::kNCHW
+                ? (n * geom.in_ch * geom.in_h + iy0) * geom.in_w + ix0
+                : ((n * geom.in_h + iy0) * geom.in_w + ix0) * geom.in_ch;
+        return [&, row, iy0, ix0, interior, base](std::int64_t t) -> std::uint16_t {
+            if (!interior) {
+                const std::int64_t iy = iy0 + taps.ky[t], ix = ix0 + taps.kx[t];
+                if (iy < 0 || iy >= geom.in_h || ix < 0 || ix >= geom.in_w)
+                    return pad(row, t);
+            }
+            return at(row, t, base + taps.off[t]);
+        };
+    };
 }
 
 } // namespace
@@ -156,9 +192,9 @@ ActPanels pack_activation_panels(const std::uint16_t* xq, const PanelPlan& plan,
     const std::int64_t nblocks = plan.row_blocks();
     runtime::parallel_for(0, nblocks, runtime::grain_for(nblocks, 1),
                           [&](std::int64_t b0, std::int64_t b1) {
-        pack_rows_fused(plan, codes, sums, b0, b1,
-                        [&](std::int64_t row, std::int64_t kk) {
-            return xq[row * plan.depth + kk];
+        pack_rows_fused(plan, codes, sums, b0, b1, [&](std::int64_t row) {
+            const std::uint16_t* src = xq + row * plan.depth;
+            return [src](std::int64_t kk) { return src[kk]; };
         });
     });
     x.codes = codes;
@@ -239,32 +275,20 @@ ActPanels pack_im2col_panels_u8(const std::uint8_t* x,
     AMRET_OBS_SPAN("kernels.im2col_panels");
     AMRET_OBS_COUNT("kernels.im2col.images", geom.batch);
     assert(plan.rows == geom.positions() && plan.depth == geom.patch());
-    const TapTable taps = make_tap_table(geom, ws);
+    const TapTable taps = make_tap_table(geom, layout, ws);
     ActPanels out;
     out.plan = plan;
     std::uint16_t* codes = ws.alloc<std::uint16_t>(plan.elems());
     std::int64_t* sums = ws.alloc<std::int64_t>(plan.rows);
-    const std::int64_t oh = geom.out_h(), ow = geom.out_w();
-    const std::int64_t spatial = oh * ow;
-    const std::int64_t chw = geom.in_ch * geom.in_h * geom.in_w;
+    auto at = [x](std::int64_t, std::int64_t, std::int64_t i) {
+        return static_cast<std::uint16_t>(x[i]);
+    };
+    auto pad = [zero_point](std::int64_t, std::int64_t) { return zero_point; };
     const std::int64_t nblocks = plan.row_blocks();
     runtime::parallel_for(0, nblocks, runtime::grain_for(nblocks, 1),
                           [&](std::int64_t b0, std::int64_t b1) {
         pack_rows_fused(plan, codes, sums, b0, b1,
-                        [&](std::int64_t row, std::int64_t t) -> std::uint16_t {
-            const std::int64_t n = row / spatial, s = row % spatial;
-            const std::int64_t oy = s / ow, ox = s % ow;
-            const std::int64_t iy = oy * geom.stride + taps.ky[t] - geom.pad;
-            const std::int64_t ix = ox * geom.stride + taps.kx[t] - geom.pad;
-            if (iy < 0 || iy >= geom.in_h || ix < 0 || ix >= geom.in_w)
-                return zero_point;
-            const std::int64_t c = taps.c[t];
-            const std::int64_t at =
-                layout == ActivationLayout::kNCHW
-                    ? n * chw + (c * geom.in_h + iy) * geom.in_w + ix
-                    : ((n * geom.in_h + iy) * geom.in_w + ix) * geom.in_ch + c;
-            return static_cast<std::uint16_t>(x[at]);
-        });
+                        im2col_row_taps(geom, layout, taps, at, pad));
     });
     out.codes = codes;
     out.sum_x = sums;
@@ -277,36 +301,36 @@ ActPanels quantize_im2col_panels(const float* x, const tensor::ConvGeom& geom,
                                  const PanelPlan& plan, std::uint8_t* in_range,
                                  std::uint16_t* row_codes, Workspace& ws) {
     AMRET_OBS_SPAN("kernels.im2col_panels");
-    AMRET_OBS_COUNT("kernels.quantize.elems", plan.rows * plan.depth);
     assert(plan.rows == geom.positions() && plan.depth == geom.patch());
-    const TapTable taps = make_tap_table(geom, ws);
+    // Each input element is quantized once into an NCHW code + mask plane,
+    // and the taps are gathered from it. Out-of-image taps take the code and
+    // mask of 0.0f, exactly what the zero-padded float im2col quantized to,
+    // so codes and masks match im2col + quantize_into bit for bit.
+    const QuantView plane = quantize_into(
+        x, geom.batch * geom.in_ch * geom.in_h * geom.in_w, params, ws);
+    const auto code0 = static_cast<std::uint16_t>(params.quantize(0.0f));
+    const std::uint8_t mask0 = params.in_range(0.0f) ? 1 : 0;
+    const TapTable taps = make_tap_table(geom, ActivationLayout::kNCHW, ws);
     ActPanels out;
     out.plan = plan;
     std::uint16_t* codes = ws.alloc<std::uint16_t>(plan.elems());
     std::int64_t* sums = ws.alloc<std::int64_t>(plan.rows);
-    const std::int64_t oh = geom.out_h(), ow = geom.out_w();
-    const std::int64_t spatial = oh * ow;
-    const std::int64_t chw = geom.in_ch * geom.in_h * geom.in_w;
+    const std::int64_t depth = plan.depth;
+    auto at = [&](std::int64_t row, std::int64_t t, std::int64_t i) {
+        row_codes[row * depth + t] = plane.codes[i];
+        in_range[row * depth + t] = plane.in_range[i];
+        return plane.codes[i];
+    };
+    auto pad = [&](std::int64_t row, std::int64_t t) {
+        row_codes[row * depth + t] = code0;
+        in_range[row * depth + t] = mask0;
+        return code0;
+    };
     const std::int64_t nblocks = plan.row_blocks();
     runtime::parallel_for(0, nblocks, runtime::grain_for(nblocks, 1),
                           [&](std::int64_t b0, std::int64_t b1) {
         pack_rows_fused(plan, codes, sums, b0, b1,
-                        [&](std::int64_t row, std::int64_t t) -> std::uint16_t {
-            const std::int64_t n = row / spatial, s = row % spatial;
-            const std::int64_t oy = s / ow, ox = s % ow;
-            const std::int64_t iy = oy * geom.stride + taps.ky[t] - geom.pad;
-            const std::int64_t ix = ox * geom.stride + taps.kx[t] - geom.pad;
-            // Out-of-image taps read 0.0f, exactly like the unfused float
-            // im2col, and go through the same quantizer — fused codes and
-            // masks are bitwise-identical to im2col + quantize_into.
-            float v = 0.0f;
-            if (iy >= 0 && iy < geom.in_h && ix >= 0 && ix < geom.in_w)
-                v = x[n * chw + (taps.c[t] * geom.in_h + iy) * geom.in_w + ix];
-            const auto code = static_cast<std::uint16_t>(params.quantize(v));
-            in_range[row * plan.depth + t] = params.in_range(v) ? 1 : 0;
-            row_codes[row * plan.depth + t] = code;
-            return code;
-        });
+                        im2col_row_taps(geom, ActivationLayout::kNCHW, taps, at, pad));
     });
     out.codes = codes;
     out.sum_x = sums;
@@ -326,13 +350,15 @@ ActPanels quantize_into_panels(const float* src, const quant::QuantParams& param
     const std::int64_t nblocks = plan.row_blocks();
     runtime::parallel_for(0, nblocks, runtime::grain_for(nblocks, 1),
                           [&](std::int64_t b0, std::int64_t b1) {
-        pack_rows_fused(plan, codes, sums, b0, b1,
-                        [&](std::int64_t row, std::int64_t kk) -> std::uint16_t {
-            const float v = src[row * plan.depth + kk];
-            const auto code = static_cast<std::uint16_t>(params.quantize(v));
-            in_range[row * plan.depth + kk] = params.in_range(v) ? 1 : 0;
-            row_codes[row * plan.depth + kk] = code;
-            return code;
+        pack_rows_fused(plan, codes, sums, b0, b1, [&](std::int64_t row) {
+            return [&, row](std::int64_t kk) -> std::uint16_t {
+                const std::int64_t i = row * plan.depth + kk;
+                const float v = src[i];
+                const auto code = static_cast<std::uint16_t>(params.quantize(v));
+                in_range[i] = params.in_range(v) ? 1 : 0;
+                row_codes[i] = code;
+                return code;
+            };
         });
     });
     out.codes = codes;

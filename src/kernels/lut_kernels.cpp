@@ -68,29 +68,6 @@ void lut_forward(const LutGemmArgs& args, const float* bias, float* y,
     });
 }
 
-void lut_forward_serial(const LutGemmArgs& args, const float* bias, float* y,
-                        const TileConfig& tile, const LutGemmScratch& scratch) {
-    AMRET_OBS_SPAN("kernels.lut_forward_serial");
-    AMRET_OBS_COUNT("kernels.gemm.rows", args.p);
-    const std::int64_t* sum_w = args.sum_w;
-    if (sum_w == nullptr) {
-        for (std::int64_t i = 0; i < args.o; ++i) {
-            const std::uint16_t* row = args.wq + i * args.k;
-            std::int64_t s = 0;
-            for (std::int64_t kk = 0; kk < args.k; ++kk) s += row[kk];
-            scratch.sum_w[i] = s;
-        }
-        sum_w = scratch.sum_w;
-    }
-    lut_row_sums_x(args, 0, args.p, scratch.sum_x);
-    lut_gemm_tile(args, 0, args.p, sum_w, scratch.sum_x, tile, scratch.acc,
-                  [&](std::int64_t pp, std::int64_t oo, std::int64_t corrected) {
-        const float ss = args.row_scale_w(oo) * args.scale_x;
-        y[pp * args.o + oo] =
-            ss * static_cast<float>(corrected) + (bias ? bias[oo] : 0.0f);
-    });
-}
-
 void accumulate_bias_grad(const float* gyp, std::int64_t p, std::int64_t o,
                           float* bias_grad) {
     runtime::parallel_accumulate(

@@ -6,8 +6,9 @@
 /// multiply-accumulate with a product-LUT lookup and applies the Eq. (8)
 /// zero-point correction; the backward kernels replace the multiplier
 /// derivative with gradient-LUT lookups (Eq. 9). ApproxConv2d (after
-/// im2col), ApproxLinear, DepthwiseConv2d (O = 1 per channel) and the
-/// integer inference engine all run on this family.
+/// im2col), ApproxLinear and the integer inference engine run on this
+/// family; DepthwiseConv2d, whose per-channel GEMM would have O = 1 and a
+/// K^2 depth, runs on the direct padded-plane kernel (depthwise.hpp).
 ///
 /// Tiling. Loops are blocked over P x O x K (TileConfig) so the operand
 /// tiles stay L1-resident and the 2^{2B} product LUT stays L2-resident,
@@ -143,27 +144,12 @@ void lut_gemm_tile(const LutGemmArgs& a, std::int64_t p0, std::int64_t p1,
     }
 }
 
-/// Scratch buffers for one serial lut_forward call (all caller-owned):
-/// sum_w has O elements (ignored when args.sum_w is set), sum_x has P, and
-/// acc has tile.acc_elems().
-struct LutGemmScratch {
-    std::int64_t* sum_w = nullptr;
-    std::int64_t* sum_x = nullptr;
-    std::int64_t* acc = nullptr;
-};
-
 /// Forward: y[p, o] = s_w*s_x*(sum_k LUT[w,x] - Z_x*sumW[o] - Z_w*sumX[p]
 ///                             + K*Z_w*Z_x) + bias[o].
 /// \p bias may be null. \p y is (P, O), overwritten. Parallel over position
 /// rows; scratch comes from \p ws.
 void lut_forward(const LutGemmArgs& args, const float* bias, float* y,
                  Workspace& ws, const TileConfig& tile = TileConfig{});
-
-/// Serial single-range variant for callers that manage their own parallel
-/// decomposition (e.g. the channel-parallel depthwise loop). Scratch is
-/// caller-owned so concurrent chunks don't contend on the workspace.
-void lut_forward_serial(const LutGemmArgs& args, const float* bias, float* y,
-                        const TileConfig& tile, const LutGemmScratch& scratch);
 
 /// Column sums of a (P, O) position-major output gradient into \p bias_grad
 /// (accumulated, not overwritten) via the deterministic per-chunk reduction.

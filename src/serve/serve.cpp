@@ -106,8 +106,8 @@ void InferenceServer::stop(bool drain) {
         std::lock_guard<std::mutex> lock(coalescer_mutex_);
         drain_ = drain;
         paused_ = false; // a paused server must still drain on stop
+        stopping_.store(true, std::memory_order_release);
     }
-    stopping_.store(true, std::memory_order_release);
     coalescer_cv_.notify_all();
     coalescer_thread_.join(); // sets coalescer_done_ + wakes the workers
     for (std::thread& t : worker_threads_) t.join();
@@ -120,6 +120,11 @@ void InferenceServer::set_paused(bool paused) {
         paused_ = paused;
     }
     coalescer_cv_.notify_all();
+}
+
+void InferenceServer::set_before_block_hook(std::function<void()> hook) {
+    std::lock_guard<std::mutex> lock(coalescer_mutex_);
+    before_block_ = std::move(hook);
 }
 
 std::int64_t InferenceServer::now_us() const {
@@ -226,7 +231,10 @@ std::future<Result> InferenceServer::submit(const ModelSpec& spec,
                                       now_us() - submit_us, 0});
         return future;
     }
-    wake_count_.fetch_add(1, std::memory_order_acq_rel);
+    {
+        std::lock_guard<std::mutex> lock(coalescer_mutex_);
+        ++wake_count_;
+    }
     coalescer_cv_.notify_one();
     return future;
 }
@@ -366,34 +374,43 @@ void InferenceServer::coalescer_loop() {
             continue; // a racing submit slipped in; drain once more
         }
 
-        // --- sleep until the next flush/timeout deadline or a wake --------
+        // --- sleep until the next flush deadline or a wake ----------------
+        // A lane at its in-flight cap cannot flush before a worker frees a
+        // slot, and that worker wakes the coalescer, so the lane stays out
+        // of the deadline instead of making the coalescer spin. Its expired
+        // requests time out on that wake.
         std::int64_t wake_us = std::numeric_limits<std::int64_t>::max();
         for (auto& [key, lane] : lanes) {
             (void)key;
-            wake_us = std::min(wake_us, lane.builder.next_flush_us());
+            if (lane.pin->inflight_batches.load(std::memory_order_acquire) <
+                config_.model_concurrency)
+                wake_us = std::min(wake_us, lane.builder.next_flush_us());
         }
         if (stopping) // poll while draining: worker completions free caps
             wake_us = std::min(wake_us, now + 1000);
         {
             std::unique_lock<std::mutex> lock(coalescer_mutex_);
-            const auto pred = [&] {
-                return wake_count_.load(std::memory_order_acquire) !=
-                           seen_wake ||
-                       stopping_.load(std::memory_order_acquire);
+            const bool hold = paused_ && !stopping;
+            const bool timed =
+                !hold && wake_us != std::numeric_limits<std::int64_t>::max();
+            // While draining, stop() is old news: wait for a freed slot or
+            // the poll deadline instead of spinning.
+            const auto woken = [&] {
+                return (!stopping && stopping_.load(std::memory_order_acquire)) ||
+                       (hold ? !paused_ : wake_count_ != seen_wake);
             };
-            if (paused_ && !stopping) {
-                coalescer_cv_.wait(lock, [&] {
-                    return !paused_ ||
-                           stopping_.load(std::memory_order_acquire);
-                });
-            } else if (wake_us == std::numeric_limits<std::int64_t>::max()) {
-                coalescer_cv_.wait(lock, pred);
-            } else if (wake_us > now_us()) {
-                coalescer_cv_.wait_until(
-                    lock,
-                    epoch_ + std::chrono::microseconds(wake_us), pred);
+            while (!woken()) {
+                if (timed && wake_us <= now_us()) break;
+                if (before_block_) before_block_();
+                if (!timed) {
+                    coalescer_cv_.wait(lock);
+                } else if (coalescer_cv_.wait_until(
+                               lock, epoch_ + std::chrono::microseconds(wake_us)) ==
+                           std::cv_status::timeout) {
+                    break;
+                }
             }
-            seen_wake = wake_count_.load(std::memory_order_acquire);
+            seen_wake = wake_count_;
         }
     }
 
@@ -435,8 +452,13 @@ void InferenceServer::worker_loop(Worker& self) {
         run_batch(batch, self);
         batch.resident->inflight_batches.fetch_sub(1,
                                                    std::memory_order_acq_rel);
-        wake_count_.fetch_add(1, std::memory_order_acq_rel);
-        coalescer_cv_.notify_one(); // a per-model concurrency slot freed
+        {
+            // A per-model concurrency slot freed: the coalescer's only wake
+            // for a lane it left out of its deadline.
+            std::lock_guard<std::mutex> lock(coalescer_mutex_);
+            ++wake_count_;
+        }
+        coalescer_cv_.notify_one();
     }
 }
 

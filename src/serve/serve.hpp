@@ -34,6 +34,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <limits>
 #include <memory>
@@ -201,6 +202,13 @@ public:
     /// admission control becomes observable deterministically).
     void set_paused(bool paused);
 
+    /// Test hook: runs on the coalescer thread each time it has checked its
+    /// wake condition and is about to block, with the coalescer mutex held.
+    /// submit(), stop() and set_paused() take that mutex, so the hook must
+    /// not call them itself; it may start a thread that does, which then
+    /// acts inside the window. An empty function disarms it.
+    void set_before_block_hook(std::function<void()> hook);
+
     [[nodiscard]] ServerStats stats() const;
 
     /// Microseconds since server construction (the clock used by all
@@ -228,13 +236,16 @@ private:
     std::atomic<std::uint64_t> seq_{0};        ///< global submission order
     std::atomic<std::int64_t> queue_depth_{0}; ///< admission counter
 
-    // Coalescer.
+    // Coalescer. Every wake source (submit, a freed in-flight slot, stop,
+    // resume) changes its state under coalescer_mutex_ before notifying, so
+    // the coalescer cannot check its wake condition and then miss the wake.
     std::mutex coalescer_mutex_;
     std::condition_variable coalescer_cv_;
-    std::atomic<std::uint64_t> wake_count_{0}; ///< lost-wakeup guard
+    std::uint64_t wake_count_ = 0; ///< bumped by submits and freed slots
     bool paused_ = false;
-    std::atomic<bool> stopping_{false};
+    std::atomic<bool> stopping_{false}; ///< stored under coalescer_mutex_
     bool drain_ = true;
+    std::function<void()> before_block_; ///< test hook (set_before_block_hook)
 
     // Dispatch queue (coalescer -> workers).
     std::mutex dispatch_mutex_;

@@ -1,4 +1,7 @@
-// Tests for the depthwise convolution layer and the MobileNet builder.
+// Tests for the depthwise convolution layer and the MobileNet builder. The
+// order-faithful oracle below is the im2col algorithm the layer ran before
+// the direct padded-plane kernel (kernels/depthwise.hpp); the layer must
+// reproduce it bit for bit.
 #include "approx/depthwise.hpp"
 #include "appmult/registry.hpp"
 #include "models/models.hpp"
@@ -7,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 namespace {
 
@@ -143,6 +148,233 @@ TEST(Depthwise, ApproximateLutChangesOutput) {
     for (std::int64_t i = 0; i < y_exact.numel(); ++i)
         diff += std::abs(static_cast<double>(y_exact[i]) - y_approx[i]);
     EXPECT_GT(diff, 1e-3);
+}
+
+// ------------------------------------------------------------ oracle --
+
+/// The depthwise algorithm as it ran through im2col: explicit per-channel
+/// columns (zero padding), every tap quantized on its own, an O = 1 LUT sum
+/// per position with the Eq. (8) epilogue, then the fused backward writing
+/// gw, gb and a column gradient that col2im folds back. Each step observes
+/// its input like the layer in training mode, and gradients accumulate.
+struct DepthwiseOracle {
+    DepthwiseOracle(std::int64_t channels_, std::int64_t kernel_, std::int64_t stride_,
+                    std::int64_t pad_, const MultiplierConfig* mult_)
+        : channels(channels_), kernel(kernel_), stride(stride_), pad(pad_),
+          quantized(mult_ != nullptr), mult(mult_) {}
+
+    std::int64_t channels, kernel, stride, pad;
+    bool quantized;
+    const MultiplierConfig* mult;
+    quant::EmaObserver observer;
+
+    // Per-step state of the last forward.
+    tensor::ConvGeom geom;
+    std::vector<float> cols;
+    std::vector<std::uint16_t> wcodes, xcodes;
+    std::vector<std::uint8_t> wok, xok;
+    quant::QuantParams wp, xp;
+
+    [[nodiscard]] std::int64_t taps() const { return kernel * kernel; }
+
+    Tensor forward(const Tensor& x, const Tensor& w, const Tensor& b) {
+        geom = tensor::ConvGeom{x.dim(0), 1, x.dim(2), x.dim(3), kernel, stride, pad};
+        const std::int64_t positions = geom.positions(), patch = taps();
+        const std::int64_t oh = geom.out_h(), ow = geom.out_w(), spatial = oh * ow;
+        cols.assign(static_cast<std::size_t>(channels * positions * patch), 0.0f);
+        for (std::int64_t c = 0; c < channels; ++c)
+            for (std::int64_t p = 0; p < positions; ++p) {
+                const std::int64_t n = p / spatial, s = p % spatial;
+                const std::int64_t oy = s / ow, ox = s % ow;
+                for (std::int64_t ky = 0; ky < kernel; ++ky)
+                    for (std::int64_t kx = 0; kx < kernel; ++kx) {
+                        const std::int64_t iy = oy * stride + ky - pad;
+                        const std::int64_t ix = ox * stride + kx - pad;
+                        if (iy < 0 || iy >= geom.in_h || ix < 0 || ix >= geom.in_w)
+                            continue;
+                        cols[static_cast<std::size_t>((c * positions + p) * patch +
+                                                      ky * kernel + kx)] =
+                            x[((n * channels + c) * geom.in_h + iy) * geom.in_w + ix];
+                    }
+            }
+
+        Tensor y(Shape{geom.batch, channels, oh, ow});
+        if (!quantized) {
+            for (std::int64_t c = 0; c < channels; ++c)
+                for (std::int64_t p = 0; p < positions; ++p) {
+                    float acc = b[c];
+                    for (std::int64_t k = 0; k < patch; ++k)
+                        acc += w[c * patch + k] *
+                               cols[static_cast<std::size_t>((c * positions + p) * patch + k)];
+                    y[((p / spatial) * channels + c) * spatial + p % spatial] = acc;
+                }
+            return y;
+        }
+
+        const unsigned bits = mult->bits();
+        wp = quant::choose_params(w.min(), w.max(), bits);
+        observer.observe(x);
+        xp = observer.params(bits);
+        const auto quantize = [](const quant::QuantParams& qp, const float* v,
+                                 std::size_t n, std::vector<std::uint16_t>& codes,
+                                 std::vector<std::uint8_t>& ok) {
+            codes.resize(n);
+            ok.resize(n);
+            for (std::size_t i = 0; i < n; ++i) {
+                codes[i] = static_cast<std::uint16_t>(qp.quantize(v[i]));
+                ok[i] = qp.in_range(v[i]) ? 1 : 0;
+            }
+        };
+        quantize(wp, w.data(), static_cast<std::size_t>(w.numel()), wcodes, wok);
+        quantize(xp, cols.data(), cols.size(), xcodes, xok);
+        const std::int32_t* lut = mult->lut->table().data();
+        const auto zw = static_cast<std::int64_t>(wp.zero_point);
+        const auto zx = static_cast<std::int64_t>(xp.zero_point);
+        for (std::int64_t c = 0; c < channels; ++c) {
+            std::int64_t sum_w = 0;
+            for (std::int64_t k = 0; k < patch; ++k) sum_w += wcodes[c * patch + k];
+            for (std::int64_t p = 0; p < positions; ++p) {
+                const std::uint16_t* xrow = xcodes.data() + (c * positions + p) * patch;
+                std::int64_t acc = 0, sum_x = 0;
+                for (std::int64_t k = 0; k < patch; ++k) {
+                    acc += lut[(static_cast<std::uint32_t>(wcodes[c * patch + k]) << bits) |
+                               xrow[k]];
+                    sum_x += xrow[k];
+                }
+                const std::int64_t corrected =
+                    acc - zx * sum_w - zw * sum_x + patch * zw * zx;
+                const float ss = wp.scale * xp.scale;
+                y[((p / spatial) * channels + c) * spatial + p % spatial] =
+                    ss * static_cast<float>(corrected) + b[c];
+            }
+        }
+        return y;
+    }
+
+    Tensor backward(const Tensor& gy, const Tensor& w, Tensor& gw, Tensor& gb) const {
+        const std::int64_t positions = geom.positions(), patch = taps();
+        const std::int64_t oh = geom.out_h(), ow = geom.out_w(), spatial = oh * ow;
+        std::vector<float> dcols(cols.size());
+        const unsigned bits = quantized ? mult->bits() : 0;
+        for (std::int64_t c = 0; c < channels; ++c)
+            for (std::int64_t p = 0; p < positions; ++p) {
+                const float g = gy[((p / spatial) * channels + c) * spatial + p % spatial];
+                gb[c] += g;
+                for (std::int64_t k = 0; k < patch; ++k) {
+                    const auto at = static_cast<std::size_t>((c * positions + p) * patch + k);
+                    if (!quantized) {
+                        gw[c * patch + k] += g * cols[at];
+                        dcols[at] = g * w[c * patch + k];
+                        continue;
+                    }
+                    const std::uint32_t idx =
+                        (static_cast<std::uint32_t>(wcodes[c * patch + k]) << bits) |
+                        xcodes[at];
+                    if (wok[c * patch + k])
+                        gw[c * patch + k] +=
+                            g * xp.scale * (mult->grad->dw_table()[idx] - xp.zero_point);
+                    dcols[at] = xok[at] ? g * wp.scale *
+                                              (mult->grad->dx_table()[idx] - wp.zero_point)
+                                        : 0.0f;
+                }
+            }
+        // col2im: per channel and image, taps fold in ascending position order.
+        Tensor gx(Shape{geom.batch, channels, geom.in_h, geom.in_w});
+        for (std::int64_t c = 0; c < channels; ++c)
+            for (std::int64_t p = 0; p < positions; ++p) {
+                const std::int64_t n = p / spatial, s = p % spatial;
+                const std::int64_t oy = s / ow, ox = s % ow;
+                for (std::int64_t ky = 0; ky < kernel; ++ky)
+                    for (std::int64_t kx = 0; kx < kernel; ++kx) {
+                        const std::int64_t iy = oy * stride + ky - pad;
+                        const std::int64_t ix = ox * stride + kx - pad;
+                        if (iy < 0 || iy >= geom.in_h || ix < 0 || ix >= geom.in_w)
+                            continue;
+                        gx[((n * channels + c) * geom.in_h + iy) * geom.in_w + ix] +=
+                            dcols[static_cast<std::size_t>((c * positions + p) * patch +
+                                                           ky * kernel + kx)];
+                    }
+            }
+        return gx;
+    }
+};
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+/// Product LUT of a registry multiplier with random gradient tables, so a
+/// wrong table, row or operand order changes bits.
+MultiplierConfig random_grad_config(const std::string& name, util::Rng& rng) {
+    auto& reg = appmult::Registry::instance();
+    MultiplierConfig config;
+    config.lut = std::make_shared<appmult::AppMultLut>(reg.lut(name));
+    const unsigned bits = config.lut->bits();
+    std::vector<float> dw(std::size_t{1} << (2 * bits)), dx(dw.size());
+    for (auto& v : dw) v = static_cast<float>(rng.uniform() * 300.0 - 2.0);
+    for (auto& v : dx) v = static_cast<float>(rng.uniform() * 300.0 - 2.0);
+    config.grad = std::make_shared<core::GradLut>(bits, std::move(dw), std::move(dx));
+    return config;
+}
+
+/// Upstream gradient with exact zeros and -0.0 mixed into randn.
+Tensor zero_mixed_grad(const Shape& shape, util::Rng& rng) {
+    Tensor g = Tensor::randn(shape, rng);
+    for (std::int64_t i = 0; i < g.numel(); ++i) {
+        if (i % 3 == 0)
+            g[i] = 0.0f;
+        else if (i % 5 == 0)
+            g[i] = -0.0f;
+    }
+    return g;
+}
+
+TEST(DepthwiseOracle, KernelMatchesIm2colAlgorithmBitwise) {
+    const char* mults[] = {"mul6u_rm4", "mul7u_rm6", "mul8u_rm8"};
+    util::Rng rng(61);
+    int cases = 0;
+    for (const std::int64_t kernel : {1, 3, 5})
+        for (const std::int64_t stride : {1, 2})
+            for (const std::int64_t pad : {0, 1, 2})
+                for (int mode = 0; mode < 4; ++mode) {
+                    const bool quantized = mode < 3;
+                    // Odd H != W: 9x5, 11x7, 13x9.
+                    const std::int64_t channels = 3, h = 8 + kernel, w = 4 + kernel;
+                    util::Rng wrng(static_cast<std::uint64_t>(100 + cases));
+                    DepthwiseConv2d layer(channels, kernel, stride, pad, wrng);
+                    MultiplierConfig config;
+                    if (quantized) {
+                        config = random_grad_config(mults[mode], rng);
+                        layer.set_multiplier(config);
+                        layer.set_mode(ComputeMode::kQuantized);
+                    }
+                    DepthwiseOracle oracle(channels, kernel, stride, pad,
+                                           quantized ? &config : nullptr);
+                    Tensor gw = Tensor::zeros(layer.weight.value.shape());
+                    Tensor gb = Tensor::zeros(layer.bias.value.shape());
+                    nn::Context ctx;
+                    const std::string where =
+                        "kernel " + std::to_string(kernel) + " stride " +
+                        std::to_string(stride) + " pad " + std::to_string(pad) +
+                        (quantized ? std::string(" ") + mults[mode] : " float");
+                    for (int step = 0; step < 2; ++step) {
+                        const Tensor x = Tensor::randn(Shape{2, channels, h, w}, rng);
+                        const Tensor y = layer.forward(x, ctx);
+                        const Tensor ry =
+                            oracle.forward(x, layer.weight.value, layer.bias.value);
+                        ASSERT_TRUE(same_bits(y, ry)) << where << " step " << step;
+                        const Tensor gy = zero_mixed_grad(y.shape(), rng);
+                        const Tensor gx = layer.backward(gy, ctx);
+                        const Tensor rgx = oracle.backward(gy, layer.weight.value, gw, gb);
+                        ASSERT_TRUE(same_bits(gx, rgx)) << where << " step " << step;
+                        ASSERT_TRUE(same_bits(layer.weight.grad, gw)) << where;
+                        ASSERT_TRUE(same_bits(layer.bias.grad, gb)) << where;
+                    }
+                    ++cases;
+                }
+    EXPECT_EQ(cases, 3 * 2 * 3 * 4);
 }
 
 TEST(Mobilenet, ForwardBackwardShapes) {

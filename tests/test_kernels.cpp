@@ -387,27 +387,6 @@ TEST(KernelIm2col, U8VariantPadsWithZeroPoint) {
     }
 }
 
-TEST(KernelIm2col, ChannelVariantMatchesFullIm2col) {
-    util::Rng rng(48);
-    const std::int64_t n = 2, c = 3, h = 5, w = 5, kernel = 3;
-    const Tensor x = Tensor::randn(Shape{n, c, h, w}, rng);
-    // Full im2col over all channels.
-    tensor::ConvGeom full{n, c, h, w, kernel, 1, 1};
-    const Tensor cols = kernels::im2col(x, full);
-    // Per-channel extraction must reproduce the channel's patch columns.
-    tensor::ConvGeom single{n, 1, h, w, kernel, 1, 1};
-    const std::int64_t patch1 = kernel * kernel;
-    std::vector<float> chan(static_cast<std::size_t>(single.positions() * patch1));
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-        kernels::im2col_channel(x.data(), c, ch, single, chan.data());
-        for (std::int64_t pp = 0; pp < single.positions(); ++pp)
-            for (std::int64_t t = 0; t < patch1; ++t)
-                ASSERT_EQ(chan[static_cast<std::size_t>(pp * patch1 + t)],
-                          cols[pp * full.patch() + ch * patch1 + t])
-                    << "ch=" << ch << " p=" << pp << " t=" << t;
-    }
-}
-
 // ---------------------------------------------------------------- golden --
 
 std::uint64_t fnv1a(const float* data, std::int64_t n) {
@@ -437,6 +416,17 @@ const std::map<std::string, std::uint64_t> kGolden = {
     {"dw.y", 0x707604a8ac83de31ull},       {"dw.gx", 0xc5fad535ba213a4full},
     {"dw.gw", 0x0fca9cc38e4cc37aull},      {"dw.gb", 0xca3b58ca66de7646ull},
     {"engine.logits", 0x98eb88179f3aef67ull},
+    // Two-step entries (gradients with exact zeros and -0.0, accumulated
+    // across both steps), captured from the im2col depthwise and the
+    // per-tap-quantizing conv packer they now pin the replacements to.
+    {"dw_s2.y", 0x716bbf37da3e5286ull},    {"dw_s2.gx", 0x3a98dbbc8358ed07ull},
+    {"dw_s2.gw", 0xc850fbdcbc7cc8a9ull},   {"dw_s2.gb", 0xf2dc8cc604ef1d16ull},
+    {"fdw.y", 0x87bb23d6f4e8906dull},      {"fdw.gx", 0xe3c61c602babe486ull},
+    {"fdw.gw", 0x4aea248fce769d30ull},     {"fdw.gb", 0x0c26985569b06db1ull},
+    {"fdw_s2.y", 0xdab8b713a7a6ab6cull},   {"fdw_s2.gx", 0xa1951d88e9768810ull},
+    {"fdw_s2.gw", 0x1aa7e10133b56e3bull},  {"fdw_s2.gb", 0xdef674873fc82b6aull},
+    {"conv_s2.y", 0x280b7f1ee84b16adull},  {"conv_s2.gx", 0xeb137868aba669ebull},
+    {"conv_s2.gw", 0xe8f868ff85c3890bull}, {"conv_s2.gb", 0xf23f63d5b9ea1314ull},
 };
 
 void expect_golden(const std::string& key, std::uint64_t h) {
@@ -529,6 +519,69 @@ TEST(Golden, QuantizedDepthwise) {
     expect_golden("dw.gx", hash_tensor(gx));
     expect_golden("dw.gw", hash_tensor(dw.weight.grad));
     expect_golden("dw.gb", hash_tensor(dw.bias.grad));
+}
+
+/// Upstream gradient with exact zeros mixed into randn: every third element
+/// is +0.0f and every fifth (of the rest) -0.0f, so a kernel that skips or
+/// re-signs g == 0 terms changes bits.
+Tensor zero_mixed_grad(const Shape& shape, util::Rng& rng) {
+    Tensor g = Tensor::randn(shape, rng);
+    for (std::int64_t i = 0; i < g.numel(); ++i) {
+        if (i % 3 == 0)
+            g[i] = 0.0f;
+        else if (i % 5 == 0)
+            g[i] = -0.0f;
+    }
+    return g;
+}
+
+/// Two forward/backward steps through one context on fresh inputs (the
+/// same recipe as tools/golden_dump): the second step's weight and bias
+/// gradients accumulate into the first's, and the activation observer
+/// moves between the steps.
+template <class Layer>
+void golden_two_steps(const std::string& tag, Layer& layer, const Shape& xshape,
+                      std::uint64_t seed) {
+    nn::Context ctx;
+    util::Rng rng(seed);
+    Tensor y, gx;
+    for (int step = 0; step < 2; ++step) {
+        const Tensor x = Tensor::randn(xshape, rng);
+        y = layer.forward(x, ctx);
+        gx = layer.backward(zero_mixed_grad(y.shape(), rng), ctx);
+    }
+    expect_golden(tag + ".y", hash_tensor(y));
+    expect_golden(tag + ".gx", hash_tensor(gx));
+    expect_golden(tag + ".gw", hash_tensor(layer.weight.grad));
+    expect_golden(tag + ".gb", hash_tensor(layer.bias.grad));
+}
+
+TEST(Golden, QuantizedDepthwiseStrideTwo) {
+    util::Rng wrng(717);
+    approx::DepthwiseConv2d dw(6, 3, 2, 1, wrng);
+    dw.set_multiplier(golden_config("mul8u_rm8"));
+    dw.set_mode(approx::ComputeMode::kQuantized);
+    golden_two_steps("dw_s2", dw, Shape{2, 6, 9, 7}, 818);
+}
+
+TEST(Golden, FloatDepthwise) {
+    util::Rng wrng(727);
+    approx::DepthwiseConv2d dw(5, 3, 1, 1, wrng);
+    golden_two_steps("fdw", dw, Shape{2, 5, 9, 7}, 828);
+}
+
+TEST(Golden, FloatDepthwiseStrideTwo) {
+    util::Rng wrng(737);
+    approx::DepthwiseConv2d dw(5, 3, 2, 1, wrng);
+    golden_two_steps("fdw_s2", dw, Shape{2, 5, 9, 7}, 838);
+}
+
+TEST(Golden, QuantizedConvStrideTwo) {
+    util::Rng wrng(747);
+    approx::ApproxConv2d conv(3, 8, 3, 2, 1, wrng);
+    conv.set_multiplier(golden_config("mul8u_rm8"));
+    conv.set_mode(approx::ComputeMode::kQuantized);
+    golden_two_steps("conv_s2", conv, Shape{2, 3, 9, 7}, 848);
 }
 
 TEST(Golden, IntInferenceEngine) {

@@ -352,48 +352,58 @@ TEST(FusedIm2col, U8PanelsMatchUnfusedIm2colPlusPack) {
 
 TEST(FusedIm2col, QuantizePanelsMatchUnfusedFloatPath) {
     util::Rng rng(18);
-    const ConvGeom geom{2, 3, 9, 7, 3, 1, 1};
-    const std::size_t img = static_cast<std::size_t>(
-        geom.batch * geom.in_ch * geom.in_h * geom.in_w);
-    std::vector<float> x(img);
-    for (auto& v : x) v = static_cast<float>(rng.normal());
+    // Interior and border windows: same-pad, strided, strided valid, even
+    // kernel with an odd rag, and a window wider than the padding.
+    const ConvGeom geoms[] = {
+        {2, 3, 9, 7, 3, 1, 1},
+        {2, 2, 9, 7, 3, 2, 1},
+        {1, 4, 7, 5, 3, 2, 0},
+        {3, 1, 6, 6, 2, 2, 1},
+        {1, 2, 7, 9, 5, 1, 2},
+    };
     const quant::QuantParams params = quant::choose_params(-2.5f, 2.5f, 8);
-    const std::int64_t positions = geom.positions(), patch = geom.patch();
-    const PanelPlan plan = kernels::make_panel_plan(positions, patch, 8, 16);
+    for (const ConvGeom& geom : geoms) {
+        const std::size_t img = static_cast<std::size_t>(
+            geom.batch * geom.in_ch * geom.in_h * geom.in_w);
+        std::vector<float> x(img);
+        for (auto& v : x) v = static_cast<float>(rng.normal());
+        const std::int64_t positions = geom.positions(), patch = geom.patch();
+        const PanelPlan plan = kernels::make_panel_plan(positions, patch, 8, 16);
 
-    // Reference: unfused float im2col, then the fused row-major quantizer.
-    Workspace ws;
-    std::vector<float> cols(static_cast<std::size_t>(positions * patch));
-    kernels::im2col(x.data(), geom, cols.data());
-    std::vector<std::uint8_t> mask_want(cols.size(), 2);
-    std::vector<std::uint16_t> rows_want(cols.size(), 2);
-    const ActPanels want = kernels::quantize_into_panels(
-        cols.data(), params, plan, mask_want.data(), rows_want.data(), ws);
+        // Reference: unfused float im2col, then the fused row-major quantizer.
+        Workspace ws;
+        std::vector<float> cols(static_cast<std::size_t>(positions * patch));
+        kernels::im2col(x.data(), geom, cols.data());
+        std::vector<std::uint8_t> mask_want(cols.size(), 2);
+        std::vector<std::uint16_t> rows_want(cols.size(), 2);
+        const ActPanels want = kernels::quantize_into_panels(
+            cols.data(), params, plan, mask_want.data(), rows_want.data(), ws);
 
-    std::vector<std::uint8_t> mask_got(cols.size(), 3);
-    std::vector<std::uint16_t> rows_got(cols.size(), 3);
-    const ActPanels got = kernels::quantize_im2col_panels(
-        x.data(), geom, params, plan, mask_got.data(), rows_got.data(), ws);
+        std::vector<std::uint8_t> mask_got(cols.size(), 3);
+        std::vector<std::uint16_t> rows_got(cols.size(), 3);
+        const ActPanels got = kernels::quantize_im2col_panels(
+            x.data(), geom, params, plan, mask_got.data(), rows_got.data(), ws);
 
-    EXPECT_EQ(std::memcmp(got.codes, want.codes,
-                          static_cast<std::size_t>(plan.elems()) *
-                              sizeof(std::uint16_t)),
-              0);
-    EXPECT_EQ(std::memcmp(got.sum_x, want.sum_x,
-                          static_cast<std::size_t>(plan.rows) *
-                              sizeof(std::int64_t)),
-              0);
-    EXPECT_EQ(std::memcmp(mask_got.data(), mask_want.data(), mask_want.size()),
-              0);
-    // And the codes really are the quantized column matrix, in the panels
-    // and in both row-major copies.
-    std::vector<std::uint16_t> back(cols.size());
-    kernels::unpack_activation_panels(got, back.data());
-    for (std::size_t i = 0; i < cols.size(); ++i) {
-        const auto code = static_cast<std::uint16_t>(params.quantize(cols[i]));
-        ASSERT_EQ(back[i], code);
-        ASSERT_EQ(rows_got[i], code);
-        ASSERT_EQ(rows_want[i], code);
+        EXPECT_EQ(std::memcmp(got.codes, want.codes,
+                              static_cast<std::size_t>(plan.elems()) *
+                                  sizeof(std::uint16_t)),
+                  0);
+        EXPECT_EQ(std::memcmp(got.sum_x, want.sum_x,
+                              static_cast<std::size_t>(plan.rows) *
+                                  sizeof(std::int64_t)),
+                  0);
+        EXPECT_EQ(std::memcmp(mask_got.data(), mask_want.data(), mask_want.size()),
+                  0);
+        // And the codes really are the quantized column matrix, in the panels
+        // and in both row-major copies.
+        std::vector<std::uint16_t> back(cols.size());
+        kernels::unpack_activation_panels(got, back.data());
+        for (std::size_t i = 0; i < cols.size(); ++i) {
+            const auto code = static_cast<std::uint16_t>(params.quantize(cols[i]));
+            ASSERT_EQ(back[i], code);
+            ASSERT_EQ(rows_got[i], code);
+            ASSERT_EQ(rows_want[i], code);
+        }
     }
 }
 

@@ -16,7 +16,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <future>
 #include <limits>
 #include <thread>
 
@@ -492,6 +494,129 @@ TEST_F(ServeEndToEnd, StopWithoutDrainFailsPendingTyped) {
         EXPECT_EQ(f.get().status, serve::Status::kShutdown);
     EXPECT_EQ(server.submit(spec, sample(0)).get().status,
               serve::Status::kShutdown);
+}
+
+// ------------------------------------------------------ coalescer wakes
+
+/// Runs \p start once inside the window between the coalescer's wake check
+/// and its block, and returns the future \p start made. \p start launches
+/// a thread that acts on the server; the hook gives it 50 ms to finish
+/// before the coalescer blocks, which is how an unlocked wake-state change
+/// would slip through unseen. The coalescer must be idle (blocked, nothing
+/// pending) on entry: resuming the unpaused server wakes it without
+/// changing its state, so it re-checks, and the hook runs as it blocks
+/// again.
+template <typename Start>
+auto act_inside_block_window(serve::InferenceServer& server, Start start) {
+    std::atomic<bool> fired{false};
+    decltype(start()) done;
+    server.set_before_block_hook([&] {
+        if (fired.load()) return;
+        done = start();
+        done.wait_for(std::chrono::milliseconds(50));
+        fired.store(true);
+    });
+    server.set_paused(false);
+    const auto t0 = std::chrono::steady_clock::now();
+    while (!fired.load()) {
+        if (std::chrono::steady_clock::now() - t0 > std::chrono::seconds(10)) {
+            ADD_FAILURE() << "the coalescer never reached its block";
+            break;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    server.set_before_block_hook({}); // also orders the hook's writes first
+    return done;
+}
+
+/// Lets the last completion's slot-freed wake land, so the coalescer is idle.
+void settle() { std::this_thread::sleep_for(std::chrono::milliseconds(20)); }
+
+TEST_F(ServeEndToEnd, SubmitInsideTheBlockWindowIsServed) {
+    auto registry = make_registry();
+    const serve::ModelSpec spec{"lenet", "mul8u_acc", "v0"};
+    registry.acquire(spec);
+    serve::ServeConfig sc;
+    sc.workers = 1;
+    sc.max_batch = 1;
+    serve::InferenceServer server(registry, sc);
+    ASSERT_EQ(server.submit(spec, sample(0)).get().status, serve::Status::kOk);
+    settle();
+
+    // No deadline is pending, so only the submit's own wake can get this
+    // request served.
+    auto late = act_inside_block_window(server, [&] {
+        return std::async(std::launch::async,
+                          [&] { return server.submit(spec, sample(1)); });
+    });
+    ASSERT_TRUE(late.valid());
+    std::future<serve::Result> result = late.get();
+    ASSERT_EQ(result.wait_for(std::chrono::seconds(10)), std::future_status::ready)
+        << "a submit made while the coalescer went to sleep was never served";
+    EXPECT_EQ(result.get().status, serve::Status::kOk);
+    server.stop(true);
+}
+
+TEST_F(ServeEndToEnd, StopInsideTheBlockWindowReturns) {
+    auto registry = make_registry();
+    const serve::ModelSpec spec{"lenet", "mul8u_acc", "v0"};
+    registry.acquire(spec);
+    serve::ServeConfig sc;
+    sc.workers = 1;
+    serve::InferenceServer server(registry, sc);
+    ASSERT_EQ(server.submit(spec, sample(0)).get().status, serve::Status::kOk);
+    settle();
+
+    auto stopped = act_inside_block_window(server, [&] {
+        return std::async(std::launch::async, [&] { server.stop(true); });
+    });
+    ASSERT_TRUE(stopped.valid());
+    EXPECT_EQ(stopped.wait_for(std::chrono::seconds(10)), std::future_status::ready)
+        << "stop() issued while the coalescer went to sleep never returned";
+}
+
+TEST_F(ServeEndToEnd, CappedLaneIsWokenByItsFreedSlot) {
+    auto registry = make_registry();
+    const serve::ModelSpec spec{"lenet", "mul8u_acc", "v0"};
+    registry.acquire(spec);
+    serve::ServeConfig sc;
+    sc.workers = 2;
+    sc.max_batch = 1;
+    sc.deadline_us = 0;
+    sc.model_concurrency = 1; // every pending request waits on a freed slot
+    serve::InferenceServer server(registry, sc);
+    std::vector<std::future<serve::Result>> futures;
+    for (std::int64_t i = 0; i < 64; ++i)
+        futures.push_back(server.submit(spec, sample(i % 8)));
+    for (auto& f : futures) {
+        ASSERT_EQ(f.wait_for(std::chrono::seconds(10)), std::future_status::ready)
+            << "a lane held at its in-flight cap was never woken";
+        EXPECT_EQ(f.get().status, serve::Status::kOk);
+    }
+    server.stop(true);
+    EXPECT_EQ(server.stats().served, 64);
+}
+
+TEST_F(ServeEndToEnd, SingleClientClosedLoopNeverLosesAWake) {
+    auto registry = make_registry();
+    const serve::ModelSpec spec{"lenet", "mul8u_acc", "v0"};
+    registry.acquire(spec);
+    serve::ServeConfig sc;
+    sc.workers = 2;
+    sc.deadline_us = 0; // each lone request flushes at once
+    serve::InferenceServer server(registry, sc);
+    // One request in flight at a time: every submit lands while the
+    // coalescer is idle or on its way to sleep, and nothing else would wake
+    // it. No rescue: a lost wake shows as a watchdog failure.
+    constexpr int kRequests = 20000;
+    for (int i = 0; i < kRequests; ++i) {
+        std::future<serve::Result> f = server.submit(spec, sample(i % 8));
+        ASSERT_EQ(f.wait_for(std::chrono::seconds(10)), std::future_status::ready)
+            << "request " << i << " lost its wake";
+        ASSERT_EQ(f.get().status, serve::Status::kOk) << "request " << i;
+    }
+    server.stop(true);
+    EXPECT_EQ(server.stats().served, kRequests);
 }
 
 TEST_F(ServeEndToEnd, LoadGenReportsServedTraffic) {

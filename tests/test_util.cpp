@@ -202,24 +202,10 @@ TEST(Bits, SignExtend) {
 } // namespace
 
 #include "util/logging.hpp"
-#include "util/stopwatch.hpp"
 
 namespace {
 
 using namespace amret::util;
-
-TEST(Stopwatch, MeasuresElapsedTime) {
-    Stopwatch sw;
-    // Busy-wait a tiny amount of work.
-    double sink = 0.0;
-    for (int i = 0; i < 100000; ++i) sink += static_cast<double>(i) * 1e-9;
-    EXPECT_GT(sink, 0.0); // keeps the busy-wait observable
-    EXPECT_GE(sw.seconds(), 0.0);
-    EXPECT_GE(sw.millis(), sw.seconds() * 1000.0 - 1e-6);
-    const double before = sw.seconds();
-    sw.restart();
-    EXPECT_LE(sw.seconds(), before + 1.0);
-}
 
 TEST(Logging, ThresholdFiltersLevels) {
     const LogLevel keep = log_level();

@@ -118,6 +118,68 @@ void dump_depthwise() {
     print("dw.gb", hash_tensor(dw.bias.grad));
 }
 
+/// Upstream gradient with exact zeros mixed into randn: every third element
+/// is +0.0f and every fifth (of the rest) -0.0f, so a kernel that skips or
+/// re-signs g == 0 terms changes bits.
+tensor::Tensor zero_mixed_grad(const tensor::Shape& shape, util::Rng& rng) {
+    tensor::Tensor g = tensor::Tensor::randn(shape, rng);
+    for (std::int64_t i = 0; i < g.numel(); ++i) {
+        if (i % 3 == 0)
+            g[i] = 0.0f;
+        else if (i % 5 == 0)
+            g[i] = -0.0f;
+    }
+    return g;
+}
+
+/// Two forward/backward steps through one context on fresh inputs, so the
+/// second step's weight and bias gradients accumulate into the first's.
+/// Prints the second step's y and gx and the accumulated gw and gb.
+template <class Layer>
+void dump_two_steps(const std::string& tag, Layer& layer,
+                    const tensor::Shape& xshape, std::uint64_t seed) {
+    nn::Context ctx;
+    util::Rng rng(seed);
+    tensor::Tensor y, gx;
+    for (int step = 0; step < 2; ++step) {
+        const tensor::Tensor x = tensor::Tensor::randn(xshape, rng);
+        y = layer.forward(x, ctx);
+        gx = layer.backward(zero_mixed_grad(y.shape(), rng), ctx);
+    }
+    std::printf("// %s (two steps)\n", tag.c_str());
+    print((tag + ".y").c_str(), hash_tensor(y));
+    print((tag + ".gx").c_str(), hash_tensor(gx));
+    print((tag + ".gw").c_str(), hash_tensor(layer.weight.grad));
+    print((tag + ".gb").c_str(), hash_tensor(layer.bias.grad));
+}
+
+void dump_two_step_layers() {
+    {
+        util::Rng wrng(717);
+        approx::DepthwiseConv2d dw(6, 3, 2, 1, wrng);
+        dw.set_multiplier(make_config("mul8u_rm8"));
+        dw.set_mode(approx::ComputeMode::kQuantized);
+        dump_two_steps("dw_s2", dw, tensor::Shape{2, 6, 9, 7}, 818);
+    }
+    {
+        util::Rng wrng(727);
+        approx::DepthwiseConv2d dw(5, 3, 1, 1, wrng);
+        dump_two_steps("fdw", dw, tensor::Shape{2, 5, 9, 7}, 828);
+    }
+    {
+        util::Rng wrng(737);
+        approx::DepthwiseConv2d dw(5, 3, 2, 1, wrng);
+        dump_two_steps("fdw_s2", dw, tensor::Shape{2, 5, 9, 7}, 838);
+    }
+    {
+        util::Rng wrng(747);
+        approx::ApproxConv2d conv(3, 8, 3, 2, 1, wrng);
+        conv.set_multiplier(make_config("mul8u_rm8"));
+        conv.set_mode(approx::ComputeMode::kQuantized);
+        dump_two_steps("conv_s2", conv, tensor::Shape{2, 3, 9, 7}, 848);
+    }
+}
+
 void dump_engine() {
     data::SyntheticConfig dc;
     dc.num_classes = 4;
@@ -156,6 +218,7 @@ int main() {
     dump_float_conv();
     dump_linear();
     dump_depthwise();
+    dump_two_step_layers();
     dump_engine();
     return 0;
 }
