@@ -82,6 +82,8 @@ AMRET_THREADS=1 ./build/tests/test_layout
 AMRET_THREADS=8 ./build/tests/test_layout
 AMRET_THREADS=1 ./build/tests/test_simd
 AMRET_THREADS=8 ./build/tests/test_simd
+AMRET_THREADS=1 ./build/tests/test_gemm
+AMRET_THREADS=8 ./build/tests/test_gemm
 end_stage
 
 # Re-run the SIMD bitwise-equivalence suite with dispatch capped at each ISA
@@ -92,17 +94,18 @@ begin_stage "SIMD bitwise equivalence at every supported dispatch cap"
 for isa in scalar ssse3 avx2 avx512; do
   if ./build/tools/amret_cli simd-info --check "$isa"; then
     AMRET_SIMD="$isa" ./build/tests/test_simd
+    AMRET_SIMD="$isa" ./build/tests/test_gemm
   else
     echo "this machine lacks $isa; skipping AMRET_SIMD=$isa leg"
   fi
 done
 end_stage
 
-begin_stage "parallel trainer + obs + serve + depthwise + layout + simd + assignment under ThreadSanitizer"
+begin_stage "parallel trainer + obs + serve + depthwise + layout + simd + assignment + gemm under ThreadSanitizer"
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs" \
   --target test_train_parallel test_obs test_serve test_depthwise test_layout \
-  test_simd test_assignment
+  test_simd test_assignment test_gemm
 AMRET_THREADS=8 TSAN_OPTIONS=halt_on_error=1 \
   ./build-tsan/tests/test_train_parallel --gtest_filter='TrainerDeterminism.*'
 AMRET_THREADS=8 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_obs
@@ -111,6 +114,7 @@ AMRET_THREADS=8 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_depthwise
 AMRET_THREADS=8 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_layout
 AMRET_THREADS=8 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_simd
 AMRET_THREADS=8 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_assignment
+AMRET_THREADS=8 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_gemm
 end_stage
 
 begin_stage "bench_micro smoke (--quick; fails on crash only)"

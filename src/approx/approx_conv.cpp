@@ -1,6 +1,7 @@
 #include "approx/approx_conv.hpp"
 
 #include "approx/depthwise.hpp"
+#include "kernels/gemm.hpp"
 #include "kernels/im2col.hpp"
 #include "kernels/lut_kernels.hpp"
 #include "kernels/tuning.hpp"
@@ -92,16 +93,11 @@ Tensor ApproxConv2d::backward(const Tensor& gy, nn::Context& ctx) {
 
 Tensor ApproxConv2d::forward_float(const Tensor& x, State& st, nn::Context&) {
     st.cols = kernels::im2col(x, st.geom);
-    const Tensor w2d = weight.value.reshaped(Shape{out_ch_, st.geom.patch()});
-    Tensor po = tensor::matmul_nt(st.cols, w2d); // (P, O)
-    runtime::parallel_for(0, po.dim(0),
-                          runtime::grain_for(po.dim(0), tune::kGrainCopyRows),
-                          [&](std::int64_t pb, std::int64_t pe) {
-        for (std::int64_t pidx = pb; pidx < pe; ++pidx) {
-            float* row = po.data() + pidx * out_ch_;
-            for (std::int64_t c = 0; c < out_ch_; ++c) row[c] += bias.value[c];
-        }
-    });
+    const std::int64_t positions = st.geom.positions();
+    Tensor po(Shape{positions, out_ch_});
+    st.ws.reset();
+    kernels::gemm_nt(st.cols.data(), weight.value.data(), positions, out_ch_,
+                     st.geom.patch(), po.data(), st.ws, {bias.value.data(), false});
     Tensor y(Shape{st.geom.batch, out_ch_, st.geom.out_h(), st.geom.out_w()});
     kernels::scatter_positions(po.data(), st.geom.batch, out_ch_, st.geom.out_h(),
                                st.geom.out_w(), y.data());
@@ -109,18 +105,22 @@ Tensor ApproxConv2d::forward_float(const Tensor& x, State& st, nn::Context&) {
 }
 
 Tensor ApproxConv2d::backward_float(const Tensor& gy, State& st, nn::Context& ctx) {
-    Tensor gyp(Shape{st.geom.positions(), out_ch_});
+    const std::int64_t positions = st.geom.positions(), patch = st.geom.patch();
+    Tensor gyp(Shape{positions, out_ch_});
     kernels::gather_positions(gy.data(), st.geom.batch, out_ch_, st.geom.out_h(),
                               st.geom.out_w(), gyp.data());
     // Bias gradient: column sums of gyp.
-    kernels::accumulate_bias_grad(gyp.data(), st.geom.positions(), out_ch_,
+    kernels::accumulate_bias_grad(gyp.data(), positions, out_ch_,
                                   ctx.grad(bias).data());
-    // dW = gyp^T @ cols, reshaped to (O, C, K, K).
-    Tensor dw2d = tensor::matmul_tn(gyp, st.cols); // (O, patch)
-    ctx.grad(weight).add_(dw2d.reshaped(weight.value.shape()));
+    // dW = gyp^T @ cols, (O, patch) laid out as (O, C, K, K).
+    Tensor dw(weight.value.shape());
+    kernels::gemm_tn(gyp.data(), st.cols.data(), out_ch_, patch, positions,
+                     dw.data());
+    ctx.grad(weight).add_(dw);
     // dx = col2im(gyp @ W).
-    const Tensor w2d = weight.value.reshaped(Shape{out_ch_, st.geom.patch()});
-    const Tensor dcols = tensor::matmul(gyp, w2d); // (P, patch)
+    Tensor dcols(Shape{positions, patch});
+    kernels::gemm_nn(gyp.data(), weight.value.data(), positions, patch, out_ch_,
+                     dcols.data());
     return kernels::col2im(dcols, st.geom);
 }
 
@@ -359,10 +359,10 @@ Tensor ApproxLinear::forward(const Tensor& x, nn::Context& ctx) {
     st.batch = x.dim(0);
     if (mode_ == ComputeMode::kFloat) {
         st.x = x;
-        Tensor y = tensor::matmul_nt(x, weight.value);
-        for (std::int64_t i = 0; i < y.dim(0); ++i)
-            for (std::int64_t j = 0; j < out_features_; ++j)
-                y[i * out_features_ + j] += bias.value[j];
+        Tensor y(Shape{st.batch, out_features_});
+        st.ws.reset();
+        kernels::gemm_nt(x.data(), weight.value.data(), st.batch, out_features_,
+                         in_features_, y.data(), st.ws, {bias.value.data(), false});
         return y;
     }
 
@@ -435,9 +435,14 @@ Tensor ApproxLinear::backward(const Tensor& gy, nn::Context& ctx) {
                                   ctx.grad(bias).data());
 
     if (mode_ == ComputeMode::kFloat) {
-        Tensor dw = tensor::matmul_tn(gy, st.x);
+        Tensor dw(weight.value.shape());
+        kernels::gemm_tn(gy.data(), st.x.data(), out_features_, in_features_,
+                         st.batch, dw.data());
         ctx.grad(weight).add_(dw);
-        return tensor::matmul(gy, weight.value);
+        Tensor dx(Shape{st.batch, in_features_});
+        kernels::gemm_nn(gy.data(), weight.value.data(), st.batch, in_features_,
+                         out_features_, dx.data());
+        return dx;
     }
 
     const float scale_x = st.xq.params.scale;

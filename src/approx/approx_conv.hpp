@@ -106,7 +106,7 @@ private:
     struct State {
         tensor::ConvGeom geom;
         tensor::Tensor cols;                  // float mode: (P, patch)
-        kernels::Workspace ws;                // quant mode scratch arena
+        kernels::Workspace ws;                // scratch arena (float mode: packed weights)
         kernels::QuantView xq;                // quant mode: codes of cols
         kernels::QuantView wq;                // quant mode: codes of weights
         float* wscale_per_o = nullptr;        // per-channel row scales (ws-backed)
@@ -166,7 +166,7 @@ public:
 private:
     struct State {
         tensor::Tensor x;       // float mode cache
-        kernels::Workspace ws;  // quant mode scratch arena (DESIGN.md §10)
+        kernels::Workspace ws;  // scratch arena (DESIGN.md §10)
         kernels::QuantView xq;
         kernels::QuantView wq;
         std::int64_t batch = 0;

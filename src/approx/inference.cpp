@@ -1,5 +1,6 @@
 #include "approx/inference.hpp"
 
+#include "kernels/gemm.hpp"
 #include "kernels/im2col.hpp"
 #include "kernels/layout.hpp"
 #include "kernels/lut_kernels.hpp"
@@ -24,8 +25,11 @@ struct IntInferenceEngine::Op {
     virtual ~Op() = default;
     /// \p ws is the engine's scratch arena, reset before each op.
     virtual QTensor run(const QTensor& in, kernels::Workspace& ws) const = 0;
-    /// Float twin used during calibration; updates recorded ranges.
-    virtual tensor::Tensor run_float(const tensor::Tensor& in) = 0;
+    /// Float twin used during calibration; updates recorded ranges. \p ws is
+    /// the calibration pass's scratch arena (packed weights); the op may
+    /// reset it.
+    virtual tensor::Tensor run_float(const tensor::Tensor& in,
+                                     kernels::Workspace& ws) = 0;
 };
 
 namespace {
@@ -67,17 +71,14 @@ struct ConvOp final : IntInferenceEngine::Op {
     kernels::PanelPlan wplan;
     std::vector<std::uint32_t> wq_panels;
 
-    tensor::Tensor run_float(const tensor::Tensor& x) override {
+    tensor::Tensor run_float(const tensor::Tensor& x,
+                             kernels::Workspace& ws) override {
         tensor::ConvGeom geom{x.dim(0), in_ch, x.dim(2), x.dim(3), kernel, stride, pad};
         const tensor::Tensor cols = kernels::im2col(x, geom);
-        tensor::Tensor po = tensor::matmul_nt(
-            cols, folded_w.reshaped(tensor::Shape{out_ch, geom.patch()}));
-        for (std::int64_t p = 0; p < po.dim(0); ++p)
-            for (std::int64_t o = 0; o < out_ch; ++o) {
-                float v = po[p * out_ch + o] + folded_b[o];
-                if (relu) v = std::max(v, 0.0f);
-                po[p * out_ch + o] = v;
-            }
+        tensor::Tensor po(tensor::Shape{geom.positions(), out_ch}); // post-ReLU
+        ws.reset();
+        kernels::gemm_nt(cols.data(), folded_w.data(), geom.positions(), out_ch,
+                         geom.patch(), po.data(), ws, {folded_b.data(), relu});
         // Track output range for requantization.
         const float lo = po.min(), hi = po.max();
         if (!calibrated) {
@@ -88,13 +89,9 @@ struct ConvOp final : IntInferenceEngine::Op {
             out_lo = std::min(out_lo, lo);
             out_hi = std::max(out_hi, hi);
         }
-        // Back to NCHW.
         tensor::Tensor y(tensor::Shape{x.dim(0), out_ch, geom.out_h(), geom.out_w()});
-        const std::int64_t spatial = geom.out_h() * geom.out_w();
-        for (std::int64_t n = 0; n < x.dim(0); ++n)
-            for (std::int64_t s = 0; s < spatial; ++s)
-                for (std::int64_t o = 0; o < out_ch; ++o)
-                    y[(n * out_ch + o) * spatial + s] = po[(n * spatial + s) * out_ch + o];
+        kernels::scatter_positions(po.data(), x.dim(0), out_ch, geom.out_h(),
+                                   geom.out_w(), y.data());
         return y;
     }
 
@@ -284,7 +281,7 @@ struct ConvOp final : IntInferenceEngine::Op {
 struct MaxPoolOp final : IntInferenceEngine::Op {
     std::int64_t kernel = 2;
 
-    tensor::Tensor run_float(const tensor::Tensor& x) override {
+    tensor::Tensor run_float(const tensor::Tensor& x, kernels::Workspace&) override {
         nn::Context ctx;
         nn::MaxPool2d pool(kernel);
         return pool.forward(x, ctx);
@@ -342,7 +339,7 @@ struct AvgPoolOp final : IntInferenceEngine::Op {
     std::int64_t kernel = 2;
     bool global = false;
 
-    tensor::Tensor run_float(const tensor::Tensor& x) override {
+    tensor::Tensor run_float(const tensor::Tensor& x, kernels::Workspace&) override {
         nn::Context ctx;
         if (global) {
             nn::GlobalAvgPool pool;
@@ -506,9 +503,18 @@ IntInferenceEngine::IntInferenceEngine(nn::Sequential& model,
     if (head_linears.empty())
         throw std::invalid_argument("model has no classifier head");
 
+    // The head's weights are static: pack them into GEMM panels once.
     for (std::size_t i = 0; i < head_linears.size(); ++i) {
-        head_chain_.push_back(HeadLayer{head_linears[i].first, head_linears[i].second,
-                                        head_relu[i]});
+        const tensor::Tensor& w = head_linears[i].first;
+        HeadLayer layer;
+        layer.out = w.dim(0);
+        layer.in = w.dim(1);
+        layer.packed.resize(
+            static_cast<std::size_t>(kernels::gemm_packed_size(layer.out, layer.in)));
+        kernels::gemm_pack_b(w.data(), layer.out, layer.in, layer.packed.data());
+        layer.bias = head_linears[i].second;
+        layer.relu = head_relu[i];
+        head_chain_.push_back(std::move(layer));
     }
 
     // --- 2. Calibration ----------------------------------------------------
@@ -520,19 +526,26 @@ IntInferenceEngine::IntInferenceEngine(nn::Sequential& model,
                                 /*shuffle=*/false, 0);
         loader.start_epoch();
         data::Batch batch;
+        kernels::Workspace ws;
         std::int64_t used = 0;
         bool first = true;
         while (used < n_cal && loader.next(batch)) {
             if (first) {
                 in_lo = batch.images.min();
                 in_hi = batch.images.max();
+                in_c_ = batch.images.dim(1);
+                in_h_ = batch.images.dim(2);
+                in_w_ = batch.images.dim(3);
                 first = false;
             } else {
                 in_lo = std::min(in_lo, batch.images.min());
                 in_hi = std::max(in_hi, batch.images.max());
             }
             tensor::Tensor cur = batch.images;
-            for (auto& op : ops_) cur = op->run_float(cur);
+            for (auto& op : ops_) cur = op->run_float(cur, ws);
+            if (cur.numel() != cur.dim(0) * head_chain_.front().in)
+                throw std::invalid_argument(
+                    "calibration sample shape does not fit the classifier head");
             used += batch.images.dim(0);
         }
     }
@@ -687,6 +700,12 @@ tensor::Tensor IntInferenceEngine::forward(const tensor::Tensor& images) {
 void IntInferenceEngine::forward_into(const tensor::Tensor& images,
                                       kernels::Workspace& ws,
                                       tensor::Tensor& logits) const {
+    if (images.rank() != 4 || images.dim(1) != in_c_ || images.dim(2) != in_h_ ||
+        images.dim(3) != in_w_)
+        throw std::invalid_argument(
+            "engine input " + images.shape_str() + " does not match the (N, " +
+            std::to_string(in_c_) + ", " + std::to_string(in_h_) + ", " +
+            std::to_string(in_w_) + ") batches it was calibrated on");
     // One epoch per call: every intermediate activation and kernel scratch
     // buffer bumps out of \p ws, so a steady-state caller (e.g. a serving
     // worker reusing its workspace) allocates nothing on the heap. The epoch
@@ -701,11 +720,12 @@ void IntInferenceEngine::forward_into(const tensor::Tensor& images,
     if (logits.rank() != 2 || logits.dim(0) != q.n || logits.dim(1) != classes)
         logits = tensor::Tensor(tensor::Shape{q.n, classes});
 
-    // Dequantize and run the float head. Each output row is an independent
-    // fixed-order dot-product chain, so batched logits match single-sample
-    // calls bitwise. The flattened head input is always channel-major (the
-    // training-side Flatten order), so an NHWC-interleaved final activation
-    // is transposed back here at the integer/float boundary.
+    // Dequantize and run the float head through the float GEMM: each output
+    // is one fixed-order dot-product chain and rows are independent, so
+    // batched logits match single-sample calls bitwise. The flattened head
+    // input is always channel-major (the training-side Flatten order), so an
+    // NHWC-interleaved final activation is transposed back here at the
+    // integer/float boundary.
     std::int64_t cur_dim = q.c * q.h * q.w;
     float* cur = ws.alloc<float>(q.n * cur_dim);
     if (q.layout == kernels::ActivationLayout::kNHWC) {
@@ -725,25 +745,14 @@ void IntInferenceEngine::forward_into(const tensor::Tensor& images,
 
     for (std::size_t li = 0; li < head_chain_.size(); ++li) {
         const HeadLayer& layer = head_chain_[li];
-        const std::int64_t out = layer.weight.dim(0);
-        assert(layer.weight.dim(1) == cur_dim);
+        assert(layer.in == cur_dim);
         float* next = li + 1 == head_chain_.size()
                           ? logits.data()
-                          : ws.alloc<float>(q.n * out);
-        const float* w = layer.weight.data();
-        for (std::int64_t n = 0; n < q.n; ++n)
-            for (std::int64_t o = 0; o < out; ++o) {
-                const float* arow = cur + n * cur_dim;
-                const float* brow = w + o * cur_dim;
-                float acc = 0.0f;
-                for (std::int64_t k = 0; k < cur_dim; ++k)
-                    acc += arow[k] * brow[k];
-                float v = acc + layer.bias[o];
-                if (layer.relu) v = std::max(v, 0.0f);
-                next[n * out + o] = v;
-            }
+                          : ws.alloc<float>(q.n * layer.out);
+        kernels::gemm_nt_packed(cur, layer.packed.data(), q.n, layer.out, cur_dim,
+                                next, {layer.bias.data(), layer.relu});
         cur = next;
-        cur_dim = out;
+        cur_dim = layer.out;
     }
 }
 

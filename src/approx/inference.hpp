@@ -92,7 +92,9 @@ public:
     /// already matches, so a steady-state caller performs no heap allocation.
     /// Every kernel in the path is row-independent (integer ops + fixed-order
     /// float dot products in the head), so batched rows are bitwise-identical
-    /// to single-sample calls on the same inputs.
+    /// to single-sample calls on the same inputs. Throws std::invalid_argument,
+    /// before touching any buffer, unless \p images is (N, C, H, W) with the
+    /// calibration set's sample shape (input_channels() etc.).
     void forward_into(const tensor::Tensor& images, kernels::Workspace& ws,
                       tensor::Tensor& logits) const;
 
@@ -114,17 +116,23 @@ public:
     }
 
     /// Output width of the float classifier head.
-    [[nodiscard]] std::int64_t num_classes() const {
-        return head_chain_.back().weight.dim(0);
-    }
+    [[nodiscard]] std::int64_t num_classes() const { return head_chain_.back().out; }
+
+    /// Sample shape (C, H, W) of the calibration set, the only one
+    /// forward_into() accepts.
+    [[nodiscard]] std::int64_t input_channels() const { return in_c_; }
+    [[nodiscard]] std::int64_t input_height() const { return in_h_; }
+    [[nodiscard]] std::int64_t input_width() const { return in_w_; }
 
     struct Op; // public so op implementations can derive in the .cpp
 
 private:
-    /// Float classifier head: Linear (ReLU Linear)* chain copied at compile.
+    /// Float classifier head: Linear (ReLU Linear)* chain copied at compile,
+    /// each weight (out, in) packed once into float-GEMM panels.
     struct HeadLayer {
-        tensor::Tensor weight; // (out, in)
-        tensor::Tensor bias;   // (out)
+        std::int64_t out = 0, in = 0;
+        std::vector<float> packed; // kernels::gemm_pack_b of the weight
+        tensor::Tensor bias;       // (out)
         bool relu = false;
     };
 
@@ -132,6 +140,7 @@ private:
     std::vector<HeadLayer> head_chain_;
     std::shared_ptr<const analysis::Certificate> certificate_;
     unsigned act_bits_ = 8; ///< network-wide activation width (min LUT width)
+    std::int64_t in_c_ = 0, in_h_ = 0, in_w_ = 0; ///< calibration sample shape
     float input_scale_ = 1.0f;
     std::int32_t input_zero_ = 0;
     /// Kernel data layout, captured once at construction from layout_mode():

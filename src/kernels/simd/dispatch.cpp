@@ -252,4 +252,12 @@ void grad_w_row(const GradRowArgs& a) {
     }
 }
 
+void gemm_f32_rows(const GemmF32Args& g, std::int64_t r0, std::int64_t r1) {
+    switch (select()) {
+    case Isa::kAvx512: detail::gemm_f32_rows_avx512(g, r0, r1); return;
+    case Isa::kAvx2: detail::gemm_f32_rows_avx2(g, r0, r1); return;
+    default: detail::gemm_f32_rows_baseline(g, r0, r1); return;
+    }
+}
+
 } // namespace amret::kernels::simd

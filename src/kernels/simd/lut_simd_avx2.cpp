@@ -7,12 +7,15 @@
 ///     are widened, OR'd with the pre-shifted weight code and gathered from
 ///     the product LUT, accumulating in 4+4 independent int64 lanes;
 ///   - the backward row walk vectorizes across 8 depth lanes while the
-///     compacted nonzero-gradient replay stays serial per lane.
+///     compacted nonzero-gradient replay stays serial per lane;
+///   - the float GEMM's 4x16 register blocks (gemm_f32.inl) compile to
+///     two ymm vectors per block row.
 ///
 /// -ffp-contract=off is part of the numerical contract, not an
-/// optimization knob: the backward walk's multiply-then-add must round
-/// like the oracle's, so it may never be fused into an FMA. Its scalar
-/// tail lives in dispatch.cpp, which builds for the baseline target.
+/// optimization knob: the backward walk's and the float GEMM's
+/// multiply-then-add must round like the oracles', so they may never be
+/// fused into an FMA. The walk's scalar tail lives in dispatch.cpp, which
+/// builds for the baseline target.
 
 #include "kernels/simd/simd_internal.hpp"
 
@@ -23,6 +26,7 @@
 #include <algorithm>
 
 #include "kernels/simd/acc_panel_nibble.inl"
+#include "kernels/simd/gemm_f32.inl"
 
 namespace amret::kernels::simd::detail {
 
@@ -119,6 +123,10 @@ void grad_row_avx2(const GradRowArgs& a, std::int64_t kk0) {
     grad_row_scalar(a, kk0);
 }
 
+void gemm_f32_rows_avx2(const GemmF32Args& g, std::int64_t r0, std::int64_t r1) {
+    gemm_f32_rows_impl<4, 8>(g, r0, r1);
+}
+
 } // namespace amret::kernels::simd::detail
 
 #else // !defined(__AVX2__)
@@ -133,6 +141,8 @@ void acc_panel_nibble_avx2(const BlockedGemmArgs&, std::int64_t, std::int64_t,
 void acc_panel_gather_avx2(const BlockedGemmArgs&, std::int64_t, std::int64_t,
                            std::int64_t*) {}
 void grad_row_avx2(const GradRowArgs&, std::int64_t) {}
+
+void gemm_f32_rows_avx2(const GemmF32Args&, std::int64_t, std::int64_t) {}
 
 } // namespace amret::kernels::simd::detail
 

@@ -3,9 +3,10 @@
 ///
 /// The wide-operand forward and the backward row walk widen here: 16
 /// activation codes per forward gather into 8+8 int64 accumulator lanes,
-/// and 16 depth lanes per backward gather. The nibble path stays on the
-/// AVX2 byte-table copy (pshufb beats gathers for <=4-bit operands even at
-/// 512-bit width), routed by dispatch.cpp.
+/// and 16 depth lanes per backward gather. The float GEMM's 4x16 register
+/// blocks (gemm_f32.inl) compile to one zmm vector per block row. The
+/// nibble path stays on the AVX2 byte-table copy (pshufb beats gathers for
+/// <=4-bit operands even at 512-bit width), routed by dispatch.cpp.
 
 #include "kernels/simd/simd_internal.hpp"
 
@@ -14,6 +15,8 @@
 #include <immintrin.h>
 
 #include <algorithm>
+
+#include "kernels/simd/gemm_f32.inl"
 
 namespace amret::kernels::simd::detail {
 
@@ -131,6 +134,10 @@ void grad_row_avx512(const GradRowArgs& a) {
     grad_row_avx2(a, kk0); // at most one 8-lane step, then the scalar tail
 }
 
+void gemm_f32_rows_avx512(const GemmF32Args& g, std::int64_t r0, std::int64_t r1) {
+    gemm_f32_rows_impl<4, 16>(g, r0, r1);
+}
+
 } // namespace amret::kernels::simd::detail
 
 #else // !defined(__AVX512F__)
@@ -143,6 +150,8 @@ bool compiled_avx512() { return false; }
 void acc_panel_gather_avx512(const BlockedGemmArgs&, std::int64_t,
                              std::int64_t, std::int64_t*) {}
 void grad_row_avx512(const GradRowArgs&) {}
+
+void gemm_f32_rows_avx512(const GemmF32Args&, std::int64_t, std::int64_t) {}
 
 } // namespace amret::kernels::simd::detail
 

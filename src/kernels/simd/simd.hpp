@@ -23,6 +23,10 @@
 ///     every gx/gw element performs the scalar oracle's float additions in
 ///     the scalar oracle's order.
 ///
+/// The float GEMM of the float path (kernels/gemm.hpp) has its register
+/// blocks here too: one source compiled per level at the level's native
+/// vector width (gemm_f32_rows).
+///
 /// Dispatch contract (DESIGN.md section 17). select() probes the CPU once
 /// (SSSE3 / AVX2 / AVX-512F via cpuid) and honours AMRET_SIMD=
 /// scalar|ssse3|avx2|avx512 as a *cap*: requesting a level the machine or
@@ -93,7 +97,7 @@ void set_isa_for_test(Isa isa);
 void clear_isa_override();
 
 // ---------------------------------------------------------------- seams ----
-// Called by the kernels in lut_kernels.
+// Called by the kernels in lut_kernels and gemm.
 
 /// Fills the int64 accumulator tile of block (rb, ob):
 /// acc[oo * x.plan.tr + pp] = sum_k LUT[w, x] over the real depth extent,
@@ -132,5 +136,20 @@ struct GradRowArgs {
 /// (kernels.simd.grad_{x,w}_blocks.<isa>).
 void grad_x_row(const GradRowArgs& a);
 void grad_w_row(const GradRowArgs& a);
+
+/// Operands of the float GEMM's row walk (kernels::gemm_nt_packed).
+struct GemmF32Args {
+    const float* a = nullptr;      ///< (m, k) row-major
+    const float* packed = nullptr; ///< B (n, k) in 16-column k-major panels
+    const float* bias = nullptr;   ///< (n), or nullptr for no bias
+    bool relu = false;
+    std::int64_t n = 0, k = 0;
+    float* c = nullptr; ///< (m, n) row-major, written
+};
+
+/// Rows [r0, r1) of c with the widest copy the selected level has: the
+/// AVX-512 or AVX2 leaf, else the baseline copy in kernels/gemm.cpp. All
+/// copies compile one source (gemm_f32.inl) and give identical bits.
+void gemm_f32_rows(const GemmF32Args& g, std::int64_t r0, std::int64_t r1);
 
 } // namespace amret::kernels::simd

@@ -59,4 +59,11 @@ void grad_row_avx512(const GradRowArgs& a);
 /// an FMA.
 void grad_row_scalar(const GradRowArgs& a, std::int64_t kk0);
 
+// Float GEMM row walks (contract of simd::gemm_f32_rows), one copy of
+// gemm_f32.inl per level: 4-row blocks in the AVX TUs, 2-row blocks in the
+// baseline copy, which kernels/gemm.cpp defines.
+void gemm_f32_rows_avx512(const GemmF32Args& g, std::int64_t r0, std::int64_t r1);
+void gemm_f32_rows_avx2(const GemmF32Args& g, std::int64_t r0, std::int64_t r1);
+void gemm_f32_rows_baseline(const GemmF32Args& g, std::int64_t r0, std::int64_t r1);
+
 } // namespace amret::kernels::simd::detail

@@ -1,5 +1,7 @@
 #include "nn/layers.hpp"
 
+#include "kernels/gemm.hpp"
+
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -18,25 +20,30 @@ Linear::Linear(std::int64_t in_features, std::int64_t out_features, util::Rng& r
 
 Tensor Linear::forward(const Tensor& x, Context& ctx) {
     assert(x.rank() == 2 && x.dim(1) == weight.value.dim(1));
-    ctx.state<State>(*this).x = x;
-    Tensor y = tensor::matmul_nt(x, weight.value); // (N, out)
-    const std::int64_t n = y.dim(0), out = y.dim(1);
-    for (std::int64_t i = 0; i < n; ++i)
-        for (std::int64_t j = 0; j < out; ++j) y[i * out + j] += bias.value[j];
+    State& st = ctx.state<State>(*this);
+    st.x = x;
+    const std::int64_t n = x.dim(0), in = x.dim(1), out = weight.value.dim(0);
+    Tensor y(Shape{n, out});
+    st.ws.reset();
+    kernels::gemm_nt(x.data(), weight.value.data(), n, out, in, y.data(), st.ws,
+                     {bias.value.data(), false});
     return y;
 }
 
 Tensor Linear::backward(const Tensor& gy, Context& ctx) {
     const State& st = ctx.state<State>(*this);
     assert(gy.rank() == 2 && gy.dim(0) == st.x.dim(0));
+    const std::int64_t n = gy.dim(0), out = gy.dim(1), in = st.x.dim(1);
     // dW = gy^T x, db = column sums, dx = gy W.
-    Tensor dw = tensor::matmul_tn(gy, st.x); // (out, in)
+    Tensor dw(weight.value.shape());
+    kernels::gemm_tn(gy.data(), st.x.data(), out, in, n, dw.data());
     ctx.grad(weight).add_(dw);
     Tensor& bg = ctx.grad(bias);
-    const std::int64_t n = gy.dim(0), out = gy.dim(1);
     for (std::int64_t i = 0; i < n; ++i)
         for (std::int64_t j = 0; j < out; ++j) bg[j] += gy[i * out + j];
-    return tensor::matmul(gy, weight.value); // (N, in)
+    Tensor dx(Shape{n, in});
+    kernels::gemm_nn(gy.data(), weight.value.data(), n, in, out, dx.data());
+    return dx;
 }
 
 void Linear::collect_params(std::vector<Param*>& out) {

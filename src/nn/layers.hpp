@@ -11,6 +11,7 @@
 /// only parameters and persistent statistics, so they are re-entrant.
 #pragma once
 
+#include "kernels/workspace.hpp"
 #include "nn/module.hpp"
 
 #include <cstdint>
@@ -36,6 +37,7 @@ public:
 private:
     struct State {
         tensor::Tensor x;
+        kernels::Workspace ws; ///< forward scratch: the packed weight panels
     };
 };
 

@@ -50,8 +50,8 @@ struct ModelSpec {
 };
 
 /// One resident model: the compiled engine plus the serving-side metadata
-/// the coalescer needs (per-model in-flight batch count, the sample-shape
-/// contract established by the first request).
+/// the coalescer needs (the per-model in-flight batch count). Requests must
+/// match the engine's calibrated sample shape (input_channels() etc.).
 struct Resident {
     ModelSpec spec;
     std::string key;
@@ -59,11 +59,6 @@ struct Resident {
 
     /// Batches currently dispatched to workers (per-model concurrency cap).
     std::atomic<std::int64_t> inflight_batches{0};
-
-    /// Sample shape contract (C, H, W), fixed by the first submitted
-    /// request; later requests must match. Guarded by meta_mutex.
-    std::mutex meta_mutex;
-    std::int64_t c = 0, h = 0, w = 0;
 };
 
 /// Registry statistics snapshot.

@@ -171,26 +171,16 @@ std::future<Result> InferenceServer::submit(const ModelSpec& spec,
         return immediate(std::move(fail));
     }
 
-    // Validate the sample shape against the model's contract (fixed by the
-    // first request this resident sees).
+    // Validate the sample shape against the engine's calibrated one.
     std::int64_t c = 0, h = 0, w = 0;
     if (input.rank() == 3) {
         c = input.dim(0), h = input.dim(1), w = input.dim(2);
     } else if (input.rank() == 4 && input.dim(0) == 1) {
         c = input.dim(1), h = input.dim(2), w = input.dim(3);
     }
-    bool shape_ok = c > 0 && h > 0 && w > 0;
-    if (shape_ok) {
-        std::lock_guard<std::mutex> lock(resident->meta_mutex);
-        if (resident->c == 0) {
-            resident->c = c;
-            resident->h = h;
-            resident->w = w;
-        } else {
-            shape_ok = resident->c == c && resident->h == h && resident->w == w;
-        }
-    }
-    if (!shape_ok) {
+    const approx::IntInferenceEngine& engine = *resident->engine;
+    if (c != engine.input_channels() || h != engine.input_height() ||
+        w != engine.input_width()) {
         bad_requests_.fetch_add(1, std::memory_order_relaxed);
         fail.status = Status::kBadRequest;
         return immediate(std::move(fail));
@@ -465,16 +455,14 @@ void InferenceServer::worker_loop(Worker& self) {
 void InferenceServer::run_batch(Batch& batch, Worker& self) {
     AMRET_OBS_SPAN("serve.worker.batch");
     const std::int64_t n = static_cast<std::int64_t>(batch.items.size());
-    std::int64_t c, h, w;
-    {
-        std::lock_guard<std::mutex> lock(batch.resident->meta_mutex);
-        c = batch.resident->c;
-        h = batch.resident->h;
-        w = batch.resident->w;
-    }
+    const approx::IntInferenceEngine& engine = *batch.resident->engine;
+    const std::int64_t c = engine.input_channels(), h = engine.input_height(),
+                       w = engine.input_width();
     const std::int64_t sample = c * h * w;
-    if (self.input.rank() != 4 || self.input.dim(0) != n ||
-        self.input.numel() != n * sample)
+    // Reused only at the same (N, C, H, W): forward_into checks the dims,
+    // not just the element count.
+    if (self.input.rank() != 4 || self.input.dim(0) != n || self.input.dim(1) != c ||
+        self.input.dim(2) != h || self.input.dim(3) != w)
         self.input = tensor::Tensor(tensor::Shape{n, c, h, w});
     for (std::int64_t i = 0; i < n; ++i)
         std::memcpy(self.input.data() + i * sample,
@@ -482,7 +470,7 @@ void InferenceServer::run_batch(Batch& batch, Worker& self) {
                     static_cast<std::size_t>(sample) * sizeof(float));
 
     try {
-        batch.resident->engine->forward_into(self.input, self.ws, self.logits);
+        engine.forward_into(self.input, self.ws, self.logits);
     } catch (const std::exception&) {
         errors_.fetch_add(n, std::memory_order_relaxed);
         AMRET_OBS_COUNT("serve.errors", n);

@@ -2,10 +2,10 @@
 /// \brief Dense row-major float tensor used by the retraining framework.
 ///
 /// A deliberately small tensor: contiguous float storage, shape metadata,
-/// and the handful of kernels the DNN stack needs (GEMM, reductions,
-/// elementwise ops). NCHW layout throughout. Substitutes the role PyTorch
-/// plays in the paper's framework. The conv layout transforms (im2col /
-/// col2im) live in src/kernels.
+/// reductions and elementwise ops. NCHW layout throughout. Substitutes the
+/// role PyTorch plays in the paper's framework. The kernels that compute on
+/// tensors live in src/kernels: the float GEMMs (kernels/gemm.hpp) and the
+/// conv layout transforms (im2col / col2im).
 #pragma once
 
 #include "util/rng.hpp"
@@ -76,15 +76,6 @@ private:
     Shape shape_;
     std::vector<float> data_;
 };
-
-/// c = a @ b for a: (m, k), b: (k, n). Accumulates in float.
-Tensor matmul(const Tensor& a, const Tensor& b);
-
-/// c = a^T @ b for a: (k, m), b: (k, n).
-Tensor matmul_tn(const Tensor& a, const Tensor& b);
-
-/// c = a @ b^T for a: (m, k), b: (n, k).
-Tensor matmul_nt(const Tensor& a, const Tensor& b);
 
 /// Geometry of a conv/im2col transform.
 struct ConvGeom {

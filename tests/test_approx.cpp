@@ -2,6 +2,8 @@
 // invariant: with the EXACT multiplier LUT and STE gradients, the quantized
 // integer path must equal a float convolution over fake-quantized tensors,
 // in both forward and backward — this pins Eq. (8) and Eq. (9) end to end.
+#include "gemm_oracle.hpp"
+
 #include "approx/approx_conv.hpp"
 #include "kernels/im2col.hpp"
 #include "kernels/lut_kernels.hpp"
@@ -167,7 +169,7 @@ ConvRefResult fake_quant_conv_reference(const Tensor& x, const Tensor& w,
     const Tensor cols = kernels::im2col(fqx, geom);
     const std::int64_t out_ch = w.dim(0);
     const Tensor w2d = fqw.reshaped(Shape{out_ch, geom.patch()});
-    Tensor po = tensor::matmul_nt(cols, w2d);
+    Tensor po = gemm_oracle::matmul_nt(cols, w2d);
     for (std::int64_t p = 0; p < po.dim(0); ++p)
         for (std::int64_t o = 0; o < out_ch; ++o) po[p * out_ch + o] += b[o];
 
@@ -182,8 +184,8 @@ ConvRefResult fake_quant_conv_reference(const Tensor& x, const Tensor& w,
                 gyp[(n * oh * ow + s) * out_ch + o] = gy[(n * out_ch + o) * oh * ow + s];
             }
 
-    ref.gw = tensor::matmul_tn(gyp, cols).reshaped(w.shape());
-    ref.gx = kernels::col2im(tensor::matmul(gyp, w2d), geom);
+    ref.gw = gemm_oracle::matmul_tn(gyp, cols).reshaped(w.shape());
+    ref.gx = kernels::col2im(gemm_oracle::matmul(gyp, w2d), geom);
     ref.gb = Tensor(Shape{out_ch});
     for (std::int64_t p = 0; p < gyp.dim(0); ++p)
         for (std::int64_t o = 0; o < out_ch; ++o) ref.gb[o] += gyp[p * out_ch + o];
@@ -347,7 +349,7 @@ TEST(ApproxLinear, QuantizedEqualsFakeQuantReference) {
     const auto xp = quant::choose_params(x.min(), x.max(), 8);
     const Tensor fqw = quant::fake_quantize(lin.weight.value, wp);
     const Tensor fqx = quant::fake_quantize(x, xp);
-    Tensor ref = tensor::matmul_nt(fqx, fqw);
+    Tensor ref = gemm_oracle::matmul_nt(fqx, fqw);
     for (std::int64_t i = 0; i < 3; ++i)
         for (std::int64_t j = 0; j < 4; ++j) ref[i * 4 + j] += lin.bias.value[j];
     for (std::int64_t i = 0; i < y.numel(); ++i) ASSERT_NEAR(y[i], ref[i], 2e-3f);
@@ -360,7 +362,7 @@ TEST(ApproxLinear, FloatModeMatchesManual) {
     lin.set_mode(ComputeMode::kFloat);
     const Tensor x = Tensor::randn(Shape{2, 3}, rng);
     const Tensor y = lin.forward(x, ctx);
-    Tensor ref = tensor::matmul_nt(x, lin.weight.value);
+    Tensor ref = gemm_oracle::matmul_nt(x, lin.weight.value);
     for (std::int64_t i = 0; i < 2; ++i)
         for (std::int64_t j = 0; j < 2; ++j) ref[i * 2 + j] += lin.bias.value[j];
     for (std::int64_t i = 0; i < y.numel(); ++i) EXPECT_NEAR(y[i], ref[i], 1e-5f);
@@ -510,7 +512,7 @@ TEST(PerChannel, ExactPathEqualsPerChannelFakeQuantReference) {
     const Tensor fqx = quant::fake_quantize(x, xp);
     tensor::ConvGeom geom{2, 3, 5, 5, 3, 1, 1};
     const Tensor cols = kernels::im2col(fqx, geom);
-    Tensor po = tensor::matmul_nt(cols, fqw.reshaped(Shape{5, 27}));
+    Tensor po = gemm_oracle::matmul_nt(cols, fqw.reshaped(Shape{5, 27}));
     for (std::int64_t p = 0; p < po.dim(0); ++p)
         for (std::int64_t o = 0; o < 5; ++o) po[p * 5 + o] += conv.bias.value[o];
 
@@ -593,7 +595,7 @@ TEST(PerChannel, BackwardStaysConsistentWithFakeQuantReference) {
     for (std::int64_t o = 0; o < 3; ++o)
         for (std::int64_t s = 0; s < 25; ++s) gyp[s * 3 + o] = gy[o * 25 + s];
     const Tensor ref_gx =
-        kernels::col2im(tensor::matmul(gyp, fqw.reshaped(Shape{3, 18})), geom);
+        kernels::col2im(gemm_oracle::matmul(gyp, fqw.reshaped(Shape{3, 18})), geom);
     for (std::int64_t i = 0; i < gx.numel(); ++i)
         ASSERT_NEAR(gx[i], ref_gx[i], 2e-3f) << i;
 }

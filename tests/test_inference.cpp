@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 namespace {
 
@@ -125,6 +126,84 @@ TEST(IntInference, LogitsCorrelateWithFloatModel) {
         nb += static_cast<double>(fq_logits[i]) * fq_logits[i];
     }
     EXPECT_GT(dot / std::sqrt(na * nb), 0.95);
+}
+
+/// An untrained 16x16 LeNet engine calibrated on 16x16 RGB samples.
+struct ShapeFixture {
+    data::DatasetPair data;
+    std::unique_ptr<nn::Sequential> model;
+    std::unique_ptr<IntInferenceEngine> engine;
+
+    ShapeFixture() {
+        data::SyntheticConfig dc;
+        dc.num_classes = 4;
+        dc.height = dc.width = 16;
+        dc.train_samples = 16;
+        dc.test_samples = 8;
+        data = data::make_synthetic(dc);
+        models::ModelConfig mc;
+        mc.in_size = 16;
+        mc.num_classes = 4;
+        mc.width_mult = 0.5f;
+        model = train::make_model("lenet", mc);
+        model->set_training(false);
+        engine = std::make_unique<IntInferenceEngine>(*model, data.train, 16);
+    }
+};
+
+TEST(IntInference, RecordsCalibrationSampleShape) {
+    const ShapeFixture f;
+    EXPECT_EQ(f.engine->input_channels(), 3);
+    EXPECT_EQ(f.engine->input_height(), 16);
+    EXPECT_EQ(f.engine->input_width(), 16);
+}
+
+TEST(IntInference, ForwardIntoRejectsWrongShapeBeforeTouchingMemory) {
+    const ShapeFixture f;
+    util::Rng rng(5);
+    kernels::Workspace ws;
+    tensor::Tensor logits;
+    const tensor::Tensor good = tensor::Tensor::randn(tensor::Shape{2, 3, 16, 16}, rng);
+    f.engine->forward_into(good, ws, logits);
+    const tensor::Tensor expected = logits;
+
+    // A larger image once read past the head weight; a wrong channel count
+    // past the activation.
+    for (const tensor::Shape& bad :
+         {tensor::Shape{1, 3, 32, 32}, tensor::Shape{1, 3, 8, 8},
+          tensor::Shape{1, 3, 16, 8}, tensor::Shape{1, 1, 16, 16},
+          tensor::Shape{1, 4, 16, 16}, tensor::Shape{3, 16, 16},
+          tensor::Shape{2, 768}}) {
+        const tensor::Tensor x = tensor::Tensor::randn(bad, rng);
+        EXPECT_THROW(f.engine->forward_into(x, ws, logits), std::invalid_argument)
+            << x.shape_str();
+    }
+    // The output was left alone, and the engine still serves its shape.
+    const auto same = [&](const tensor::Tensor& t) {
+        return t.shape() == expected.shape() &&
+               std::memcmp(t.data(), expected.data(),
+                           static_cast<std::size_t>(t.numel()) * sizeof(float)) == 0;
+    };
+    EXPECT_TRUE(same(logits));
+    tensor::Tensor again;
+    f.engine->forward_into(good, ws, again);
+    EXPECT_TRUE(same(again));
+}
+
+TEST(IntInference, RejectsCalibrationSetThatDoesNotFitTheHead) {
+    data::SyntheticConfig dc;
+    dc.num_classes = 4;
+    dc.height = dc.width = 8;
+    dc.train_samples = 8;
+    dc.test_samples = 4;
+    const auto pair = data::make_synthetic(dc);
+    models::ModelConfig mc;
+    mc.in_size = 16; // head sized for 16x16 inputs
+    mc.num_classes = 4;
+    mc.width_mult = 0.5f;
+    auto model = train::make_model("lenet", mc);
+    model->set_training(false);
+    EXPECT_THROW(IntInferenceEngine(*model, pair.train, 8), std::invalid_argument);
 }
 
 TEST(IntInference, RejectsResidualTopology) {

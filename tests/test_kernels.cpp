@@ -427,6 +427,14 @@ const std::map<std::string, std::uint64_t> kGolden = {
     {"fdw_s2.gw", 0x1aa7e10133b56e3bull},  {"fdw_s2.gb", 0xdef674873fc82b6aull},
     {"conv_s2.y", 0x280b7f1ee84b16adull},  {"conv_s2.gx", 0xeb137868aba669ebull},
     {"conv_s2.gw", 0xe8f868ff85c3890bull}, {"conv_s2.gb", 0xf23f63d5b9ea1314ull},
+    // Float GEMM shapes with row and column tails and a two-layer engine
+    // head, captured from the naive dot-product loops the float GEMM
+    // replaced.
+    {"flinear.y", 0x1061bdc2fa446471ull},     {"flinear.gx", 0x92880c7c8397c7fbull},
+    {"flinear.gw", 0xf2e169494ae8fa9cull},    {"flinear.gb", 0x60258df5864ca7e1ull},
+    {"fconv_wide.y", 0x71be94b5064a4e1cull},  {"fconv_wide.gx", 0x6966478d0864c420ull},
+    {"fconv_wide.gw", 0x4c21ede8ba105706ull}, {"fconv_wide.gb", 0x94166c6c7a1c66adull},
+    {"engine_head.logits", 0xd03ec856d684bd99ull},
 };
 
 void expect_golden(const std::string& key, std::uint64_t h) {
@@ -584,6 +592,19 @@ TEST(Golden, QuantizedConvStrideTwo) {
     golden_two_steps("conv_s2", conv, Shape{2, 3, 9, 7}, 848);
 }
 
+TEST(Golden, FloatLinear) {
+    util::Rng wrng(757);
+    nn::Linear linear(37, 20, wrng);
+    golden_two_steps("flinear", linear, Shape{7, 37}, 858);
+}
+
+TEST(Golden, FloatConvWide) {
+    util::Rng wrng(767);
+    approx::ApproxConv2d conv(5, 20, 3, 1, 1, wrng);
+    conv.set_mode(approx::ComputeMode::kFloat);
+    golden_two_steps("fconv_wide", conv, Shape{3, 5, 9, 7}, 868);
+}
+
 TEST(Golden, IntInferenceEngine) {
     data::SyntheticConfig dc;
     dc.num_classes = 4;
@@ -609,6 +630,37 @@ TEST(Golden, IntInferenceEngine) {
     const Tensor images = Tensor::randn(Shape{3, 3, 8, 8}, xrng);
     const Tensor logits = engine.forward(images);
     expect_golden("engine.logits", hash_tensor(logits));
+}
+
+TEST(Golden, IntInferenceEngineTwoLayerHead) {
+    data::SyntheticConfig dc;
+    dc.num_classes = 4;
+    dc.height = dc.width = 8;
+    dc.train_samples = 40;
+    dc.test_samples = 8;
+    dc.noise_stddev = 0.3f;
+    dc.seed = 78;
+    const auto pair = data::make_synthetic(dc);
+
+    util::Rng rng(1212);
+    nn::Sequential model;
+    auto* conv = model.emplace<approx::ApproxConv2d>(3, 20, 3, 1, 1, rng);
+    model.emplace<nn::ReLU>();
+    model.emplace<nn::MaxPool2d>(2);
+    model.emplace<approx::ApproxConv2d>(20, 6, 3, 1, 1, rng);
+    model.emplace<nn::Flatten>();
+    model.emplace<nn::Linear>(6 * 4 * 4, 24, rng);
+    model.emplace<nn::ReLU>();
+    model.emplace<nn::Linear>(24, 4, rng);
+    conv->set_multiplier(golden_config("mul8u_17C8"));
+    model.set_training(false);
+
+    // 40 calibration samples: the loader yields batches of 32 and 8.
+    approx::IntInferenceEngine engine(model, pair.train, 40);
+    util::Rng xrng(1313);
+    const Tensor images = Tensor::randn(Shape{5, 3, 8, 8}, xrng);
+    const Tensor logits = engine.forward(images);
+    expect_golden("engine_head.logits", hash_tensor(logits));
 }
 
 } // namespace

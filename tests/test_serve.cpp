@@ -430,6 +430,84 @@ TEST_F(ServeEndToEnd, BadShapeAndUnknownModelAreTyped) {
     EXPECT_EQ(server.stats().load_failures, 1);
 }
 
+TEST_F(ServeEndToEnd, WrongShapedFirstRequestDoesNotFixTheShape) {
+    // The engine's calibrated shape is the contract, not the first request:
+    // a malformed first request is refused and later well-formed ones run.
+    auto registry = make_registry();
+    const serve::ModelSpec spec{"lenet", "mul8u_acc", "v0"};
+    serve::InferenceServer server(registry, serve::ServeConfig{});
+    const tensor::Tensor good = sample(3);
+    for (const tensor::Shape& bad :
+         {tensor::Shape{1, good.dim(1), 2 * good.dim(2), 2 * good.dim(3)},
+          tensor::Shape{1, good.dim(1) + 1, good.dim(2), good.dim(3)}}) {
+        EXPECT_EQ(server.submit(spec, tensor::Tensor(bad)).get().status,
+                  serve::Status::kBadRequest);
+    }
+    const serve::Result r = server.submit(spec, good).get();
+    ASSERT_EQ(r.status, serve::Status::kOk);
+
+    auto engine = load_engine(spec);
+    kernels::Workspace ws;
+    tensor::Tensor expected;
+    engine->forward_into(good, ws, expected);
+    EXPECT_TRUE(bitwise_equal(r.logits, expected));
+    server.stop(true);
+    EXPECT_EQ(server.stats().bad_requests, 2);
+}
+
+TEST(ServeShapes, OneWorkerAlternatesEqualSizeModelsOfDifferentShape) {
+    // Samples of (3, 8, 8) and (12, 4, 4) hold the same number of floats; a
+    // worker alternating between the two models must not hand one model's
+    // reused input buffer, shaped for the other, to forward_into.
+    struct Model {
+        data::DatasetPair data;
+        std::unique_ptr<nn::Sequential> net;
+        std::shared_ptr<approx::IntInferenceEngine> engine;
+    };
+    const auto make = [](std::int64_t channels, std::int64_t size) {
+        Model m;
+        data::SyntheticConfig dc;
+        dc.num_classes = 4;
+        dc.channels = channels;
+        dc.height = dc.width = size;
+        dc.train_samples = 16;
+        dc.test_samples = 4;
+        m.data = data::make_synthetic(dc);
+        models::ModelConfig mc;
+        mc.in_channels = channels;
+        mc.in_size = size;
+        mc.num_classes = 4;
+        mc.width_mult = 0.5f;
+        m.net = train::make_model("lenet", mc);
+        m.net->set_training(false);
+        m.engine = std::make_shared<approx::IntInferenceEngine>(*m.net, m.data.train, 16);
+        return m;
+    };
+    const Model a = make(3, 8), b = make(12, 4);
+    serve::ModelRegistry registry(
+        [&](const serve::ModelSpec& spec) { return spec.model == "a" ? a.engine : b.engine; },
+        4);
+    serve::ServeConfig sc;
+    sc.workers = 1;
+    serve::InferenceServer server(registry, sc);
+    for (int round = 0; round < 3; ++round) {
+        for (const Model* m : {&a, &b}) {
+            const auto& test = m->data.test;
+            tensor::Tensor x(tensor::Shape{1, test.channels, test.height, test.width});
+            std::copy_n(test.images.data(), test.sample_numel(), x.data());
+            const serve::Result r =
+                server.submit({m == &a ? "a" : "b", "", ""}, x).get();
+            ASSERT_EQ(r.status, serve::Status::kOk) << "round " << round;
+            const tensor::Tensor want = m->engine->forward(x);
+            ASSERT_EQ(r.logits.numel(), want.numel());
+            EXPECT_EQ(std::memcmp(r.logits.data(), want.data(),
+                                  static_cast<std::size_t>(want.numel()) * sizeof(float)),
+                      0);
+        }
+    }
+    server.stop(true);
+}
+
 TEST_F(ServeEndToEnd, ConcurrentClientsTwoModelsStayDeterministic) {
     auto registry = make_registry();
     const serve::ModelSpec specs[2] = {{"lenet", "mul8u_acc", "v0"},

@@ -1,6 +1,8 @@
-// Tests for the tensor kernels: GEMM variants, im2col/col2im, reductions.
-// (im2col/col2im now live in src/kernels but are tested here alongside the
-// GEMMs they feed.)
+// Tests for the tensor type and the conv layout transforms: reductions,
+// elementwise ops, im2col/col2im. (im2col/col2im live in src/kernels; the
+// GEMMs they feed are tested in test_gemm.cpp.)
+#include "gemm_oracle.hpp"
+
 #include "kernels/im2col.hpp"
 #include "tensor/tensor.hpp"
 
@@ -14,19 +16,6 @@ using namespace amret;
 using tensor::ConvGeom;
 using tensor::Shape;
 using tensor::Tensor;
-
-Tensor naive_matmul(const Tensor& a, const Tensor& b) {
-    const std::int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-    Tensor c(Shape{m, n});
-    for (std::int64_t i = 0; i < m; ++i)
-        for (std::int64_t j = 0; j < n; ++j) {
-            float acc = 0.0f;
-            for (std::int64_t kk = 0; kk < k; ++kk)
-                acc += a[i * k + kk] * b[kk * n + j];
-            c[i * n + j] = acc;
-        }
-    return c;
-}
 
 TEST(Tensor, ConstructionAndFill) {
     Tensor t(Shape{2, 3});
@@ -75,36 +64,6 @@ TEST(Tensor, HeInitScale) {
     util::Rng rng(4);
     const Tensor t = Tensor::he_init(Shape{64, 50}, 50, rng);
     EXPECT_NEAR(t.rms(), std::sqrt(2.0f / 50.0f), 0.01f);
-}
-
-TEST(Matmul, MatchesNaive) {
-    util::Rng rng(5);
-    const Tensor a = Tensor::randn(Shape{7, 11}, rng);
-    const Tensor b = Tensor::randn(Shape{11, 5}, rng);
-    const Tensor c = tensor::matmul(a, b);
-    const Tensor ref = naive_matmul(a, b);
-    for (std::int64_t i = 0; i < c.numel(); ++i) EXPECT_NEAR(c[i], ref[i], 1e-4);
-}
-
-TEST(Matmul, TransposedVariantsAgree) {
-    util::Rng rng(6);
-    const Tensor a = Tensor::randn(Shape{6, 9}, rng);  // (m, k)
-    const Tensor b = Tensor::randn(Shape{9, 4}, rng);  // (k, n)
-    const Tensor c = tensor::matmul(a, b);
-
-    // a^T stored as (k, m): matmul_tn(aT, b) == a b.
-    Tensor at(Shape{9, 6});
-    for (std::int64_t i = 0; i < 6; ++i)
-        for (std::int64_t k = 0; k < 9; ++k) at[k * 6 + i] = a[i * 9 + k];
-    const Tensor c_tn = tensor::matmul_tn(at, b);
-    for (std::int64_t i = 0; i < c.numel(); ++i) EXPECT_NEAR(c_tn[i], c[i], 1e-4);
-
-    // b^T stored as (n, k): matmul_nt(a, bT) == a b.
-    Tensor bt(Shape{4, 9});
-    for (std::int64_t k = 0; k < 9; ++k)
-        for (std::int64_t j = 0; j < 4; ++j) bt[j * 9 + k] = b[k * 4 + j];
-    const Tensor c_nt = tensor::matmul_nt(a, bt);
-    for (std::int64_t i = 0; i < c.numel(); ++i) EXPECT_NEAR(c_nt[i], c[i], 1e-4);
 }
 
 TEST(Im2col, IdentityKernelReproducesInput) {
@@ -166,7 +125,7 @@ TEST(Im2col, ConvViaGemmMatchesDirectConv) {
 
     const Tensor cols = kernels::im2col(x, geom);
     const Tensor w2d = wt.reshaped(Shape{o, c * k * k});
-    const Tensor y = tensor::matmul_nt(cols, w2d); // (P, O)
+    const Tensor y = gemm_oracle::matmul_nt(cols, w2d); // (P, O)
 
     // Direct convolution reference.
     for (std::int64_t oy = 0; oy < h; ++oy) {

@@ -2,8 +2,8 @@
 /// \brief Prints the golden FNV-1a hashes pinned by tests/test_kernels.cpp.
 ///
 /// The kernel-layer golden test asserts that ApproxConv2d / ApproxLinear /
-/// DepthwiseConv2d / IntInferenceEngine outputs are bitwise-identical to the
-/// pre-refactor implementations on fixed seeds. This tool regenerates the
+/// DepthwiseConv2d / nn::Linear / IntInferenceEngine outputs are
+/// bitwise-identical to the pre-refactor implementations on fixed seeds. This tool regenerates the
 /// expected hashes; run it on a known-good build and paste its output into
 /// the kGolden table of test_kernels.cpp if a deliberate numerical change is
 /// ever made (the determinism contract makes the hashes thread-count
@@ -178,6 +178,20 @@ void dump_two_step_layers() {
         conv.set_mode(approx::ComputeMode::kQuantized);
         dump_two_steps("conv_s2", conv, tensor::Shape{2, 3, 9, 7}, 848);
     }
+    {
+        // Float GEMM shapes with row and column tails: 7 rows, 20 outputs
+        // (one full 16-wide panel plus 4), depth 37.
+        util::Rng wrng(757);
+        nn::Linear linear(37, 20, wrng);
+        dump_two_steps("flinear", linear, tensor::Shape{7, 37}, 858);
+    }
+    {
+        // 189 positions x 20 outputs over depth 45.
+        util::Rng wrng(767);
+        approx::ApproxConv2d conv(5, 20, 3, 1, 1, wrng);
+        conv.set_mode(approx::ComputeMode::kFloat);
+        dump_two_steps("fconv_wide", conv, tensor::Shape{3, 5, 9, 7}, 868);
+    }
 }
 
 void dump_engine() {
@@ -210,6 +224,40 @@ void dump_engine() {
     print("engine.logits", hash_tensor(logits));
 }
 
+/// An engine whose float head has two layers and a hidden ReLU, calibrated
+/// on 40 samples so the calibration loader yields batches of 32 and 8.
+void dump_engine_head() {
+    data::SyntheticConfig dc;
+    dc.num_classes = 4;
+    dc.height = dc.width = 8;
+    dc.train_samples = 40;
+    dc.test_samples = 8;
+    dc.noise_stddev = 0.3f;
+    dc.seed = 78;
+    const auto pair = data::make_synthetic(dc);
+
+    util::Rng rng(1212);
+    nn::Sequential model;
+    auto* conv = model.emplace<approx::ApproxConv2d>(3, 20, 3, 1, 1, rng);
+    model.emplace<nn::ReLU>();
+    model.emplace<nn::MaxPool2d>(2);
+    model.emplace<approx::ApproxConv2d>(20, 6, 3, 1, 1, rng);
+    model.emplace<nn::Flatten>();
+    model.emplace<nn::Linear>(6 * 4 * 4, 24, rng);
+    model.emplace<nn::ReLU>();
+    model.emplace<nn::Linear>(24, 4, rng);
+    conv->set_multiplier(make_config("mul8u_17C8"));
+    model.set_training(false);
+
+    approx::IntInferenceEngine engine(model, pair.train, 40);
+    util::Rng xrng(1313);
+    const tensor::Tensor images =
+        tensor::Tensor::randn(tensor::Shape{5, 3, 8, 8}, xrng);
+    const tensor::Tensor logits = engine.forward(images);
+    std::printf("// int inference engine, two-layer head\n");
+    print("engine_head.logits", hash_tensor(logits));
+}
+
 } // namespace
 
 int main() {
@@ -220,5 +268,6 @@ int main() {
     dump_depthwise();
     dump_two_step_layers();
     dump_engine();
+    dump_engine_head();
     return 0;
 }
