@@ -25,11 +25,13 @@
 ///                   leg) per ISA against the scalar-dispatch blocked
 ///                   kernel, a quantized-conv end-to-end number and a
 ///                   per-ISA lut_backward_rows leg against the
-///                   lut_backward oracle — all with bitwise-equality
-///                   flags. Run by scripts/check.sh and the bench-smoke
-///                   workflow; scripts/check_bench.py gates the
-///                   simd_vs_blocked_speedup field against the committed
-///                   baseline.
+///                   lut_backward oracle and a narrow-position leg
+///                   (VGG19-slim's last convs at batch 1, P = 1 and 4)
+///                   against the scalar block loop — all with
+///                   bitwise-equality flags. Run by scripts/check.sh and
+///                   the bench-smoke workflow; scripts/check_bench.py
+///                   gates the simd_vs_blocked_speedup field against the
+///                   committed baseline.
 #include "amret.hpp"
 
 #include "kernels/simd/simd.hpp"
@@ -660,12 +662,73 @@ std::string backward_leg_json(int iters, bool* all_eq) {
     return j + "\n  }";
 }
 
+/// The "narrow_positions" leg of BENCH_kernels.json: VGG19-slim's last-conv
+/// GEMMs at batch 1 (o=128, k=1152, p=4 at 2x2 and p=1 at 1x1), whose
+/// position blocks are narrower than a vector. Times lut_forward_blocked
+/// per supported dispatch level (the output-channel-lane leaf above
+/// scalar) and memcmps each against the scalar block loop. Clears *all_eq
+/// on any mismatch.
+std::string narrow_leg_json(int iters, bool* all_eq) {
+    const std::int64_t o = 128, k = 1152;
+    const kernels::Tuning& tiles = kernels::Tuning::current();
+    std::string j = "  \"narrow_positions\": {\n    \"o\": 128, \"k\": 1152, \"bits\": 8";
+    bool eq_all = true;
+    char buf[256];
+    for (const std::int64_t p : {std::int64_t{1}, std::int64_t{4}}) {
+        SweepGemm g(o, p, k);
+        kernels::Workspace pack_ws, ws;
+        kernels::BlockedGemmArgs b;
+        b.bits = g.args.bits;
+        b.lut = g.args.lut;
+        b.w = kernels::pack_weight_panels(
+            g.wq.data(), b.bits, kernels::make_panel_plan(o, k, tiles.to, tiles.tk),
+            pack_ws);
+        b.x = kernels::pack_activation_panels(
+            g.xq.data(), kernels::make_panel_plan(p, k, tiles.tp, tiles.tk), pack_ws);
+        b.o = o;
+        b.p = p;
+        b.k = k;
+        b.scale_w = g.args.scale_w;
+        b.scale_x = g.args.scale_x;
+        b.zero_w = g.args.zero_w;
+        b.zero_x = g.args.zero_x;
+        std::vector<float> y_ref(g.y.size()), y(g.y.size());
+        std::snprintf(buf, sizeof(buf), ",\n    \"p%lld\": {", static_cast<long long>(p));
+        j += buf;
+        for (const auto isa : supported_isas()) {
+            const bool scalar = isa == kernels::simd::Isa::kScalar;
+            float* out = scalar ? y_ref.data() : y.data();
+            kernels::simd::set_isa_for_test(isa);
+            const double ms = time_ms_best(iters, [&] {
+                ws.reset();
+                kernels::lut_forward_blocked(b, nullptr, out, ws);
+            });
+            kernels::simd::clear_isa_override();
+            const bool eq =
+                scalar ||
+                std::memcmp(y.data(), y_ref.data(), y.size() * sizeof(float)) == 0;
+            eq_all = eq_all && eq;
+            const char* name = kernels::simd::isa_name(isa);
+            std::snprintf(buf, sizeof(buf), "%s\"%s_ms\": %.4f", scalar ? "" : ", ",
+                          name, ms);
+            j += buf;
+            std::printf("narrow p=%lld [%s]: %.4f ms, bitwise_equal=%d\n",
+                        static_cast<long long>(p), name, ms, eq ? 1 : 0);
+        }
+        j += "}";
+    }
+    *all_eq = *all_eq && eq_all;
+    return j + ",\n    \"narrow_bitwise_equal\": " + (eq_all ? "true" : "false") +
+           "\n  }";
+}
+
 /// Emits results/BENCH_kernels.json: LUT-GEMM forward throughput of the
 /// blocked and tiled kernels against the row-streaming baseline, a
-/// quantized-conv end-to-end scalar-vs-blocked comparison and the backward
-/// leg (backward_leg_json). Every leg carries
-/// a bitwise-equality flag; a false flag fails the run (a perf shortfall
-/// only prints — machine-dependent numbers should not gate CI).
+/// quantized-conv end-to-end scalar-vs-blocked comparison, the backward
+/// leg (backward_leg_json) and the narrow-position leg (narrow_leg_json).
+/// Every leg carries a bitwise-equality flag; a false flag fails the run (a
+/// perf shortfall only prints — machine-dependent numbers should not gate
+/// CI).
 int run_kernels_json() {
     const int iters = 20;
 
@@ -803,7 +866,7 @@ int run_kernels_json() {
     kernels::ActPanels x4 = kernels::pack_activation_panels(
         xq4.data(), kernels::make_panel_plan(g.args.p, g.args.k, 16, tiles.tk),
         pack_ws);
-    kernels::attach_packed4(x4, 4, pack_ws);
+    kernels::attach_packed4(x4, 4, pack_ws, 1);
     bargs4.x = x4;
     bargs4.o = g.args.o;
     bargs4.p = g.args.p;
@@ -867,6 +930,8 @@ int run_kernels_json() {
 
     bool backward_eq = true;
     const std::string backward_json = backward_leg_json(5, &backward_eq);
+    bool narrow_eq = true;
+    const std::string narrow_json = narrow_leg_json(iters, &narrow_eq);
 
     std::filesystem::create_directories("results");
     std::FILE* f = std::fopen("results/BENCH_kernels.json", "w");
@@ -897,6 +962,7 @@ int run_kernels_json() {
         "    \"blocked_vs_scalar_speedup\": %.3f,\n"
         "    \"bitwise_equal\": %s\n"
         "  },\n"
+        "%s,\n"
         "%s\n"
         "}\n",
         static_cast<long long>(g.args.o), static_cast<long long>(g.args.p),
@@ -906,7 +972,7 @@ int run_kernels_json() {
         rowstream_ms / tiled_ms, rowstream_ms / blocked_ms,
         tiled_eq ? "true" : "false", blocked_eq ? "true" : "false",
         simd_json.c_str(), conv_ms[0], conv_ms[1], conv_ms[0] / conv_ms[1],
-        conv_eq ? "true" : "false", backward_json.c_str());
+        conv_eq ? "true" : "false", backward_json.c_str(), narrow_json.c_str());
     std::fclose(f);
 
     std::printf("lut_gemm forward (o=%lld p=%lld k=%lld): rowstream %.3f ms, "
@@ -920,7 +986,8 @@ int run_kernels_json() {
     std::printf("simd best: %s at %.2fx vs scalar-dispatch blocked\n",
                 best_overall.c_str(), best_overall_speedup);
     std::printf("wrote results/BENCH_kernels.json\n");
-    if (!tiled_eq || !blocked_eq || !conv_eq || !simd_all_eq || !backward_eq) {
+    if (!tiled_eq || !blocked_eq || !conv_eq || !simd_all_eq || !backward_eq ||
+        !narrow_eq) {
         std::fprintf(stderr, "BENCH_kernels: bitwise equality violated\n");
         return 1;
     }

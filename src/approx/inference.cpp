@@ -190,9 +190,15 @@ struct ConvOp final : IntInferenceEngine::Op {
             const kernels::Tuning& tiles = kernels::Tuning::current();
             const kernels::PanelPlan xplan =
                 kernels::make_panel_plan(positions, patch, tiles.tp, wplan.tk);
+            // Packer and GEMM share chunks of whole position blocks, each
+            // worth at least tune::kMinChunkWork lookups (a block is
+            // tr * O * K), so a conv with less work runs on the caller.
+            const std::int64_t nblocks = xplan.row_blocks();
+            const std::int64_t grain =
+                kernels::chunk_grain(nblocks, xplan.tr * out_ch * patch);
             const kernels::ActPanels xpan = kernels::pack_im2col_panels_u8(
                 x.data, geom, x.layout, static_cast<std::uint16_t>(x.zero),
-                xplan, ws, bits);
+                xplan, ws, bits, grain);
 
             kernels::BlockedGemmArgs args;
             args.bits = bits;
@@ -205,9 +211,7 @@ struct ConvOp final : IntInferenceEngine::Op {
             args.zero_w = zero_w;
             args.zero_x = x.zero;
 
-            const std::int64_t nblocks = xplan.row_blocks();
             const std::int64_t acc_elems = xplan.tr * wplan.tr;
-            const std::int64_t grain = runtime::grain_for(nblocks, 1);
             const std::int64_t chunks = runtime::chunk_count(0, nblocks, grain);
             std::int64_t* acc = ws.alloc<std::int64_t>(chunks * acc_elems);
             runtime::parallel_for_chunks(0, nblocks, grain,

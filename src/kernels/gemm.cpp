@@ -6,6 +6,7 @@
 #include "kernels/gemm.hpp"
 
 #include "kernels/simd/simd_internal.hpp"
+#include "kernels/tuning.hpp"
 #include "obs/trace.hpp"
 #include "runtime/parallel.hpp"
 
@@ -22,28 +23,13 @@ void simd::detail::gemm_f32_rows_baseline(const simd::GemmF32Args& g,
 
 namespace {
 
-/// Multiply-adds below which a parallel chunk costs more to dispatch than
-/// it saves: a call smaller than this (e.g. a batch-1 head) runs serially
-/// on the caller.
-constexpr std::int64_t kMinChunkMacs = std::int64_t{1} << 18;
-
 /// Side of gemm_tn's square output tile (16 KB of float accumulators).
 constexpr std::int64_t kTnTile = 64;
 
-/// Items per parallel chunk for \p count items of \p item_macs
-/// multiply-adds each, a multiple of \p align. A pure function of the
-/// shape, as the runtime's determinism contract asks; outputs are
-/// independent, so the split never changes a bit either way.
-std::int64_t chunk_grain(std::int64_t count, std::int64_t item_macs,
-                         std::int64_t align) {
-    const std::int64_t min_items =
-        std::max<std::int64_t>(1, kMinChunkMacs / std::max<std::int64_t>(1, item_macs));
-    const std::int64_t g = runtime::grain_for(count, min_items);
-    return (g + align - 1) / align * align;
-}
-
-/// fn(begin, end) over chunks of [0, count) at \p grain; one direct call
-/// when a single chunk covers every item.
+/// fn(begin, end) over chunks of [0, count) at \p grain (chunk_grain, so a
+/// call under tune::kMinChunkWork multiply-adds, e.g. a batch-1 head, is one
+/// chunk); one direct call when a single chunk covers every item. Outputs
+/// are independent, so the split never changes a bit.
 template <class Fn>
 void for_chunks(std::int64_t count, std::int64_t grain, const Fn& fn) {
     if (count <= 0) return;

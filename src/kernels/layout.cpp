@@ -202,7 +202,8 @@ ActPanels pack_activation_panels(const std::uint16_t* xq, const PanelPlan& plan,
     return x;
 }
 
-void attach_packed4(ActPanels& x, unsigned bits, Workspace& ws) {
+void attach_packed4(ActPanels& x, unsigned bits, Workspace& ws,
+                    std::int64_t grain) {
     const PanelPlan& plan = x.plan;
     if (bits > 4 || plan.tr % 16 != 0) return;
     AMRET_OBS_SPAN("kernels.pack_nibbles");
@@ -210,7 +211,9 @@ void attach_packed4(ActPanels& x, unsigned bits, Workspace& ws) {
     const std::int64_t tr = plan.tr, tk = plan.tk;
     const std::int64_t half = plan.panel_elems() / 2;
     const std::int64_t npanels = plan.row_blocks() * plan.depth_blocks();
-    runtime::parallel_for(0, npanels, runtime::grain_for(npanels, 1),
+    // Panels are row-block-major, so chunks of whole row blocks are
+    // contiguous panel ranges.
+    runtime::parallel_for(0, npanels, grain * plan.depth_blocks(),
                           [&](std::int64_t b0, std::int64_t b1) {
         for (std::int64_t pi = b0; pi < b1; ++pi) {
             const std::uint16_t* src = x.codes + pi * plan.panel_elems();
@@ -271,7 +274,8 @@ ActPanels pack_im2col_panels_u8(const std::uint8_t* x,
                                 const tensor::ConvGeom& geom,
                                 ActivationLayout layout,
                                 std::uint16_t zero_point, const PanelPlan& plan,
-                                Workspace& ws, unsigned bits) {
+                                Workspace& ws, unsigned bits,
+                                std::int64_t grain) {
     AMRET_OBS_SPAN("kernels.im2col_panels");
     AMRET_OBS_COUNT("kernels.im2col.images", geom.batch);
     assert(plan.rows == geom.positions() && plan.depth == geom.patch());
@@ -284,15 +288,14 @@ ActPanels pack_im2col_panels_u8(const std::uint8_t* x,
         return static_cast<std::uint16_t>(x[i]);
     };
     auto pad = [zero_point](std::int64_t, std::int64_t) { return zero_point; };
-    const std::int64_t nblocks = plan.row_blocks();
-    runtime::parallel_for(0, nblocks, runtime::grain_for(nblocks, 1),
+    runtime::parallel_for(0, plan.row_blocks(), grain,
                           [&](std::int64_t b0, std::int64_t b1) {
         pack_rows_fused(plan, codes, sums, b0, b1,
                         im2col_row_taps(geom, layout, taps, at, pad));
     });
     out.codes = codes;
     out.sum_x = sums;
-    attach_packed4(out, bits, ws);
+    attach_packed4(out, bits, ws, grain);
     return out;
 }
 
@@ -327,14 +330,15 @@ ActPanels quantize_im2col_panels(const float* x, const tensor::ConvGeom& geom,
         return code0;
     };
     const std::int64_t nblocks = plan.row_blocks();
-    runtime::parallel_for(0, nblocks, runtime::grain_for(nblocks, 1),
+    const std::int64_t grain = runtime::grain_for(nblocks, 1);
+    runtime::parallel_for(0, nblocks, grain,
                           [&](std::int64_t b0, std::int64_t b1) {
         pack_rows_fused(plan, codes, sums, b0, b1,
                         im2col_row_taps(geom, ActivationLayout::kNCHW, taps, at, pad));
     });
     out.codes = codes;
     out.sum_x = sums;
-    attach_packed4(out, params.bits, ws);
+    attach_packed4(out, params.bits, ws, grain);
     return out;
 }
 
@@ -348,7 +352,8 @@ ActPanels quantize_into_panels(const float* src, const quant::QuantParams& param
     std::uint16_t* codes = ws.alloc<std::uint16_t>(plan.elems());
     std::int64_t* sums = ws.alloc<std::int64_t>(plan.rows);
     const std::int64_t nblocks = plan.row_blocks();
-    runtime::parallel_for(0, nblocks, runtime::grain_for(nblocks, 1),
+    const std::int64_t grain = runtime::grain_for(nblocks, 1);
+    runtime::parallel_for(0, nblocks, grain,
                           [&](std::int64_t b0, std::int64_t b1) {
         pack_rows_fused(plan, codes, sums, b0, b1, [&](std::int64_t row) {
             return [&, row](std::int64_t kk) -> std::uint16_t {
@@ -363,7 +368,7 @@ ActPanels quantize_into_panels(const float* src, const quant::QuantParams& param
     });
     out.codes = codes;
     out.sum_x = sums;
-    attach_packed4(out, params.bits, ws);
+    attach_packed4(out, params.bits, ws, grain);
     return out;
 }
 

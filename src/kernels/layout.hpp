@@ -117,8 +117,9 @@ struct ActPanels {
 /// Builds the nibble-packed mirror of \p x when eligible (bits <= 4 and
 /// plan.tr a multiple of 16; every code must already be < 2^bits) and
 /// attaches it as x.packed4. No-op — packed4 stays null — when ineligible.
-/// Parallel over panels.
-void attach_packed4(ActPanels& x, unsigned bits, Workspace& ws);
+/// Parallel over chunks of \p grain row blocks, the chunks its packer used.
+void attach_packed4(ActPanels& x, unsigned bits, Workspace& ws,
+                    std::int64_t grain);
 
 /// Packs row-major weight codes (rows = o, depth = k of \p plan) into
 /// caller storage: \p codes holds plan.elems() pre-shifted uint32 codes,
@@ -153,14 +154,17 @@ enum class ActivationLayout {
 /// feature map \p x (layout \p layout) under \p geom straight into
 /// zero-point-padded uint16 panels (plan rows = positions, depth = patch),
 /// computing the row-sum header on the fly. No intermediate
-/// (positions x patch) column buffer is materialized. Parallel over
-/// position blocks. \p bits is the operand width: <= 4-bit operands also
-/// get the nibble-packed mirror for the SIMD pshufb path (attach_packed4).
+/// (positions x patch) column buffer is materialized. Parallel over chunks
+/// of \p grain position blocks; the engine passes its GEMM's chunks, so a
+/// conv too small to split packs on the caller. \p bits is the operand
+/// width: <= 4-bit operands also get the nibble-packed mirror for the SIMD
+/// pshufb path (attach_packed4), on the same chunks.
 ActPanels pack_im2col_panels_u8(const std::uint8_t* x,
                                 const tensor::ConvGeom& geom,
                                 ActivationLayout layout,
                                 std::uint16_t zero_point, const PanelPlan& plan,
-                                Workspace& ws, unsigned bits = 8);
+                                Workspace& ws, unsigned bits,
+                                std::int64_t grain);
 
 /// Fused im2col + quantize + pack for the training path: gathers each float
 /// tap of the NCHW input (zero padding), quantizes it under \p params and

@@ -158,6 +158,13 @@ void lut_backward(const LutGemmArgs& args, const float* gyp,
 
 // ------------------------------------------------------ blocked kernels ----
 
+bool lut_fits_u8(const std::int32_t* lut, unsigned bits) {
+    if (bits > 4) return false;
+    const std::int64_t n = std::int64_t{1} << (2 * bits);
+    return std::all_of(lut, lut + n,
+                       [](std::int32_t v) { return v >= 0 && v <= 255; });
+}
+
 void accumulate_panel_block_scalar(const BlockedGemmArgs& a, std::int64_t rb,
                                    std::int64_t ob, std::int64_t* acc) {
     const PanelPlan& xp = a.x.plan;
@@ -184,9 +191,10 @@ void accumulate_panel_block_scalar(const BlockedGemmArgs& a, std::int64_t rb,
     }
 }
 
-void accumulate_panel_block(const BlockedGemmArgs& a, std::int64_t rb,
-                            std::int64_t ob, std::int64_t* acc) {
-    if (!simd::accumulate_panel(a, rb, ob, acc))
+void accumulate_panel_block(const BlockedGemmArgs& a, bool lut_u8,
+                            std::int64_t rb, std::int64_t ob,
+                            std::int64_t* acc) {
+    if (!simd::accumulate_panel(a, lut_u8, rb, ob, acc))
         accumulate_panel_block_scalar(a, rb, ob, acc);
 }
 

@@ -216,6 +216,13 @@ struct BlockedGemmArgs {
     }
 };
 
+/// True when \p bits <= 4 and every entry of the 2^(2*bits) product LUT fits
+/// uint8, the precondition of the SIMD pshufb path, whose in-register tables
+/// hold byte products. Scans at most 256 entries; wider tables return false
+/// without a scan. lut_gemm_blocked_tile reads it from the table once per
+/// call, so no verdict outlives the table it describes.
+bool lut_fits_u8(const std::int32_t* lut, unsigned bits);
+
 /// Fills the int64 accumulator tile of block (rb, ob) with the scalar panel
 /// loop: acc[oo * a.x.plan.tr + pp] = sum_k LUT[w, x] over the real rows and
 /// depth of the block (pad rows are left zero). This is the PR-8 loop and
@@ -232,11 +239,13 @@ void accumulate_panel_block_scalar(const BlockedGemmArgs& a, std::int64_t rb,
 /// Same contract, routed through the runtime SIMD dispatch
 /// (kernels::simd::select()): the fastest eligible vector kernel fills the
 /// tile, falling back to accumulate_panel_block_scalar when none applies.
-/// The forward accumulator is int64, so the result is bitwise-identical
-/// either way; SIMD kernels may additionally fill pad rows/lanes (callers'
+/// \p lut_u8 is lut_fits_u8(a.lut, a.bits). The forward accumulator is
+/// int64, so the result is bitwise-identical either way on the real rows;
+/// SIMD kernels may leave other values in pad rows/lanes (callers'
 /// epilogues never read them).
-void accumulate_panel_block(const BlockedGemmArgs& a, std::int64_t rb,
-                            std::int64_t ob, std::int64_t* acc);
+void accumulate_panel_block(const BlockedGemmArgs& a, bool lut_u8,
+                            std::int64_t rb, std::int64_t ob,
+                            std::int64_t* acc);
 
 /// Blocked integer GEMM core over position row-blocks [rb0, rb1) of
 /// a.x.plan. \p acc must hold a.x.plan.tr * a.w.plan.tr int64s. Serial —
@@ -251,13 +260,14 @@ void lut_gemm_blocked_tile(const BlockedGemmArgs& a, std::int64_t rb0,
     assert(xp.depth == wp.depth && xp.tk == wp.tk && "mismatched depth blocking");
     const std::int64_t tp = xp.tr, to = wp.tr;
     const std::int64_t oblocks = wp.row_blocks();
+    const bool lut_u8 = lut_fits_u8(a.lut, a.bits);
     for (std::int64_t rb = rb0; rb < rb1; ++rb) {
         const std::int64_t pr = xp.block_rows(rb);
         const std::int64_t pbase = rb * tp;
         for (std::int64_t ob = 0; ob < oblocks; ++ob) {
             const std::int64_t orr = wp.block_rows(ob);
             const std::int64_t obase = ob * to;
-            accumulate_panel_block(a, rb, ob, acc);
+            accumulate_panel_block(a, lut_u8, rb, ob, acc);
             for (std::int64_t pp = 0; pp < pr; ++pp) {
                 const std::int64_t sx = a.x.sum_x[pbase + pp];
                 for (std::int64_t oo = 0; oo < orr; ++oo) {

@@ -126,47 +126,18 @@ void clear_isa_override() { g_override.store(-1, std::memory_order_relaxed); }
 
 namespace {
 
-/// True when every entry of the 2^(2*bits) product LUT fits uint8 — the
-/// precondition of the pshufb path, whose in-register tables hold byte
-/// products. Scans at most 256 entries (bits <= 4) and caches the verdict
-/// per LUT pointer; the tiny direct-mapped cache is racy by design (both
-/// writers store the same recomputed verdict).
-bool lut_fits_u8(const std::int32_t* lut, unsigned bits) {
-    struct Entry {
-        std::atomic<const std::int32_t*> lut{nullptr};
-        std::atomic<int> fits{0};
-    };
-    static Entry cache[8];
-    const std::size_t slot =
-        (reinterpret_cast<std::uintptr_t>(lut) >> 6) & std::size_t{7};
-    Entry& e = cache[slot];
-    if (e.lut.load(std::memory_order_acquire) == lut)
-        return e.fits.load(std::memory_order_relaxed) != 0;
-    const std::int64_t n = std::int64_t{1} << (2 * bits);
-    bool ok = true;
-    for (std::int64_t i = 0; i < n; ++i) {
-        if (lut[i] < 0 || lut[i] > 255) {
-            ok = false;
-            break;
-        }
-    }
-    e.fits.store(ok ? 1 : 0, std::memory_order_relaxed);
-    e.lut.store(lut, std::memory_order_release);
-    return ok;
-}
-
-bool nibble_eligible(const BlockedGemmArgs& a) {
+bool nibble_eligible(const BlockedGemmArgs& a, bool lut_u8) {
     return a.bits <= 4 && a.x.packed4 != nullptr && a.x.plan.tr % 16 == 0 &&
-           lut_fits_u8(a.lut, a.bits);
+           lut_u8;
 }
 
 } // namespace
 
-bool accumulate_panel(const BlockedGemmArgs& a, std::int64_t rb,
+bool accumulate_panel(const BlockedGemmArgs& a, bool lut_u8, std::int64_t rb,
                       std::int64_t ob, std::int64_t* acc) {
     const Isa isa = select();
     if (isa == Isa::kScalar) return false;
-    const bool nibble = nibble_eligible(a);
+    const bool nibble = nibble_eligible(a, lut_u8);
     switch (isa) {
     case Isa::kSsse3:
         if (!nibble) return false;
@@ -174,23 +145,24 @@ bool accumulate_panel(const BlockedGemmArgs& a, std::int64_t rb,
         AMRET_OBS_COUNT("kernels.simd.panels.ssse3", 1);
         return true;
     case Isa::kAvx2:
-        if (nibble) {
+        if (nibble)
             detail::acc_panel_nibble_avx2(a, rb, ob, acc);
-        } else {
-            if (a.x.plan.tr < 8) return false;
+        else if (a.x.plan.tr < 8)
+            detail::acc_panel_olanes_avx2(a, rb, ob, acc);
+        else
             detail::acc_panel_gather_avx2(a, rb, ob, acc);
-        }
         AMRET_OBS_COUNT("kernels.simd.panels.avx2", 1);
         return true;
     case Isa::kAvx512:
-        if (nibble) {
-            // The byte-table path beats gathers even at 512-bit width; the
-            // AVX2-TU copy runs VEX-encoded, which is fine under AVX-512.
+        // The byte-table path beats gathers even at 512-bit width, and the
+        // 8-lane output-channel leaf beat a 16-lane copy on narrow blocks;
+        // the AVX2-TU copies run VEX-encoded, which is fine under AVX-512.
+        if (nibble)
             detail::acc_panel_nibble_avx2(a, rb, ob, acc);
-        } else {
-            if (a.x.plan.tr < 8) return false;
+        else if (a.x.plan.tr < 8)
+            detail::acc_panel_olanes_avx2(a, rb, ob, acc);
+        else
             detail::acc_panel_gather_avx512(a, rb, ob, acc);
-        }
         AMRET_OBS_COUNT("kernels.simd.panels.avx512", 1);
         return true;
     case Isa::kScalar: break;

@@ -96,6 +96,55 @@ void acc_panel_gather_avx2(const BlockedGemmArgs& a, std::int64_t rb,
     }
 }
 
+void acc_panel_olanes_avx2(const BlockedGemmArgs& a, std::int64_t rb,
+                           std::int64_t ob, std::int64_t* acc) {
+    const PanelPlan& xp = a.x.plan;
+    const PanelPlan& wp = a.w.plan;
+    const std::int64_t tp = xp.tr, to = wp.tr;
+    const std::int64_t pr = xp.block_rows(rb);
+    const std::int64_t orr = wp.block_rows(ob);
+    const std::int64_t kblocks = xp.depth_blocks();
+    for (std::int64_t o0 = 0; o0 < orr; o0 += 8) {
+        const std::int64_t lanes = std::min<std::int64_t>(8, orr - o0);
+        const __m256i live =
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(lanes)),
+                               _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+        for (std::int64_t pp = 0; pp < pr; ++pp) {
+            __m256i acc_lo = _mm256_setzero_si256();
+            __m256i acc_hi = _mm256_setzero_si256();
+            for (std::int64_t kb = 0; kb < kblocks; ++kb) {
+                const std::int64_t kr = xp.block_depth(kb);
+                const std::uint16_t* xcol =
+                    a.x.codes + xp.panel_offset(rb, kb) + pp;
+                const std::uint32_t* wrow =
+                    a.w.codes + wp.panel_offset(ob, kb) + o0;
+                for (std::int64_t kk = 0; kk < kr; ++kk) {
+                    // 8 pre-shifted weight codes are contiguous at fixed kk;
+                    // one activation code picks the column of each row.
+                    const __m256i idx = _mm256_or_si256(
+                        _mm256_maskload_epi32(
+                            reinterpret_cast<const int*>(wrow + kk * to), live),
+                        _mm256_set1_epi32(xcol[kk * tp]));
+                    const __m256i v = _mm256_mask_i32gather_epi32(
+                        _mm256_setzero_si256(),
+                        reinterpret_cast<const int*>(a.lut), idx, live, 4);
+                    acc_lo = _mm256_add_epi64(
+                        acc_lo,
+                        _mm256_cvtepi32_epi64(_mm256_castsi256_si128(v)));
+                    acc_hi = _mm256_add_epi64(
+                        acc_hi,
+                        _mm256_cvtepi32_epi64(_mm256_extracti128_si256(v, 1)));
+                }
+            }
+            alignas(32) std::int64_t sums[8];
+            _mm256_store_si256(reinterpret_cast<__m256i*>(sums), acc_lo);
+            _mm256_store_si256(reinterpret_cast<__m256i*>(sums + 4), acc_hi);
+            for (std::int64_t j = 0; j < lanes; ++j)
+                acc[(o0 + j) * tp + pp] = sums[j];
+        }
+    }
+}
+
 void grad_row_avx2(const GradRowArgs& a, std::int64_t kk0) {
     const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(a.bits));
     for (; kk0 + 8 <= a.k; kk0 += 8) {
@@ -139,6 +188,8 @@ bool compiled_avx2() { return false; }
 void acc_panel_nibble_avx2(const BlockedGemmArgs&, std::int64_t, std::int64_t,
                            std::int64_t*) {}
 void acc_panel_gather_avx2(const BlockedGemmArgs&, std::int64_t, std::int64_t,
+                           std::int64_t*) {}
+void acc_panel_olanes_avx2(const BlockedGemmArgs&, std::int64_t, std::int64_t,
                            std::int64_t*) {}
 void grad_row_avx2(const GradRowArgs&, std::int64_t) {}
 

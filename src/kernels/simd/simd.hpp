@@ -15,7 +15,9 @@
 ///   - a gather path for 8x8 multipliers: 8/16 activation codes are widened,
 ///     OR'd with the pre-shifted weight code and looked up with a vector
 ///     gather, accumulating into 4 (AVX2) or 8 (AVX-512) independent int64
-///     lanes per step;
+///     lanes per step; a position block narrower than 8 rows (batch-1 convs
+///     at 2x2 or 1x1) puts 8 consecutive output channels in the lanes
+///     instead, against one broadcast activation code;
 ///   - gather-vectorized gradient-LUT walks for the backward over
 ///     row-major codes (8 lanes on AVX2, 16 on AVX-512): lanes run across
 ///     the depth axis, every LUT index comes from contiguous widening loads,
@@ -101,11 +103,12 @@ void clear_isa_override();
 
 /// Fills the int64 accumulator tile of block (rb, ob):
 /// acc[oo * x.plan.tr + pp] = sum_k LUT[w, x] over the real depth extent,
-/// for all physical rows (pad lanes accumulate LUT[w, 0]; callers never
-/// read them). \p acc must hold x.plan.tr * w.plan.tr int64s. Returns
-/// false when the selected level has no eligible kernel; the caller then
-/// runs its scalar loop over the same block.
-bool accumulate_panel(const BlockedGemmArgs& a, std::int64_t rb,
+/// for every real row (pad lanes hold unspecified values; callers never
+/// read them). \p acc must hold x.plan.tr * w.plan.tr int64s. \p lut_u8
+/// is kernels::lut_fits_u8(a.lut, a.bits), the pshufb path's condition on
+/// the table. Returns false when the selected level has no eligible
+/// kernel; the caller then runs its scalar loop over the same block.
+bool accumulate_panel(const BlockedGemmArgs& a, bool lut_u8, std::int64_t rb,
                       std::int64_t ob, std::int64_t* acc);
 
 /// One row of the row-major backward walk (lut_backward_rows): for kk in

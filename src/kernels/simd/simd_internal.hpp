@@ -20,13 +20,13 @@ bool compiled_avx2();
 bool compiled_avx512();
 
 // Forward accumulation leaves. Contract of simd::accumulate_panel: fully
-// own the acc tile for block (rb, ob) — zero it, then accumulate the real
-// depth extent. Pad row lanes may accumulate LUT[w, 0] (in-bounds by
-// construction; callers never read pad lanes).
+// own the real rows of the acc tile for block (rb, ob) — each holds the
+// sum over the real depth extent afterwards. Pad row lanes may accumulate
+// LUT[w, 0] or keep stale values (callers never read pad lanes).
 
 /// pshufb 16-entry in-register LUT path (bits <= 4). Requires
 /// a.x.packed4 != nullptr, a.x.plan.tr % 16 == 0, and every product-LUT
-/// entry in [0, 255] (checked by the dispatcher).
+/// entry in [0, 255] (lut_fits_u8, checked by the dispatcher).
 void acc_panel_nibble_ssse3(const BlockedGemmArgs& a, std::int64_t rb,
                             std::int64_t ob, std::int64_t* acc);
 /// Same algorithm compiled VEX-encoded for AVX2-selected processes.
@@ -42,6 +42,16 @@ void acc_panel_gather_avx2(const BlockedGemmArgs& a, std::int64_t rb,
 /// 16-lane AVX-512F variant (8+8 int64 accumulator lanes).
 void acc_panel_gather_avx512(const BlockedGemmArgs& a, std::int64_t rb,
                              std::int64_t ob, std::int64_t* acc);
+
+/// Output-channel-lane gather path for position blocks narrower than the
+/// vector (a.x.plan.tr < 8, e.g. a batch-1 conv at 2x2 or 1x1): lanes run
+/// across 8 consecutive output channels, whose pre-shifted weight codes are
+/// contiguous at each depth index of the k-major weight panel. Each is OR'd
+/// with the broadcast code of one real activation row and gathered; the
+/// channel tail runs masked. Writes the real rows of the tile only and
+/// leaves pad rows untouched. The AVX-512 level runs it too.
+void acc_panel_olanes_avx2(const BlockedGemmArgs& a, std::int64_t rb,
+                           std::int64_t ob, std::int64_t* acc);
 
 // Backward row walk (contract of simd::GradRowArgs): vectorize across 8
 // (AVX2) or 16 (AVX-512) independent depth lanes while replaying the

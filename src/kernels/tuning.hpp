@@ -44,6 +44,11 @@ inline constexpr std::int64_t kGrainElementwise = 256;
 /// Wide elementwise loops (quantization, input conversion).
 inline constexpr std::int64_t kGrainElementwiseWide = 1024;
 
+/// Work (LUT lookups or multiply-adds) below which a parallel chunk of a
+/// GEMM costs more to dispatch than it saves: a call with less than this
+/// much work, e.g. a batch-1 head, runs on the caller (chunk_grain).
+inline constexpr std::int64_t kMinChunkWork = std::int64_t{1} << 18;
+
 /// LUT-GEMM tile block dims; the int64 accumulator tile is kTileP x kTileO.
 /// Tuned from bench_micro --tile-sweep (results/kernel_tile_sweep.csv): the
 /// random product-LUT lookups dominate, so wide K blocks win (K splitting
@@ -62,6 +67,16 @@ inline constexpr std::int64_t kTileK = 1024;
 } // namespace amret::kernels::tune
 
 namespace amret::kernels {
+
+/// Items per parallel chunk for \p count items of \p item_work units of
+/// work each: at least tune::kMinChunkWork / item_work items (rounded down,
+/// at least 1), so every chunk but the last covers more than half of
+/// tune::kMinChunkWork; at most runtime::kMaxChunks chunks; a multiple of
+/// \p align. Work below tune::kMinChunkWork gives one chunk. A pure
+/// function of the shape, as the runtime's determinism contract asks; the
+/// float GEMM and the engine's LUT-GEMM size their chunks with it.
+std::int64_t chunk_grain(std::int64_t count, std::int64_t item_work,
+                         std::int64_t align = 1);
 
 /// Runtime tile/layout picks for the LUT-GEMM family. Resolution order:
 ///   1. AMRET_TILES=PxOxK (e.g. "16x64x1024") — explicit override;

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <string>
@@ -315,6 +316,62 @@ TEST(LutKernels, BiasGradMatchesColumnSums) {
     }
 }
 
+// ---------------------------------------------------------- chunk grain --
+
+TEST(ChunkGrain, IsAPureFunctionOfTheShape) {
+    const std::int64_t counts[] = {1, 7, 16, 1024, 100000};
+    const std::int64_t works[] = {1, 27, 6912, 36864, 147456, 2359296};
+    std::vector<std::int64_t> first;
+    for (const unsigned threads : {1u, 8u}) {
+        runtime::set_num_threads(threads);
+        std::vector<std::int64_t> got;
+        for (const std::int64_t count : counts)
+            for (const std::int64_t work : works)
+                for (const std::int64_t align : {1, 4})
+                    got.push_back(kernels::chunk_grain(count, work, align));
+        if (first.empty())
+            first = got;
+        else
+            EXPECT_EQ(got, first);
+    }
+    runtime::set_num_threads(0);
+}
+
+TEST(ChunkGrain, GivesOneChunkBelowTheMinimumWork) {
+    const std::int64_t min_work = kernels::tune::kMinChunkWork;
+    for (const std::int64_t work : {std::int64_t{1}, std::int64_t{27}, std::int64_t{6912},
+                                    min_work / 3, min_work - 1}) {
+        const std::int64_t count = (min_work - 1) / work; // count * work < minimum
+        for (const std::int64_t align : {1, 4}) {
+            const std::int64_t g = kernels::chunk_grain(count, work, align);
+            EXPECT_EQ(runtime::chunk_count(0, count, g), 1)
+                << "count=" << count << " work=" << work;
+        }
+    }
+}
+
+TEST(ChunkGrain, BoundsChunksAndTheirWork) {
+    const std::int64_t min_work = kernels::tune::kMinChunkWork;
+    for (std::int64_t count = 1; count <= 5000; count = count * 3 + 1) {
+        for (const std::int64_t work : {std::int64_t{1}, std::int64_t{100}, std::int64_t{36864},
+                                        min_work / 2 + 1, min_work, 4 * min_work}) {
+            for (const std::int64_t align : {1, 4}) {
+                const std::int64_t g = kernels::chunk_grain(count, work, align);
+                const std::int64_t chunks = runtime::chunk_count(0, count, g);
+                EXPECT_EQ(g % align, 0);
+                EXPECT_LE(chunks, runtime::kMaxChunks);
+                // Every chunk but the last holds the minimum work's worth
+                // of whole items, rounded down, so more than half of it.
+                if (chunks > 1) {
+                    EXPECT_GE(g, std::max<std::int64_t>(1, min_work / work))
+                        << count << " " << work;
+                    EXPECT_GT(2 * g * work, min_work) << count << " " << work;
+                }
+            }
+        }
+    }
+}
+
 // -------------------------------------------------------------- quantize --
 
 TEST(KernelQuantize, QuantizeIntoMatchesQuantParams) {
@@ -435,6 +492,10 @@ const std::map<std::string, std::uint64_t> kGolden = {
     {"fconv_wide.y", 0x71be94b5064a4e1cull},  {"fconv_wide.gx", 0x6966478d0864c420ull},
     {"fconv_wide.gw", 0x4c21ede8ba105706ull}, {"fconv_wide.gb", 0x94166c6c7a1c66adull},
     {"engine_head.logits", 0xd03ec856d684bd99ull},
+    // A VGG19 engine whose last convs form position blocks narrower than 8
+    // rows, captured before those blocks ran on vector leaves.
+    {"engine_vgg.b1.logits", 0x6925430c5b8210a5ull},
+    {"engine_vgg.b3.logits", 0x9931417cbc947512ull},
 };
 
 void expect_golden(const std::string& key, std::uint64_t h) {
@@ -661,6 +722,44 @@ TEST(Golden, IntInferenceEngineTwoLayerHead) {
     const Tensor images = Tensor::randn(Shape{5, 3, 8, 8}, xrng);
     const Tensor logits = engine.forward(images);
     expect_golden("engine_head.logits", hash_tensor(logits));
+}
+
+TEST(Golden, IntInferenceEngineVggNarrowBlocks) {
+    // VGG19 at width 1/8 on 16x16 inputs: the last eight convs run at 2x2
+    // and 1x1, so a batch of 1 (P = 4, 1) and of 3 (P = 12, 3) form position
+    // blocks narrower than 8 rows. The exact multiplier keeps the untrained
+    // network's logits apart.
+    data::SyntheticConfig dc;
+    dc.num_classes = 4;
+    dc.height = dc.width = 16;
+    dc.train_samples = 32;
+    dc.test_samples = 8;
+    dc.noise_stddev = 0.3f;
+    dc.seed = 79;
+    const auto pair = data::make_synthetic(dc);
+
+    models::ModelConfig mc;
+    mc.num_classes = 4;
+    mc.in_size = 16;
+    mc.width_mult = 0.125f;
+    mc.seed = 1414;
+    const auto model = models::make_vgg("vgg19", mc);
+    approx::configure_approx_layers(*model, golden_config("mul8u_acc"),
+                                    approx::ComputeMode::kQuantized);
+    model->set_training(false);
+
+    approx::IntInferenceEngine engine(*model, pair.train, 32);
+    util::Rng xrng(1515);
+    const Tensor images = Tensor::randn(Shape{3, 3, 16, 16}, xrng);
+    Tensor first(Shape{1, 3, 16, 16});
+    std::copy_n(images.data(), first.numel(), first.data());
+    const Tensor one = engine.forward(first);
+    const Tensor three = engine.forward(images);
+    expect_golden("engine_vgg.b1.logits", hash_tensor(one));
+    expect_golden("engine_vgg.b3.logits", hash_tensor(three));
+    EXPECT_EQ(std::memcmp(one.data(), three.data(),
+                          static_cast<std::size_t>(one.numel()) * sizeof(float)),
+              0);
 }
 
 } // namespace

@@ -316,16 +316,21 @@ TEST(FusedIm2col, U8PanelsMatchUnfusedIm2colPlusPack) {
         const ActPanels want =
             kernels::pack_activation_panels(cols.data(), plan, ws);
 
-        const ActPanels got = kernels::pack_im2col_panels_u8(
-            x.data(), geom, ActivationLayout::kNCHW, zp, plan, ws);
-        ASSERT_EQ(std::memcmp(got.codes, want.codes,
-                              static_cast<std::size_t>(plan.elems()) *
-                                  sizeof(std::uint16_t)),
-                  0);
-        ASSERT_EQ(std::memcmp(got.sum_x, want.sum_x,
-                              static_cast<std::size_t>(plan.rows) *
-                                  sizeof(std::int64_t)),
-                  0);
+        // Any chunking gives the same panels: one block per chunk, two, and
+        // one chunk for all blocks.
+        for (const std::int64_t grain : {std::int64_t{1}, std::int64_t{2},
+                                         plan.row_blocks()}) {
+            const ActPanels got = kernels::pack_im2col_panels_u8(
+                x.data(), geom, ActivationLayout::kNCHW, zp, plan, ws, 8, grain);
+            ASSERT_EQ(std::memcmp(got.codes, want.codes,
+                                  static_cast<std::size_t>(plan.elems()) *
+                                      sizeof(std::uint16_t)),
+                      0);
+            ASSERT_EQ(std::memcmp(got.sum_x, want.sum_x,
+                                  static_cast<std::size_t>(plan.rows) *
+                                      sizeof(std::int64_t)),
+                      0);
+        }
 
         // NHWC interleave of the same image produces the same panels.
         std::vector<std::uint8_t> nhwc(img);
@@ -342,7 +347,7 @@ TEST(FusedIm2col, U8PanelsMatchUnfusedIm2colPlusPack) {
                                     geom.in_w +
                                 xx)];
         const ActPanels got_nhwc = kernels::pack_im2col_panels_u8(
-            nhwc.data(), geom, ActivationLayout::kNHWC, zp, plan, ws);
+            nhwc.data(), geom, ActivationLayout::kNHWC, zp, plan, ws, 8, 1);
         ASSERT_EQ(std::memcmp(got_nhwc.codes, want.codes,
                               static_cast<std::size_t>(plan.elems()) *
                                   sizeof(std::uint16_t)),

@@ -15,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 namespace {
@@ -119,7 +121,7 @@ TEST(Packed4, SidecarMatchesTheDocumentedByteFormat) {
     Workspace ws;
     ActPanels x = kernels::pack_activation_panels(codes.data(), plan, ws);
     EXPECT_EQ(x.packed4, nullptr) << "plain packer must not auto-attach";
-    kernels::attach_packed4(x, 4, ws);
+    kernels::attach_packed4(x, 4, ws, 1);
     ASSERT_NE(x.packed4, nullptr);
 
     // Decode every byte of every panel row back through the documented
@@ -152,21 +154,21 @@ TEST(Packed4, AttachIsSkippedWhenIneligible) {
     {
         const PanelPlan plan = kernels::make_panel_plan(32, 8, 16, 4);
         ActPanels x = kernels::pack_activation_panels(codes.data(), plan, ws);
-        kernels::attach_packed4(x, 8, ws);
+        kernels::attach_packed4(x, 8, ws, 1);
         EXPECT_EQ(x.packed4, nullptr);
     }
     // tr not a multiple of the 16-lane group width.
     {
         const PanelPlan plan = kernels::make_panel_plan(32, 8, 8, 4);
         ActPanels x = kernels::pack_activation_panels(codes.data(), plan, ws);
-        kernels::attach_packed4(x, 4, ws);
+        kernels::attach_packed4(x, 4, ws, 1);
         EXPECT_EQ(x.packed4, nullptr);
     }
     // Small matrices clamp tr below 16 (rows=5 -> tr=5).
     {
         const PanelPlan plan = kernels::make_panel_plan(5, 8, 16, 4);
         ActPanels x = kernels::pack_activation_panels(codes.data(), plan, ws);
-        kernels::attach_packed4(x, 4, ws);
+        kernels::attach_packed4(x, 4, ws, 1);
         EXPECT_EQ(x.packed4, nullptr);
     }
 }
@@ -243,7 +245,7 @@ struct SimdRandom {
         ActPanels x = kernels::pack_activation_panels(
             xq.data(), kernels::make_panel_plan(scalar.p, scalar.k, tp, tk),
             ws);
-        if (scalar.bits <= 4) kernels::attach_packed4(x, scalar.bits, ws);
+        if (scalar.bits <= 4) kernels::attach_packed4(x, scalar.bits, ws, 1);
         b.x = x;
         b.o = scalar.o;
         b.p = scalar.p;
@@ -265,9 +267,14 @@ struct GemmShape {
 // Ragged everywhere: single rows/columns, a prime-heavy shape (7x33x19),
 // P just over a 16/32-lane boundary, and a bulk shape wide enough to fill
 // every vector tail. P >= 16 shapes with tp=16 run the nibble path at 4
-// bits; the others prove the eligibility fallbacks stay bitwise too.
+// bits; the others prove the eligibility fallbacks stay bitwise too. The
+// last three keep P < 8 at every tile, so they run the output-channel-lane
+// leaves: a batch-1 conv at 1x1 and at 2x2 (130 channels leave a tail
+// inside a vector; depth 1153 spans two 1024-deep blocks) and a 7-row shape
+// whose 33 channels leave a 1-lane tail.
 constexpr GemmShape kShapes[] = {
-    {1, 5, 1}, {7, 33, 19}, {17, 33, 120}, {3, 129, 9}, {32, 40, 300}};
+    {1, 5, 1},      {7, 33, 19},  {17, 33, 120}, {3, 129, 9},
+    {32, 40, 300},  {130, 1, 1153}, {64, 4, 576}, {33, 7, 40}};
 
 constexpr struct {
     std::int64_t tp, to, tk;
@@ -305,6 +312,74 @@ TEST(SimdKernels, ForwardMatchesScalarOracleBitwise) {
                 }
             }
         }
+    }
+}
+
+TEST(SimdKernels, NibbleVerdictFollowsTheTableNotItsAddress) {
+    // The pshufb path holds byte products, so it may run only while every
+    // entry of the table fits uint8. A table rebuilt with larger products at
+    // the freed table's address, or rewritten in place, must leave it.
+    util::Rng rng(105);
+    const std::int64_t o = 8, p = 32, k = 24;
+    std::vector<std::uint16_t> wq(static_cast<std::size_t>(o * k));
+    std::vector<std::uint16_t> xq(static_cast<std::size_t>(p * k));
+    for (auto& v : wq) v = static_cast<std::uint16_t>(rng.uniform_u64(16));
+    for (auto& v : xq) v = static_cast<std::uint16_t>(rng.uniform_u64(16));
+    Workspace ws;
+    const auto expect_oracle = [&](const std::int32_t* table, const char* what) {
+        LutGemmArgs a;
+        a.bits = 4;
+        a.lut = table;
+        a.wq = wq.data();
+        a.xq = xq.data();
+        a.o = o;
+        a.p = p;
+        a.k = k;
+        a.zero_w = 3;
+        a.zero_x = 5;
+        ws.reset();
+        std::vector<float> ref(static_cast<std::size_t>(p * o));
+        kernels::lut_forward(a, nullptr, ref.data(), ws);
+        BlockedGemmArgs b;
+        b.bits = 4;
+        b.lut = table;
+        b.w = kernels::pack_weight_panels(
+            wq.data(), 4, kernels::make_panel_plan(o, k, 16, 64), ws);
+        ActPanels x = kernels::pack_activation_panels(
+            xq.data(), kernels::make_panel_plan(p, k, 16, 64), ws);
+        kernels::attach_packed4(x, 4, ws, 1);
+        ASSERT_NE(x.packed4, nullptr);
+        b.x = x;
+        b.o = o;
+        b.p = p;
+        b.k = k;
+        b.zero_w = a.zero_w;
+        b.zero_x = a.zero_x;
+        std::vector<float> y(ref.size());
+        for (const Isa isa : runnable_isas()) {
+            ScopedIsa pin(isa);
+            kernels::lut_forward_blocked(b, nullptr, y.data(), ws);
+            ASSERT_EQ(std::memcmp(y.data(), ref.data(), y.size() * sizeof(float)),
+                      0)
+                << what << " " << kernels::simd::isa_name(isa);
+        }
+    };
+    // Destroy and rebuild: the allocator usually returns the same block.
+    std::unique_ptr<appmult::AppMultLut> lut;
+    for (const std::uint64_t factor : {1u, 3u, 1u, 3u}) {
+        lut.reset();
+        lut = std::make_unique<appmult::AppMultLut>(
+            4, [factor](std::uint64_t w, std::uint64_t x) { return factor * w * x; });
+        EXPECT_EQ(kernels::lut_fits_u8(lut->table().data(), 4), factor == 1);
+        expect_oracle(lut->table().data(), factor == 1 ? "w*x" : "3*w*x");
+    }
+    // Rewritten in place: the same address for certain.
+    std::vector<std::int32_t> table(lut->table());
+    for (const std::int32_t factor : {1, 3}) {
+        for (std::int32_t w = 0; w < 16; ++w)
+            for (std::int32_t x = 0; x < 16; ++x)
+                table[static_cast<std::size_t>(w * 16 + x)] = factor * w * x;
+        expect_oracle(table.data(), factor == 1 ? "in-place w*x" : "in-place 3*w*x");
     }
 }
 
@@ -439,6 +514,72 @@ TEST(SimdLayer, QuantizedConvIsBitwiseIdenticalAcrossLayoutsAndIsas) {
                     << "gw " << kernels::simd::isa_name(isa);
                 ASSERT_TRUE(eq(got.gb, ref.gb))
                     << "gb " << kernels::simd::isa_name(isa);
+            }
+        }
+    }
+}
+
+TEST(SimdEngine, VggBatchOneRowsMatchBatchRowsAtEveryIsa) {
+    // VGG19 at width 1/8 on 16x16 inputs: the last eight convs run at 2x2
+    // and 1x1, so a batch of 1 forms position blocks of 4 and 1 rows (the
+    // output-channel-lane leaves) where the batch of 5 forms 20 and 5. Every
+    // batch-1 row must memcmp its batch row, and every level the scalar
+    // level, in both blocked layouts.
+    data::SyntheticConfig dc;
+    dc.num_classes = 4;
+    dc.height = dc.width = 16;
+    dc.train_samples = 32;
+    dc.test_samples = 5;
+    dc.seed = 108;
+    const data::DatasetPair ds = data::make_synthetic(dc);
+
+    models::ModelConfig mc;
+    mc.in_size = 16;
+    mc.num_classes = 4;
+    mc.width_mult = 0.125f;
+    const auto model = train::make_model("vgg19", mc);
+    auto& reg = appmult::Registry::instance();
+    approx::MultiplierConfig config;
+    config.lut = std::make_shared<appmult::AppMultLut>(reg.lut("mul8u_acc"));
+    config.grad = std::make_shared<core::GradLut>(core::build_ste_grad(8));
+    approx::configure_approx_layers(*model, config,
+                                    approx::ComputeMode::kQuantized);
+    model->set_training(false);
+
+    const std::int64_t n = ds.test.size();
+    const std::int64_t numel = ds.test.sample_numel();
+    tensor::Tensor batch(tensor::Shape{n, 3, 16, 16});
+    std::copy_n(ds.test.images.data(), n * numel, batch.data());
+    for (const auto mode :
+         {kernels::LayoutMode::kBlocked, kernels::LayoutMode::kBlockedNhwc}) {
+        kernels::set_layout_mode(mode);
+        approx::IntInferenceEngine engine(*model, ds.train, 32);
+        kernels::clear_layout_mode_override();
+        tensor::Tensor ref;
+        {
+            ScopedIsa pin(Isa::kScalar);
+            ref = engine.forward(batch);
+        }
+        const std::int64_t classes = ref.dim(1);
+        for (const Isa isa : runnable_isas()) {
+            ScopedIsa pin(isa);
+            const tensor::Tensor logits = engine.forward(batch);
+            ASSERT_EQ(std::memcmp(logits.data(), ref.data(),
+                                  static_cast<std::size_t>(ref.numel()) *
+                                      sizeof(float)),
+                      0)
+                << kernels::simd::isa_name(isa) << " mode="
+                << static_cast<int>(mode);
+            tensor::Tensor one(tensor::Shape{1, 3, 16, 16});
+            for (std::int64_t i = 0; i < n; ++i) {
+                std::copy_n(batch.data() + i * numel, numel, one.data());
+                const tensor::Tensor row = engine.forward(one);
+                ASSERT_EQ(std::memcmp(row.data(), ref.data() + i * classes,
+                                      static_cast<std::size_t>(classes) *
+                                          sizeof(float)),
+                          0)
+                    << "row " << i << " " << kernels::simd::isa_name(isa)
+                    << " mode=" << static_cast<int>(mode);
             }
         }
     }

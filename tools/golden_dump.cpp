@@ -10,6 +10,7 @@
 /// independent, so one table covers AMRET_THREADS = 1/2/8).
 #include "amret.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -258,6 +259,43 @@ void dump_engine_head() {
     print("engine_head.logits", hash_tensor(logits));
 }
 
+/// VGG19 at width 1/8 on 16x16 inputs, calibrated on 32 samples: its last
+/// eight convs run at 2x2 and 1x1, so a batch of 1 (P = 4 and 1) and a batch
+/// of 3 (P = 12 and 3) form position blocks narrower than 8 rows. The batch
+/// of 1 is the batch of 3's first image. The exact multiplier keeps the
+/// untrained network's logits apart; the approximate ones tested here drive
+/// every logit to 0.
+void dump_engine_vgg() {
+    data::SyntheticConfig dc;
+    dc.num_classes = 4;
+    dc.height = dc.width = 16;
+    dc.train_samples = 32;
+    dc.test_samples = 8;
+    dc.noise_stddev = 0.3f;
+    dc.seed = 79;
+    const auto pair = data::make_synthetic(dc);
+
+    models::ModelConfig mc;
+    mc.num_classes = 4;
+    mc.in_size = 16;
+    mc.width_mult = 0.125f;
+    mc.seed = 1414;
+    const auto model = models::make_vgg("vgg19", mc);
+    approx::configure_approx_layers(*model, make_config("mul8u_acc"),
+                                    approx::ComputeMode::kQuantized);
+    model->set_training(false);
+
+    approx::IntInferenceEngine engine(*model, pair.train, 32);
+    util::Rng xrng(1515);
+    const tensor::Tensor images =
+        tensor::Tensor::randn(tensor::Shape{3, 3, 16, 16}, xrng);
+    tensor::Tensor first(tensor::Shape{1, 3, 16, 16});
+    std::copy_n(images.data(), first.numel(), first.data());
+    std::printf("// int inference engine, VGG19 with narrow position blocks\n");
+    print("engine_vgg.b1.logits", hash_tensor(engine.forward(first)));
+    print("engine_vgg.b3.logits", hash_tensor(engine.forward(images)));
+}
+
 } // namespace
 
 int main() {
@@ -269,5 +307,6 @@ int main() {
     dump_two_step_layers();
     dump_engine();
     dump_engine_head();
+    dump_engine_vgg();
     return 0;
 }
