@@ -27,7 +27,9 @@
 ///                   per-ISA lut_backward_rows leg against the
 ///                   lut_backward oracle and a narrow-position leg
 ///                   (VGG19-slim's last convs at batch 1, P = 1 and 4)
-///                   against the scalar block loop — all with
+///                   against the scalar block loop and a padded-conv leg
+///                   (a 3x3 conv at 2x2 and 1x1, batch 32, through the
+///                   engine packer) against the lut_forward oracle — all with
 ///                   bitwise-equality flags. Run by scripts/check.sh and
 ///                   the bench-smoke workflow; scripts/check_bench.py
 ///                   gates the simd_vs_blocked_speedup field against the
@@ -722,10 +724,92 @@ std::string narrow_leg_json(int iters, bool* all_eq) {
            "\n  }";
 }
 
+/// The "padded_conv" leg of BENCH_kernels.json: a 128 -> 128 3x3 conv (pad
+/// 1) at 2x2 and 1x1, batch 32, where most taps are padding (5 of 9 and 8
+/// of 9). Times the engine's per-call path per supported dispatch level —
+/// the fused u8 im2col packer and lut_forward_blocked, which skips the taps
+/// outside each block's box, over tap-major weight panels and their padding
+/// constant packed once, as the engine does at compile time — and memcmps
+/// each output against the row-major lut_forward oracle over im2col_u8
+/// codes, which still looks up every tap. Clears *all_eq on any mismatch.
+std::string padded_leg_json(int iters, bool* all_eq) {
+    const std::int64_t batch = 32, ch = 128, kernel = 3;
+    const kernels::Tuning& tiles = kernels::Tuning::current();
+    SweepGemm g(ch, 1, ch * kernel * kernel);
+    const auto zp = static_cast<std::uint16_t>(g.args.zero_x);
+    std::string j = "  \"padded_conv\": {\n    \"batch\": 32, \"in_ch\": 128, "
+                    "\"out_ch\": 128, \"kernel\": 3, \"bits\": 8";
+    bool eq_all = true;
+    char buf[256];
+    for (const std::int64_t hw : {std::int64_t{2}, std::int64_t{1}}) {
+        const tensor::ConvGeom geom{batch, ch, hw, hw, kernel, 1, 1};
+        const std::int64_t p = geom.positions(), k = geom.patch();
+        util::Rng rng(static_cast<std::uint64_t>(31 + hw));
+        std::vector<std::uint8_t> x(static_cast<std::size_t>(batch * ch * hw * hw));
+        for (auto& v : x) v = static_cast<std::uint8_t>(rng.uniform_u64(256));
+
+        // Oracle: every tap, padding included, through the row-major kernel.
+        kernels::Workspace ws;
+        std::vector<std::uint16_t> cols(static_cast<std::size_t>(p * k));
+        kernels::im2col_u8(x.data(), geom, zp, cols.data());
+        kernels::LutGemmArgs oracle = g.args;
+        oracle.xq = cols.data();
+        oracle.p = p;
+        std::vector<float> y_ref(static_cast<std::size_t>(p * ch)), y(y_ref.size());
+        kernels::lut_forward(oracle, nullptr, y_ref.data(), ws);
+
+        const kernels::PanelPlan xplan =
+            kernels::make_conv_act_plan(p, k, tiles.tp, tiles.tk);
+        kernels::Workspace weight_ws;
+        kernels::BlockedGemmArgs b;
+        b.bits = g.args.bits;
+        b.lut = g.args.lut;
+        b.w = kernels::pack_conv_weight_panels(
+            g.wq.data(), b.bits, kernels::make_panel_plan(ch, k, tiles.to, tiles.tk),
+            kernel * kernel, b.lut, zp, weight_ws);
+        b.o = ch;
+        b.p = p;
+        b.k = k;
+        b.scale_w = g.args.scale_w;
+        b.scale_x = g.args.scale_x;
+        b.zero_w = g.args.zero_w;
+        b.zero_x = g.args.zero_x;
+        std::snprintf(buf, sizeof(buf), ",\n    \"hw%lld\": {",
+                      static_cast<long long>(hw));
+        j += buf;
+        for (const auto isa : supported_isas()) {
+            kernels::simd::set_isa_for_test(isa);
+            const double ms = time_ms_best(iters, [&] {
+                ws.reset();
+                b.x = kernels::pack_im2col_panels_u8(
+                    x.data(), geom, kernels::ActivationLayout::kNCHW, zp, xplan,
+                    ws, b.bits, 1);
+                kernels::lut_forward_blocked(b, nullptr, y.data(), ws);
+            });
+            kernels::simd::clear_isa_override();
+            const bool eq =
+                std::memcmp(y.data(), y_ref.data(), y.size() * sizeof(float)) == 0;
+            eq_all = eq_all && eq;
+            const char* name = kernels::simd::isa_name(isa);
+            std::snprintf(buf, sizeof(buf), "%s\"%s_ms\": %.4f",
+                          isa == kernels::simd::Isa::kScalar ? "" : ", ", name, ms);
+            j += buf;
+            std::printf("padded conv %lldx%lld [%s]: %.4f ms, bitwise_equal=%d\n",
+                        static_cast<long long>(hw), static_cast<long long>(hw), name,
+                        ms, eq ? 1 : 0);
+        }
+        j += "}";
+    }
+    *all_eq = *all_eq && eq_all;
+    return j + ",\n    \"padded_bitwise_equal\": " + (eq_all ? "true" : "false") +
+           "\n  }";
+}
+
 /// Emits results/BENCH_kernels.json: LUT-GEMM forward throughput of the
 /// blocked and tiled kernels against the row-streaming baseline, a
 /// quantized-conv end-to-end scalar-vs-blocked comparison, the backward
-/// leg (backward_leg_json) and the narrow-position leg (narrow_leg_json).
+/// leg (backward_leg_json), the narrow-position leg (narrow_leg_json) and
+/// the padded-conv leg (padded_leg_json).
 /// Every leg carries a bitwise-equality flag; a false flag fails the run (a
 /// perf shortfall only prints — machine-dependent numbers should not gate
 /// CI).
@@ -932,6 +1016,8 @@ int run_kernels_json() {
     const std::string backward_json = backward_leg_json(5, &backward_eq);
     bool narrow_eq = true;
     const std::string narrow_json = narrow_leg_json(iters, &narrow_eq);
+    bool padded_eq = true;
+    const std::string padded_json = padded_leg_json(iters, &padded_eq);
 
     std::filesystem::create_directories("results");
     std::FILE* f = std::fopen("results/BENCH_kernels.json", "w");
@@ -963,6 +1049,7 @@ int run_kernels_json() {
         "    \"bitwise_equal\": %s\n"
         "  },\n"
         "%s,\n"
+        "%s,\n"
         "%s\n"
         "}\n",
         static_cast<long long>(g.args.o), static_cast<long long>(g.args.p),
@@ -972,7 +1059,8 @@ int run_kernels_json() {
         rowstream_ms / tiled_ms, rowstream_ms / blocked_ms,
         tiled_eq ? "true" : "false", blocked_eq ? "true" : "false",
         simd_json.c_str(), conv_ms[0], conv_ms[1], conv_ms[0] / conv_ms[1],
-        conv_eq ? "true" : "false", backward_json.c_str(), narrow_json.c_str());
+        conv_eq ? "true" : "false", backward_json.c_str(), narrow_json.c_str(),
+        padded_json.c_str());
     std::fclose(f);
 
     std::printf("lut_gemm forward (o=%lld p=%lld k=%lld): rowstream %.3f ms, "
@@ -987,7 +1075,7 @@ int run_kernels_json() {
                 best_overall.c_str(), best_overall_speedup);
     std::printf("wrote results/BENCH_kernels.json\n");
     if (!tiled_eq || !blocked_eq || !conv_eq || !simd_all_eq || !backward_eq ||
-        !narrow_eq) {
+        !narrow_eq || !padded_eq) {
         std::fprintf(stderr, "BENCH_kernels: bitwise equality violated\n");
         return 1;
     }

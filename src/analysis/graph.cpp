@@ -99,8 +99,9 @@ std::uint64_t digest(const GraphDesc& graph) {
         h = fnv_vector(h, c.wq);
         h = fnv_vector(h, c.sum_w);
         h = fnv_vector(h, c.bias_raw);
-        // panel_tr/panel_tk/wq_panels are deliberately not hashed: they are a
-        // repacking of wq under a tuning choice (see ConvOpDesc).
+        // panel_tr/panel_tk/panel_taps/wq_panels/pad_sum are deliberately
+        // not hashed: they are derived from wq under a tuning choice (see
+        // ConvOpDesc).
         if (c.lut && !c.lut->empty()) {
             h = fnv_value(h, c.lut->bits());
             h = fnv_vector(h, c.lut->table());
@@ -184,15 +185,18 @@ Interval analyze_conv(const OpDesc& op, std::size_t op_index, Interval x_codes,
     // proof over wq only covers the deployed path if the panels really are a
     // faithful repacking. The indexing below is re-derived from the layout
     // contract (panel (rb, kb) at (rb*kb_n + kb)*tr*tk, slot kk*tr + rr,
-    // codes pre-shifted by bits) independently of kernels/layout.cpp, so a
-    // packer bug cannot vouch for itself.
+    // codes pre-shifted by bits, and depth tap-major: im2col column
+    // c*taps + t sits at panel depth t*C + c) independently of
+    // kernels/layout.cpp, so a packer bug cannot vouch for itself.
     if (!c.wq_panels.empty()) {
-        if (!has_wq || c.panel_tr <= 0 || c.panel_tk <= 0) {
+        if (!has_wq || c.panel_tr <= 0 || c.panel_tk <= 0 || c.panel_taps <= 0 ||
+            c.k % c.panel_taps != 0) {
             add(diags, Severity::kError, "desc-inconsistent", obj,
                 op.label + ": panel codes present without wq or valid tile dims");
             return fallback_out;
         }
         const std::int64_t tr = c.panel_tr, tk = c.panel_tk;
+        const std::int64_t taps = c.panel_taps, channels = c.k / taps;
         const std::int64_t rb_n = (c.out_ch + tr - 1) / tr;
         const std::int64_t kb_n = (c.k + tk - 1) / tk;
         if (c.wq_panels.size() !=
@@ -204,19 +208,20 @@ Interval analyze_conv(const OpDesc& op, std::size_t op_index, Interval x_codes,
                     " panels");
             return fallback_out;
         }
+        // Slot of weight (o, im2col column col) in the panels.
+        const auto slot = [&](std::int64_t o, std::int64_t col) {
+            const std::int64_t d = (col % taps) * channels + col / taps;
+            return static_cast<std::size_t>((o / tr * kb_n + d / tk) * tr * tk +
+                                            d % tk * tr + o % tr);
+        };
         std::int64_t pack_bad = -1;
         for (std::int64_t o = 0; o < c.out_ch && pack_bad < 0; ++o) {
-            const std::int64_t rb = o / tr, rr = o % tr;
-            for (std::int64_t kk = 0; kk < c.k; ++kk) {
-                const std::int64_t kb = kk / tk, kr = kk % tk;
-                const std::int64_t idx =
-                    (rb * kb_n + kb) * tr * tk + kr * tr + rr;
+            for (std::int64_t col = 0; col < c.k; ++col) {
                 const std::uint32_t expect =
                     static_cast<std::uint32_t>(c.wq[static_cast<std::size_t>(
-                        o * c.k + kk)])
+                        o * c.k + col)])
                     << c.bits;
-                if (c.wq_panels[static_cast<std::size_t>( // invariant-ok: analyzer re-derives the interleave independently
-                        idx)] != expect) {
+                if (c.wq_panels[slot(o, col)] != expect) { // invariant-ok: analyzer re-derives the interleave independently
                     pack_bad = o;
                     break;
                 }
@@ -231,14 +236,9 @@ Interval analyze_conv(const OpDesc& op, std::size_t op_index, Interval x_codes,
             // consumes must equal the per-channel reduction of the packed
             // codes (recomputed here from the panels, not copied from wq).
             for (std::int64_t o = 0; o < c.out_ch; ++o) {
-                const std::int64_t rb = o / tr, rr = o % tr;
                 std::int64_t s = 0;
-                for (std::int64_t kk = 0; kk < c.k; ++kk) {
-                    const std::int64_t kb = kk / tk, kr = kk % tk;
-                    s += c.wq_panels[static_cast<std::size_t>( // invariant-ok: analyzer re-derives the interleave independently
-                             (rb * kb_n + kb) * tr * tk + kr * tr + rr)] >>
-                         c.bits;
-                }
+                for (std::int64_t col = 0; col < c.k; ++col)
+                    s += c.wq_panels[slot(o, col)] >> c.bits; // invariant-ok: analyzer re-derives the interleave independently
                 if (s != c.sum_w[static_cast<std::size_t>(o)]) {
                     add(diags, Severity::kError, "panel-sum-mismatch", obj,
                         op.label + ": panel header sum " + std::to_string(s) +
@@ -246,6 +246,41 @@ Interval analyze_conv(const OpDesc& op, std::size_t op_index, Interval x_codes,
                             std::to_string(c.sum_w[static_cast<std::size_t>(o)]) +
                             " at output channel " + std::to_string(o));
                     break;
+                }
+            }
+        }
+        // Padding constant: the blocked forward skips the lookups of taps
+        // that are padding for a whole position block and adds pad_sum back,
+        // so it must equal the lookups it replaces, recomputed from wq, the
+        // LUT and the input zero point (clamped into the table; the bounds
+        // checks above report out-of-domain codes, and an out-of-domain
+        // weight code leaves nothing to recompute).
+        const auto& table = c.lut->table();
+        const std::int64_t zx = std::clamp<std::int64_t>(c.zero_x, 0, domain - 1);
+        if (c.pad_sum.size() != static_cast<std::size_t>(c.out_ch * taps)) {
+            add(diags, Severity::kError, "pad-sum-mismatch", obj,
+                op.label + ": pad_sum has " + std::to_string(c.pad_sum.size()) +
+                    " entries, expected out_ch*taps = " +
+                    std::to_string(c.out_ch * taps));
+        } else if (wq_max < domain) {
+            bool pad_ok = true;
+            for (std::int64_t o = 0; o < c.out_ch && pad_ok; ++o) {
+                for (std::int64_t t = 0; t < taps && pad_ok; ++t) {
+                    std::int64_t s = 0;
+                    for (std::int64_t ch = 0; ch < channels; ++ch) {
+                        const std::int64_t w = c.wq[static_cast<std::size_t>(
+                            o * c.k + ch * taps + t)];
+                        s += table[static_cast<std::size_t>((w << c.bits) | zx)];
+                    }
+                    const std::int64_t have =
+                        c.pad_sum[static_cast<std::size_t>(o * taps + t)];
+                    pad_ok = s == have;
+                    if (!pad_ok)
+                        add(diags, Severity::kError, "pad-sum-mismatch", obj,
+                            op.label + ": padding constant " +
+                                std::to_string(have) + " != recomputed " +
+                                std::to_string(s) + " at output channel " +
+                                std::to_string(o) + ", tap " + std::to_string(t));
                 }
             }
         }

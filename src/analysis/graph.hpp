@@ -58,15 +58,23 @@ struct ConvOpDesc {
 
     // Blocked-layout view of the same weights (kernels/layout.hpp panels).
     // Derived data, EXCLUDED from the content digest: the panels are a
-    // repacking of wq and the tile dims are a tuning choice, not a semantic
-    // parameter — two engines that differ only in blocking share a
-    // certificate. When wq_panels is non-empty the analyzer independently
-    // re-derives the panel indexing and cross-checks it against wq / sum_w
-    // ("panel-pack-mismatch" / "panel-sum-mismatch"), so the certificate
-    // also covers the fused blocked path the engine actually runs.
+    // repacking of wq, the padding constant a function of wq, the LUT and
+    // zero_x, and the tile dims a tuning choice, not a semantic parameter —
+    // two engines that differ only in blocking share a certificate. When
+    // wq_panels is non-empty the analyzer independently re-derives the
+    // tap-major panel indexing and the padding constant and cross-checks
+    // them against wq / sum_w ("panel-pack-mismatch" / "panel-sum-mismatch"
+    // / "pad-sum-mismatch"), so the certificate also covers the fused
+    // blocked path the engine actually runs.
     std::int64_t panel_tr = 0;            ///< rows per weight panel (0 = scalar)
     std::int64_t panel_tk = 0;            ///< depth per weight panel
+    std::int64_t panel_taps = 1;          ///< kernel taps per channel (kernel^2);
+                                          ///< panel depth is tap-major
     std::vector<std::uint32_t> wq_panels; ///< pre-shifted (w << bits) panel codes
+    /// Padding constant, (out_ch, panel_taps): the sum over channels of
+    /// LUT[(w << bits) | zero_x] per tap, which the blocked forward adds back
+    /// for the taps a position block skips.
+    std::vector<std::int64_t> pad_sum;
 };
 
 /// Integer pooling op (scale/zero preserved; no multiplies).

@@ -155,24 +155,27 @@ Tensor ApproxConv2d::forward_quant(const Tensor& x, State& st, nn::Context& ctx)
         act_observer_.observe(x);
     const quant::QuantParams xparams = act_observer_.params(bits);
 
-    // Blocked layout (default): weight codes are re-packed into pre-shifted
-    // panels and the activation codes are produced by the fused
-    // im2col+quantize packer — the full (P, patch) float column buffer never
-    // exists. The fused quantizer and the blocked kernels are bitwise-
-    // identical to the scalar path (tests/test_layout.cpp), so both modes
-    // train identically.
+    // Blocked layout (default): weight codes are re-packed into pre-shifted,
+    // tap-major panels with their padding constant, and the activation codes
+    // are produced by the fused im2col+quantize packer — the full (P, patch)
+    // float column buffer never exists. The fused quantizer and the blocked
+    // kernels are bitwise-identical to the scalar path
+    // (tests/test_layout.cpp), so both modes train identically.
     st.blocked = kernels::layout_mode() != kernels::LayoutMode::kScalar;
     const std::int64_t positions = st.geom.positions();
     Tensor po(Shape{positions, out_ch_});
     if (st.blocked) {
         const kernels::Tuning& tiles = kernels::Tuning::current();
-        const kernels::WeightPanels wpan = kernels::pack_quantized_weights(
-            st.wq, bits,
-            kernels::make_panel_plan(out_ch_, patch, tiles.to, tiles.tk),
-            st.ws);
+        const kernels::PanelPlan wplan =
+            kernels::make_panel_plan(out_ch_, patch, tiles.to, tiles.tk);
+        // Out-of-image taps quantize 0.0f (quantize_im2col_panels).
+        const kernels::WeightPanels wpan = kernels::pack_conv_weight_panels(
+            st.wq.codes, bits, wplan, kernel_ * kernel_,
+            mult_.lut->table().data(),
+            static_cast<std::uint16_t>(xparams.quantize(0.0f)), st.ws);
         const kernels::QuantPanels xq = kernels::quantize_conv_panels(
             x.data(), st.geom, xparams,
-            kernels::make_panel_plan(positions, patch, tiles.tp, tiles.tk),
+            kernels::make_conv_act_plan(positions, patch, tiles.tp, tiles.tk),
             st.ws);
         st.xq = kernels::QuantView{xq.codes, xq.in_range, xparams,
                                    positions * patch};
@@ -381,8 +384,8 @@ Tensor ApproxLinear::forward(const Tensor& x, nn::Context& ctx) {
     Tensor y(Shape{st.batch, out_features_});
     if (st.blocked) {
         const kernels::Tuning& tiles = kernels::Tuning::current();
-        const kernels::WeightPanels wpan = kernels::pack_quantized_weights(
-            st.wq, bits,
+        const kernels::WeightPanels wpan = kernels::pack_weight_panels(
+            st.wq.codes, bits,
             kernels::make_panel_plan(out_features_, in_features_, tiles.to,
                                      tiles.tk),
             st.ws);

@@ -5,6 +5,8 @@
 #include "kernels/layout.hpp"
 #include "kernels/lut_kernels.hpp"
 #include "nn/loss.hpp"
+#include "obs/obs.hpp"
+#include "obs/trace.hpp"
 #include "runtime/parallel.hpp"
 
 #include <algorithm>
@@ -23,6 +25,8 @@ namespace tune = kernels::tune;
 
 struct IntInferenceEngine::Op {
     virtual ~Op() = default;
+    /// Interned span label ("engine.op03.conv"), set once the graph is built.
+    const char* span = nullptr;
     /// \p ws is the engine's scratch arena, reset before each op.
     virtual QTensor run(const QTensor& in, kernels::Workspace& ws) const = 0;
     /// Float twin used during calibration; updates recorded ranges. \p ws is
@@ -63,13 +67,15 @@ struct ConvOp final : IntInferenceEngine::Op {
     std::int32_t in_zero = 0;
 
     // Blocked layout (the default; set by the engine before finalize()).
-    // finalize() re-packs the same wq codes into pre-shifted panels once;
-    // run() then fuses im2col straight into activation panel production and
-    // feeds lut_gemm_blocked_tile. wq_panels stays empty in scalar mode,
-    // which keeps the row-major oracle path.
+    // finalize() re-packs the same wq codes into pre-shifted, tap-major
+    // panels once and computes the padding constant against the input zero
+    // point; run() then fuses im2col straight into activation panel
+    // production and feeds lut_gemm_blocked_tile. wq_panels stays empty in
+    // scalar mode, which keeps the row-major oracle path.
     kernels::LayoutMode layout = kernels::LayoutMode::kBlocked;
     kernels::PanelPlan wplan;
     std::vector<std::uint32_t> wq_panels;
+    std::vector<std::int64_t> pad_sum; ///< (out_ch, kernel^2), WeightPanels::pad_sum
 
     tensor::Tensor run_float(const tensor::Tensor& x,
                              kernels::Workspace& ws) override {
@@ -142,12 +148,19 @@ struct ConvOp final : IntInferenceEngine::Op {
         // certificate via "panel-sum-mismatch").
         if (layout != kernels::LayoutMode::kScalar) {
             const kernels::Tuning& tiles = kernels::Tuning::current();
+            const std::int64_t taps = kernel * kernel;
             wplan = kernels::make_panel_plan(out_ch, patch, tiles.to, tiles.tk);
             wq_panels.resize(static_cast<std::size_t>(wplan.elems()));
             std::vector<std::int64_t> header(static_cast<std::size_t>(out_ch));
-            kernels::pack_weight_panels_into(wq.data(), bits, wplan,
+            kernels::pack_weight_panels_into(wq.data(), bits, wplan, taps,
                                              wq_panels.data(), header.data());
             assert(header == sum_w);
+            // The analyzer recomputes this too ("pad-sum-mismatch").
+            pad_sum.resize(static_cast<std::size_t>(out_ch * taps));
+            kernels::pad_sums_into(wq.data(), bits, out_ch, patch, taps,
+                                   lut->table().data(),
+                                   static_cast<std::uint16_t>(in_zero),
+                                   pad_sum.data());
         }
     }
 
@@ -183,13 +196,14 @@ struct ConvOp final : IntInferenceEngine::Op {
 
         if (!wq_panels.empty()) {
             // Blocked path: im2col is fused into activation panel production
-            // (no (positions x patch) column buffer), the weight panels were
-            // packed at finalize(), and the Eq. (8) row sums come from the
-            // panel headers. Integer epilogue => bitwise-identical to the
-            // scalar oracle below.
+            // (no (positions x patch) column buffer), the weight panels and
+            // the padding constant were built at finalize(), and the Eq. (8)
+            // row sums come from the panel headers. Integer epilogue =>
+            // bitwise-identical to the scalar oracle below.
+            assert(x.zero == in_zero && "pad_sum assumes the input zero point");
             const kernels::Tuning& tiles = kernels::Tuning::current();
             const kernels::PanelPlan xplan =
-                kernels::make_panel_plan(positions, patch, tiles.tp, wplan.tk);
+                kernels::make_conv_act_plan(positions, patch, tiles.tp, wplan.tk);
             // Packer and GEMM share chunks of whole position blocks, each
             // worth at least tune::kMinChunkWork lookups (a block is
             // tr * O * K), so a conv with less work runs on the caller.
@@ -203,7 +217,8 @@ struct ConvOp final : IntInferenceEngine::Op {
             kernels::BlockedGemmArgs args;
             args.bits = bits;
             args.lut = lut->table().data();
-            args.w = kernels::WeightPanels{wplan, wq_panels.data(), sum_w.data()};
+            args.w = kernels::WeightPanels{wplan, wq_panels.data(), sum_w.data(),
+                                           pad_sum.data()};
             args.x = xpan;
             args.o = out_ch;
             args.p = positions;
@@ -407,10 +422,14 @@ struct AvgPoolOp final : IntInferenceEngine::Op {
 
 SafetyPolicy safety_policy_from_env() {
     const char* env = std::getenv("AMRET_ANALYZE");
-    if (env == nullptr) return SafetyPolicy::kWarn;
+    if (env == nullptr || env[0] == '\0') return SafetyPolicy::kWarn;
     const std::string value(env);
     if (value == "off") return SafetyPolicy::kOff;
+    if (value == "warn") return SafetyPolicy::kWarn;
     if (value == "enforce") return SafetyPolicy::kEnforce;
+    obs::warn_once("analysis.env_unknown",
+                   "AMRET_ANALYZE=" + value +
+                       " is not one of off|warn|enforce; using warn");
     return SafetyPolicy::kWarn;
 }
 
@@ -506,6 +525,18 @@ IntInferenceEngine::IntInferenceEngine(nn::Sequential& model,
     }
     if (head_linears.empty())
         throw std::invalid_argument("model has no classifier head");
+    // One span label per op, interned now so forward_into passes a pointer.
+    for (std::size_t i = 0; i < ops_.size(); ++i) {
+        const Op* op = ops_[i].get();
+        const auto* avg = dynamic_cast<const AvgPoolOp*>(op);
+        const char* kind = dynamic_cast<const ConvOp*>(op) != nullptr ? "conv"
+                           : avg == nullptr                          ? "maxpool"
+                           : avg->global                             ? "gap"
+                                                                     : "avgpool";
+        char label[48];
+        std::snprintf(label, sizeof(label), "engine.op%02zu.%s", i, kind);
+        ops_[i]->span = obs::intern_label(label);
+    }
 
     // The head's weights are static: pack them into GEMM panels once.
     for (std::size_t i = 0; i < head_linears.size(); ++i) {
@@ -635,10 +666,13 @@ analysis::GraphDesc IntInferenceEngine::describe() const {
             d.conv.out_qmax = conv->out_qmax;
             if (!conv->wq_panels.empty()) {
                 // Digest-excluded derived data; the analyzer cross-checks the
-                // packing so the certificate covers the blocked path too.
+                // packing and the padding constant so the certificate covers
+                // the blocked path too.
                 d.conv.panel_tr = conv->wplan.tr;
                 d.conv.panel_tk = conv->wplan.tk;
+                d.conv.panel_taps = conv->kernel * conv->kernel;
                 d.conv.wq_panels = conv->wq_panels;
+                d.conv.pad_sum = conv->pad_sum;
             }
         } else if (const auto* avg = dynamic_cast<const AvgPoolOp*>(op.get())) {
             d.kind = analysis::OpDesc::Kind::kPool;
@@ -717,8 +751,16 @@ void IntInferenceEngine::forward_into(const tensor::Tensor& images,
     // between models keeps per-model high-water marks and trim() never
     // releases the hot working set (see Workspace::begin).
     ws.begin(arena_key_);
-    QTensor q = quantize_input(images, ws);
-    for (const auto& op : ops_) q = op->run(q, ws);
+    QTensor q;
+    {
+        AMRET_OBS_SPAN("engine.input");
+        q = quantize_input(images, ws);
+    }
+    for (const auto& op : ops_) {
+        AMRET_OBS_SPAN(op->span);
+        q = op->run(q, ws);
+    }
+    AMRET_OBS_SPAN("engine.head");
 
     const std::int64_t classes = num_classes();
     if (logits.rank() != 2 || logits.dim(0) != q.n || logits.dim(1) != classes)

@@ -43,7 +43,9 @@ enum class SafetyPolicy {
 };
 
 /// Policy from the AMRET_ANALYZE environment variable ("off" / "warn" /
-/// "enforce"; default warn) — the engine constructor's default.
+/// "enforce"; unset or empty means warn) — the engine constructor's default.
+/// Any other value also means warn, and raises the typed warning
+/// `analysis.env_unknown` (counter warn.analysis.env_unknown).
 SafetyPolicy safety_policy_from_env();
 
 /// A uint8 activation tensor with its affine interpretation. The storage is

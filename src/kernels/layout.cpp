@@ -21,7 +21,7 @@ std::uint64_t fnv1a64(std::uint64_t h, std::uint64_t v) {
     return h;
 }
 
-/// Shared skeleton of the fused packers: walks the position rows of one
+/// Shared skeleton of the fused packers: walks the panel rows of one
 /// row-block range, asks \p row_taps(row) once per row for that row's tap
 /// reader, stores each tap(kk) code in its panel slot and accumulates the
 /// row-sum header. Pad slots (rows beyond plan.rows, depth beyond
@@ -55,45 +55,53 @@ void pack_rows_fused(const PanelPlan& plan, std::uint16_t* codes,
     }
 }
 
-/// The im2col taps (c-major, then ky, kx — matching the (O, C, K, K) weight
-/// layout): each tap's kernel offsets and its element offset from a window's
-/// top-left input pixel in \p layout. Built once per packing call.
+/// The im2col taps in panel depth order, tap-major (ky, kx, then c): each
+/// tap's kernel offsets, its element offset from a window's top-left input
+/// pixel in \p layout, and its index in the im2col (c, ky, kx) order of the
+/// row-major codes and the (O, C, K, K) weights. Built once per packing call.
 struct TapTable {
     std::int32_t* ky = nullptr;
     std::int32_t* kx = nullptr;
     std::int64_t* off = nullptr;
+    std::int64_t* im2col = nullptr;
 };
 
 TapTable make_tap_table(const tensor::ConvGeom& geom, ActivationLayout layout,
                         Workspace& ws) {
     const std::int64_t patch = geom.patch();
-    TapTable taps;
-    taps.ky = ws.alloc<std::int32_t>(patch);
-    taps.kx = ws.alloc<std::int32_t>(patch);
-    taps.off = ws.alloc<std::int64_t>(patch);
-    std::int64_t t = 0;
-    for (std::int64_t c = 0; c < geom.in_ch; ++c)
-        for (std::int64_t ky = 0; ky < geom.kernel; ++ky)
-            for (std::int64_t kx = 0; kx < geom.kernel; ++kx, ++t) {
-                taps.ky[t] = static_cast<std::int32_t>(ky);
-                taps.kx[t] = static_cast<std::int32_t>(kx);
-                taps.off[t] = layout == ActivationLayout::kNCHW
-                                  ? (c * geom.in_h + ky) * geom.in_w + kx
-                                  : (ky * geom.in_w + kx) * geom.in_ch + c;
+    const std::int64_t k = geom.kernel, taps = k * k;
+    TapTable table;
+    table.ky = ws.alloc<std::int32_t>(patch);
+    table.kx = ws.alloc<std::int32_t>(patch);
+    table.off = ws.alloc<std::int64_t>(patch);
+    table.im2col = ws.alloc<std::int64_t>(patch);
+    std::int64_t d = 0;
+    for (std::int64_t ky = 0; ky < k; ++ky)
+        for (std::int64_t kx = 0; kx < k; ++kx)
+            for (std::int64_t c = 0; c < geom.in_ch; ++c, ++d) {
+                table.ky[d] = static_cast<std::int32_t>(ky);
+                table.kx[d] = static_cast<std::int32_t>(kx);
+                table.off[d] = layout == ActivationLayout::kNCHW
+                                   ? (c * geom.in_h + ky) * geom.in_w + kx
+                                   : (ky * geom.in_w + kx) * geom.in_ch + c;
+                table.im2col[d] = c * taps + ky * k + kx;
             }
-    return taps;
+    return table;
 }
 
-/// Row-tap reader of the im2col packers, for pack_rows_fused. Each position
-/// row's (n, oy, ox) and window base offset are computed once. A window
-/// inside the image reads every tap through at(row, t, base + off[t]); a
-/// border window checks each tap and takes pad(row, t) outside the image.
+/// Row-tap reader of the im2col packers, for pack_rows_fused. Each panel
+/// row is location-major, row = (oy * OW + ox) * N + n; its im2col row
+/// n * OH * OW + oy * OW + ox and window base offset are computed once. A
+/// window inside the image reads every tap d through
+/// at(im2col_row, im2col[d], base + off[d]); a border window checks each
+/// tap and takes pad(im2col_row, im2col[d]) outside the image.
 template <typename At, typename Pad>
 auto im2col_row_taps(const tensor::ConvGeom& geom, ActivationLayout layout,
                      const TapTable& taps, At& at, Pad& pad) {
     return [&geom, layout, &taps, &at, &pad](std::int64_t row) {
         const std::int64_t ow = geom.out_w(), spatial = geom.out_h() * ow;
-        const std::int64_t n = row / spatial, s = row % spatial;
+        const std::int64_t n = row % geom.batch, s = row / geom.batch;
+        const std::int64_t src_row = n * spatial + s;
         const std::int64_t iy0 = (s / ow) * geom.stride - geom.pad;
         const std::int64_t ix0 = (s % ow) * geom.stride - geom.pad;
         const bool interior = iy0 >= 0 && ix0 >= 0 &&
@@ -103,13 +111,14 @@ auto im2col_row_taps(const tensor::ConvGeom& geom, ActivationLayout layout,
             layout == ActivationLayout::kNCHW
                 ? (n * geom.in_ch * geom.in_h + iy0) * geom.in_w + ix0
                 : ((n * geom.in_h + iy0) * geom.in_w + ix0) * geom.in_ch;
-        return [&, row, iy0, ix0, interior, base](std::int64_t t) -> std::uint16_t {
+        return [&, src_row, iy0, ix0, interior,
+                base](std::int64_t d) -> std::uint16_t {
             if (!interior) {
-                const std::int64_t iy = iy0 + taps.ky[t], ix = ix0 + taps.kx[t];
+                const std::int64_t iy = iy0 + taps.ky[d], ix = ix0 + taps.kx[d];
                 if (iy < 0 || iy >= geom.in_h || ix < 0 || ix >= geom.in_w)
-                    return pad(row, t);
+                    return pad(src_row, taps.im2col[d]);
             }
-            return at(row, t, base + taps.off[t]);
+            return at(src_row, taps.im2col[d], base + taps.off[d]);
         };
     };
 }
@@ -136,11 +145,20 @@ PanelPlan make_panel_plan(std::int64_t rows, std::int64_t depth, std::int64_t tr
     return plan;
 }
 
+PanelPlan make_conv_act_plan(std::int64_t positions, std::int64_t patch,
+                             std::int64_t tr, std::int64_t tk) {
+    PanelPlan plan = make_panel_plan(positions, patch, tr, tk);
+    if (positions < 8) plan.tr = 1;
+    return plan;
+}
+
 void pack_weight_panels_into(const std::uint16_t* wq, unsigned bits,
-                             const PanelPlan& plan, std::uint32_t* codes,
-                             std::int64_t* sum_w) {
+                             const PanelPlan& plan, std::int64_t taps,
+                             std::uint32_t* codes, std::int64_t* sum_w) {
     AMRET_OBS_SPAN("kernels.pack_weights");
+    assert(taps >= 1 && plan.depth % taps == 0);
     const std::int64_t tr = plan.tr, tk = plan.tk;
+    const std::int64_t channels = plan.depth / taps;
     const std::int64_t kblocks = plan.depth_blocks();
     const std::int64_t nblocks = plan.row_blocks();
     runtime::parallel_for(0, nblocks, runtime::grain_for(nblocks, 1),
@@ -159,7 +177,11 @@ void pack_weight_panels_into(const std::uint16_t* wq, unsigned bits,
                     const std::int64_t kr = plan.block_depth(kb);
                     const std::int64_t kbase = kb * tk;
                     for (std::int64_t kk = 0; kk < kr; ++kk) {
-                        const std::uint32_t code = src[kbase + kk];
+                        // Panel depth d = t * C + c holds im2col column
+                        // c * taps + t.
+                        const std::int64_t d = kbase + kk;
+                        const std::uint32_t code =
+                            src[(d % channels) * taps + d / channels];
                         panel[kk * tr + rr] = code << bits;
                         sum += code;
                     }
@@ -172,14 +194,39 @@ void pack_weight_panels_into(const std::uint16_t* wq, unsigned bits,
 
 WeightPanels pack_weight_panels(const std::uint16_t* wq, unsigned bits,
                                 const PanelPlan& plan, Workspace& ws) {
-    WeightPanels w;
-    w.plan = plan;
     std::uint32_t* codes = ws.alloc<std::uint32_t>(plan.elems());
     std::int64_t* sums = ws.alloc<std::int64_t>(plan.rows);
-    pack_weight_panels_into(wq, bits, plan, codes, sums);
-    w.codes = codes;
-    w.sum_w = sums;
-    return w;
+    pack_weight_panels_into(wq, bits, plan, 1, codes, sums);
+    return WeightPanels{plan, codes, sums};
+}
+
+void pad_sums_into(const std::uint16_t* wq, unsigned bits, std::int64_t rows,
+                   std::int64_t depth, std::int64_t taps,
+                   const std::int32_t* lut, std::uint16_t z_pad,
+                   std::int64_t* pad_sum) {
+    runtime::parallel_for(0, rows, runtime::grain_for(rows, tune::kGrainSumRows),
+                          [&](std::int64_t o0, std::int64_t o1) {
+        for (std::int64_t o = o0; o < o1; ++o) {
+            const std::uint16_t* src = wq + o * depth;
+            std::int64_t* dst = pad_sum + o * taps;
+            std::fill(dst, dst + taps, std::int64_t{0});
+            for (std::int64_t kk = 0; kk < depth; ++kk)
+                dst[kk % taps] +=
+                    lut[(static_cast<std::uint32_t>(src[kk]) << bits) | z_pad];
+        }
+    });
+}
+
+WeightPanels pack_conv_weight_panels(const std::uint16_t* wq, unsigned bits,
+                                     const PanelPlan& plan, std::int64_t taps,
+                                     const std::int32_t* lut,
+                                     std::uint16_t z_pad, Workspace& ws) {
+    std::uint32_t* codes = ws.alloc<std::uint32_t>(plan.elems());
+    std::int64_t* sums = ws.alloc<std::int64_t>(plan.rows);
+    std::int64_t* pad_sum = ws.alloc<std::int64_t>(plan.rows * taps);
+    pack_weight_panels_into(wq, bits, plan, taps, codes, sums);
+    pad_sums_into(wq, bits, plan.rows, plan.depth, taps, lut, z_pad, pad_sum);
+    return WeightPanels{plan, codes, sums, pad_sum};
 }
 
 ActPanels pack_activation_panels(const std::uint16_t* xq, const PanelPlan& plan,
@@ -187,6 +234,7 @@ ActPanels pack_activation_panels(const std::uint16_t* xq, const PanelPlan& plan,
     AMRET_OBS_SPAN("kernels.pack_acts");
     ActPanels x;
     x.plan = plan;
+    x.geom = matrix_geom(plan.rows, plan.depth);
     std::uint16_t* codes = ws.alloc<std::uint16_t>(plan.elems());
     std::int64_t* sums = ws.alloc<std::int64_t>(plan.rows);
     const std::int64_t nblocks = plan.row_blocks();
@@ -282,6 +330,7 @@ ActPanels pack_im2col_panels_u8(const std::uint8_t* x,
     const TapTable taps = make_tap_table(geom, layout, ws);
     ActPanels out;
     out.plan = plan;
+    out.geom = geom;
     std::uint16_t* codes = ws.alloc<std::uint16_t>(plan.elems());
     std::int64_t* sums = ws.alloc<std::int64_t>(plan.rows);
     auto at = [x](std::int64_t, std::int64_t, std::int64_t i) {
@@ -316,17 +365,18 @@ ActPanels quantize_im2col_panels(const float* x, const tensor::ConvGeom& geom,
     const TapTable taps = make_tap_table(geom, ActivationLayout::kNCHW, ws);
     ActPanels out;
     out.plan = plan;
+    out.geom = geom;
     std::uint16_t* codes = ws.alloc<std::uint16_t>(plan.elems());
     std::int64_t* sums = ws.alloc<std::int64_t>(plan.rows);
     const std::int64_t depth = plan.depth;
-    auto at = [&](std::int64_t row, std::int64_t t, std::int64_t i) {
-        row_codes[row * depth + t] = plane.codes[i];
-        in_range[row * depth + t] = plane.in_range[i];
+    auto at = [&](std::int64_t row, std::int64_t col, std::int64_t i) {
+        row_codes[row * depth + col] = plane.codes[i];
+        in_range[row * depth + col] = plane.in_range[i];
         return plane.codes[i];
     };
-    auto pad = [&](std::int64_t row, std::int64_t t) {
-        row_codes[row * depth + t] = code0;
-        in_range[row * depth + t] = mask0;
+    auto pad = [&](std::int64_t row, std::int64_t col) {
+        row_codes[row * depth + col] = code0;
+        in_range[row * depth + col] = mask0;
         return code0;
     };
     const std::int64_t nblocks = plan.row_blocks();
@@ -349,6 +399,7 @@ ActPanels quantize_into_panels(const float* src, const quant::QuantParams& param
     AMRET_OBS_COUNT("kernels.quantize.elems", plan.rows * plan.depth);
     ActPanels out;
     out.plan = plan;
+    out.geom = matrix_geom(plan.rows, plan.depth);
     std::uint16_t* codes = ws.alloc<std::uint16_t>(plan.elems());
     std::int64_t* sums = ws.alloc<std::int64_t>(plan.rows);
     const std::int64_t nblocks = plan.row_blocks();

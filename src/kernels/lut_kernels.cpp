@@ -165,8 +165,13 @@ bool lut_fits_u8(const std::int32_t* lut, unsigned bits) {
                        [](std::int32_t v) { return v >= 0 && v <= 255; });
 }
 
+void count_pad_skipped([[maybe_unused]] std::int64_t n) {
+    AMRET_OBS_COUNT("kernels.gemm.pad_skipped", n);
+}
+
 void accumulate_panel_block_scalar(const BlockedGemmArgs& a, std::int64_t rb,
-                                   std::int64_t ob, std::int64_t* acc) {
+                                   std::int64_t ob, const DepthRuns& runs,
+                                   std::int64_t* acc) {
     const PanelPlan& xp = a.x.plan;
     const PanelPlan& wp = a.w.plan;
     const std::int64_t tp = xp.tr, to = wp.tr;
@@ -175,17 +180,20 @@ void accumulate_panel_block_scalar(const BlockedGemmArgs& a, std::int64_t rb,
     const std::int64_t kblocks = xp.depth_blocks();
     std::fill(acc, acc + orr * tp, std::int64_t{0});
     for (std::int64_t kb = 0; kb < kblocks; ++kb) {
-        const std::int64_t kr = xp.block_depth(kb);
+        const std::int64_t kr = xp.block_depth(kb), kbase = kb * xp.tk;
         const std::uint16_t* xpan = a.x.codes + xp.panel_offset(rb, kb);
         const std::uint32_t* wpan = a.w.codes + wp.panel_offset(ob, kb);
-        for (std::int64_t kk = 0; kk < kr; ++kk) {
-            const std::uint16_t* xv = xpan + kk * tp;
-            const std::uint32_t* wv = wpan + kk * to;
-            for (std::int64_t oo = 0; oo < orr; ++oo) {
-                const std::int32_t* lrow = a.lut + wv[oo];
-                std::int64_t* arow = acc + oo * tp;
-                for (std::int64_t pp = 0; pp < pr; ++pp)
-                    arow[pp] += lrow[xv[pp]];
+        for (std::int64_t j = 0; j < runs.count; ++j) {
+            const std::int64_t hi = runs.hi(j, kbase, kr);
+            for (std::int64_t kk = runs.lo(j, kbase); kk < hi; ++kk) {
+                const std::uint16_t* xv = xpan + kk * tp;
+                const std::uint32_t* wv = wpan + kk * to;
+                for (std::int64_t oo = 0; oo < orr; ++oo) {
+                    const std::int32_t* lrow = a.lut + wv[oo];
+                    std::int64_t* arow = acc + oo * tp;
+                    for (std::int64_t pp = 0; pp < pr; ++pp)
+                        arow[pp] += lrow[xv[pp]];
+                }
             }
         }
     }
@@ -193,9 +201,9 @@ void accumulate_panel_block_scalar(const BlockedGemmArgs& a, std::int64_t rb,
 
 void accumulate_panel_block(const BlockedGemmArgs& a, bool lut_u8,
                             std::int64_t rb, std::int64_t ob,
-                            std::int64_t* acc) {
-    if (!simd::accumulate_panel(a, lut_u8, rb, ob, acc))
-        accumulate_panel_block_scalar(a, rb, ob, acc);
+                            const DepthRuns& runs, std::int64_t* acc) {
+    if (!simd::accumulate_panel(a, lut_u8, rb, ob, runs, acc))
+        accumulate_panel_block_scalar(a, rb, ob, runs, acc);
 }
 
 void lut_forward_blocked(const BlockedGemmArgs& args, const float* bias,

@@ -223,18 +223,24 @@ struct BlockedGemmArgs {
 /// call, so no verdict outlives the table it describes.
 bool lut_fits_u8(const std::int32_t* lut, unsigned bits);
 
+/// Adds \p n to the kernels.gemm.pad_skipped counter: lookups the blocked
+/// forward did not make because their tap was padding in every row of the
+/// block. Out of line so the header stays free of obs.
+void count_pad_skipped(std::int64_t n);
+
 /// Fills the int64 accumulator tile of block (rb, ob) with the scalar panel
-/// loop: acc[oo * a.x.plan.tr + pp] = sum_k LUT[w, x] over the real rows and
-/// depth of the block (pad rows are left zero). This is the PR-8 loop and
-/// the bitwise oracle every SIMD kernel memcmps against. \p acc must hold
-/// a.x.plan.tr * a.w.plan.tr int64s.
+/// loop: acc[oo * a.x.plan.tr + pp] = sum LUT[w, x] over the real rows of
+/// the block and the depth of \p runs, the block's tap box (pad rows are
+/// left zero). This is the bitwise oracle every SIMD kernel memcmps
+/// against. \p acc must hold a.x.plan.tr * a.w.plan.tr int64s.
 ///
 /// Inner loop: for a fixed depth index the activation panel column and the
 /// accumulator row are walked at unit stride, and each pre-shifted weight
 /// code pins one product-LUT row (`lut + wcode`) that consecutive activation
 /// codes index directly — the layout refactor's cache contract.
 void accumulate_panel_block_scalar(const BlockedGemmArgs& a, std::int64_t rb,
-                                   std::int64_t ob, std::int64_t* acc);
+                                   std::int64_t ob, const DepthRuns& runs,
+                                   std::int64_t* acc);
 
 /// Same contract, routed through the runtime SIMD dispatch
 /// (kernels::simd::select()): the fastest eligible vector kernel fills the
@@ -245,31 +251,74 @@ void accumulate_panel_block_scalar(const BlockedGemmArgs& a, std::int64_t rb,
 /// epilogues never read them).
 void accumulate_panel_block(const BlockedGemmArgs& a, bool lut_u8,
                             std::int64_t rb, std::int64_t ob,
-                            std::int64_t* acc);
+                            const DepthRuns& runs, std::int64_t* acc);
+
+/// Sum of pad_sum over the taps of filter \p o outside \p box: what the
+/// lookups the box walk skipped would have added, since each of them reads
+/// the pad code. 0 when the box covers every tap.
+inline std::int64_t pad_outside(const WeightPanels& w, std::int64_t k,
+                                std::int64_t o, const TapBox& box) {
+    if (box.full(k)) return 0;
+    assert(w.pad_sum != nullptr && "a padded conv needs WeightPanels::pad_sum");
+    const std::int64_t* z = w.pad_sum + o * k * k;
+    std::int64_t s = 0;
+    for (std::int64_t ky = 0; ky < k; ++ky) {
+        const bool row_in = ky >= box.ky0 && ky < box.ky1;
+        for (std::int64_t kx = 0; kx < k; ++kx)
+            if (!row_in || kx < box.kx0 || kx >= box.kx1) s += z[ky * k + kx];
+    }
+    return s;
+}
 
 /// Blocked integer GEMM core over position row-blocks [rb0, rb1) of
 /// a.x.plan. \p acc must hold a.x.plan.tr * a.w.plan.tr int64s. Serial —
 /// callers own the parallel decomposition (blocks write disjoint rows).
-/// The accumulation of each (rb, ob) tile runs through the SIMD dispatch
-/// seam (accumulate_panel_block); only the epilogue is inlined here.
+///
+/// Each row block reads only the depth runs of its tap box (TapBox): the
+/// taps outside it are padding in every row of the block, so their lookups
+/// all read the pad code and sum, per filter, to the precomputed
+/// pad_outside(). The epilogue adds that constant to the int64 accumulator
+/// before the Eq. (8) correction, whose headers still sum the full depth,
+/// so the corrected value equals the full-depth sum exactly. The
+/// accumulation of each (rb, ob) tile runs through the SIMD dispatch seam
+/// (accumulate_panel_block). \p epi(row, o, corrected) receives the im2col
+/// row (n, oy, ox) of each panel row, so the location-major panel order
+/// (layout.hpp) stays inside the kernels.
 template <class Epilogue>
 void lut_gemm_blocked_tile(const BlockedGemmArgs& a, std::int64_t rb0,
                            std::int64_t rb1, std::int64_t* acc, Epilogue&& epi) {
     const PanelPlan& xp = a.x.plan;
     const PanelPlan& wp = a.w.plan;
     assert(xp.depth == wp.depth && xp.tk == wp.tk && "mismatched depth blocking");
+    const tensor::ConvGeom& geom = a.x.geom;
+    const std::int64_t spatial = geom.out_h() * geom.out_w();
     const std::int64_t tp = xp.tr, to = wp.tr;
     const std::int64_t oblocks = wp.row_blocks();
     const bool lut_u8 = lut_fits_u8(a.lut, a.bits);
+    std::int64_t skipped = 0;
     for (std::int64_t rb = rb0; rb < rb1; ++rb) {
         const std::int64_t pr = xp.block_rows(rb);
         const std::int64_t pbase = rb * tp;
+        const TapBox box = TapBox::of_rows(geom, pbase, pbase + pr);
+        const DepthRuns runs = box.runs(geom);
+        skipped += (a.k - runs.depth()) * pr * a.o;
         for (std::int64_t ob = 0; ob < oblocks; ++ob) {
             const std::int64_t orr = wp.block_rows(ob);
             const std::int64_t obase = ob * to;
-            accumulate_panel_block(a, lut_u8, rb, ob, acc);
+            accumulate_panel_block(a, lut_u8, rb, ob, runs, acc);
+            for (std::int64_t oo = 0; oo < orr; ++oo) {
+                const std::int64_t pad =
+                    pad_outside(a.w, geom.kernel, obase + oo, box);
+                if (pad == 0) continue;
+                for (std::int64_t pp = 0; pp < pr; ++pp) acc[oo * tp + pp] += pad;
+            }
             for (std::int64_t pp = 0; pp < pr; ++pp) {
-                const std::int64_t sx = a.x.sum_x[pbase + pp];
+                // Panel row (oy * OW + ox) * N + n is im2col row
+                // n * OH * OW + oy * OW + ox.
+                const std::int64_t r = pbase + pp;
+                const std::int64_t row =
+                    (r % geom.batch) * spatial + r / geom.batch;
+                const std::int64_t sx = a.x.sum_x[r];
                 for (std::int64_t oo = 0; oo < orr; ++oo) {
                     const std::int32_t zw = a.row_zero_w(obase + oo);
                     const std::int64_t corrected =
@@ -277,11 +326,12 @@ void lut_gemm_blocked_tile(const BlockedGemmArgs& a, std::int64_t rb0,
                         static_cast<std::int64_t>(a.zero_x) * a.w.sum_w[obase + oo] -
                         static_cast<std::int64_t>(zw) * sx +
                         a.k * static_cast<std::int64_t>(zw) * a.zero_x;
-                    epi(pbase + pp, obase + oo, corrected);
+                    epi(row, obase + oo, corrected);
                 }
             }
         }
     }
+    count_pad_skipped(skipped);
 }
 
 /// Blocked forward into a (P, O) float matrix; bitwise-identical to

@@ -87,9 +87,4 @@ QuantPanels quantize_conv_panels(const float* x, const tensor::ConvGeom& geom,
     return out;
 }
 
-WeightPanels pack_quantized_weights(const QuantView& wq, unsigned bits,
-                                    const PanelPlan& plan, Workspace& ws) {
-    return pack_weight_panels(wq.codes, bits, plan, ws);
-}
-
 } // namespace amret::kernels

@@ -66,11 +66,4 @@ QuantPanels quantize_conv_panels(const float* x, const tensor::ConvGeom& geom,
                                  const quant::QuantParams& params,
                                  const PanelPlan& plan, Workspace& ws);
 
-/// Quantizes the (o, patch) weight matrix row-major (codes + mask, as
-/// quantize_into) AND packs the codes into pre-shifted weight panels under
-/// \p plan — the single weight-code path shared by the scalar oracle and
-/// the blocked kernels, so both see identical codes by construction.
-WeightPanels pack_quantized_weights(const QuantView& wq, unsigned bits,
-                                    const PanelPlan& plan, Workspace& ws);
-
 } // namespace amret::kernels

@@ -134,23 +134,23 @@ bool nibble_eligible(const BlockedGemmArgs& a, bool lut_u8) {
 } // namespace
 
 bool accumulate_panel(const BlockedGemmArgs& a, bool lut_u8, std::int64_t rb,
-                      std::int64_t ob, std::int64_t* acc) {
+                      std::int64_t ob, const DepthRuns& runs, std::int64_t* acc) {
     const Isa isa = select();
     if (isa == Isa::kScalar) return false;
     const bool nibble = nibble_eligible(a, lut_u8);
     switch (isa) {
     case Isa::kSsse3:
         if (!nibble) return false;
-        detail::acc_panel_nibble_ssse3(a, rb, ob, acc);
+        detail::acc_panel_nibble_ssse3(a, rb, ob, runs, acc);
         AMRET_OBS_COUNT("kernels.simd.panels.ssse3", 1);
         return true;
     case Isa::kAvx2:
         if (nibble)
-            detail::acc_panel_nibble_avx2(a, rb, ob, acc);
+            detail::acc_panel_nibble_avx2(a, rb, ob, runs, acc);
         else if (a.x.plan.tr < 8)
-            detail::acc_panel_olanes_avx2(a, rb, ob, acc);
+            detail::acc_panel_olanes_avx2(a, rb, ob, runs, acc);
         else
-            detail::acc_panel_gather_avx2(a, rb, ob, acc);
+            detail::acc_panel_gather_avx2(a, rb, ob, runs, acc);
         AMRET_OBS_COUNT("kernels.simd.panels.avx2", 1);
         return true;
     case Isa::kAvx512:
@@ -158,11 +158,11 @@ bool accumulate_panel(const BlockedGemmArgs& a, bool lut_u8, std::int64_t rb,
         // 8-lane output-channel leaf beat a 16-lane copy on narrow blocks;
         // the AVX2-TU copies run VEX-encoded, which is fine under AVX-512.
         if (nibble)
-            detail::acc_panel_nibble_avx2(a, rb, ob, acc);
+            detail::acc_panel_nibble_avx2(a, rb, ob, runs, acc);
         else if (a.x.plan.tr < 8)
-            detail::acc_panel_olanes_avx2(a, rb, ob, acc);
+            detail::acc_panel_olanes_avx2(a, rb, ob, runs, acc);
         else
-            detail::acc_panel_gather_avx512(a, rb, ob, acc);
+            detail::acc_panel_gather_avx512(a, rb, ob, runs, acc);
         AMRET_OBS_COUNT("kernels.simd.panels.avx512", 1);
         return true;
     case Isa::kScalar: break;

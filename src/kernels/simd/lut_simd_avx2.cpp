@@ -33,12 +33,14 @@ namespace amret::kernels::simd::detail {
 bool compiled_avx2() { return true; }
 
 void acc_panel_nibble_avx2(const BlockedGemmArgs& a, std::int64_t rb,
-                           std::int64_t ob, std::int64_t* acc) {
-    acc_panel_nibble_impl(a, rb, ob, acc);
+                           std::int64_t ob, const DepthRuns& runs,
+                           std::int64_t* acc) {
+    acc_panel_nibble_impl(a, rb, ob, runs, acc);
 }
 
 void acc_panel_gather_avx2(const BlockedGemmArgs& a, std::int64_t rb,
-                           std::int64_t ob, std::int64_t* acc) {
+                           std::int64_t ob, const DepthRuns& runs,
+                           std::int64_t* acc) {
     const PanelPlan& xp = a.x.plan;
     const PanelPlan& wp = a.w.plan;
     const std::int64_t tp = xp.tr, to = wp.tr;
@@ -47,7 +49,7 @@ void acc_panel_gather_avx2(const BlockedGemmArgs& a, std::int64_t rb,
     const std::int64_t pvec = tp & ~std::int64_t{7};
     std::fill(acc, acc + orr * tp, std::int64_t{0});
     for (std::int64_t kb = 0; kb < kblocks; ++kb) {
-        const std::int64_t kr = xp.block_depth(kb);
+        const std::int64_t kr = xp.block_depth(kb), kbase = kb * xp.tk;
         const std::uint16_t* xpan = a.x.codes + xp.panel_offset(rb, kb);
         const std::uint32_t* wpan = a.w.codes + wp.panel_offset(ob, kb);
         for (std::int64_t oo = 0; oo < orr; ++oo) {
@@ -55,22 +57,25 @@ void acc_panel_gather_avx2(const BlockedGemmArgs& a, std::int64_t rb,
             for (std::int64_t pp0 = 0; pp0 < pvec; pp0 += 8) {
                 __m256i acc_lo = _mm256_setzero_si256();
                 __m256i acc_hi = _mm256_setzero_si256();
-                for (std::int64_t kk = 0; kk < kr; ++kk) {
-                    const std::uint32_t wcode = wpan[kk * to + oo];
-                    const __m128i x16 =
-                        _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-                            xpan + kk * tp + pp0));
-                    const __m256i idx = _mm256_or_si256(
-                        _mm256_set1_epi32(static_cast<int>(wcode)),
-                        _mm256_cvtepu16_epi32(x16));
-                    const __m256i v = _mm256_i32gather_epi32(
-                        reinterpret_cast<const int*>(a.lut), idx, 4);
-                    acc_lo = _mm256_add_epi64(
-                        acc_lo,
-                        _mm256_cvtepi32_epi64(_mm256_castsi256_si128(v)));
-                    acc_hi = _mm256_add_epi64(
-                        acc_hi,
-                        _mm256_cvtepi32_epi64(_mm256_extracti128_si256(v, 1)));
+                for (std::int64_t j = 0; j < runs.count; ++j) {
+                    const std::int64_t hi = runs.hi(j, kbase, kr);
+                    for (std::int64_t kk = runs.lo(j, kbase); kk < hi; ++kk) {
+                        const std::uint32_t wcode = wpan[kk * to + oo];
+                        const __m128i x16 =
+                            _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                                xpan + kk * tp + pp0));
+                        const __m256i idx = _mm256_or_si256(
+                            _mm256_set1_epi32(static_cast<int>(wcode)),
+                            _mm256_cvtepu16_epi32(x16));
+                        const __m256i v = _mm256_i32gather_epi32(
+                            reinterpret_cast<const int*>(a.lut), idx, 4);
+                        acc_lo = _mm256_add_epi64(
+                            acc_lo,
+                            _mm256_cvtepi32_epi64(_mm256_castsi256_si128(v)));
+                        acc_hi = _mm256_add_epi64(
+                            acc_hi, _mm256_cvtepi32_epi64(
+                                        _mm256_extracti128_si256(v, 1)));
+                    }
                 }
                 _mm256_storeu_si256(
                     reinterpret_cast<__m256i*>(arow + pp0),
@@ -86,18 +91,22 @@ void acc_panel_gather_avx2(const BlockedGemmArgs& a, std::int64_t rb,
                                      acc_hi));
             }
             // Remaining lanes (tp % 8, incl. pads): scalar, still exact.
-            for (std::int64_t kk = 0; kk < kr && pvec < tp; ++kk) {
-                const std::int32_t* lrow = a.lut + wpan[kk * to + oo];
-                const std::uint16_t* xv = xpan + kk * tp;
-                for (std::int64_t pp = pvec; pp < tp; ++pp)
-                    arow[pp] += lrow[xv[pp]];
+            for (std::int64_t j = 0; j < runs.count && pvec < tp; ++j) {
+                const std::int64_t hi = runs.hi(j, kbase, kr);
+                for (std::int64_t kk = runs.lo(j, kbase); kk < hi; ++kk) {
+                    const std::int32_t* lrow = a.lut + wpan[kk * to + oo];
+                    const std::uint16_t* xv = xpan + kk * tp;
+                    for (std::int64_t pp = pvec; pp < tp; ++pp)
+                        arow[pp] += lrow[xv[pp]];
+                }
             }
         }
     }
 }
 
 void acc_panel_olanes_avx2(const BlockedGemmArgs& a, std::int64_t rb,
-                           std::int64_t ob, std::int64_t* acc) {
+                           std::int64_t ob, const DepthRuns& runs,
+                           std::int64_t* acc) {
     const PanelPlan& xp = a.x.plan;
     const PanelPlan& wp = a.w.plan;
     const std::int64_t tp = xp.tr, to = wp.tr;
@@ -113,27 +122,32 @@ void acc_panel_olanes_avx2(const BlockedGemmArgs& a, std::int64_t rb,
             __m256i acc_lo = _mm256_setzero_si256();
             __m256i acc_hi = _mm256_setzero_si256();
             for (std::int64_t kb = 0; kb < kblocks; ++kb) {
-                const std::int64_t kr = xp.block_depth(kb);
+                const std::int64_t kr = xp.block_depth(kb), kbase = kb * xp.tk;
                 const std::uint16_t* xcol =
                     a.x.codes + xp.panel_offset(rb, kb) + pp;
                 const std::uint32_t* wrow =
                     a.w.codes + wp.panel_offset(ob, kb) + o0;
-                for (std::int64_t kk = 0; kk < kr; ++kk) {
-                    // 8 pre-shifted weight codes are contiguous at fixed kk;
-                    // one activation code picks the column of each row.
-                    const __m256i idx = _mm256_or_si256(
-                        _mm256_maskload_epi32(
-                            reinterpret_cast<const int*>(wrow + kk * to), live),
-                        _mm256_set1_epi32(xcol[kk * tp]));
-                    const __m256i v = _mm256_mask_i32gather_epi32(
-                        _mm256_setzero_si256(),
-                        reinterpret_cast<const int*>(a.lut), idx, live, 4);
-                    acc_lo = _mm256_add_epi64(
-                        acc_lo,
-                        _mm256_cvtepi32_epi64(_mm256_castsi256_si128(v)));
-                    acc_hi = _mm256_add_epi64(
-                        acc_hi,
-                        _mm256_cvtepi32_epi64(_mm256_extracti128_si256(v, 1)));
+                for (std::int64_t j = 0; j < runs.count; ++j) {
+                    const std::int64_t hi = runs.hi(j, kbase, kr);
+                    for (std::int64_t kk = runs.lo(j, kbase); kk < hi; ++kk) {
+                        // 8 pre-shifted weight codes are contiguous at fixed
+                        // kk; one activation code picks the column of each
+                        // row.
+                        const __m256i idx = _mm256_or_si256(
+                            _mm256_maskload_epi32(
+                                reinterpret_cast<const int*>(wrow + kk * to),
+                                live),
+                            _mm256_set1_epi32(xcol[kk * tp]));
+                        const __m256i v = _mm256_mask_i32gather_epi32(
+                            _mm256_setzero_si256(),
+                            reinterpret_cast<const int*>(a.lut), idx, live, 4);
+                        acc_lo = _mm256_add_epi64(
+                            acc_lo,
+                            _mm256_cvtepi32_epi64(_mm256_castsi256_si128(v)));
+                        acc_hi = _mm256_add_epi64(
+                            acc_hi, _mm256_cvtepi32_epi64(
+                                        _mm256_extracti128_si256(v, 1)));
+                    }
                 }
             }
             alignas(32) std::int64_t sums[8];
@@ -186,11 +200,11 @@ bool compiled_avx2() { return false; }
 
 // Unreachable: dispatch.cpp never routes to a level compiled() rejects.
 void acc_panel_nibble_avx2(const BlockedGemmArgs&, std::int64_t, std::int64_t,
-                           std::int64_t*) {}
+                           const DepthRuns&, std::int64_t*) {}
 void acc_panel_gather_avx2(const BlockedGemmArgs&, std::int64_t, std::int64_t,
-                           std::int64_t*) {}
+                           const DepthRuns&, std::int64_t*) {}
 void acc_panel_olanes_avx2(const BlockedGemmArgs&, std::int64_t, std::int64_t,
-                           std::int64_t*) {}
+                           const DepthRuns&, std::int64_t*) {}
 void grad_row_avx2(const GradRowArgs&, std::int64_t) {}
 
 void gemm_f32_rows_avx2(const GemmF32Args&, std::int64_t, std::int64_t) {}

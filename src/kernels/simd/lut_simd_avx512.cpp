@@ -23,7 +23,8 @@ namespace amret::kernels::simd::detail {
 bool compiled_avx512() { return true; }
 
 void acc_panel_gather_avx512(const BlockedGemmArgs& a, std::int64_t rb,
-                             std::int64_t ob, std::int64_t* acc) {
+                             std::int64_t ob, const DepthRuns& runs,
+                             std::int64_t* acc) {
     const PanelPlan& xp = a.x.plan;
     const PanelPlan& wp = a.w.plan;
     const std::int64_t tp = xp.tr, to = wp.tr;
@@ -33,7 +34,7 @@ void acc_panel_gather_avx512(const BlockedGemmArgs& a, std::int64_t rb,
     const std::int64_t p8 = tp & ~std::int64_t{7};
     std::fill(acc, acc + orr * tp, std::int64_t{0});
     for (std::int64_t kb = 0; kb < kblocks; ++kb) {
-        const std::int64_t kr = xp.block_depth(kb);
+        const std::int64_t kr = xp.block_depth(kb), kbase = kb * xp.tk;
         const std::uint16_t* xpan = a.x.codes + xp.panel_offset(rb, kb);
         const std::uint32_t* wpan = a.w.codes + wp.panel_offset(ob, kb);
         for (std::int64_t oo = 0; oo < orr; ++oo) {
@@ -41,21 +42,24 @@ void acc_panel_gather_avx512(const BlockedGemmArgs& a, std::int64_t rb,
             for (std::int64_t pp0 = 0; pp0 < p16; pp0 += 16) {
                 __m512i acc_lo = _mm512_setzero_si512();
                 __m512i acc_hi = _mm512_setzero_si512();
-                for (std::int64_t kk = 0; kk < kr; ++kk) {
-                    const std::uint32_t wcode = wpan[kk * to + oo];
-                    const __m256i x16 =
-                        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                            xpan + kk * tp + pp0));
-                    const __m512i idx = _mm512_or_si512(
-                        _mm512_set1_epi32(static_cast<int>(wcode)),
-                        _mm512_cvtepu16_epi32(x16));
-                    const __m512i v = _mm512_i32gather_epi32(idx, a.lut, 4);
-                    acc_lo = _mm512_add_epi64(
-                        acc_lo,
-                        _mm512_cvtepi32_epi64(_mm512_castsi512_si256(v)));
-                    acc_hi = _mm512_add_epi64(
-                        acc_hi, _mm512_cvtepi32_epi64(
-                                    _mm512_extracti64x4_epi64(v, 1)));
+                for (std::int64_t j = 0; j < runs.count; ++j) {
+                    const std::int64_t hi = runs.hi(j, kbase, kr);
+                    for (std::int64_t kk = runs.lo(j, kbase); kk < hi; ++kk) {
+                        const std::uint32_t wcode = wpan[kk * to + oo];
+                        const __m256i x16 =
+                            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+                                xpan + kk * tp + pp0));
+                        const __m512i idx = _mm512_or_si512(
+                            _mm512_set1_epi32(static_cast<int>(wcode)),
+                            _mm512_cvtepu16_epi32(x16));
+                        const __m512i v = _mm512_i32gather_epi32(idx, a.lut, 4);
+                        acc_lo = _mm512_add_epi64(
+                            acc_lo,
+                            _mm512_cvtepi32_epi64(_mm512_castsi512_si256(v)));
+                        acc_hi = _mm512_add_epi64(
+                            acc_hi, _mm512_cvtepi32_epi64(
+                                        _mm512_extracti64x4_epi64(v, 1)));
+                    }
                 }
                 _mm512_storeu_si512(
                     arow + pp0,
@@ -69,22 +73,25 @@ void acc_panel_gather_avx512(const BlockedGemmArgs& a, std::int64_t rb,
             for (std::int64_t pp0 = p16; pp0 < p8; pp0 += 8) {
                 __m256i acc_lo = _mm256_setzero_si256();
                 __m256i acc_hi = _mm256_setzero_si256();
-                for (std::int64_t kk = 0; kk < kr; ++kk) {
-                    const std::uint32_t wcode = wpan[kk * to + oo];
-                    const __m128i x8 =
-                        _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-                            xpan + kk * tp + pp0));
-                    const __m256i idx = _mm256_or_si256(
-                        _mm256_set1_epi32(static_cast<int>(wcode)),
-                        _mm256_cvtepu16_epi32(x8));
-                    const __m256i v = _mm256_i32gather_epi32(
-                        reinterpret_cast<const int*>(a.lut), idx, 4);
-                    acc_lo = _mm256_add_epi64(
-                        acc_lo,
-                        _mm256_cvtepi32_epi64(_mm256_castsi256_si128(v)));
-                    acc_hi = _mm256_add_epi64(
-                        acc_hi,
-                        _mm256_cvtepi32_epi64(_mm256_extracti128_si256(v, 1)));
+                for (std::int64_t j = 0; j < runs.count; ++j) {
+                    const std::int64_t hi = runs.hi(j, kbase, kr);
+                    for (std::int64_t kk = runs.lo(j, kbase); kk < hi; ++kk) {
+                        const std::uint32_t wcode = wpan[kk * to + oo];
+                        const __m128i x8 =
+                            _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                                xpan + kk * tp + pp0));
+                        const __m256i idx = _mm256_or_si256(
+                            _mm256_set1_epi32(static_cast<int>(wcode)),
+                            _mm256_cvtepu16_epi32(x8));
+                        const __m256i v = _mm256_i32gather_epi32(
+                            reinterpret_cast<const int*>(a.lut), idx, 4);
+                        acc_lo = _mm256_add_epi64(
+                            acc_lo,
+                            _mm256_cvtepi32_epi64(_mm256_castsi256_si128(v)));
+                        acc_hi = _mm256_add_epi64(
+                            acc_hi, _mm256_cvtepi32_epi64(
+                                        _mm256_extracti128_si256(v, 1)));
+                    }
                 }
                 _mm256_storeu_si256(
                     reinterpret_cast<__m256i*>(arow + pp0),
@@ -100,11 +107,14 @@ void acc_panel_gather_avx512(const BlockedGemmArgs& a, std::int64_t rb,
                                      acc_hi));
             }
             // Remaining lanes (tp % 8, incl. pads): scalar, still exact.
-            for (std::int64_t kk = 0; kk < kr && p8 < tp; ++kk) {
-                const std::int32_t* lrow = a.lut + wpan[kk * to + oo];
-                const std::uint16_t* xv = xpan + kk * tp;
-                for (std::int64_t pp = p8; pp < tp; ++pp)
-                    arow[pp] += lrow[xv[pp]];
+            for (std::int64_t j = 0; j < runs.count && p8 < tp; ++j) {
+                const std::int64_t hi = runs.hi(j, kbase, kr);
+                for (std::int64_t kk = runs.lo(j, kbase); kk < hi; ++kk) {
+                    const std::int32_t* lrow = a.lut + wpan[kk * to + oo];
+                    const std::uint16_t* xv = xpan + kk * tp;
+                    for (std::int64_t pp = p8; pp < tp; ++pp)
+                        arow[pp] += lrow[xv[pp]];
+                }
             }
         }
     }
@@ -148,7 +158,7 @@ bool compiled_avx512() { return false; }
 
 // Unreachable: dispatch.cpp never routes to a level compiled() rejects.
 void acc_panel_gather_avx512(const BlockedGemmArgs&, std::int64_t,
-                             std::int64_t, std::int64_t*) {}
+                             std::int64_t, const DepthRuns&, std::int64_t*) {}
 void grad_row_avx512(const GradRowArgs&) {}
 
 void gemm_f32_rows_avx512(const GemmF32Args&, std::int64_t, std::int64_t) {}

@@ -102,14 +102,14 @@ void clear_isa_override();
 // Called by the kernels in lut_kernels and gemm.
 
 /// Fills the int64 accumulator tile of block (rb, ob):
-/// acc[oo * x.plan.tr + pp] = sum_k LUT[w, x] over the real depth extent,
-/// for every real row (pad lanes hold unspecified values; callers never
-/// read them). \p acc must hold x.plan.tr * w.plan.tr int64s. \p lut_u8
+/// acc[oo * x.plan.tr + pp] = sum LUT[w, x] over the depth of \p runs (the
+/// block's tap box), for every real row (pad lanes hold unspecified values;
+/// callers never read them). \p acc must hold x.plan.tr * w.plan.tr int64s. \p lut_u8
 /// is kernels::lut_fits_u8(a.lut, a.bits), the pshufb path's condition on
 /// the table. Returns false when the selected level has no eligible
 /// kernel; the caller then runs its scalar loop over the same block.
 bool accumulate_panel(const BlockedGemmArgs& a, bool lut_u8, std::int64_t rb,
-                      std::int64_t ob, std::int64_t* acc);
+                      std::int64_t ob, const DepthRuns& runs, std::int64_t* acc);
 
 /// One row of the row-major backward walk (lut_backward_rows): for kk in
 /// [0, k), out[kk] accumulates, over the compacted nonzero output gradients

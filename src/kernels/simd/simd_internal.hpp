@@ -21,27 +21,33 @@ bool compiled_avx512();
 
 // Forward accumulation leaves. Contract of simd::accumulate_panel: fully
 // own the real rows of the acc tile for block (rb, ob) — each holds the
-// sum over the real depth extent afterwards. Pad row lanes may accumulate
-// LUT[w, 0] or keep stale values (callers never read pad lanes).
+// sum over the depth of `runs` afterwards. Every leaf walks the same runs:
+// per depth block, each run clipped to the block, innermost over its
+// contiguous depth indices. Pad row lanes may accumulate LUT[w, 0] or keep
+// stale values (callers never read pad lanes).
 
 /// pshufb 16-entry in-register LUT path (bits <= 4). Requires
 /// a.x.packed4 != nullptr, a.x.plan.tr % 16 == 0, and every product-LUT
 /// entry in [0, 255] (lut_fits_u8, checked by the dispatcher).
 void acc_panel_nibble_ssse3(const BlockedGemmArgs& a, std::int64_t rb,
-                            std::int64_t ob, std::int64_t* acc);
+                            std::int64_t ob, const DepthRuns& runs,
+                            std::int64_t* acc);
 /// Same algorithm compiled VEX-encoded for AVX2-selected processes.
 void acc_panel_nibble_avx2(const BlockedGemmArgs& a, std::int64_t rb,
-                           std::int64_t ob, std::int64_t* acc);
+                           std::int64_t ob, const DepthRuns& runs,
+                           std::int64_t* acc);
 
 /// Vector-gather path for wide (e.g. 8x8) multipliers: 8 activation codes
 /// are widened, OR'd with the pre-shifted weight code and gathered from the
 /// product LUT, accumulating into 4+4 independent int64 lanes. Requires
 /// a.x.plan.tr >= 8.
 void acc_panel_gather_avx2(const BlockedGemmArgs& a, std::int64_t rb,
-                           std::int64_t ob, std::int64_t* acc);
+                           std::int64_t ob, const DepthRuns& runs,
+                           std::int64_t* acc);
 /// 16-lane AVX-512F variant (8+8 int64 accumulator lanes).
 void acc_panel_gather_avx512(const BlockedGemmArgs& a, std::int64_t rb,
-                             std::int64_t ob, std::int64_t* acc);
+                             std::int64_t ob, const DepthRuns& runs,
+                             std::int64_t* acc);
 
 /// Output-channel-lane gather path for position blocks narrower than the
 /// vector (a.x.plan.tr < 8, e.g. a batch-1 conv at 2x2 or 1x1): lanes run
@@ -51,7 +57,8 @@ void acc_panel_gather_avx512(const BlockedGemmArgs& a, std::int64_t rb,
 /// channel tail runs masked. Writes the real rows of the tile only and
 /// leaves pad rows untouched. The AVX-512 level runs it too.
 void acc_panel_olanes_avx2(const BlockedGemmArgs& a, std::int64_t rb,
-                           std::int64_t ob, std::int64_t* acc);
+                           std::int64_t ob, const DepthRuns& runs,
+                           std::int64_t* acc);
 
 // Backward row walk (contract of simd::GradRowArgs): vectorize across 8
 // (AVX2) or 16 (AVX-512) independent depth lanes while replaying the

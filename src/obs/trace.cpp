@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <vector>
 
 #if defined(__linux__)
@@ -97,6 +98,17 @@ void push_event(const SpanEvent& ev) {
 }
 
 } // namespace
+
+const char* intern_label(std::string_view name) {
+    static std::mutex mutex;
+    // Leaked, like the counter registry, so labels outlive static dtors;
+    // set nodes never move, so the pointers stay valid.
+    static auto* labels = new std::set<std::string, std::less<>>();
+    const std::lock_guard<std::mutex> lock(mutex);
+    auto it = labels->find(name);
+    if (it == labels->end()) it = labels->emplace(name).first;
+    return it->c_str();
+}
 
 void trace_start(const TraceConfig& config) {
     TraceState& s = state();

@@ -23,6 +23,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace amret::obs {
@@ -53,6 +54,12 @@ extern std::atomic<bool> g_trace_enabled;
 inline bool trace_enabled() noexcept {
     return detail::g_trace_enabled.load(std::memory_order_relaxed);
 }
+
+/// A process-lifetime copy of \p name, the same pointer for equal names: a
+/// span label built at run time (one per engine op, say) is interned once,
+/// off the hot path, and a span then passes the pointer like a literal.
+/// Thread-safe.
+const char* intern_label(std::string_view name);
 
 /// Clears all ring buffers, re-arms the epoch and enables span recording.
 void trace_start(const TraceConfig& config = {});

@@ -5,9 +5,11 @@
 #include "runtime/thread_pool.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -32,15 +34,23 @@ Context& context() {
     return ctx;
 }
 
+/// AMRET_THREADS when it is a whole positive integer (capped at
+/// kMaxThreads), else the hardware thread count. A set but malformed value
+/// ("8x", "abc", "0", "-3") falls back too, with a typed warning.
 unsigned resolve_auto() {
-    if (const char* env = std::getenv("AMRET_THREADS")) {
-        char* end = nullptr;
-        const long v = std::strtol(env, &end, 10);
-        if (end != env && v > 0)
-            return static_cast<unsigned>(std::min<long>(v, kMaxThreads));
-    }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    const char* env = std::getenv("AMRET_THREADS");
+    if (env == nullptr || env[0] == '\0') return hw;
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(env, &end, 10);
+    if (end != env && *end == '\0' && errno == 0 && v > 0)
+        return static_cast<unsigned>(std::min<long>(v, kMaxThreads));
+    obs::warn_once("runtime.threads_env_invalid",
+                   std::string("AMRET_THREADS=") + env +
+                       " is not a positive integer; using the " +
+                       std::to_string(hw) + " hardware threads");
+    return hw;
 }
 
 /// Applies a resolved thread count to \p ctx; caller holds ctx.mutex.

@@ -27,7 +27,9 @@ namespace amret::runtime {
 inline constexpr std::int64_t kMaxChunks = 64;
 
 /// Effective thread count (>= 1). Resolved on first use from AMRET_THREADS,
-/// falling back to hardware concurrency.
+/// falling back to hardware concurrency. A set value that is not a whole
+/// positive integer ("8x", "0") falls back too and raises the typed warning
+/// `runtime.threads_env_invalid`.
 unsigned num_threads();
 
 /// Reconfigures the pool. n == 0 re-resolves from the environment/hardware.

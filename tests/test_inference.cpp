@@ -2,13 +2,16 @@
 #include "approx/inference.hpp"
 #include "appmult/registry.hpp"
 #include "models/models.hpp"
+#include "obs/obs.hpp"
 #include "train/pipeline.hpp"
 #include "train/trainer.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <string>
 
 namespace {
 
@@ -74,6 +77,37 @@ TrainedModel make_trained(const std::string& arch, const std::string& mult_name)
     trainer.train_only(5);
     out.fake_quant_acc = train::evaluate(*out.model, out.data.test).top1;
     return out;
+}
+
+TEST(IntInference, SafetyPolicyEnvRejectsUnknownValuesWithTypedWarning) {
+    const char* prev = std::getenv("AMRET_ANALYZE");
+    const std::string saved = prev ? prev : "";
+    obs::Counter& warned = obs::counter("warn.analysis.env_unknown");
+    const std::int64_t before = warned.value();
+
+    ::setenv("AMRET_ANALYZE", "off", 1);
+    EXPECT_EQ(approx::safety_policy_from_env(), approx::SafetyPolicy::kOff);
+    ::setenv("AMRET_ANALYZE", "warn", 1);
+    EXPECT_EQ(approx::safety_policy_from_env(), approx::SafetyPolicy::kWarn);
+    ::setenv("AMRET_ANALYZE", "enforce", 1);
+    EXPECT_EQ(approx::safety_policy_from_env(), approx::SafetyPolicy::kEnforce);
+    ::unsetenv("AMRET_ANALYZE");
+    EXPECT_EQ(approx::safety_policy_from_env(), approx::SafetyPolicy::kWarn);
+    EXPECT_EQ(warned.value(), before);
+
+    // A near miss keeps the warn fallback but says so.
+    for (const char* bad : {"enforced", "OFF", "1"}) {
+        ::setenv("AMRET_ANALYZE", bad, 1);
+        const std::int64_t at = warned.value();
+        EXPECT_EQ(approx::safety_policy_from_env(), approx::SafetyPolicy::kWarn)
+            << bad;
+        EXPECT_EQ(warned.value(), at + 1) << bad;
+    }
+
+    if (prev)
+        ::setenv("AMRET_ANALYZE", saved.c_str(), 1);
+    else
+        ::unsetenv("AMRET_ANALYZE");
 }
 
 TEST(IntInference, LenetMatchesFakeQuantAccuracy) {

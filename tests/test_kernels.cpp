@@ -7,6 +7,7 @@
 // AMRET_THREADS-independent, so the same table covers the threads1/threads8
 // re-runs registered in CMakeLists.txt.
 #include "amret.hpp"
+#include "kernels/simd/simd.hpp"
 
 #include <gtest/gtest.h>
 
@@ -460,7 +461,8 @@ std::uint64_t hash_tensor(const Tensor& t) { return fnv1a(t.data(), t.numel()); 
 
 /// Expected hashes captured from the pre-refactor implementation (commit
 /// before src/kernels) via tools/golden_dump; identical for
-/// AMRET_THREADS = 1/2/8 by the determinism contract.
+/// AMRET_THREADS = 1/2/8 by the determinism contract, and at every SIMD
+/// dispatch level (each Golden test sweeps them in-process).
 const std::map<std::string, std::uint64_t> kGolden = {
     {"conv_pt.y", 0xc3ff8ef7bec164b5ull},  {"conv_pt.gx", 0x632ddb3519006a36ull},
     {"conv_pt.gw", 0x95f657ba9cf0145cull}, {"conv_pt.gb", 0x4ee8121ce08ca3ccull},
@@ -496,6 +498,17 @@ const std::map<std::string, std::uint64_t> kGolden = {
     // rows, captured before those blocks ran on vector leaves.
     {"engine_vgg.b1.logits", 0x6925430c5b8210a5ull},
     {"engine_vgg.b3.logits", 0x9931417cbc947512ull},
+    // Padded convs and an engine batch whose 16-row position blocks hold one
+    // output location (or the tail of one and the head of the next), a 5x5
+    // kernel and the nibble leaf, captured before the forward skipped the
+    // taps that are padding for a whole block.
+    {"conv_k5.y", 0x83837afc82d6b938ull},     {"conv_k5.gx", 0xadc125f331e28878ull},
+    {"conv_k5.gw", 0x09672bb41f89f597ull},    {"conv_k5.gb", 0xba6586d8f1dac98dull},
+    {"conv_k5_pc.y", 0x4777a2744be676a9ull},  {"conv_k5_pc.gx", 0xc38e1fc9ffdee123ull},
+    {"conv_k5_pc.gw", 0xb2712c96aedf7aecull}, {"conv_k5_pc.gb", 0x63054a0e273ebe54ull},
+    {"conv_nib.y", 0xc0c0e3398a1cec85ull},    {"conv_nib.gx", 0x983a5813cb9964c8ull},
+    {"conv_nib.gw", 0x8e09c3d67442bb75ull},   {"conv_nib.gb", 0xa62122369ffd36c6ull},
+    {"engine_vgg.b20.logits", 0x06769ec49360b470ull},
 };
 
 void expect_golden(const std::string& key, std::uint64_t h) {
@@ -503,6 +516,22 @@ void expect_golden(const std::string& key, std::uint64_t h) {
     ASSERT_NE(it, kGolden.end()) << key;
     EXPECT_EQ(h, it->second) << key << " (regenerate with tools/golden_dump "
                                        "only for deliberate numerical changes)";
+}
+
+/// Runs \p body once at every SIMD dispatch level this build and machine
+/// can run, in-process, so each golden hash pins every forward and backward
+/// leaf. The body builds its own layers, so no state carries between
+/// levels.
+template <class Body>
+void at_every_isa(Body&& body) {
+    using kernels::simd::Isa;
+    for (const Isa isa : {Isa::kScalar, Isa::kSsse3, Isa::kAvx2, Isa::kAvx512}) {
+        if (!kernels::simd::supported(isa)) continue;
+        SCOPED_TRACE(kernels::simd::isa_name(isa));
+        kernels::simd::set_isa_for_test(isa);
+        body();
+        kernels::simd::clear_isa_override();
+    }
 }
 
 approx::MultiplierConfig golden_config(const std::string& name) {
@@ -515,22 +544,24 @@ approx::MultiplierConfig golden_config(const std::string& name) {
 }
 
 void golden_conv(const char* tag, const std::string& mult, bool per_channel) {
-nn::Context ctx;
-    util::Rng wrng(101);
-    approx::ApproxConv2d conv(3, 8, 3, 1, 1, wrng);
-    conv.set_multiplier(golden_config(mult));
-    conv.set_mode(approx::ComputeMode::kQuantized);
-    conv.set_per_channel_weights(per_channel);
-    util::Rng xrng(202);
-    const Tensor x = Tensor::randn(Shape{2, 3, 8, 8}, xrng);
-    const Tensor y = conv.forward(x, ctx);
-    util::Rng grng(303);
-    const Tensor gy = Tensor::randn(y.shape(), grng);
-    const Tensor gx = conv.backward(gy, ctx);
-    expect_golden(std::string(tag) + ".y", hash_tensor(y));
-    expect_golden(std::string(tag) + ".gx", hash_tensor(gx));
-    expect_golden(std::string(tag) + ".gw", hash_tensor(conv.weight.grad));
-    expect_golden(std::string(tag) + ".gb", hash_tensor(conv.bias.grad));
+    at_every_isa([&] {
+        nn::Context ctx;
+        util::Rng wrng(101);
+        approx::ApproxConv2d conv(3, 8, 3, 1, 1, wrng);
+        conv.set_multiplier(golden_config(mult));
+        conv.set_mode(approx::ComputeMode::kQuantized);
+        conv.set_per_channel_weights(per_channel);
+        util::Rng xrng(202);
+        const Tensor x = Tensor::randn(Shape{2, 3, 8, 8}, xrng);
+        const Tensor y = conv.forward(x, ctx);
+        util::Rng grng(303);
+        const Tensor gy = Tensor::randn(y.shape(), grng);
+        const Tensor gx = conv.backward(gy, ctx);
+        expect_golden(std::string(tag) + ".y", hash_tensor(y));
+        expect_golden(std::string(tag) + ".gx", hash_tensor(gx));
+        expect_golden(std::string(tag) + ".gw", hash_tensor(conv.weight.grad));
+        expect_golden(std::string(tag) + ".gb", hash_tensor(conv.bias.grad));
+    });
 }
 
 TEST(Golden, QuantizedConvPerTensor) { golden_conv("conv_pt", "mul8u_rm8", false); }
@@ -538,56 +569,62 @@ TEST(Golden, QuantizedConvPerTensor) { golden_conv("conv_pt", "mul8u_rm8", false
 TEST(Golden, QuantizedConvPerChannel) { golden_conv("conv_pc", "mul7u_rm6", true); }
 
 TEST(Golden, FloatConv) {
-    util::Rng wrng(111);
-    nn::Context ctx;
-    approx::ApproxConv2d conv(3, 8, 3, 2, 1, wrng);
-    conv.set_mode(approx::ComputeMode::kFloat);
-    util::Rng xrng(212);
-    const Tensor x = Tensor::randn(Shape{2, 3, 9, 9}, xrng);
-    const Tensor y = conv.forward(x, ctx);
-    util::Rng grng(313);
-    const Tensor gy = Tensor::randn(y.shape(), grng);
-    const Tensor gx = conv.backward(gy, ctx);
-    expect_golden("fconv.y", hash_tensor(y));
-    expect_golden("fconv.gx", hash_tensor(gx));
-    expect_golden("fconv.gw", hash_tensor(conv.weight.grad));
-    expect_golden("fconv.gb", hash_tensor(conv.bias.grad));
+    at_every_isa([] {
+        util::Rng wrng(111);
+        nn::Context ctx;
+        approx::ApproxConv2d conv(3, 8, 3, 2, 1, wrng);
+        conv.set_mode(approx::ComputeMode::kFloat);
+        util::Rng xrng(212);
+        const Tensor x = Tensor::randn(Shape{2, 3, 9, 9}, xrng);
+        const Tensor y = conv.forward(x, ctx);
+        util::Rng grng(313);
+        const Tensor gy = Tensor::randn(y.shape(), grng);
+        const Tensor gx = conv.backward(gy, ctx);
+        expect_golden("fconv.y", hash_tensor(y));
+        expect_golden("fconv.gx", hash_tensor(gx));
+        expect_golden("fconv.gw", hash_tensor(conv.weight.grad));
+        expect_golden("fconv.gb", hash_tensor(conv.bias.grad));
+    });
 }
 
 TEST(Golden, QuantizedLinear) {
-    util::Rng wrng(404);
-    nn::Context ctx;
-    approx::ApproxLinear linear(24, 10, wrng);
-    linear.set_multiplier(golden_config("mul8u_2NDH"));
-    linear.set_mode(approx::ComputeMode::kQuantized);
-    util::Rng xrng(505);
-    const Tensor x = Tensor::randn(Shape{5, 24}, xrng);
-    const Tensor y = linear.forward(x, ctx);
-    util::Rng grng(606);
-    const Tensor gy = Tensor::randn(y.shape(), grng);
-    const Tensor gx = linear.backward(gy, ctx);
-    expect_golden("linear.y", hash_tensor(y));
-    expect_golden("linear.gx", hash_tensor(gx));
-    expect_golden("linear.gw", hash_tensor(linear.weight.grad));
-    expect_golden("linear.gb", hash_tensor(linear.bias.grad));
+    at_every_isa([] {
+        util::Rng wrng(404);
+        nn::Context ctx;
+        approx::ApproxLinear linear(24, 10, wrng);
+        linear.set_multiplier(golden_config("mul8u_2NDH"));
+        linear.set_mode(approx::ComputeMode::kQuantized);
+        util::Rng xrng(505);
+        const Tensor x = Tensor::randn(Shape{5, 24}, xrng);
+        const Tensor y = linear.forward(x, ctx);
+        util::Rng grng(606);
+        const Tensor gy = Tensor::randn(y.shape(), grng);
+        const Tensor gx = linear.backward(gy, ctx);
+        expect_golden("linear.y", hash_tensor(y));
+        expect_golden("linear.gx", hash_tensor(gx));
+        expect_golden("linear.gw", hash_tensor(linear.weight.grad));
+        expect_golden("linear.gb", hash_tensor(linear.bias.grad));
+    });
 }
 
 TEST(Golden, QuantizedDepthwise) {
-    util::Rng wrng(707);
-    nn::Context ctx;
-    approx::DepthwiseConv2d dw(6, 3, 1, 1, wrng);
-    dw.set_multiplier(golden_config("mul6u_rm4"));
-    dw.set_mode(approx::ComputeMode::kQuantized);
-    util::Rng xrng(808);
-    const Tensor x = Tensor::randn(Shape{2, 6, 8, 8}, xrng);
-    const Tensor y = dw.forward(x, ctx);
-    util::Rng grng(909);
-    const Tensor gy = Tensor::randn(y.shape(), grng);
-    const Tensor gx = dw.backward(gy, ctx);
-    expect_golden("dw.y", hash_tensor(y));
-    expect_golden("dw.gx", hash_tensor(gx));
-    expect_golden("dw.gw", hash_tensor(dw.weight.grad));
-    expect_golden("dw.gb", hash_tensor(dw.bias.grad));
+    at_every_isa([] {
+        util::Rng wrng(707);
+        nn::Context ctx;
+        approx::DepthwiseConv2d dw(6, 3, 1, 1, wrng);
+        dw.set_multiplier(golden_config("mul6u_rm4"));
+        dw.set_mode(approx::ComputeMode::kQuantized);
+        util::Rng xrng(808);
+        const Tensor x = Tensor::randn(Shape{2, 6, 8, 8}, xrng);
+        const Tensor y = dw.forward(x, ctx);
+        util::Rng grng(909);
+        const Tensor gy = Tensor::randn(y.shape(), grng);
+        const Tensor gx = dw.backward(gy, ctx);
+        expect_golden("dw.y", hash_tensor(y));
+        expect_golden("dw.gx", hash_tensor(gx));
+        expect_golden("dw.gw", hash_tensor(dw.weight.grad));
+        expect_golden("dw.gb", hash_tensor(dw.bias.grad));
+    });
 }
 
 /// Upstream gradient with exact zeros mixed into randn: every third element
@@ -605,65 +642,114 @@ Tensor zero_mixed_grad(const Shape& shape, util::Rng& rng) {
 }
 
 /// Two forward/backward steps through one context on fresh inputs (the
-/// same recipe as tools/golden_dump): the second step's weight and bias
-/// gradients accumulate into the first's, and the activation observer
-/// moves between the steps.
-template <class Layer>
-void golden_two_steps(const std::string& tag, Layer& layer, const Shape& xshape,
-                      std::uint64_t seed) {
-    nn::Context ctx;
-    util::Rng rng(seed);
-    Tensor y, gx;
-    for (int step = 0; step < 2; ++step) {
-        const Tensor x = Tensor::randn(xshape, rng);
-        y = layer.forward(x, ctx);
-        gx = layer.backward(zero_mixed_grad(y.shape(), rng), ctx);
-    }
-    expect_golden(tag + ".y", hash_tensor(y));
-    expect_golden(tag + ".gx", hash_tensor(gx));
-    expect_golden(tag + ".gw", hash_tensor(layer.weight.grad));
-    expect_golden(tag + ".gb", hash_tensor(layer.bias.grad));
+/// same recipe as tools/golden_dump), at every dispatch level: the second
+/// step's weight and bias gradients accumulate into the first's, and the
+/// activation observer moves between the steps. \p make_layer builds a
+/// fresh layer per level.
+template <class MakeLayer>
+void golden_two_steps(const std::string& tag, MakeLayer&& make_layer,
+                      const Shape& xshape, std::uint64_t seed) {
+    at_every_isa([&] {
+        auto layer = make_layer();
+        nn::Context ctx;
+        util::Rng rng(seed);
+        Tensor y, gx;
+        for (int step = 0; step < 2; ++step) {
+            const Tensor x = Tensor::randn(xshape, rng);
+            y = layer->forward(x, ctx);
+            gx = layer->backward(zero_mixed_grad(y.shape(), rng), ctx);
+        }
+        expect_golden(tag + ".y", hash_tensor(y));
+        expect_golden(tag + ".gx", hash_tensor(gx));
+        expect_golden(tag + ".gw", hash_tensor(layer->weight.grad));
+        expect_golden(tag + ".gb", hash_tensor(layer->bias.grad));
+    });
+}
+
+/// A quantized ApproxConv2d(in, out, kernel, stride, pad) seeded by
+/// \p seed, for golden_two_steps.
+auto quant_conv(std::int64_t in, std::int64_t out, std::int64_t kernel,
+                std::int64_t stride, std::int64_t pad, std::uint64_t seed,
+                approx::MultiplierConfig config, bool per_channel = false) {
+    return [=] {
+        util::Rng wrng(seed);
+        auto conv = std::make_unique<approx::ApproxConv2d>(in, out, kernel,
+                                                           stride, pad, wrng);
+        conv->set_multiplier(config);
+        conv->set_mode(approx::ComputeMode::kQuantized);
+        conv->set_per_channel_weights(per_channel);
+        return conv;
+    };
 }
 
 TEST(Golden, QuantizedDepthwiseStrideTwo) {
-    util::Rng wrng(717);
-    approx::DepthwiseConv2d dw(6, 3, 2, 1, wrng);
-    dw.set_multiplier(golden_config("mul8u_rm8"));
-    dw.set_mode(approx::ComputeMode::kQuantized);
-    golden_two_steps("dw_s2", dw, Shape{2, 6, 9, 7}, 818);
+    golden_two_steps("dw_s2", [] {
+        util::Rng wrng(717);
+        auto dw = std::make_unique<approx::DepthwiseConv2d>(6, 3, 2, 1, wrng);
+        dw->set_multiplier(golden_config("mul8u_rm8"));
+        dw->set_mode(approx::ComputeMode::kQuantized);
+        return dw;
+    }, Shape{2, 6, 9, 7}, 818);
 }
 
 TEST(Golden, FloatDepthwise) {
-    util::Rng wrng(727);
-    approx::DepthwiseConv2d dw(5, 3, 1, 1, wrng);
-    golden_two_steps("fdw", dw, Shape{2, 5, 9, 7}, 828);
+    golden_two_steps("fdw", [] {
+        util::Rng wrng(727);
+        return std::make_unique<approx::DepthwiseConv2d>(5, 3, 1, 1, wrng);
+    }, Shape{2, 5, 9, 7}, 828);
 }
 
 TEST(Golden, FloatDepthwiseStrideTwo) {
-    util::Rng wrng(737);
-    approx::DepthwiseConv2d dw(5, 3, 2, 1, wrng);
-    golden_two_steps("fdw_s2", dw, Shape{2, 5, 9, 7}, 838);
+    golden_two_steps("fdw_s2", [] {
+        util::Rng wrng(737);
+        return std::make_unique<approx::DepthwiseConv2d>(5, 3, 2, 1, wrng);
+    }, Shape{2, 5, 9, 7}, 838);
 }
 
 TEST(Golden, QuantizedConvStrideTwo) {
-    util::Rng wrng(747);
-    approx::ApproxConv2d conv(3, 8, 3, 2, 1, wrng);
-    conv.set_multiplier(golden_config("mul8u_rm8"));
-    conv.set_mode(approx::ComputeMode::kQuantized);
-    golden_two_steps("conv_s2", conv, Shape{2, 3, 9, 7}, 848);
+    golden_two_steps("conv_s2",
+                     quant_conv(3, 8, 3, 2, 1, 747, golden_config("mul8u_rm8")),
+                     Shape{2, 3, 9, 7}, 848);
+}
+
+TEST(Golden, QuantizedConvKernel5PaddedBlocks) {
+    // Batch 17: 16-row blocks hold the tail of one output location and the
+    // head of the next.
+    golden_two_steps("conv_k5",
+                     quant_conv(6, 10, 5, 1, 2, 777, golden_config("mul8u_rm8")),
+                     Shape{17, 6, 7, 9}, 878);
+}
+
+TEST(Golden, QuantizedConvKernel5PerChannelPaddedBlocks) {
+    // Batch 16: every 16-row block holds exactly one output location.
+    golden_two_steps("conv_k5_pc",
+                     quant_conv(6, 10, 5, 1, 2, 787, golden_config("mul8u_rm8"),
+                                /*per_channel=*/true),
+                     Shape{16, 6, 7, 9}, 888);
+}
+
+TEST(Golden, QuantizedConvNibblePaddedBlocks) {
+    // 4-bit exact products fit a byte: the nibble (pshufb) leaf runs.
+    golden_two_steps("conv_nib",
+                     quant_conv(5, 12, 3, 1, 1, 797,
+                                approx::MultiplierConfig::exact_ste(4)),
+                     Shape{16, 5, 6, 6}, 898);
 }
 
 TEST(Golden, FloatLinear) {
-    util::Rng wrng(757);
-    nn::Linear linear(37, 20, wrng);
-    golden_two_steps("flinear", linear, Shape{7, 37}, 858);
+    golden_two_steps("flinear", [] {
+        util::Rng wrng(757);
+        return std::make_unique<nn::Linear>(37, 20, wrng);
+    }, Shape{7, 37}, 858);
 }
 
 TEST(Golden, FloatConvWide) {
-    util::Rng wrng(767);
-    approx::ApproxConv2d conv(5, 20, 3, 1, 1, wrng);
-    conv.set_mode(approx::ComputeMode::kFloat);
-    golden_two_steps("fconv_wide", conv, Shape{3, 5, 9, 7}, 868);
+    golden_two_steps("fconv_wide", [] {
+        util::Rng wrng(767);
+        auto conv = std::make_unique<approx::ApproxConv2d>(5, 20, 3, 1, 1, wrng);
+        conv->set_mode(approx::ComputeMode::kFloat);
+        return conv;
+    }, Shape{3, 5, 9, 7}, 868);
 }
 
 TEST(Golden, IntInferenceEngine) {
@@ -676,21 +762,23 @@ TEST(Golden, IntInferenceEngine) {
     dc.seed = 77;
     const auto pair = data::make_synthetic(dc);
 
-    util::Rng rng(1010);
-    nn::Sequential model;
-    auto* conv = model.emplace<approx::ApproxConv2d>(3, 4, 3, 1, 1, rng);
-    model.emplace<nn::ReLU>();
-    model.emplace<nn::MaxPool2d>(2);
-    model.emplace<nn::Flatten>();
-    model.emplace<nn::Linear>(4 * 4 * 4, 4, rng);
-    conv->set_multiplier(golden_config("mul8u_17C8"));
-    model.set_training(false);
+    at_every_isa([&] {
+        util::Rng rng(1010);
+        nn::Sequential model;
+        auto* conv = model.emplace<approx::ApproxConv2d>(3, 4, 3, 1, 1, rng);
+        model.emplace<nn::ReLU>();
+        model.emplace<nn::MaxPool2d>(2);
+        model.emplace<nn::Flatten>();
+        model.emplace<nn::Linear>(4 * 4 * 4, 4, rng);
+        conv->set_multiplier(golden_config("mul8u_17C8"));
+        model.set_training(false);
 
-    approx::IntInferenceEngine engine(model, pair.train, 48);
-    util::Rng xrng(1111);
-    const Tensor images = Tensor::randn(Shape{3, 3, 8, 8}, xrng);
-    const Tensor logits = engine.forward(images);
-    expect_golden("engine.logits", hash_tensor(logits));
+        approx::IntInferenceEngine engine(model, pair.train, 48);
+        util::Rng xrng(1111);
+        const Tensor images = Tensor::randn(Shape{3, 3, 8, 8}, xrng);
+        const Tensor logits = engine.forward(images);
+        expect_golden("engine.logits", hash_tensor(logits));
+    });
 }
 
 TEST(Golden, IntInferenceEngineTwoLayerHead) {
@@ -703,32 +791,35 @@ TEST(Golden, IntInferenceEngineTwoLayerHead) {
     dc.seed = 78;
     const auto pair = data::make_synthetic(dc);
 
-    util::Rng rng(1212);
-    nn::Sequential model;
-    auto* conv = model.emplace<approx::ApproxConv2d>(3, 20, 3, 1, 1, rng);
-    model.emplace<nn::ReLU>();
-    model.emplace<nn::MaxPool2d>(2);
-    model.emplace<approx::ApproxConv2d>(20, 6, 3, 1, 1, rng);
-    model.emplace<nn::Flatten>();
-    model.emplace<nn::Linear>(6 * 4 * 4, 24, rng);
-    model.emplace<nn::ReLU>();
-    model.emplace<nn::Linear>(24, 4, rng);
-    conv->set_multiplier(golden_config("mul8u_17C8"));
-    model.set_training(false);
+    at_every_isa([&] {
+        util::Rng rng(1212);
+        nn::Sequential model;
+        auto* conv = model.emplace<approx::ApproxConv2d>(3, 20, 3, 1, 1, rng);
+        model.emplace<nn::ReLU>();
+        model.emplace<nn::MaxPool2d>(2);
+        model.emplace<approx::ApproxConv2d>(20, 6, 3, 1, 1, rng);
+        model.emplace<nn::Flatten>();
+        model.emplace<nn::Linear>(6 * 4 * 4, 24, rng);
+        model.emplace<nn::ReLU>();
+        model.emplace<nn::Linear>(24, 4, rng);
+        conv->set_multiplier(golden_config("mul8u_17C8"));
+        model.set_training(false);
 
-    // 40 calibration samples: the loader yields batches of 32 and 8.
-    approx::IntInferenceEngine engine(model, pair.train, 40);
-    util::Rng xrng(1313);
-    const Tensor images = Tensor::randn(Shape{5, 3, 8, 8}, xrng);
-    const Tensor logits = engine.forward(images);
-    expect_golden("engine_head.logits", hash_tensor(logits));
+        // 40 calibration samples: the loader yields batches of 32 and 8.
+        approx::IntInferenceEngine engine(model, pair.train, 40);
+        util::Rng xrng(1313);
+        const Tensor images = Tensor::randn(Shape{5, 3, 8, 8}, xrng);
+        const Tensor logits = engine.forward(images);
+        expect_golden("engine_head.logits", hash_tensor(logits));
+    });
 }
 
 TEST(Golden, IntInferenceEngineVggNarrowBlocks) {
     // VGG19 at width 1/8 on 16x16 inputs: the last eight convs run at 2x2
     // and 1x1, so a batch of 1 (P = 4, 1) and of 3 (P = 12, 3) form position
-    // blocks narrower than 8 rows. The exact multiplier keeps the untrained
-    // network's logits apart.
+    // blocks narrower than 8 rows, and a batch of 20 puts one location (or
+    // the tail of one and the head of the next) in each 16-row block. The
+    // exact multiplier keeps the untrained network's logits apart.
     data::SyntheticConfig dc;
     dc.num_classes = 4;
     dc.height = dc.width = 16;
@@ -738,28 +829,32 @@ TEST(Golden, IntInferenceEngineVggNarrowBlocks) {
     dc.seed = 79;
     const auto pair = data::make_synthetic(dc);
 
-    models::ModelConfig mc;
-    mc.num_classes = 4;
-    mc.in_size = 16;
-    mc.width_mult = 0.125f;
-    mc.seed = 1414;
-    const auto model = models::make_vgg("vgg19", mc);
-    approx::configure_approx_layers(*model, golden_config("mul8u_acc"),
-                                    approx::ComputeMode::kQuantized);
-    model->set_training(false);
+    at_every_isa([&] {
+        models::ModelConfig mc;
+        mc.num_classes = 4;
+        mc.in_size = 16;
+        mc.width_mult = 0.125f;
+        mc.seed = 1414;
+        const auto model = models::make_vgg("vgg19", mc);
+        approx::configure_approx_layers(*model, golden_config("mul8u_acc"),
+                                        approx::ComputeMode::kQuantized);
+        model->set_training(false);
 
-    approx::IntInferenceEngine engine(*model, pair.train, 32);
-    util::Rng xrng(1515);
-    const Tensor images = Tensor::randn(Shape{3, 3, 16, 16}, xrng);
-    Tensor first(Shape{1, 3, 16, 16});
-    std::copy_n(images.data(), first.numel(), first.data());
-    const Tensor one = engine.forward(first);
-    const Tensor three = engine.forward(images);
-    expect_golden("engine_vgg.b1.logits", hash_tensor(one));
-    expect_golden("engine_vgg.b3.logits", hash_tensor(three));
-    EXPECT_EQ(std::memcmp(one.data(), three.data(),
-                          static_cast<std::size_t>(one.numel()) * sizeof(float)),
-              0);
+        approx::IntInferenceEngine engine(*model, pair.train, 32);
+        util::Rng xrng(1515);
+        const Tensor images = Tensor::randn(Shape{3, 3, 16, 16}, xrng);
+        Tensor first(Shape{1, 3, 16, 16});
+        std::copy_n(images.data(), first.numel(), first.data());
+        const Tensor one = engine.forward(first);
+        const Tensor three = engine.forward(images);
+        expect_golden("engine_vgg.b1.logits", hash_tensor(one));
+        expect_golden("engine_vgg.b3.logits", hash_tensor(three));
+        EXPECT_EQ(std::memcmp(one.data(), three.data(),
+                              static_cast<std::size_t>(one.numel()) * sizeof(float)),
+                  0);
+        const Tensor twenty = Tensor::randn(Shape{20, 3, 16, 16}, xrng);
+        expect_golden("engine_vgg.b20.logits", hash_tensor(engine.forward(twenty)));
+    });
 }
 
 } // namespace

@@ -63,6 +63,17 @@ TEST(PanelPlan, TilesClampToTheMatrixAndKeyIsContentBased) {
     EXPECT_NE(a.key(), c.key());
 }
 
+TEST(PanelPlan, ConvActPlanSplitsOnlyConvsWithFewerThanEightPositions) {
+    // Batch-1 convs at 2x2 and 1x1: one-row blocks, each walking its box.
+    EXPECT_EQ(kernels::make_conv_act_plan(4, 1152, 16, 64).tr, 1);
+    EXPECT_EQ(kernels::make_conv_act_plan(1, 1152, 16, 64).tr, 1);
+    // The rule reads the shape, not the tile: a tuned 4-row tile keeps its
+    // blocks, which at N >= 4 share one output location.
+    EXPECT_EQ(kernels::make_conv_act_plan(256, 1152, 4, 64).tr, 4);
+    EXPECT_EQ(kernels::make_conv_act_plan(16, 1152, 16, 64).tr, 16);
+    EXPECT_EQ(kernels::make_conv_act_plan(8, 1152, 16, 64).tr, 8);
+}
+
 // ------------------------------------------------------- pack round trips --
 
 TEST(PanelPack, RoundTripIsIdentityForAllPaddingConfigs) {
@@ -290,6 +301,47 @@ TEST(BlockedKernels, BackwardMatchesScalarOracleBitwise) {
 
 // -------------------------------------------------- fused im2col packing --
 
+/// Reference panels of a conv's im2col matrix \p cols (positions x patch,
+/// rows (n, oy, ox), depth (c, ky, kx)), written out here rather than taken
+/// from a packer: rows renumbered location-major, r = (oy * OW + ox) * N + n,
+/// depth tap-major, d = (ky * K + kx) * C + c, then interleaved into
+/// (tr x tk) panels at slot (rb * kb_n + kb) * tr * tk + kk * tr + rr, with
+/// zero pad slots. `sums` is each panel row's code sum.
+struct PanelImage {
+    std::vector<std::uint16_t> codes;
+    std::vector<std::int64_t> sums;
+    std::vector<std::size_t> src; ///< im2col index of each panel-order element
+};
+
+template <typename Code>
+PanelImage conv_panel_image(const std::vector<Code>& cols, const ConvGeom& g,
+                            const PanelPlan& plan) {
+    const std::int64_t spatial = g.out_h() * g.out_w();
+    const std::int64_t taps = g.kernel * g.kernel;
+    const std::int64_t rows = g.positions(), depth = g.patch();
+    const std::int64_t kb_n = (depth + plan.tk - 1) / plan.tk;
+    const std::int64_t rb_n = (rows + plan.tr - 1) / plan.tr;
+    PanelImage img;
+    img.codes.assign(static_cast<std::size_t>(rb_n * kb_n * plan.tr * plan.tk), 0);
+    img.sums.assign(static_cast<std::size_t>(rows), 0);
+    img.src.resize(static_cast<std::size_t>(rows * depth));
+    for (std::int64_t r = 0; r < rows; ++r) {
+        const std::int64_t n = r % g.batch, s = r / g.batch;
+        for (std::int64_t d = 0; d < depth; ++d) {
+            const std::int64_t t = d / g.in_ch, c = d % g.in_ch;
+            const std::size_t from =
+                static_cast<std::size_t>((n * spatial + s) * depth + c * taps + t);
+            const auto code = static_cast<std::uint16_t>(cols[from]);
+            img.src[static_cast<std::size_t>(r * depth + d)] = from;
+            img.codes[static_cast<std::size_t>(
+                ((r / plan.tr) * kb_n + d / plan.tk) * plan.tr * plan.tk +
+                (d % plan.tk) * plan.tr + r % plan.tr)] = code;
+            img.sums[static_cast<std::size_t>(r)] += code;
+        }
+    }
+    return img;
+}
+
 TEST(FusedIm2col, U8PanelsMatchUnfusedIm2colPlusPack) {
     util::Rng rng(17);
     const ConvGeom geoms[] = {
@@ -308,13 +360,13 @@ TEST(FusedIm2col, U8PanelsMatchUnfusedIm2colPlusPack) {
         const PanelPlan plan = kernels::make_panel_plan(
             geom.positions(), geom.patch(), 16, 64);
 
-        // Reference: full im2col_u8 buffer, then the plain packer.
+        // Reference: full im2col_u8 buffer, permuted and interleaved by hand.
         Workspace ws;
         std::vector<std::uint16_t> cols(
             static_cast<std::size_t>(geom.positions() * geom.patch()));
         kernels::im2col_u8(x.data(), geom, zp, cols.data());
-        const ActPanels want =
-            kernels::pack_activation_panels(cols.data(), plan, ws);
+        const PanelImage want = conv_panel_image(cols, geom, plan);
+        ASSERT_EQ(static_cast<std::int64_t>(want.codes.size()), plan.elems());
 
         // Any chunking gives the same panels: one block per chunk, two, and
         // one chunk for all blocks.
@@ -322,11 +374,11 @@ TEST(FusedIm2col, U8PanelsMatchUnfusedIm2colPlusPack) {
                                          plan.row_blocks()}) {
             const ActPanels got = kernels::pack_im2col_panels_u8(
                 x.data(), geom, ActivationLayout::kNCHW, zp, plan, ws, 8, grain);
-            ASSERT_EQ(std::memcmp(got.codes, want.codes,
+            ASSERT_EQ(std::memcmp(got.codes, want.codes.data(),
                                   static_cast<std::size_t>(plan.elems()) *
                                       sizeof(std::uint16_t)),
                       0);
-            ASSERT_EQ(std::memcmp(got.sum_x, want.sum_x,
+            ASSERT_EQ(std::memcmp(got.sum_x, want.sums.data(),
                                   static_cast<std::size_t>(plan.rows) *
                                       sizeof(std::int64_t)),
                       0);
@@ -348,7 +400,7 @@ TEST(FusedIm2col, U8PanelsMatchUnfusedIm2colPlusPack) {
                                 xx)];
         const ActPanels got_nhwc = kernels::pack_im2col_panels_u8(
             nhwc.data(), geom, ActivationLayout::kNHWC, zp, plan, ws, 8, 1);
-        ASSERT_EQ(std::memcmp(got_nhwc.codes, want.codes,
+        ASSERT_EQ(std::memcmp(got_nhwc.codes, want.codes.data(),
                               static_cast<std::size_t>(plan.elems()) *
                                   sizeof(std::uint16_t)),
                   0);
@@ -375,39 +427,44 @@ TEST(FusedIm2col, QuantizePanelsMatchUnfusedFloatPath) {
         const std::int64_t positions = geom.positions(), patch = geom.patch();
         const PanelPlan plan = kernels::make_panel_plan(positions, patch, 8, 16);
 
-        // Reference: unfused float im2col, then the fused row-major quantizer.
+        // Reference: unfused float im2col, the row-major quantizer for the
+        // row-major copies and masks, and the hand-written panel image of
+        // the quantized columns.
         Workspace ws;
         std::vector<float> cols(static_cast<std::size_t>(positions * patch));
         kernels::im2col(x.data(), geom, cols.data());
         std::vector<std::uint8_t> mask_want(cols.size(), 2);
         std::vector<std::uint16_t> rows_want(cols.size(), 2);
-        const ActPanels want = kernels::quantize_into_panels(
-            cols.data(), params, plan, mask_want.data(), rows_want.data(), ws);
+        kernels::quantize_into_panels(cols.data(), params, plan,
+                                      mask_want.data(), rows_want.data(), ws);
+        std::vector<std::uint16_t> qcols(cols.size());
+        for (std::size_t i = 0; i < cols.size(); ++i)
+            qcols[i] = static_cast<std::uint16_t>(params.quantize(cols[i]));
+        const PanelImage want = conv_panel_image(qcols, geom, plan);
 
         std::vector<std::uint8_t> mask_got(cols.size(), 3);
         std::vector<std::uint16_t> rows_got(cols.size(), 3);
         const ActPanels got = kernels::quantize_im2col_panels(
             x.data(), geom, params, plan, mask_got.data(), rows_got.data(), ws);
 
-        EXPECT_EQ(std::memcmp(got.codes, want.codes,
+        EXPECT_EQ(std::memcmp(got.codes, want.codes.data(),
                               static_cast<std::size_t>(plan.elems()) *
                                   sizeof(std::uint16_t)),
                   0);
-        EXPECT_EQ(std::memcmp(got.sum_x, want.sum_x,
+        EXPECT_EQ(std::memcmp(got.sum_x, want.sums.data(),
                               static_cast<std::size_t>(plan.rows) *
                                   sizeof(std::int64_t)),
                   0);
         EXPECT_EQ(std::memcmp(mask_got.data(), mask_want.data(), mask_want.size()),
                   0);
-        // And the codes really are the quantized column matrix, in the panels
-        // and in both row-major copies.
+        // And the codes really are the quantized column matrix: in panel
+        // order in the panels, in im2col order in both row-major copies.
         std::vector<std::uint16_t> back(cols.size());
         kernels::unpack_activation_panels(got, back.data());
         for (std::size_t i = 0; i < cols.size(); ++i) {
-            const auto code = static_cast<std::uint16_t>(params.quantize(cols[i]));
-            ASSERT_EQ(back[i], code);
-            ASSERT_EQ(rows_got[i], code);
-            ASSERT_EQ(rows_want[i], code);
+            ASSERT_EQ(back[i], qcols[want.src[i]]);
+            ASSERT_EQ(rows_got[i], qcols[i]);
+            ASSERT_EQ(rows_want[i], qcols[i]);
         }
     }
 }
@@ -418,12 +475,12 @@ struct LayerRun {
     tensor::Tensor y, gx, gw, gb;
 };
 
-LayerRun run_conv(kernels::LayoutMode mode, bool per_channel,
+LayerRun run_conv(kernels::LayoutMode mode, bool per_channel, std::int64_t pad,
                   const tensor::Tensor& x, const tensor::Tensor& gy) {
     kernels::set_layout_mode(mode);
     util::Rng rng(21); // identical weights for both runs
     nn::Context ctx;
-    approx::ApproxConv2d conv(3, 5, 3, 2, 1, rng);
+    approx::ApproxConv2d conv(3, 5, 3, 2, pad, rng);
     conv.set_multiplier(approx::MultiplierConfig::exact_ste(8));
     conv.set_mode(approx::ComputeMode::kQuantized);
     conv.set_per_channel_weights(per_channel);
@@ -443,11 +500,13 @@ TEST(LayerLayout, QuantizedConvIsBitwiseIdenticalAcrossLayouts) {
     // 7x9 input under stride 2: odd output extent, position count not a
     // multiple of any default tile.
     const tensor::Tensor x = tensor::Tensor::randn(Shape{2, 3, 7, 9}, rng);
-    for (const bool per_channel : {false, true}) {
+    // pad 0: an unpadded conv packs no padding constant.
+    for (const auto& [per_channel, pad] :
+         {std::pair{false, 1}, std::pair{true, 1}, std::pair{false, 0}}) {
         kernels::set_layout_mode(kernels::LayoutMode::kScalar);
         util::Rng wrng(21);
         nn::Context shape_ctx;
-        approx::ApproxConv2d shape_conv(3, 5, 3, 2, 1, wrng);
+        approx::ApproxConv2d shape_conv(3, 5, 3, 2, pad, wrng);
         shape_conv.set_multiplier(approx::MultiplierConfig::exact_ste(8));
         shape_conv.set_mode(approx::ComputeMode::kQuantized);
         const tensor::Tensor y0 = shape_conv.forward(x, shape_ctx);
@@ -455,30 +514,30 @@ TEST(LayerLayout, QuantizedConvIsBitwiseIdenticalAcrossLayouts) {
         const tensor::Tensor gy = tensor::Tensor::randn(y0.shape(), rng);
 
         const LayerRun scalar =
-            run_conv(kernels::LayoutMode::kScalar, per_channel, x, gy);
+            run_conv(kernels::LayoutMode::kScalar, per_channel, pad, x, gy);
         for (const auto mode : {kernels::LayoutMode::kBlocked,
                                 kernels::LayoutMode::kBlockedNhwc}) {
-            const LayerRun blocked = run_conv(mode, per_channel, x, gy);
+            const LayerRun blocked = run_conv(mode, per_channel, pad, x, gy);
             ASSERT_EQ(std::memcmp(blocked.y.data(), scalar.y.data(),
                                   static_cast<std::size_t>(scalar.y.numel()) *
                                       sizeof(float)),
                       0)
-                << "forward per_channel=" << per_channel;
+                << "forward per_channel=" << per_channel << " pad=" << pad;
             ASSERT_EQ(std::memcmp(blocked.gx.data(), scalar.gx.data(),
                                   static_cast<std::size_t>(scalar.gx.numel()) *
                                       sizeof(float)),
                       0)
-                << "gx per_channel=" << per_channel;
+                << "gx per_channel=" << per_channel << " pad=" << pad;
             ASSERT_EQ(std::memcmp(blocked.gw.data(), scalar.gw.data(),
                                   static_cast<std::size_t>(scalar.gw.numel()) *
                                       sizeof(float)),
                       0)
-                << "gw per_channel=" << per_channel;
+                << "gw per_channel=" << per_channel << " pad=" << pad;
             ASSERT_EQ(std::memcmp(blocked.gb.data(), scalar.gb.data(),
                                   static_cast<std::size_t>(scalar.gb.numel()) *
                                       sizeof(float)),
                       0)
-                << "gb per_channel=" << per_channel;
+                << "gb per_channel=" << per_channel << " pad=" << pad;
         }
     }
 }
@@ -738,6 +797,9 @@ TEST(EngineLayout, AnalyzerCrossChecksThePanelPacking) {
     ASSERT_FALSE(conv.wq_panels.empty());
     ASSERT_GT(conv.panel_tr, 0);
     ASSERT_GT(conv.panel_tk, 0);
+    ASSERT_EQ(conv.panel_taps, 25); // LeNet's 5x5 convs: tap-major panels
+    ASSERT_EQ(conv.pad_sum.size(),
+              static_cast<std::size_t>(conv.out_ch * conv.panel_taps));
     EXPECT_TRUE(analysis::analyze_graph(desc).safe);
 
     // Panels are derived data: stripping them must not change the content
@@ -745,9 +807,38 @@ TEST(EngineLayout, AnalyzerCrossChecksThePanelPacking) {
     analysis::GraphDesc stripped = desc;
     for (auto& op : stripped.ops) {
         op.conv.wq_panels.clear();
+        op.conv.pad_sum.clear();
         op.conv.panel_tr = op.conv.panel_tk = 0;
+        op.conv.panel_taps = 1;
     }
     EXPECT_EQ(analysis::digest(desc), analysis::digest(stripped));
+
+    // Panels read in the im2col depth order (taps = 1) do not match the
+    // tap-major packing.
+    {
+        analysis::GraphDesc bad = desc;
+        bad.ops[conv_i].conv.panel_taps = 1;
+        const analysis::Certificate cert = analysis::analyze_graph(bad);
+        EXPECT_FALSE(cert.safe);
+        EXPECT_TRUE(has_check(cert, "panel-pack-mismatch"));
+    }
+    // A padding constant that disagrees with wq, the LUT and the input zero
+    // point is caught by the recomputation, as is a missing one.
+    {
+        analysis::GraphDesc bad = desc;
+        bad.ops[conv_i].conv.pad_sum.back() += 1;
+        const analysis::Certificate cert = analysis::analyze_graph(bad);
+        EXPECT_FALSE(cert.safe);
+        EXPECT_TRUE(has_check(cert, "pad-sum-mismatch"));
+    }
+    {
+        analysis::GraphDesc bad = desc;
+        bad.ops[conv_i].conv.zero_x += 1;
+        EXPECT_TRUE(has_check(analysis::analyze_graph(bad), "pad-sum-mismatch"));
+        bad = desc;
+        bad.ops[conv_i].conv.pad_sum.clear();
+        EXPECT_TRUE(has_check(analysis::analyze_graph(bad), "pad-sum-mismatch"));
+    }
 
     // A corrupted packed code is caught by the independent re-derivation.
     {

@@ -317,4 +317,55 @@ TEST(ObsDeterminism, TracedTrainingBitwiseMatchesUntraced) {
     }));
 }
 
+TEST(ObsTrace, InternedLabelsAreStableAndShared) {
+    const std::string a = "engine.op07.conv";
+    const char* p = obs::intern_label(a);
+    EXPECT_STREQ(p, "engine.op07.conv");
+    EXPECT_EQ(obs::intern_label(std::string("engine.op07.conv")), p);
+    EXPECT_NE(obs::intern_label("engine.op08.conv"), p);
+}
+
+TEST(ObsDeterminism, TracedEngineBitwiseMatchesUntracedAndSpansEveryOp) {
+    data::SyntheticConfig dc;
+    dc.num_classes = 4;
+    dc.height = dc.width = 8;
+    dc.train_samples = 32;
+    dc.test_samples = 8;
+    dc.seed = 41;
+    const auto pair = data::make_synthetic(dc);
+    models::ModelConfig mc;
+    mc.in_size = 8;
+    mc.num_classes = 4;
+    mc.width_mult = 0.5f;
+    const auto model = train::make_model("lenet", mc);
+    approx::configure_approx_layers(*model,
+                                    approx::MultiplierConfig::exact_ste(8),
+                                    approx::ComputeMode::kQuantized);
+    model->set_training(false);
+    approx::IntInferenceEngine engine(*model, pair.train, 32);
+    util::Rng rng(42);
+    const tensor::Tensor images =
+        tensor::Tensor::randn(tensor::Shape{5, 3, 8, 8}, rng);
+
+    const tensor::Tensor untraced = engine.forward(images);
+    obs::trace_start();
+    const tensor::Tensor traced = engine.forward(images);
+    obs::trace_stop();
+    ASSERT_EQ(traced.numel(), untraced.numel());
+    EXPECT_EQ(std::memcmp(traced.data(), untraced.data(),
+                          static_cast<std::size_t>(traced.numel()) * sizeof(float)),
+              0);
+#if defined(AMRET_OBS_DISABLED)
+    GTEST_SKIP() << "obs instrumentation compiled out";
+#endif
+    // One span per compiled op, labelled by index and kind, plus the input
+    // quantizer and the float head.
+    std::set<std::string> names;
+    for (const auto& e : obs::trace_events()) names.insert(e.name);
+    EXPECT_TRUE(names.count("engine.input"));
+    EXPECT_TRUE(names.count("engine.op00.conv"));
+    EXPECT_TRUE(names.count("engine.op01.maxpool"));
+    EXPECT_TRUE(names.count("engine.head"));
+}
+
 } // namespace

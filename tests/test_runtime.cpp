@@ -2,6 +2,7 @@
 // propagation, nested-parallel handling, chunk decomposition edge cases, and
 // the ordered-reduction helper. Thread counts are set explicitly so the
 // suite exercises the threaded paths even on single-core CI machines.
+#include "obs/obs.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/logging.hpp"
@@ -10,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -188,6 +191,36 @@ TEST_F(RuntimeTest, NumThreadsConfiguration) {
     EXPECT_EQ(runtime::num_threads(), 1u);
     runtime::set_num_threads(0); // re-resolve from env/hardware
     EXPECT_GE(runtime::num_threads(), 1u);
+}
+
+TEST_F(RuntimeTest, MalformedThreadsEnvFallsBackWithTypedWarning) {
+    // The ctest re-runs pin AMRET_THREADS; restore whatever was set.
+    const char* prev = std::getenv("AMRET_THREADS");
+    const std::string saved = prev ? prev : "";
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    obs::Counter& warned = obs::counter("warn.runtime.threads_env_invalid");
+
+    for (const char* bad : {"8x", "abc", "0", "-3", "3.5", " "}) {
+        ::setenv("AMRET_THREADS", bad, 1);
+        const std::int64_t before = warned.value();
+        runtime::set_num_threads(0); // re-resolve from env/hardware
+        EXPECT_EQ(runtime::num_threads(), hw) << bad;
+        EXPECT_EQ(warned.value(), before + 1) << bad;
+    }
+    // Whole positive integers parse, without a warning.
+    const std::int64_t before = warned.value();
+    ::setenv("AMRET_THREADS", "3", 1);
+    runtime::set_num_threads(0);
+    EXPECT_EQ(runtime::num_threads(), 3u);
+    ::setenv("AMRET_THREADS", "", 1); // empty means unset
+    runtime::set_num_threads(0);
+    EXPECT_EQ(runtime::num_threads(), hw);
+    EXPECT_EQ(warned.value(), before);
+
+    if (prev)
+        ::setenv("AMRET_THREADS", saved.c_str(), 1);
+    else
+        ::unsetenv("AMRET_THREADS");
 }
 
 // -------------------------------------------------- ordered accumulation --

@@ -195,6 +195,35 @@ void dump_two_step_layers() {
     }
 }
 
+/// Quantized convs whose 16-row position blocks hold one output location, or
+/// the tail of one and the head of the next (batch >= 16): a 5x5 kernel with
+/// pad 2 at batch 17 (per-tensor) and 16 (per-channel), and a 4-bit 3x3
+/// conv at batch 16 that takes the nibble (pshufb) leaf.
+void dump_padded_convs() {
+    {
+        util::Rng wrng(777);
+        approx::ApproxConv2d conv(6, 10, 5, 1, 2, wrng);
+        conv.set_multiplier(make_config("mul8u_rm8"));
+        conv.set_mode(approx::ComputeMode::kQuantized);
+        dump_two_steps("conv_k5", conv, tensor::Shape{17, 6, 7, 9}, 878);
+    }
+    {
+        util::Rng wrng(787);
+        approx::ApproxConv2d conv(6, 10, 5, 1, 2, wrng);
+        conv.set_multiplier(make_config("mul8u_rm8"));
+        conv.set_mode(approx::ComputeMode::kQuantized);
+        conv.set_per_channel_weights(true);
+        dump_two_steps("conv_k5_pc", conv, tensor::Shape{16, 6, 7, 9}, 888);
+    }
+    {
+        util::Rng wrng(797);
+        approx::ApproxConv2d conv(5, 12, 3, 1, 1, wrng);
+        conv.set_multiplier(approx::MultiplierConfig::exact_ste(4));
+        conv.set_mode(approx::ComputeMode::kQuantized);
+        dump_two_steps("conv_nib", conv, tensor::Shape{16, 5, 6, 6}, 898);
+    }
+}
+
 void dump_engine() {
     data::SyntheticConfig dc;
     dc.num_classes = 4;
@@ -264,7 +293,8 @@ void dump_engine_head() {
 /// of 3 (P = 12 and 3) form position blocks narrower than 8 rows. The batch
 /// of 1 is the batch of 3's first image. The exact multiplier keeps the
 /// untrained network's logits apart; the approximate ones tested here drive
-/// every logit to 0.
+/// every logit to 0. A batch of 20 puts one output location, or the tail of
+/// one and the head of the next, in each 16-row position block.
 void dump_engine_vgg() {
     data::SyntheticConfig dc;
     dc.num_classes = 4;
@@ -294,6 +324,9 @@ void dump_engine_vgg() {
     std::printf("// int inference engine, VGG19 with narrow position blocks\n");
     print("engine_vgg.b1.logits", hash_tensor(engine.forward(first)));
     print("engine_vgg.b3.logits", hash_tensor(engine.forward(images)));
+    const tensor::Tensor twenty =
+        tensor::Tensor::randn(tensor::Shape{20, 3, 16, 16}, xrng);
+    print("engine_vgg.b20.logits", hash_tensor(engine.forward(twenty)));
 }
 
 } // namespace
@@ -305,6 +338,7 @@ int main() {
     dump_linear();
     dump_depthwise();
     dump_two_step_layers();
+    dump_padded_convs();
     dump_engine();
     dump_engine_head();
     dump_engine_vgg();
