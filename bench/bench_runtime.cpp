@@ -41,16 +41,20 @@ void threads_sweep(int iters) {
     std::vector<std::uint16_t> xq(static_cast<std::size_t>(p * k));
     for (auto& v : wq) v = static_cast<std::uint16_t>(rng.uniform_u64(lut.domain()));
     for (auto& v : xq) v = static_cast<std::uint16_t>(rng.uniform_u64(lut.domain()));
-    kernels::LutGemmArgs gemm;
+    namespace tune = kernels::tune;
+    kernels::Workspace pack_ws, ws;
+    kernels::BlockedGemmArgs gemm;
     gemm.bits = bits;
     gemm.lut = lut.table().data();
-    gemm.wq = wq.data();
-    gemm.xq = xq.data();
+    gemm.w = kernels::pack_weight_panels(
+        wq.data(), bits, kernels::make_panel_plan(o, k, tune::kTileO, tune::kTileK),
+        pack_ws);
+    gemm.x = kernels::pack_activation_panels(
+        xq.data(), kernels::make_panel_plan(p, k, tune::kTileP, tune::kTileK), pack_ws);
     gemm.o = o;
     gemm.p = p;
     gemm.k = k;
     std::vector<float> y(static_cast<std::size_t>(p * o));
-    kernels::Workspace ws;
 
     approx::ApproxConv2d conv(8, 32, 3, 1, 1, rng);
     conv.set_multiplier(approx::MultiplierConfig::exact_ste(8));
@@ -65,7 +69,7 @@ void threads_sweep(int iters) {
         {"lut_gemm",
          [&] {
              ws.reset();
-             kernels::lut_forward(gemm, nullptr, y.data(), ws);
+             kernels::lut_forward_blocked(gemm, nullptr, y.data(), ws);
          }},
         {"approx_conv",
          [&] {

@@ -128,9 +128,10 @@ if [ "$bench_status" -ge 128 ]; then
 fi
 end_stage
 
-# Blocked-vs-scalar kernel throughput with bitwise-equality gating: a layout
-# regression that changes results fails here; perf numbers only report
-# (machine-dependent). Artifact: results/BENCH_kernels.json.
+# Kernel throughput with bitwise-equality gating against the naive oracle
+# (tests/lut_oracle.hpp): a kernel regression that changes results fails
+# here; perf numbers only report (machine-dependent). Artifact:
+# results/BENCH_kernels.json.
 begin_stage "kernel throughput report (bench_micro --kernels-json)"
 ./build/bench/bench_micro --kernels-json
 end_stage

@@ -27,7 +27,7 @@
 #include "kernels/depthwise.hpp"       // direct depthwise kernel
 #include "kernels/im2col.hpp"          // im2col/col2im planner
 #include "kernels/layout.hpp"          // blocked panel layouts + fused im2col
-#include "kernels/lut_kernels.hpp"     // tiled LUT-GEMM kernels
+#include "kernels/lut_kernels.hpp"     // LUT-GEMM kernels
 #include "kernels/quantize.hpp"        // workspace-backed quantization
 #include "kernels/tuning.hpp"          // kernel tuning constants
 #include "kernels/workspace.hpp"       // bump-allocated scratch arena

@@ -155,75 +155,42 @@ Tensor ApproxConv2d::forward_quant(const Tensor& x, State& st, nn::Context& ctx)
         act_observer_.observe(x);
     const quant::QuantParams xparams = act_observer_.params(bits);
 
-    // Blocked layout (default): weight codes are re-packed into pre-shifted,
-    // tap-major panels with their padding constant, and the activation codes
-    // are produced by the fused im2col+quantize packer — the full (P, patch)
-    // float column buffer never exists. The fused quantizer and the blocked
-    // kernels are bitwise-identical to the scalar path
-    // (tests/test_layout.cpp), so both modes train identically.
-    st.blocked = kernels::layout_mode() != kernels::LayoutMode::kScalar;
+    // Weight codes are re-packed into pre-shifted, tap-major panels with
+    // their padding constant, and the activation codes are produced by the
+    // fused im2col+quantize packer — the full (P, patch) float column buffer
+    // never exists.
     const std::int64_t positions = st.geom.positions();
     Tensor po(Shape{positions, out_ch_});
-    if (st.blocked) {
-        const kernels::Tuning& tiles = kernels::Tuning::current();
-        const kernels::PanelPlan wplan =
-            kernels::make_panel_plan(out_ch_, patch, tiles.to, tiles.tk);
-        // Out-of-image taps quantize 0.0f (quantize_im2col_panels).
-        const kernels::WeightPanels wpan = kernels::pack_conv_weight_panels(
-            st.wq.codes, bits, wplan, kernel_ * kernel_,
-            mult_.lut->table().data(),
-            static_cast<std::uint16_t>(xparams.quantize(0.0f)), st.ws);
-        const kernels::QuantPanels xq = kernels::quantize_conv_panels(
-            x.data(), st.geom, xparams,
-            kernels::make_conv_act_plan(positions, patch, tiles.tp, tiles.tk),
-            st.ws);
-        st.xq = kernels::QuantView{xq.codes, xq.in_range, xparams,
-                                   positions * patch};
+    // Out-of-image taps quantize 0.0f (quantize_im2col_panels).
+    const kernels::WeightPanels wpan = kernels::pack_conv_weight_panels(
+        st.wq.codes, bits,
+        kernels::make_panel_plan(out_ch_, patch, tune::kTileO, tune::kTileK),
+        kernel_ * kernel_, mult_.lut->table().data(),
+        static_cast<std::uint16_t>(xparams.quantize(0.0f)), st.ws);
+    const kernels::QuantPanels xq = kernels::quantize_conv_panels(
+        x.data(), st.geom, xparams,
+        kernels::make_conv_act_plan(positions, patch, tune::kTileP, tune::kTileK),
+        st.ws);
+    st.xq = kernels::QuantView{xq.codes, xq.in_range, xparams, positions * patch};
 
-        kernels::BlockedGemmArgs args;
-        args.bits = bits;
-        args.lut = mult_.lut->table().data();
-        args.w = wpan;
-        args.x = xq.panels;
-        args.o = out_ch_;
-        args.p = positions;
-        args.k = patch;
-        args.scale_x = xparams.scale;
-        args.zero_x = static_cast<std::int32_t>(xparams.zero_point);
-        if (per_channel_) {
-            args.scale_w_per_o = st.wscale_per_o;
-            args.zero_w_per_o = st.wzero_per_o;
-        } else {
-            args.scale_w = wparams.scale;
-            args.zero_w = static_cast<std::int32_t>(wparams.zero_point);
-        }
-        kernels::lut_forward_blocked(args, bias.value.data(), po.data(),
-                                     st.ws);
+    kernels::BlockedGemmArgs args;
+    args.bits = bits;
+    args.lut = mult_.lut->table().data();
+    args.w = wpan;
+    args.x = xq.panels;
+    args.o = out_ch_;
+    args.p = positions;
+    args.k = patch;
+    args.scale_x = xparams.scale;
+    args.zero_x = static_cast<std::int32_t>(xparams.zero_point);
+    if (per_channel_) {
+        args.scale_w_per_o = st.wscale_per_o;
+        args.zero_w_per_o = st.wzero_per_o;
     } else {
-        float* cols = st.ws.alloc<float>(positions * patch);
-        kernels::im2col(x.data(), st.geom, cols);
-        st.xq = kernels::quantize_into(cols, positions * patch, xparams,
-                                       st.ws);
-
-        kernels::LutGemmArgs args;
-        args.bits = bits;
-        args.lut = mult_.lut->table().data();
-        args.wq = st.wq.codes;
-        args.xq = st.xq.codes;
-        args.o = out_ch_;
-        args.p = positions;
-        args.k = patch;
-        args.scale_x = xparams.scale;
-        args.zero_x = static_cast<std::int32_t>(xparams.zero_point);
-        if (per_channel_) {
-            args.scale_w_per_o = st.wscale_per_o;
-            args.zero_w_per_o = st.wzero_per_o;
-        } else {
-            args.scale_w = wparams.scale;
-            args.zero_w = static_cast<std::int32_t>(wparams.zero_point);
-        }
-        kernels::lut_forward(args, bias.value.data(), po.data(), st.ws);
+        args.scale_w = wparams.scale;
+        args.zero_w = static_cast<std::int32_t>(wparams.zero_point);
     }
+    kernels::lut_forward_blocked(args, bias.value.data(), po.data(), st.ws);
     Tensor y(Shape{st.geom.batch, out_ch_, st.geom.out_h(), st.geom.out_w()});
     kernels::scatter_positions(po.data(), st.geom.batch, out_ch_, st.geom.out_h(),
                                st.geom.out_w(), y.data());
@@ -269,16 +236,9 @@ Tensor ApproxConv2d::backward_quant(const Tensor& gy, State& st, nn::Context& ct
         args.scale_w = st.wq.params.scale;
         args.zero_w = static_cast<std::int32_t>(st.wq.params.zero_point);
     }
-    // Both layouts keep row-major codes; the blocked one runs the
-    // vectorized backward, which is bitwise-equal to the scalar oracle.
-    if (st.blocked) {
-        kernels::lut_backward_rows(args, gyp, mult_.grad->dw_table().data(),
-                                   mult_.grad->dx_t_table().data(), gw_raw,
-                                   gx_raw, st.ws);
-    } else {
-        kernels::lut_backward(args, gyp, mult_.grad->dw_table().data(),
-                              mult_.grad->dx_table().data(), gw_raw, gx_raw);
-    }
+    kernels::lut_backward_rows(args, gyp, mult_.grad->dw_table().data(),
+                               mult_.grad->dx_t_table().data(), gw_raw, gx_raw,
+                               st.ws);
 
     // Eq. (9): fold in the quantizer derivative. dW/dw = 1/s_w inside the
     // clamp range (0 outside); dy/dY contributed s_w*s_x, so the weight
@@ -380,54 +340,32 @@ Tensor ApproxLinear::forward(const Tensor& x, nn::Context& ctx) {
         act_observer_.observe(x);
     const quant::QuantParams xparams = act_observer_.params(bits);
 
-    st.blocked = kernels::layout_mode() != kernels::LayoutMode::kScalar;
     Tensor y(Shape{st.batch, out_features_});
-    if (st.blocked) {
-        const kernels::Tuning& tiles = kernels::Tuning::current();
-        const kernels::WeightPanels wpan = kernels::pack_weight_panels(
-            st.wq.codes, bits,
-            kernels::make_panel_plan(out_features_, in_features_, tiles.to,
-                                     tiles.tk),
-            st.ws);
-        const kernels::QuantPanels xq = kernels::quantize_panels(
-            x.data(), xparams,
-            kernels::make_panel_plan(st.batch, in_features_, tiles.tp,
-                                     tiles.tk),
-            st.ws);
-        st.xq = kernels::QuantView{xq.codes, xq.in_range, xparams,
-                                   st.batch * in_features_};
+    const kernels::WeightPanels wpan = kernels::pack_weight_panels(
+        st.wq.codes, bits,
+        kernels::make_panel_plan(out_features_, in_features_, tune::kTileO,
+                                 tune::kTileK),
+        st.ws);
+    const kernels::QuantPanels xq = kernels::quantize_panels(
+        x.data(), xparams,
+        kernels::make_panel_plan(st.batch, in_features_, tune::kTileP, tune::kTileK),
+        st.ws);
+    st.xq = kernels::QuantView{xq.codes, xq.in_range, xparams,
+                               st.batch * in_features_};
 
-        kernels::BlockedGemmArgs args;
-        args.bits = bits;
-        args.lut = mult_.lut->table().data();
-        args.w = wpan;
-        args.x = xq.panels;
-        args.o = out_features_;
-        args.p = st.batch;
-        args.k = in_features_;
-        args.scale_w = wparams.scale;
-        args.scale_x = xparams.scale;
-        args.zero_w = static_cast<std::int32_t>(wparams.zero_point);
-        args.zero_x = static_cast<std::int32_t>(xparams.zero_point);
-        kernels::lut_forward_blocked(args, bias.value.data(), y.data(), st.ws);
-    } else {
-        st.xq = kernels::quantize_into(x.data(), st.batch * in_features_,
-                                       xparams, st.ws);
-
-        kernels::LutGemmArgs args;
-        args.bits = bits;
-        args.lut = mult_.lut->table().data();
-        args.wq = st.wq.codes;
-        args.xq = st.xq.codes;
-        args.o = out_features_;
-        args.p = st.batch;
-        args.k = in_features_;
-        args.scale_w = wparams.scale;
-        args.scale_x = xparams.scale;
-        args.zero_w = static_cast<std::int32_t>(wparams.zero_point);
-        args.zero_x = static_cast<std::int32_t>(xparams.zero_point);
-        kernels::lut_forward(args, bias.value.data(), y.data(), st.ws);
-    }
+    kernels::BlockedGemmArgs args;
+    args.bits = bits;
+    args.lut = mult_.lut->table().data();
+    args.w = wpan;
+    args.x = xq.panels;
+    args.o = out_features_;
+    args.p = st.batch;
+    args.k = in_features_;
+    args.scale_w = wparams.scale;
+    args.scale_x = xparams.scale;
+    args.zero_w = static_cast<std::int32_t>(wparams.zero_point);
+    args.zero_x = static_cast<std::int32_t>(xparams.zero_point);
+    kernels::lut_forward_blocked(args, bias.value.data(), y.data(), st.ws);
     return y;
 }
 
@@ -469,14 +407,9 @@ Tensor ApproxLinear::backward(const Tensor& gy, nn::Context& ctx) {
     args.scale_x = scale_x;
     args.zero_w = static_cast<std::int32_t>(st.wq.params.zero_point);
     args.zero_x = static_cast<std::int32_t>(st.xq.params.zero_point);
-    if (st.blocked) {
-        kernels::lut_backward_rows(args, gy.data(), mult_.grad->dw_table().data(),
-                                   mult_.grad->dx_t_table().data(), gw_raw,
-                                   gx.data(), st.ws);
-    } else {
-        kernels::lut_backward(args, gy.data(), mult_.grad->dw_table().data(),
-                              mult_.grad->dx_table().data(), gw_raw, gx.data());
-    }
+    kernels::lut_backward_rows(args, gy.data(), mult_.grad->dw_table().data(),
+                               mult_.grad->dx_t_table().data(), gw_raw, gx.data(),
+                               st.ws);
 
     float* wg = ctx.grad(weight).data();
     runtime::parallel_for(0, nw,

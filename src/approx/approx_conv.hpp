@@ -107,16 +107,13 @@ private:
         tensor::ConvGeom geom;
         tensor::Tensor cols;                  // float mode: (P, patch)
         kernels::Workspace ws;                // scratch arena (float mode: packed weights)
-        kernels::QuantView xq;                // quant mode: codes of cols
+        kernels::QuantView xq;                // quant mode: im2col-order codes
         kernels::QuantView wq;                // quant mode: codes of weights
         float* wscale_per_o = nullptr;        // per-channel row scales (ws-backed)
         std::int32_t* wzero_per_o = nullptr;  // per-channel row zeros (ws-backed)
-        // Blocked layout (default): the forward reads panels, which the
-        // fused im2col+quantize packer fills alongside row-major copies of
-        // the codes and masks in xq; the backward reads only the row-major
-        // wq and xq (lut_backward_rows). Captured per forward from
-        // layout_mode().
-        bool blocked = false;
+        // The forward reads panels, which the fused im2col+quantize packer
+        // fills alongside the row-major codes and masks in xq; the backward
+        // reads only the row-major wq and xq (lut_backward_rows).
     };
 
     tensor::Tensor forward_float(const tensor::Tensor& x, State& st,
@@ -170,7 +167,6 @@ private:
         kernels::QuantView xq;
         kernels::QuantView wq;
         std::int64_t batch = 0;
-        bool blocked = false;   // see ApproxConv2d::State
     };
 
     std::int64_t in_features_, out_features_;

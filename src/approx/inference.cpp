@@ -4,6 +4,7 @@
 #include "kernels/im2col.hpp"
 #include "kernels/layout.hpp"
 #include "kernels/lut_kernels.hpp"
+#include "kernels/tuning.hpp"
 #include "nn/loss.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
@@ -66,13 +67,8 @@ struct ConvOp final : IntInferenceEngine::Op {
     float in_scale = 1.0f; // fixed at finalize from the previous op
     std::int32_t in_zero = 0;
 
-    // Blocked layout (the default; set by the engine before finalize()).
-    // finalize() re-packs the same wq codes into pre-shifted, tap-major
-    // panels once and computes the padding constant against the input zero
-    // point; run() then fuses im2col straight into activation panel
-    // production and feeds lut_gemm_blocked_tile. wq_panels stays empty in
-    // scalar mode, which keeps the row-major oracle path.
-    kernels::LayoutMode layout = kernels::LayoutMode::kBlocked;
+    // The wq codes as pre-shifted, tap-major panels, and their padding
+    // constant against the input zero point (filled by finalize()).
     kernels::PanelPlan wplan;
     std::vector<std::uint32_t> wq_panels;
     std::vector<std::int64_t> pad_sum; ///< (out_ch, kernel^2), WeightPanels::pad_sum
@@ -142,31 +138,27 @@ struct ConvOp final : IntInferenceEngine::Op {
                 static_cast<std::int32_t>(bias_raw[static_cast<std::size_t>(o)]);
         }
 
-        // Blocked mode: re-pack the codes into panels once at compile time.
-        // The packer also emits the Eq. (8) header; it must reproduce the
-        // hoisted sum_w above exactly (the analyzer re-checks this on every
-        // certificate via "panel-sum-mismatch").
-        if (layout != kernels::LayoutMode::kScalar) {
-            const kernels::Tuning& tiles = kernels::Tuning::current();
-            const std::int64_t taps = kernel * kernel;
-            wplan = kernels::make_panel_plan(out_ch, patch, tiles.to, tiles.tk);
-            wq_panels.resize(static_cast<std::size_t>(wplan.elems()));
-            std::vector<std::int64_t> header(static_cast<std::size_t>(out_ch));
-            kernels::pack_weight_panels_into(wq.data(), bits, wplan, taps,
-                                             wq_panels.data(), header.data());
-            assert(header == sum_w);
-            // The analyzer recomputes this too ("pad-sum-mismatch").
-            pad_sum.resize(static_cast<std::size_t>(out_ch * taps));
-            kernels::pad_sums_into(wq.data(), bits, out_ch, patch, taps,
-                                   lut->table().data(),
-                                   static_cast<std::uint16_t>(in_zero),
-                                   pad_sum.data());
-        }
+        // Pack the codes into panels once at compile time. The packer also
+        // emits the Eq. (8) header; it must reproduce the hoisted sum_w above
+        // exactly (the analyzer re-checks this on every certificate via
+        // "panel-sum-mismatch").
+        const std::int64_t taps = kernel * kernel;
+        wplan = kernels::make_panel_plan(out_ch, patch, tune::kTileO, tune::kTileK);
+        wq_panels.resize(static_cast<std::size_t>(wplan.elems()));
+        std::vector<std::int64_t> header(static_cast<std::size_t>(out_ch));
+        kernels::pack_weight_panels_into(wq.data(), bits, wplan, taps,
+                                         wq_panels.data(), header.data());
+        assert(header == sum_w);
+        // The analyzer recomputes this too ("pad-sum-mismatch").
+        pad_sum.resize(static_cast<std::size_t>(out_ch * taps));
+        kernels::pad_sums_into(wq.data(), bits, out_ch, patch, taps,
+                               lut->table().data(),
+                               static_cast<std::uint16_t>(in_zero), pad_sum.data());
     }
 
-    /// The requantization epilogue shared (byte-for-byte) by the scalar and
-    /// blocked paths. Pure integer arithmetic on the exact Eq. (8) corrected
-    /// accumulator, so block order cannot change the result.
+    /// The requantization epilogue. Pure integer arithmetic on the exact
+    /// Eq. (8) corrected accumulator, so block order cannot change the
+    /// result.
     [[nodiscard]] std::uint8_t requantize(std::int64_t oo,
                                           std::int64_t corrected) const {
         const std::int64_t a = corrected + bias_int[static_cast<std::size_t>(oo)];
@@ -190,106 +182,48 @@ struct ConvOp final : IntInferenceEngine::Op {
         y.w = ow;
         y.scale = out_scale;
         y.zero = out_zero;
-        y.layout = x.layout; // the engine keeps one layout between ops
         y.data = ws.alloc<std::uint8_t>(y.numel());
-        const bool nhwc = x.layout == kernels::ActivationLayout::kNHWC;
 
-        if (!wq_panels.empty()) {
-            // Blocked path: im2col is fused into activation panel production
-            // (no (positions x patch) column buffer), the weight panels and
-            // the padding constant were built at finalize(), and the Eq. (8)
-            // row sums come from the panel headers. Integer epilogue =>
-            // bitwise-identical to the scalar oracle below.
-            assert(x.zero == in_zero && "pad_sum assumes the input zero point");
-            const kernels::Tuning& tiles = kernels::Tuning::current();
-            const kernels::PanelPlan xplan =
-                kernels::make_conv_act_plan(positions, patch, tiles.tp, wplan.tk);
-            // Packer and GEMM share chunks of whole position blocks, each
-            // worth at least tune::kMinChunkWork lookups (a block is
-            // tr * O * K), so a conv with less work runs on the caller.
-            const std::int64_t nblocks = xplan.row_blocks();
-            const std::int64_t grain =
-                kernels::chunk_grain(nblocks, xplan.tr * out_ch * patch);
-            const kernels::ActPanels xpan = kernels::pack_im2col_panels_u8(
-                x.data, geom, x.layout, static_cast<std::uint16_t>(x.zero),
-                xplan, ws, bits, grain);
+        // im2col is fused into activation panel production (no (positions x
+        // patch) column buffer), the weight panels and the padding constant
+        // were built at finalize(), and the Eq. (8) row sums come from the
+        // panel headers.
+        assert(x.zero == in_zero && "pad_sum assumes the input zero point");
+        const kernels::PanelPlan xplan =
+            kernels::make_conv_act_plan(positions, patch, tune::kTileP, wplan.tk);
+        // Packer and GEMM share chunks of whole position blocks, each worth
+        // at least tune::kMinChunkWork lookups (a block is tr * O * K), so a
+        // conv with less work runs on the caller.
+        const std::int64_t nblocks = xplan.row_blocks();
+        const std::int64_t grain =
+            kernels::chunk_grain(nblocks, xplan.tr * out_ch * patch);
+        const kernels::ActPanels xpan = kernels::pack_im2col_panels_u8(
+            x.data, geom, static_cast<std::uint16_t>(x.zero), xplan, ws, bits,
+            grain);
 
-            kernels::BlockedGemmArgs args;
-            args.bits = bits;
-            args.lut = lut->table().data();
-            args.w = kernels::WeightPanels{wplan, wq_panels.data(), sum_w.data(),
-                                           pad_sum.data()};
-            args.x = xpan;
-            args.o = out_ch;
-            args.p = positions;
-            args.k = patch;
-            args.zero_w = zero_w;
-            args.zero_x = x.zero;
-
-            const std::int64_t acc_elems = xplan.tr * wplan.tr;
-            const std::int64_t chunks = runtime::chunk_count(0, nblocks, grain);
-            std::int64_t* acc = ws.alloc<std::int64_t>(chunks * acc_elems);
-            runtime::parallel_for_chunks(0, nblocks, grain,
-                                         [&](std::int64_t bb, std::int64_t be,
-                                             std::size_t chunk) {
-                kernels::lut_gemm_blocked_tile(
-                    args, bb, be,
-                    acc + static_cast<std::int64_t>(chunk) * acc_elems,
-                    [&](std::int64_t pp, std::int64_t oo,
-                        std::int64_t corrected) {
-                        const std::uint8_t v = requantize(oo, corrected);
-                        if (nhwc) {
-                            // Position-major: the blocked epilogue emits oo
-                            // at unit stride within a row, writing one cache
-                            // line per position.
-                            y.data[pp * out_ch + oo] = v;
-                        } else {
-                            const std::int64_t n = pp / spatial;
-                            y.data[(n * out_ch + oo) * spatial + pp % spatial] = v;
-                        }
-                    });
-            });
-            return y;
-        }
-
-        // Scalar oracle: uint8 im2col with zero-point padding (exact
-        // hardware behaviour), then the row-major tiled LUT-GEMM.
-        assert(!nhwc && "scalar mode runs NCHW only");
-        std::uint16_t* cols = ws.alloc<std::uint16_t>(positions * patch);
-        kernels::im2col_u8(x.data, geom, static_cast<std::uint16_t>(x.zero),
-                           cols);
-
-        kernels::LutGemmArgs args;
+        kernels::BlockedGemmArgs args;
         args.bits = bits;
         args.lut = lut->table().data();
-        args.wq = wq.data();
-        args.xq = cols;
+        args.w = kernels::WeightPanels{wplan, wq_panels.data(), sum_w.data(),
+                                       pad_sum.data()};
+        args.x = xpan;
         args.o = out_ch;
         args.p = positions;
         args.k = patch;
         args.zero_w = zero_w;
         args.zero_x = x.zero;
-        args.sum_w = sum_w.data(); // hoisted at finalize()
 
-        // Tiled integer GEMM with the requantization epilogue. Every value
-        // in the epilogue is integer arithmetic, so tiling/blocking cannot
-        // change results; each position row writes disjoint y elements.
-        const kernels::TileConfig tile;
-        std::int64_t* sum_x = ws.alloc<std::int64_t>(positions);
-        const std::int64_t grain =
-            runtime::grain_for(positions, tune::kGrainGemmRows);
-        const std::int64_t chunks = runtime::chunk_count(0, positions, grain);
-        std::int64_t* acc = ws.alloc<std::int64_t>(chunks * tile.acc_elems());
-        runtime::parallel_for_chunks(0, positions, grain,
-                                     [&](std::int64_t pb, std::int64_t pe,
+        const std::int64_t acc_elems = xplan.tr * wplan.tr;
+        const std::int64_t chunks = runtime::chunk_count(0, nblocks, grain);
+        std::int64_t* acc = ws.alloc<std::int64_t>(chunks * acc_elems);
+        runtime::parallel_for_chunks(0, nblocks, grain,
+                                     [&](std::int64_t bb, std::int64_t be,
                                          std::size_t chunk) {
-            kernels::lut_row_sums_x(args, pb, pe, sum_x);
-            kernels::lut_gemm_tile(
-                args, pb, pe, args.sum_w, sum_x, tile,
-                acc + static_cast<std::int64_t>(chunk) * tile.acc_elems(),
+            kernels::lut_gemm_blocked_tile(
+                args, bb, be, acc + static_cast<std::int64_t>(chunk) * acc_elems,
                 [&](std::int64_t pp, std::int64_t oo, std::int64_t corrected) {
-                    const std::int64_t n = pp / spatial, s = pp % spatial;
-                    y.data[(n * out_ch + oo) * spatial + s] =
+                    const std::int64_t n = pp / spatial;
+                    y.data[(n * out_ch + oo) * spatial + pp % spatial] =
                         requantize(oo, corrected);
                 });
         });
@@ -314,29 +248,7 @@ struct MaxPoolOp final : IntInferenceEngine::Op {
         y.w = x.w / kernel;
         y.scale = x.scale;
         y.zero = x.zero;
-        y.layout = x.layout;
         y.data = ws.alloc<std::uint8_t>(y.numel());
-        if (x.layout == kernels::ActivationLayout::kNHWC) {
-            // Channel-interleaved: the window max reduces x.c adjacent lanes
-            // at unit stride per tap (taking max over uint8 is order-free).
-            for (std::int64_t n = 0; n < x.n; ++n)
-                for (std::int64_t oy = 0; oy < y.h; ++oy)
-                    for (std::int64_t ox = 0; ox < y.w; ++ox) {
-                        std::uint8_t* py =
-                            y.data + ((n * y.h + oy) * y.w + ox) * y.c;
-                        for (std::int64_t c = 0; c < x.c; ++c) py[c] = 0;
-                        for (std::int64_t ky = 0; ky < kernel; ++ky)
-                            for (std::int64_t kx = 0; kx < kernel; ++kx) {
-                                const std::uint8_t* px =
-                                    x.data + ((n * x.h + oy * kernel + ky) * x.w +
-                                              ox * kernel + kx) *
-                                                 x.c;
-                                for (std::int64_t c = 0; c < x.c; ++c)
-                                    py[c] = std::max(py[c], px[c]);
-                            }
-                    }
-            return y;
-        }
         for (std::int64_t i = 0; i < x.n * x.c; ++i) {
             const std::uint8_t* px = x.data + i * x.h * x.w;
             std::uint8_t* py = y.data + i * y.h * y.w;
@@ -376,31 +288,10 @@ struct AvgPoolOp final : IntInferenceEngine::Op {
         y.w = global ? 1 : x.w / kernel;
         y.scale = x.scale;
         y.zero = x.zero;
-        y.layout = x.layout;
         y.data = ws.alloc<std::uint8_t>(y.numel());
         const std::int64_t kh = global ? x.h : kernel;
         const std::int64_t kw = global ? x.w : kernel;
         const std::int64_t window = kh * kw;
-        if (x.layout == kernels::ActivationLayout::kNHWC) {
-            // Per-channel integer sums are order-free, so interleaved
-            // accumulation matches the planar loop bit-for-bit.
-            for (std::int64_t n = 0; n < x.n; ++n)
-                for (std::int64_t oy = 0; oy < y.h; ++oy)
-                    for (std::int64_t ox = 0; ox < y.w; ++ox)
-                        for (std::int64_t c = 0; c < x.c; ++c) {
-                            std::int64_t acc = 0;
-                            for (std::int64_t ky = 0; ky < kh; ++ky)
-                                for (std::int64_t kx = 0; kx < kw; ++kx)
-                                    acc += x.data[((n * x.h + oy * kh + ky) * x.w +
-                                                   ox * kw + kx) *
-                                                      x.c +
-                                                  c];
-                            y.data[((n * y.h + oy) * y.w + ox) * y.c + c] =
-                                static_cast<std::uint8_t>(std::clamp<std::int64_t>(
-                                    (acc + window / 2) / window, 0, 255));
-                        }
-            return y;
-        }
         for (std::int64_t i = 0; i < x.n * x.c; ++i) {
             const std::uint8_t* px = x.data + i * x.h * x.w;
             std::uint8_t* py = y.data + i * y.h * y.w;
@@ -439,10 +330,6 @@ IntInferenceEngine::IntInferenceEngine(nn::Sequential& model,
                                        const data::Dataset& calibration,
                                        std::int64_t calib_samples,
                                        SafetyPolicy safety) {
-    // The kernel data layout is captured once here, so one engine stays
-    // internally consistent even if the process-wide mode changes later.
-    layout_ = kernels::layout_mode();
-
     // --- 1. Fuse and collect ops ------------------------------------------
     std::vector<std::pair<tensor::Tensor, tensor::Tensor>> head_linears;
     std::vector<bool> head_relu;
@@ -454,7 +341,6 @@ IntInferenceEngine::IntInferenceEngine(nn::Sequential& model,
             if (in_head)
                 throw std::invalid_argument("conv after classifier head unsupported");
             auto op = std::make_unique<ConvOp>();
-            op->layout = layout_;
             op->in_ch = conv->in_channels();
             op->out_ch = conv->out_channels();
             op->kernel = conv->kernel();
@@ -664,16 +550,14 @@ analysis::GraphDesc IntInferenceEngine::describe() const {
             d.conv.requant = conv->requant;
             d.conv.out_zero = conv->out_zero;
             d.conv.out_qmax = conv->out_qmax;
-            if (!conv->wq_panels.empty()) {
-                // Digest-excluded derived data; the analyzer cross-checks the
-                // packing and the padding constant so the certificate covers
-                // the blocked path too.
-                d.conv.panel_tr = conv->wplan.tr;
-                d.conv.panel_tk = conv->wplan.tk;
-                d.conv.panel_taps = conv->kernel * conv->kernel;
-                d.conv.wq_panels = conv->wq_panels;
-                d.conv.pad_sum = conv->pad_sum;
-            }
+            // Digest-excluded derived data; the analyzer cross-checks the
+            // packing and the padding constant so the certificate covers the
+            // panels the forward reads.
+            d.conv.panel_tr = conv->wplan.tr;
+            d.conv.panel_tk = conv->wplan.tk;
+            d.conv.panel_taps = conv->kernel * conv->kernel;
+            d.conv.wq_panels = conv->wq_panels;
+            d.conv.pad_sum = conv->pad_sum;
         } else if (const auto* avg = dynamic_cast<const AvgPoolOp*>(op.get())) {
             d.kind = analysis::OpDesc::Kind::kPool;
             d.label = "pool" + std::to_string(pool_index++);
@@ -706,22 +590,11 @@ QTensor IntInferenceEngine::quantize_input(const tensor::Tensor& images,
     q.zero = input_zero_;
     q.data = ws.alloc<std::uint8_t>(q.numel());
     const float qmax = static_cast<float>((1u << act_bits_) - 1);
-    const bool nhwc = layout_ == kernels::LayoutMode::kBlockedNhwc;
-    if (nhwc) q.layout = kernels::ActivationLayout::kNHWC;
-    const std::int64_t spatial = q.h * q.w;
     runtime::parallel_for(0, images.numel(),
                           runtime::grain_for(images.numel(), 1024),
                           [&](std::int64_t b, std::int64_t e) {
         for (std::int64_t i = b; i < e; ++i) {
-            // i indexes the destination; input images are always NCHW float.
-            std::int64_t src = i;
-            if (nhwc) {
-                const std::int64_t c = i % q.c;
-                const std::int64_t s = (i / q.c) % spatial;
-                const std::int64_t n = i / (q.c * spatial);
-                src = (n * q.c + c) * spatial + s;
-            }
-            const float v = std::nearbyint(images[src] / input_scale_ +
+            const float v = std::nearbyint(images[i] / input_scale_ +
                                            static_cast<float>(input_zero_));
             q.data[i] = static_cast<std::uint8_t>(std::clamp(v, 0.0f, qmax));
         }
@@ -769,25 +642,11 @@ void IntInferenceEngine::forward_into(const tensor::Tensor& images,
     // Dequantize and run the float head through the float GEMM: each output
     // is one fixed-order dot-product chain and rows are independent, so
     // batched logits match single-sample calls bitwise. The flattened head
-    // input is always channel-major (the training-side Flatten order), so an
-    // NHWC-interleaved final activation is transposed back here at the
-    // integer/float boundary.
+    // input is channel-major, the NCHW order of the final activation.
     std::int64_t cur_dim = q.c * q.h * q.w;
     float* cur = ws.alloc<float>(q.n * cur_dim);
-    if (q.layout == kernels::ActivationLayout::kNHWC) {
-        const std::int64_t spatial = q.h * q.w;
-        for (std::int64_t n = 0; n < q.n; ++n)
-            for (std::int64_t s = 0; s < spatial; ++s)
-                for (std::int64_t c = 0; c < q.c; ++c)
-                    cur[(n * q.c + c) * spatial + s] =
-                        q.scale *
-                        (static_cast<float>(q.data[(n * spatial + s) * q.c + c]) -
-                         static_cast<float>(q.zero));
-    } else {
-        for (std::int64_t i = 0; i < q.n * cur_dim; ++i)
-            cur[i] = q.scale * (static_cast<float>(q.data[i]) -
-                                static_cast<float>(q.zero));
-    }
+    for (std::int64_t i = 0; i < q.n * cur_dim; ++i)
+        cur[i] = q.scale * (static_cast<float>(q.data[i]) - static_cast<float>(q.zero));
 
     for (std::size_t li = 0; li < head_chain_.size(); ++li) {
         const HeadLayer& layer = head_chain_[li];

@@ -26,7 +26,10 @@ void im2col(const float* x, const tensor::ConvGeom& geom, float* cols);
 tensor::Tensor im2col(const tensor::Tensor& x, const tensor::ConvGeom& geom);
 
 /// uint8 -> uint16 im2col with zero-point padding (exact integer-hardware
-/// behaviour): out-of-image taps read as \p zero_point.
+/// behaviour): out-of-image taps read as \p zero_point. No layer runs it:
+/// the engine packs panels straight from the feature map
+/// (pack_im2col_panels_u8), and this unfused matrix is the reference that
+/// packer is tested against.
 void im2col_u8(const std::uint8_t* x, const tensor::ConvGeom& geom,
                std::uint16_t zero_point, std::uint16_t* cols);
 

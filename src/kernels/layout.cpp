@@ -57,8 +57,9 @@ void pack_rows_fused(const PanelPlan& plan, std::uint16_t* codes,
 
 /// The im2col taps in panel depth order, tap-major (ky, kx, then c): each
 /// tap's kernel offsets, its element offset from a window's top-left input
-/// pixel in \p layout, and its index in the im2col (c, ky, kx) order of the
-/// row-major codes and the (O, C, K, K) weights. Built once per packing call.
+/// pixel in the NCHW map, and its index in the im2col (c, ky, kx) order of
+/// the row-major codes and the (O, C, K, K) weights. Built once per packing
+/// call.
 struct TapTable {
     std::int32_t* ky = nullptr;
     std::int32_t* kx = nullptr;
@@ -66,8 +67,7 @@ struct TapTable {
     std::int64_t* im2col = nullptr;
 };
 
-TapTable make_tap_table(const tensor::ConvGeom& geom, ActivationLayout layout,
-                        Workspace& ws) {
+TapTable make_tap_table(const tensor::ConvGeom& geom, Workspace& ws) {
     const std::int64_t patch = geom.patch();
     const std::int64_t k = geom.kernel, taps = k * k;
     TapTable table;
@@ -81,9 +81,7 @@ TapTable make_tap_table(const tensor::ConvGeom& geom, ActivationLayout layout,
             for (std::int64_t c = 0; c < geom.in_ch; ++c, ++d) {
                 table.ky[d] = static_cast<std::int32_t>(ky);
                 table.kx[d] = static_cast<std::int32_t>(kx);
-                table.off[d] = layout == ActivationLayout::kNCHW
-                                   ? (c * geom.in_h + ky) * geom.in_w + kx
-                                   : (ky * geom.in_w + kx) * geom.in_ch + c;
+                table.off[d] = (c * geom.in_h + ky) * geom.in_w + kx;
                 table.im2col[d] = c * taps + ky * k + kx;
             }
     return table;
@@ -96,9 +94,9 @@ TapTable make_tap_table(const tensor::ConvGeom& geom, ActivationLayout layout,
 /// at(im2col_row, im2col[d], base + off[d]); a border window checks each
 /// tap and takes pad(im2col_row, im2col[d]) outside the image.
 template <typename At, typename Pad>
-auto im2col_row_taps(const tensor::ConvGeom& geom, ActivationLayout layout,
-                     const TapTable& taps, At& at, Pad& pad) {
-    return [&geom, layout, &taps, &at, &pad](std::int64_t row) {
+auto im2col_row_taps(const tensor::ConvGeom& geom, const TapTable& taps, At& at,
+                     Pad& pad) {
+    return [&geom, &taps, &at, &pad](std::int64_t row) {
         const std::int64_t ow = geom.out_w(), spatial = geom.out_h() * ow;
         const std::int64_t n = row % geom.batch, s = row / geom.batch;
         const std::int64_t src_row = n * spatial + s;
@@ -108,9 +106,7 @@ auto im2col_row_taps(const tensor::ConvGeom& geom, ActivationLayout layout,
                               iy0 + geom.kernel <= geom.in_h &&
                               ix0 + geom.kernel <= geom.in_w;
         const std::int64_t base =
-            layout == ActivationLayout::kNCHW
-                ? (n * geom.in_ch * geom.in_h + iy0) * geom.in_w + ix0
-                : ((n * geom.in_h + iy0) * geom.in_w + ix0) * geom.in_ch;
+            (n * geom.in_ch * geom.in_h + iy0) * geom.in_w + ix0;
         return [&, src_row, iy0, ix0, interior,
                 base](std::int64_t d) -> std::uint16_t {
             if (!interior) {
@@ -320,14 +316,13 @@ void unpack_activation_panels(const ActPanels& x, std::uint16_t* xq_out) {
 
 ActPanels pack_im2col_panels_u8(const std::uint8_t* x,
                                 const tensor::ConvGeom& geom,
-                                ActivationLayout layout,
                                 std::uint16_t zero_point, const PanelPlan& plan,
                                 Workspace& ws, unsigned bits,
                                 std::int64_t grain) {
     AMRET_OBS_SPAN("kernels.im2col_panels");
     AMRET_OBS_COUNT("kernels.im2col.images", geom.batch);
     assert(plan.rows == geom.positions() && plan.depth == geom.patch());
-    const TapTable taps = make_tap_table(geom, layout, ws);
+    const TapTable taps = make_tap_table(geom, ws);
     ActPanels out;
     out.plan = plan;
     out.geom = geom;
@@ -340,7 +335,7 @@ ActPanels pack_im2col_panels_u8(const std::uint8_t* x,
     runtime::parallel_for(0, plan.row_blocks(), grain,
                           [&](std::int64_t b0, std::int64_t b1) {
         pack_rows_fused(plan, codes, sums, b0, b1,
-                        im2col_row_taps(geom, layout, taps, at, pad));
+                        im2col_row_taps(geom, taps, at, pad));
     });
     out.codes = codes;
     out.sum_x = sums;
@@ -362,7 +357,7 @@ ActPanels quantize_im2col_panels(const float* x, const tensor::ConvGeom& geom,
         x, geom.batch * geom.in_ch * geom.in_h * geom.in_w, params, ws);
     const auto code0 = static_cast<std::uint16_t>(params.quantize(0.0f));
     const std::uint8_t mask0 = params.in_range(0.0f) ? 1 : 0;
-    const TapTable taps = make_tap_table(geom, ActivationLayout::kNCHW, ws);
+    const TapTable taps = make_tap_table(geom, ws);
     ActPanels out;
     out.plan = plan;
     out.geom = geom;
@@ -384,7 +379,7 @@ ActPanels quantize_im2col_panels(const float* x, const tensor::ConvGeom& geom,
     runtime::parallel_for(0, nblocks, grain,
                           [&](std::int64_t b0, std::int64_t b1) {
         pack_rows_fused(plan, codes, sums, b0, b1,
-                        im2col_row_taps(geom, ActivationLayout::kNCHW, taps, at, pad));
+                        im2col_row_taps(geom, taps, at, pad));
     });
     out.codes = codes;
     out.sum_x = sums;

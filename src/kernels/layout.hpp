@@ -24,8 +24,9 @@
 ///   partial. Rows are padded physically (full tr x tk panels are always
 ///   allocated; pad slots hold code 0) but kernels iterate only the real
 ///   extent, so pad codes never enter an accumulator — this is what keeps
-///   blocked results bitwise-identical to the scalar oracle (a padded depth
-///   tap would add a real LUT value, since LUT[0 | x] is generally nonzero).
+///   blocked results bitwise-identical to the naive loop over the row-major
+///   codes (a padded depth tap would add a real LUT value, since LUT[0 | x]
+///   is generally nonzero).
 ///
 ///   Panel header. The Eq. (8) zero-point correction needs per-row code
 ///   sums (sum_w[o], sum_x[p]). They are computed once during packing and
@@ -45,14 +46,15 @@
 ///   TapBox, and lut_gemm_blocked_tile hands its epilogue the im2col row, so
 ///   no code outside the kernels sees either order.
 ///
-/// The planner also fuses im2col into panel production: pack_im2col_* walk
-/// the convolution taps directly from the NCHW/NHWC feature map into panel
-/// slots (zero-point padding applied on the fly), eliminating the full
-/// (positions x patch) intermediate im2col buffer of the unfused path.
+/// The planner also fuses im2col into panel production: the im2col packers
+/// walk the convolution taps directly from the NCHW feature map into panel
+/// slots (zero-point padding applied on the fly), so no (positions x patch)
+/// im2col buffer is materialized.
 ///
 /// Raw indexing into panel buffers outside src/kernels is rejected by
 /// scripts/check_invariants.py (rule panel-indexing); consumers go through
-/// the kernels in lut_kernels.hpp or the unpack_* helpers below.
+/// the kernels in lut_kernels.hpp, and tests and benches build and read
+/// panels with pack_activation_panels and the unpack_* helpers below.
 #pragma once
 
 #include "kernels/workspace.hpp"
@@ -105,7 +107,7 @@ PanelPlan make_panel_plan(std::int64_t rows, std::int64_t depth, std::int64_t tr
 /// Plan of a conv's activation panels: make_panel_plan, except that a conv
 /// with fewer than 8 positions (a batch-1 conv at 2x2 or 1x1) gets one-row
 /// blocks, so each row walks its own tap box (TapBox). The rule reads the
-/// shape, not \p tr: a tuned tile below 8 rows keeps its blocks.
+/// shape, not \p tr: a tile below 8 rows keeps its blocks.
 PanelPlan make_conv_act_plan(std::int64_t positions, std::int64_t patch,
                              std::int64_t tr, std::int64_t tk);
 
@@ -256,7 +258,9 @@ void pad_sums_into(const std::uint16_t* wq, unsigned bits, std::int64_t rows,
                    const std::int32_t* lut, std::uint16_t z_pad,
                    std::int64_t* pad_sum);
 
-/// Packs row-major activation codes into workspace-backed panels + header.
+/// Packs row-major activation codes into workspace-backed panels + header,
+/// as a plain matrix (matrix_geom). The layers pack through the fused
+/// quantizing packers; tests and benches build operands with this one.
 ActPanels pack_activation_panels(const std::uint16_t* xq, const PanelPlan& plan,
                                  Workspace& ws);
 
@@ -277,14 +281,8 @@ void unpack_weight_panels(const WeightPanels& w, unsigned bits,
 /// row-major matrix in panel order.
 void unpack_activation_panels(const ActPanels& x, std::uint16_t* xq_out);
 
-/// Memory layout of a uint8 activation feature map.
-enum class ActivationLayout {
-    kNCHW, ///< planar: ((n*C + c)*H + y)*W + x
-    kNHWC, ///< channel-interleaved: ((n*H + y)*W + x)*C + c
-};
-
-/// Fused im2col + pack for the integer inference path: unfolds the uint8
-/// feature map \p x (layout \p layout) under \p geom straight into
+/// Fused im2col + pack for the integer inference path: unfolds the NCHW
+/// uint8 feature map \p x under \p geom straight into
 /// zero-point-padded uint16 panels (plan rows = positions, location-major;
 /// depth = patch, tap-major), computing the row-sum header on the fly. No
 /// intermediate (positions x patch) column buffer is materialized. Parallel over chunks
@@ -294,7 +292,6 @@ enum class ActivationLayout {
 /// pshufb path (attach_packed4), on the same chunks.
 ActPanels pack_im2col_panels_u8(const std::uint8_t* x,
                                 const tensor::ConvGeom& geom,
-                                ActivationLayout layout,
                                 std::uint16_t zero_point, const PanelPlan& plan,
                                 Workspace& ws, unsigned bits,
                                 std::int64_t grain);

@@ -1,32 +1,29 @@
 /// \file lut_kernels.hpp
-/// \brief Tiled LUT-GEMM micro-kernel family (forward, grad-X, grad-W).
+/// \brief The LUT-GEMM kernels: the blocked forward and the row-major
+///        backward (grad-X, grad-W).
 ///
 /// These are the CPU equivalents of the paper's CUDA kernels and the single
-/// implementation of the Fig. 4 dataflow: the forward kernel replaces every
+/// implementation of the Fig. 4 dataflow: the forward replaces every
 /// multiply-accumulate with a product-LUT lookup and applies the Eq. (8)
-/// zero-point correction; the backward kernels replace the multiplier
-/// derivative with gradient-LUT lookups (Eq. 9). ApproxConv2d (after
-/// im2col), ApproxLinear and the integer inference engine run on this
-/// family; DepthwiseConv2d, whose per-channel GEMM would have O = 1 and a
-/// K^2 depth, runs on the direct padded-plane kernel (depthwise.hpp).
+/// zero-point correction; the backward replaces the multiplier derivative
+/// with gradient-LUT lookups (Eq. 9). ApproxConv2d (after the fused im2col
+/// packer), ApproxLinear and the integer inference engine run on them;
+/// DepthwiseConv2d, whose per-channel GEMM would have O = 1 and a K^2 depth,
+/// runs on the direct padded-plane kernel (depthwise.hpp).
 ///
-/// Tiling. Loops are blocked over P x O x K (TileConfig) so the operand
-/// tiles stay L1-resident and the 2^{2B} product LUT stays L2-resident,
-/// instead of streaming the full weight matrix once per position row.
-/// Tiling never changes results:
+/// Blocking and vectorization never change results:
 ///   - the forward accumulator is int64 — integer addition is associative,
-///     so any block order (and any split of the inner k loop) is exact;
-///   - the backward float accumulations preserve their defining orders:
-///     gx[p, k] sums over output channels in ascending o for every element,
-///     gw[o, k] sums over positions in ascending p — blocks are visited in
-///     ascending order, which concatenates to the same total order.
-/// Combined with the runtime determinism contract (chunks depend only on
-/// shape and grain), outputs are bitwise-identical for any AMRET_THREADS
-/// and any tile configuration.
+///     so any block order (and any split of the depth loop) is exact;
+///   - the backward float accumulations keep their defining orders:
+///     gx[p, k] sums over output channels in ascending o, gw[o, k] over
+///     positions in ascending p.
+/// The naive loops in those orders are the reference (tests/lut_oracle.hpp)
+/// that every kernel here is memcmp'd against. Combined with the runtime
+/// determinism contract (chunks depend only on shape and grain), outputs are
+/// bitwise-identical for any AMRET_THREADS and any panel tiles.
 #pragma once
 
 #include "kernels/layout.hpp"
-#include "kernels/tuning.hpp"
 #include "kernels/workspace.hpp"
 
 #include <algorithm>
@@ -52,10 +49,6 @@ struct LutGemmArgs {
     /// arrays (length O) override scale_w / zero_w row-wise.
     const float* scale_w_per_o = nullptr;
     const std::int32_t* zero_w_per_o = nullptr;
-    /// Optional precomputed weight row sums (length O). The integer
-    /// inference engine hoists them across batches (weights are static after
-    /// compilation); when null the forward kernel computes them per call.
-    const std::int64_t* sum_w = nullptr;
 
     [[nodiscard]] float row_scale_w(std::int64_t oo) const {
         return scale_w_per_o ? scale_w_per_o[oo] : scale_w;
@@ -64,92 +57,6 @@ struct LutGemmArgs {
         return zero_w_per_o ? zero_w_per_o[oo] : zero_w;
     }
 };
-
-/// P/O/K block dimensions of the tiled kernels. Defaults come from the
-/// runtime Tuning picks (AMRET_TILES env override, then the persistent
-/// auto-tuner file, then the tune::kTile* constants); bench_micro
-/// --tile-sweep measures alternatives and writes the tuner file.
-struct TileConfig {
-    std::int64_t tp = Tuning::current().tp;
-    std::int64_t to = Tuning::current().to;
-    std::int64_t tk = Tuning::current().tk;
-
-    /// Accumulator tile elements a caller must provide as scratch.
-    [[nodiscard]] std::int64_t acc_elems() const { return tp * to; }
-};
-
-/// Computes the weight row sums of \p args into \p sum_w (length O).
-void lut_row_sums_w(const LutGemmArgs& args, std::int64_t* sum_w);
-
-/// Computes the activation row sums over position rows [p0, p1) into
-/// \p sum_x (indexed by absolute row). Serial — callers embed it in their
-/// own parallel decomposition.
-void lut_row_sums_x(const LutGemmArgs& args, std::int64_t p0, std::int64_t p1,
-                    std::int64_t* sum_x);
-
-/// Tiled integer GEMM core over position rows [p0, p1): accumulates
-/// sum_k LUT[w, x] per (p, o) in int64 tiles, applies the Eq. (8) zero-point
-/// correction using the precomputed row sums, and hands each corrected
-/// accumulator to \p epi(p, o, corrected). \p acc must hold
-/// tile.acc_elems() int64s (per-caller scratch; one per parallel chunk).
-/// Serial over the given range — callers own the parallel decomposition.
-template <class Epilogue>
-void lut_gemm_tile(const LutGemmArgs& a, std::int64_t p0, std::int64_t p1,
-                   const std::int64_t* sum_w, const std::int64_t* sum_x,
-                   const TileConfig& tile, std::int64_t* acc, Epilogue&& epi) {
-    const unsigned bits = a.bits;
-    for (std::int64_t pb = p0; pb < p1; pb += tile.tp) {
-        const std::int64_t pe = std::min(pb + tile.tp, p1);
-        for (std::int64_t ob = 0; ob < a.o; ob += tile.to) {
-            const std::int64_t oe = std::min(ob + tile.to, a.o);
-            const std::int64_t tw = oe - ob;
-            std::fill(acc, acc + (pe - pb) * tw, std::int64_t{0});
-            for (std::int64_t kb = 0; kb < a.k; kb += tile.tk) {
-                const std::int64_t ke = std::min(kb + tile.tk, a.k);
-                for (std::int64_t pp = pb; pp < pe; ++pp) {
-                    const std::uint16_t* xrow = a.xq + pp * a.k;
-                    std::int64_t* arow = acc + (pp - pb) * tw;
-                    for (std::int64_t oo = ob; oo < oe; ++oo) {
-                        const std::uint16_t* wrow = a.wq + oo * a.k;
-                        // Single accumulator chain: the random LUT loads are
-                        // the bottleneck and out-of-order hardware already
-                        // overlaps them across iterations; measured multi-
-                        // chain unrolls only added register pressure (see
-                        // results/kernel_tile_sweep.csv methodology). The
-                        // tiling win is operand reuse: each weight row is
-                        // streamed once per tile.tp position rows instead of
-                        // once per row.
-                        std::int64_t s = 0;
-                        for (std::int64_t kk = kb; kk < ke; ++kk) {
-                            s += a.lut[(static_cast<std::uint32_t>(wrow[kk]) << bits) |
-                                       xrow[kk]];
-                        }
-                        arow[oo - ob] += s;
-                    }
-                }
-            }
-            for (std::int64_t pp = pb; pp < pe; ++pp) {
-                const std::int64_t* arow = acc + (pp - pb) * tw;
-                for (std::int64_t oo = ob; oo < oe; ++oo) {
-                    const std::int32_t zw = a.row_zero_w(oo);
-                    const std::int64_t corrected =
-                        arow[oo - ob] -
-                        static_cast<std::int64_t>(a.zero_x) * sum_w[oo] -
-                        static_cast<std::int64_t>(zw) * sum_x[pp] +
-                        a.k * static_cast<std::int64_t>(zw) * a.zero_x;
-                    epi(pp, oo, corrected);
-                }
-            }
-        }
-    }
-}
-
-/// Forward: y[p, o] = s_w*s_x*(sum_k LUT[w,x] - Z_x*sumW[o] - Z_w*sumX[p]
-///                             + K*Z_w*Z_x) + bias[o].
-/// \p bias may be null. \p y is (P, O), overwritten. Parallel over position
-/// rows; scratch comes from \p ws.
-void lut_forward(const LutGemmArgs& args, const float* bias, float* y,
-                 Workspace& ws, const TileConfig& tile = TileConfig{});
 
 /// Column sums of a (P, O) position-major output gradient into \p bias_grad
 /// (accumulated, not overwritten) via the deterministic per-chunk reduction.
@@ -161,23 +68,16 @@ void accumulate_bias_grad(const float* gyp, std::int64_t p, std::int64_t o,
 /// Backward: accumulates the multiplier-gradient sums
 ///   gw_raw[o, k] += sum_p gyp[p, o] * (gradW[w,x] - Z_x)
 ///   gx_raw[p, k] += sum_o gyp[p, o] * s_w[o] * (gradX[w,x] - Z_w)
-/// The weight scale is folded into gx_raw (it varies per row in per-channel
-/// mode); the remaining factors — s_x for gw, and the clamp masks — are
-/// applied by the caller (see ApproxConv2d::backward_quant). Buffers must
-/// be zero-initialized.
-void lut_backward(const LutGemmArgs& args, const float* gyp,
-                  const float* grad_w_lut, const float* grad_x_lut,
-                  float* gw_raw, float* gx_raw,
-                  const TileConfig& tile = TileConfig{});
-
-/// Backward over the same row-major codes, vectorized; bitwise-identical to
-/// lut_backward (same sums, same zero-initialized gw_raw / gx_raw). The
-/// ∂AM/∂X table is taken transposed, indexed (x << bits) | w
-/// (core::GradLut::dx_t_table()). Both walks put depth indices in the
-/// vector lanes: grad-X fixes each lane's activation code, and so its row
-/// of the transposed table, and replays the row's nonzero output gradients
-/// in ascending o; grad-W fixes each lane's weight code and replays the
-/// column's nonzero gradients in ascending p. Every LUT index is built from
+/// over the row-major codes of \p args, gx in ascending o and gw in
+/// ascending p. The weight scale is folded into gx_raw (it varies per row in
+/// per-channel mode); the remaining factors — s_x for gw, and the clamp
+/// masks — are applied by the caller (see ApproxConv2d::backward_quant).
+/// Buffers must be zero-initialized. The ∂AM/∂X table is taken transposed,
+/// indexed (x << bits) | w (core::GradLut::dx_t_table()). Both walks put
+/// depth indices in the vector lanes: grad-X fixes each lane's activation
+/// code, and so its row of the transposed table, and replays the row's
+/// nonzero output gradients in ascending o; grad-W fixes each lane's weight
+/// code and replays the column's nonzero gradients in ascending p. Every LUT index is built from
 /// contiguous loads of both code matrices. Parallel over gx rows, then gw
 /// rows; scratch for the nonzero-gradient compaction comes from \p ws.
 void lut_backward_rows(const LutGemmArgs& args, const float* gyp,
@@ -185,12 +85,10 @@ void lut_backward_rows(const LutGemmArgs& args, const float* gyp,
                        float* gw_raw, float* gx_raw, Workspace& ws);
 
 // ----------------------------------------------------------------------
-// Blocked-layout forward. Operands come pre-tiled as panels
-// (layout.hpp) with the Eq. (8) row sums hoisted into the panel headers;
-// the scalar lut_forward above is retained as the bitwise oracle, and the
-// blocked forward memcmp-matches it because it accumulates in int64, so the
-// panel loop order is exact (tests/test_layout.cpp). The backward needs no
-// panels: lut_backward_rows reads the row-major codes.
+// Forward. Operands come pre-tiled as panels (layout.hpp) with the Eq. (8)
+// row sums hoisted into the panel headers. The forward accumulates in int64,
+// so the panel loop order is exact. The backward needs no panels:
+// lut_backward_rows reads the row-major codes.
 // ----------------------------------------------------------------------
 
 /// One LUT GEMM over blocked operands. Both panels must share the same
@@ -231,8 +129,9 @@ void count_pad_skipped(std::int64_t n);
 /// Fills the int64 accumulator tile of block (rb, ob) with the scalar panel
 /// loop: acc[oo * a.x.plan.tr + pp] = sum LUT[w, x] over the real rows of
 /// the block and the depth of \p runs, the block's tap box (pad rows are
-/// left zero). This is the bitwise oracle every SIMD kernel memcmps
-/// against. \p acc must hold a.x.plan.tr * a.w.plan.tr int64s.
+/// left zero). It is the scalar dispatch level, which every SIMD kernel
+/// must match bit for bit. \p acc must hold a.x.plan.tr * a.w.plan.tr
+/// int64s.
 ///
 /// Inner loop: for a fixed depth index the activation panel column and the
 /// accumulator row are walked at unit stride, and each pre-shifted weight
@@ -334,8 +233,9 @@ void lut_gemm_blocked_tile(const BlockedGemmArgs& a, std::int64_t rb0,
     count_pad_skipped(skipped);
 }
 
-/// Blocked forward into a (P, O) float matrix; bitwise-identical to
-/// lut_forward over the same codes. Parallel over position row-blocks.
+/// Forward into a (P, O) float matrix: y[p, o] = s_w*s_x*(sum_k LUT[w,x]
+/// - Z_x*sumW[o] - Z_w*sumX[p] + K*Z_w*Z_x) + bias[o], \p bias may be null.
+/// Parallel over position row-blocks; scratch comes from \p ws.
 void lut_forward_blocked(const BlockedGemmArgs& args, const float* bias,
                          float* y, Workspace& ws);
 

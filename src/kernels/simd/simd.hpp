@@ -36,8 +36,8 @@
 /// warning through src/obs. The forward entry point returns false when the
 /// active level has no eligible kernel for the operands, and the caller
 /// then runs its scalar loop; the backward row walks fall back to scalar
-/// code themselves. Every path memcmp-matches the bitwise-determinism
-/// oracles (lut_forward, lut_backward):
+/// code themselves. Every path memcmp-matches the naive forward and backward
+/// of tests/lut_oracle.hpp:
 ///   - the forward accumulator is int64, so any lane split is exact and
 ///     SIMD forward output memcmp-equals the scalar oracle;
 ///   - the backward lanes preserve the per-element float op order, so

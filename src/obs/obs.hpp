@@ -7,7 +7,7 @@
 /// and gauge() are stable for the process lifetime; the idiomatic hot-path
 /// form caches the lookup in a function-local static via the macros below:
 ///
-///     AMRET_OBS_COUNT("kernels.gemm.tiles", tiles);
+///     AMRET_OBS_COUNT("kernels.gemm.rows", rows);
 ///
 /// The whole facility compiles out when the build defines
 /// AMRET_OBS_DISABLED (CMake option AMRET_OBS=OFF): the macros expand to

@@ -3,10 +3,12 @@
 // integer path must equal a float convolution over fake-quantized tensors,
 // in both forward and backward — this pins Eq. (8) and Eq. (9) end to end.
 #include "gemm_oracle.hpp"
+#include "lut_oracle.hpp"
 
 #include "approx/approx_conv.hpp"
 #include "kernels/im2col.hpp"
 #include "kernels/lut_kernels.hpp"
+#include "kernels/tuning.hpp"
 #include "appmult/registry.hpp"
 #include "models/models.hpp"
 
@@ -45,6 +47,15 @@ MultiplierConfig approx_config(const std::string& name, core::GradientMode mode,
 
 // ------------------------------------------------------------- lut_gemm --
 
+/// lut_forward_blocked over \p args' codes, packed with the compiled tiles.
+void blocked_forward(const kernels::LutGemmArgs& args, const float* bias, float* y) {
+    namespace tune = kernels::tune;
+    kernels::Workspace ws;
+    const kernels::BlockedGemmArgs b =
+        lut_oracle::pack_blocked(args, tune::kTileP, tune::kTileO, tune::kTileK, ws);
+    kernels::lut_forward_blocked(b, bias, y, ws);
+}
+
 TEST(LutGemm, ForwardMatchesDequantizedDotProduct) {
     const unsigned bits = 4;
     const auto lut = appmult::AppMultLut::exact(bits);
@@ -66,8 +77,7 @@ TEST(LutGemm, ForwardMatchesDequantizedDotProduct) {
     args.zero_x = 4;
 
     std::vector<float> y(static_cast<std::size_t>(P * O));
-    kernels::Workspace ws;
-    kernels::lut_forward(args, nullptr, y.data(), ws);
+    blocked_forward(args, nullptr, y.data());
 
     for (std::int64_t p = 0; p < P; ++p) {
         for (std::int64_t o = 0; o < O; ++o) {
@@ -96,8 +106,7 @@ TEST(LutGemm, ForwardAddsBias) {
     args.o = args.p = args.k = 1;
     const float bias = 2.75f;
     float y = 0.0f;
-    kernels::Workspace ws;
-    kernels::lut_forward(args, &bias, &y, ws);
+    blocked_forward(args, &bias, &y);
     EXPECT_FLOAT_EQ(y, 2.75f);
 }
 
@@ -123,8 +132,9 @@ TEST(LutGemm, BackwardSteMatchesDequantizedOperands) {
 
     std::vector<float> gw(static_cast<std::size_t>(O * K), 0.0f);
     std::vector<float> gx(static_cast<std::size_t>(P * K), 0.0f);
-    kernels::lut_backward(args, gyp.data(), grad.dw_table().data(),
-                          grad.dx_table().data(), gw.data(), gx.data());
+    kernels::Workspace ws;
+    kernels::lut_backward_rows(args, gyp.data(), grad.dw_table().data(),
+                               grad.dx_t_table().data(), gw.data(), gx.data(), ws);
 
     // STE raw sums: gw[o,k] = sum_p gyp * (Xq - Zx); gx[p,k] = sum_o gyp * (Wq - Zw).
     for (std::int64_t o = 0; o < O; ++o)

@@ -1,8 +1,7 @@
-// Tests for the src/kernels LUT-kernel layer: the Workspace arena, the
-// tiled LUT-GEMM family against naive triple-loop references (exact float
-// equality — tiling must never change results), workspace-backed
-// quantization, and golden FNV-1a hashes pinning the layer outputs to the
-// pre-refactor implementations on fixed seeds. The golden hashes are
+// Tests for the src/kernels LUT-kernel layer: the Workspace arena, the bias
+// gradient and chunk-grain rules, workspace-backed quantization, and golden
+// FNV-1a hashes pinning the layer outputs to the pre-refactor
+// implementations on fixed seeds. The golden hashes are
 // regenerated by tools/golden_dump; the determinism contract makes them
 // AMRET_THREADS-independent, so the same table covers the threads1/threads8
 // re-runs registered in CMakeLists.txt.
@@ -20,8 +19,6 @@
 namespace {
 
 using namespace amret;
-using kernels::LutGemmArgs;
-using kernels::TileConfig;
 using kernels::Workspace;
 using tensor::Shape;
 using tensor::Tensor;
@@ -102,206 +99,7 @@ TEST(Workspace, TrimReleasesCapacityToLowWater) {
     EXPECT_EQ(ws.capacity(), cap);
 }
 
-// ------------------------------------------------- naive GEMM references --
-
-/// Naive forward: same int64 k-sum and the identical float epilogue
-/// expression as the kernel, so equality is exact, not approximate.
-void naive_forward(const LutGemmArgs& a, const float* bias, float* y) {
-    std::vector<std::int64_t> sum_w(static_cast<std::size_t>(a.o), 0);
-    for (std::int64_t oo = 0; oo < a.o; ++oo)
-        for (std::int64_t kk = 0; kk < a.k; ++kk)
-            sum_w[static_cast<std::size_t>(oo)] += a.wq[oo * a.k + kk];
-    for (std::int64_t pp = 0; pp < a.p; ++pp) {
-        std::int64_t sum_x = 0;
-        for (std::int64_t kk = 0; kk < a.k; ++kk) sum_x += a.xq[pp * a.k + kk];
-        for (std::int64_t oo = 0; oo < a.o; ++oo) {
-            std::int64_t acc = 0;
-            for (std::int64_t kk = 0; kk < a.k; ++kk)
-                acc += a.lut[(static_cast<std::uint32_t>(a.wq[oo * a.k + kk])
-                              << a.bits) |
-                             a.xq[pp * a.k + kk]];
-            const std::int32_t zw = a.row_zero_w(oo);
-            const std::int64_t corrected =
-                acc - static_cast<std::int64_t>(a.zero_x) *
-                          sum_w[static_cast<std::size_t>(oo)] -
-                static_cast<std::int64_t>(zw) * sum_x +
-                a.k * static_cast<std::int64_t>(zw) * a.zero_x;
-            const float ss = a.row_scale_w(oo) * a.scale_x;
-            y[pp * a.o + oo] =
-                ss * static_cast<float>(corrected) + (bias ? bias[oo] : 0.0f);
-        }
-    }
-}
-
-/// Naive backward in the kernels' defining accumulation orders: gx sums
-/// output channels in ascending o, gw sums positions in ascending p —
-/// exactly what the tiled kernel preserves, so equality is exact.
-void naive_backward(const LutGemmArgs& a, const float* gyp,
-                    const float* grad_w_lut, const float* grad_x_lut,
-                    float* gw_raw, float* gx_raw) {
-    const float zx = static_cast<float>(a.zero_x);
-    for (std::int64_t pp = 0; pp < a.p; ++pp)
-        for (std::int64_t oo = 0; oo < a.o; ++oo) {
-            const float g = gyp[pp * a.o + oo];
-            if (g == 0.0f) continue;
-            const float zw = static_cast<float>(a.row_zero_w(oo));
-            const float gx_scale = a.row_scale_w(oo);
-            for (std::int64_t kk = 0; kk < a.k; ++kk) {
-                const std::uint32_t idx =
-                    (static_cast<std::uint32_t>(a.wq[oo * a.k + kk]) << a.bits) |
-                    a.xq[pp * a.k + kk];
-                gx_raw[pp * a.k + kk] += g * gx_scale * (grad_x_lut[idx] - zw);
-            }
-        }
-    for (std::int64_t oo = 0; oo < a.o; ++oo)
-        for (std::int64_t pp = 0; pp < a.p; ++pp) {
-            const float g = gyp[pp * a.o + oo];
-            if (g == 0.0f) continue;
-            for (std::int64_t kk = 0; kk < a.k; ++kk) {
-                const std::uint32_t idx =
-                    (static_cast<std::uint32_t>(a.wq[oo * a.k + kk]) << a.bits) |
-                    a.xq[pp * a.k + kk];
-                gw_raw[oo * a.k + kk] += g * (grad_w_lut[idx] - zx);
-            }
-        }
-}
-
-struct RandomGemm {
-    appmult::AppMultLut lut;
-    core::GradLut grad;
-    std::vector<std::uint16_t> wq, xq;
-    std::vector<float> gyp;
-    std::vector<float> scale_per_o;
-    std::vector<std::int32_t> zero_per_o;
-    LutGemmArgs args;
-
-    RandomGemm(unsigned bits, std::int64_t o, std::int64_t p, std::int64_t k,
-               bool per_channel, util::Rng& rng)
-        : lut(appmult::AppMultLut::exact(bits)), grad(core::build_ste_grad(bits)) {
-        wq.resize(static_cast<std::size_t>(o * k));
-        xq.resize(static_cast<std::size_t>(p * k));
-        gyp.resize(static_cast<std::size_t>(p * o));
-        for (auto& v : wq)
-            v = static_cast<std::uint16_t>(rng.uniform_u64(lut.domain()));
-        for (auto& v : xq)
-            v = static_cast<std::uint16_t>(rng.uniform_u64(lut.domain()));
-        // Mix zeros into gyp so the g == 0 skip path is exercised.
-        for (auto& v : gyp)
-            v = (rng.uniform_u64(4) == 0) ? 0.0f : static_cast<float>(rng.normal());
-        args.bits = bits;
-        args.lut = lut.table().data();
-        args.wq = wq.data();
-        args.xq = xq.data();
-        args.o = o;
-        args.p = p;
-        args.k = k;
-        args.scale_w = 0.017f;
-        args.scale_x = 0.031f;
-        args.zero_w = static_cast<std::int32_t>(rng.uniform_u64(1u << bits));
-        args.zero_x = static_cast<std::int32_t>(rng.uniform_u64(1u << bits));
-        if (per_channel) {
-            scale_per_o.resize(static_cast<std::size_t>(o));
-            zero_per_o.resize(static_cast<std::size_t>(o));
-            for (std::int64_t i = 0; i < o; ++i) {
-                scale_per_o[static_cast<std::size_t>(i)] =
-                    0.005f + 0.01f * static_cast<float>(rng.normal()) *
-                                 static_cast<float>(rng.normal());
-                zero_per_o[static_cast<std::size_t>(i)] =
-                    static_cast<std::int32_t>(rng.uniform_u64(1u << bits));
-            }
-            args.scale_w_per_o = scale_per_o.data();
-            args.zero_w_per_o = zero_per_o.data();
-        }
-    }
-};
-
-TEST(LutKernels, TiledForwardMatchesNaiveExactly) {
-    util::Rng rng(42);
-    const TileConfig tiles[] = {TileConfig{}, TileConfig{2, 3, 5},
-                                TileConfig{1, 1, 1}, TileConfig{7, 16, 64}};
-    for (const unsigned bits : {6u, 7u, 8u}) {
-        for (int rep = 0; rep < 3; ++rep) {
-            const std::int64_t o = 1 + static_cast<std::int64_t>(rng.uniform_u64(17));
-            const std::int64_t p = 1 + static_cast<std::int64_t>(rng.uniform_u64(40));
-            const std::int64_t k = 1 + static_cast<std::int64_t>(rng.uniform_u64(300));
-            const bool per_channel = (rep % 2) == 1;
-            RandomGemm g(bits, o, p, k, per_channel, rng);
-            std::vector<float> bias(static_cast<std::size_t>(o));
-            for (auto& v : bias) v = static_cast<float>(rng.normal());
-
-            std::vector<float> ref(static_cast<std::size_t>(p * o));
-            naive_forward(g.args, bias.data(), ref.data());
-
-            Workspace ws;
-            std::vector<float> y(static_cast<std::size_t>(p * o));
-            for (const auto& tile : tiles) {
-                ws.reset();
-                kernels::lut_forward(g.args, bias.data(), y.data(), ws, tile);
-                ASSERT_EQ(std::memcmp(y.data(), ref.data(), y.size() * sizeof(float)),
-                          0)
-                    << "bits=" << bits << " o=" << o << " p=" << p << " k=" << k
-                    << " per_channel=" << per_channel << " tile=(" << tile.tp << ","
-                    << tile.to << "," << tile.tk << ")";
-            }
-        }
-    }
-}
-
-TEST(LutKernels, PrecomputedRowSumsMatchPerCallPath) {
-    // The inference engine hoists sum_w across batches; the hoisted path must
-    // be bitwise-identical to the per-call one.
-    util::Rng rng(43);
-    RandomGemm g(8, 9, 33, 120, false, rng);
-    Workspace ws;
-    std::vector<float> y_a(static_cast<std::size_t>(g.args.p * g.args.o));
-    std::vector<float> y_b(y_a.size());
-    kernels::lut_forward(g.args, nullptr, y_a.data(), ws);
-
-    std::vector<std::int64_t> sum_w(static_cast<std::size_t>(g.args.o));
-    kernels::lut_row_sums_w(g.args, sum_w.data());
-    LutGemmArgs hoisted = g.args;
-    hoisted.sum_w = sum_w.data();
-    ws.reset();
-    kernels::lut_forward(hoisted, nullptr, y_b.data(), ws);
-    EXPECT_EQ(std::memcmp(y_a.data(), y_b.data(), y_a.size() * sizeof(float)), 0);
-}
-
-TEST(LutKernels, TiledBackwardMatchesNaiveExactly) {
-    util::Rng rng(44);
-    const TileConfig tiles[] = {TileConfig{}, TileConfig{2, 3, 5},
-                                TileConfig{5, 2, 31}};
-    for (const unsigned bits : {6u, 7u, 8u}) {
-        for (int rep = 0; rep < 3; ++rep) {
-            const std::int64_t o = 1 + static_cast<std::int64_t>(rng.uniform_u64(15));
-            const std::int64_t p = 1 + static_cast<std::int64_t>(rng.uniform_u64(30));
-            const std::int64_t k = 1 + static_cast<std::int64_t>(rng.uniform_u64(200));
-            const bool per_channel = (rep % 2) == 0;
-            RandomGemm g(bits, o, p, k, per_channel, rng);
-
-            std::vector<float> gw_ref(static_cast<std::size_t>(o * k), 0.0f);
-            std::vector<float> gx_ref(static_cast<std::size_t>(p * k), 0.0f);
-            naive_backward(g.args, g.gyp.data(), g.grad.dw_table().data(),
-                           g.grad.dx_table().data(), gw_ref.data(), gx_ref.data());
-
-            for (const auto& tile : tiles) {
-                std::vector<float> gw(static_cast<std::size_t>(o * k), 0.0f);
-                std::vector<float> gx(static_cast<std::size_t>(p * k), 0.0f);
-                kernels::lut_backward(g.args, g.gyp.data(),
-                                      g.grad.dw_table().data(),
-                                      g.grad.dx_table().data(), gw.data(),
-                                      gx.data(), tile);
-                ASSERT_EQ(
-                    std::memcmp(gw.data(), gw_ref.data(), gw.size() * sizeof(float)),
-                    0)
-                    << "gw bits=" << bits << " o=" << o << " p=" << p << " k=" << k;
-                ASSERT_EQ(
-                    std::memcmp(gx.data(), gx_ref.data(), gx.size() * sizeof(float)),
-                    0)
-                    << "gx bits=" << bits << " o=" << o << " p=" << p << " k=" << k;
-            }
-        }
-    }
-}
+// ------------------------------------------------------------- bias grad --
 
 TEST(LutKernels, BiasGradMatchesColumnSums) {
     util::Rng rng(45);
@@ -509,6 +307,14 @@ const std::map<std::string, std::uint64_t> kGolden = {
     {"conv_nib.y", 0xc0c0e3398a1cec85ull},    {"conv_nib.gx", 0x983a5813cb9964c8ull},
     {"conv_nib.gw", 0x8e09c3d67442bb75ull},   {"conv_nib.gb", 0xa62122369ffd36c6ull},
     {"engine_vgg.b20.logits", 0x06769ec49360b470ull},
+    // An unpadded and a per-channel stride-2 conv and a LeNet engine,
+    // captured while the scalar, blocked and blocked-NHWC layouts still
+    // existed; all three gave these bits.
+    {"conv_p0.y", 0x3d18d5db108ff27eull},     {"conv_p0.gx", 0x662c6669d35cc644ull},
+    {"conv_p0.gw", 0xc0651992c1ea707dull},    {"conv_p0.gb", 0xf8910b9a87af8318ull},
+    {"conv_s2_pc.y", 0x5f607c9f23956e51ull},  {"conv_s2_pc.gx", 0x4400e6a6f00bf8aaull},
+    {"conv_s2_pc.gw", 0xe372c2cec9319309ull}, {"conv_s2_pc.gb", 0x21dbeb6e99405ee4ull},
+    {"engine_lenet.logits", 0xe8207265f40b7d61ull},
 };
 
 void expect_golden(const std::string& key, std::uint64_t h) {
@@ -728,6 +534,20 @@ TEST(Golden, QuantizedConvKernel5PerChannelPaddedBlocks) {
                      Shape{16, 6, 7, 9}, 888);
 }
 
+TEST(Golden, QuantizedConvUnpadded) {
+    // No padding: every block's tap box is the full kernel.
+    golden_two_steps("conv_p0",
+                     quant_conv(3, 5, 3, 2, 0, 807, golden_config("mul8u_rm8")),
+                     Shape{2, 3, 7, 9}, 908);
+}
+
+TEST(Golden, QuantizedConvStrideTwoPerChannel) {
+    golden_two_steps("conv_s2_pc",
+                     quant_conv(3, 5, 3, 2, 1, 807, golden_config("mul8u_rm8"),
+                                /*per_channel=*/true),
+                     Shape{2, 3, 7, 9}, 908);
+}
+
 TEST(Golden, QuantizedConvNibblePaddedBlocks) {
     // 4-bit exact products fit a byte: the nibble (pshufb) leaf runs.
     golden_two_steps("conv_nib",
@@ -854,6 +674,36 @@ TEST(Golden, IntInferenceEngineVggNarrowBlocks) {
                   0);
         const Tensor twenty = Tensor::randn(Shape{20, 3, 16, 16}, xrng);
         expect_golden("engine_vgg.b20.logits", hash_tensor(engine.forward(twenty)));
+    });
+}
+
+TEST(Golden, IntInferenceEngineLenet) {
+    // LeNet at width 1/2 on 8x8 inputs: two 5x5 convs and two pools, on one
+    // batch of 16.
+    data::SyntheticConfig dc;
+    dc.num_classes = 4;
+    dc.height = dc.width = 8;
+    dc.train_samples = 64;
+    dc.test_samples = 32;
+    dc.seed = 99;
+    const auto pair = data::make_synthetic(dc);
+    data::DataLoader loader(pair.test, 16, /*shuffle=*/false, 0);
+    loader.start_epoch();
+    data::Batch batch;
+    ASSERT_TRUE(loader.next(batch));
+
+    at_every_isa([&] {
+        models::ModelConfig mc;
+        mc.in_size = 8;
+        mc.num_classes = 4;
+        mc.width_mult = 0.5f;
+        const auto model = models::make_lenet(mc);
+        approx::configure_approx_layers(*model, golden_config("mul8u_acc"),
+                                        approx::ComputeMode::kQuantized);
+        model->set_training(false);
+
+        approx::IntInferenceEngine engine(*model, pair.train, 48);
+        expect_golden("engine_lenet.logits", hash_tensor(engine.forward(batch.images)));
     });
 }
 

@@ -1,32 +1,27 @@
-// Tests for the blocked (panelized) kernel layouts of PR 8: pack/unpack
-// round trips over every ragged-edge configuration, bitwise identity of the
-// blocked LUT-GEMM kernels against the scalar oracle (memcmp, not
-// approximate), fused im2col panel production against the unfused
-// im2col + pack reference, the plan-keyed workspace high-water tracking,
-// and the runtime Tuning / LayoutMode resolution. Registered at
-// AMRET_THREADS=1 and 8 in CMakeLists.txt: the blocked kernels share the
-// runtime determinism contract, so every memcmp here is thread-count
+// Tests for the blocked (panelized) code layouts: pack/unpack round trips
+// over every ragged-edge configuration, bitwise identity of the LUT-GEMM
+// kernels against the naive loops of lut_oracle.hpp (memcmp, not
+// approximate) at several panel tiles, fused im2col panel production against
+// the unfused im2col + pack reference, the plan-keyed workspace high-water
+// tracking, and the analyzer's cross-check of the engine's weight panels.
+// Registered at AMRET_THREADS=1 and 8 in CMakeLists.txt: the kernels share
+// the runtime determinism contract, so every memcmp here is thread-count
 // independent.
 #include "amret.hpp"
+#include "lut_oracle.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <vector>
 
 namespace {
 
 using namespace amret;
 using kernels::ActPanels;
-using kernels::ActivationLayout;
 using kernels::BlockedGemmArgs;
 using kernels::LutGemmArgs;
 using kernels::PanelPlan;
-using kernels::TileConfig;
-using kernels::Tuning;
 using kernels::WeightPanels;
 using kernels::Workspace;
 using tensor::ConvGeom;
@@ -67,7 +62,7 @@ TEST(PanelPlan, ConvActPlanSplitsOnlyConvsWithFewerThanEightPositions) {
     // Batch-1 convs at 2x2 and 1x1: one-row blocks, each walking its box.
     EXPECT_EQ(kernels::make_conv_act_plan(4, 1152, 16, 64).tr, 1);
     EXPECT_EQ(kernels::make_conv_act_plan(1, 1152, 16, 64).tr, 1);
-    // The rule reads the shape, not the tile: a tuned 4-row tile keeps its
+    // The rule reads the shape, not the tile: a 4-row tile keeps its
     // blocks, which at N >= 4 share one output location.
     EXPECT_EQ(kernels::make_conv_act_plan(256, 1152, 4, 64).tr, 4);
     EXPECT_EQ(kernels::make_conv_act_plan(16, 1152, 16, 64).tr, 16);
@@ -142,9 +137,10 @@ TEST(PanelPack, WeightCodesAreStoredPreShifted) {
     EXPECT_EQ(w.codes[2], static_cast<std::uint32_t>(2) << 8); // kk=1
 }
 
-// ----------------------------------------- blocked kernels vs the oracle --
+// ----------------------------------------------- kernels vs the oracle --
 
-/// Random GEMM operands shared by the scalar oracle and the blocked path.
+/// Random row-major GEMM operands for the naive oracle; the kernels read
+/// the same codes, packed (lut_oracle::pack_blocked) or row-major.
 struct BlockedRandom {
     appmult::AppMultLut lut;
     core::GradLut grad;
@@ -152,7 +148,7 @@ struct BlockedRandom {
     std::vector<float> gyp;
     std::vector<float> scale_per_o;
     std::vector<std::int32_t> zero_per_o;
-    LutGemmArgs scalar;
+    LutGemmArgs args;
 
     BlockedRandom(unsigned bits, std::int64_t o, std::int64_t p, std::int64_t k,
                   bool per_channel, util::Rng& rng)
@@ -169,17 +165,17 @@ struct BlockedRandom {
         for (auto& v : gyp)
             v = (rng.uniform_u64(4) == 0) ? 0.0f
                                           : static_cast<float>(rng.normal());
-        scalar.bits = bits;
-        scalar.lut = lut.table().data();
-        scalar.wq = wq.data();
-        scalar.xq = xq.data();
-        scalar.o = o;
-        scalar.p = p;
-        scalar.k = k;
-        scalar.scale_w = 0.017f;
-        scalar.scale_x = 0.031f;
-        scalar.zero_w = static_cast<std::int32_t>(rng.uniform_u64(1u << bits));
-        scalar.zero_x = static_cast<std::int32_t>(rng.uniform_u64(1u << bits));
+        args.bits = bits;
+        args.lut = lut.table().data();
+        args.wq = wq.data();
+        args.xq = xq.data();
+        args.o = o;
+        args.p = p;
+        args.k = k;
+        args.scale_w = 0.017f;
+        args.scale_x = 0.031f;
+        args.zero_w = static_cast<std::int32_t>(rng.uniform_u64(1u << bits));
+        args.zero_x = static_cast<std::int32_t>(rng.uniform_u64(1u << bits));
         if (per_channel) {
             scale_per_o.resize(static_cast<std::size_t>(o));
             zero_per_o.resize(static_cast<std::size_t>(o));
@@ -189,33 +185,9 @@ struct BlockedRandom {
                 zero_per_o[static_cast<std::size_t>(i)] =
                     static_cast<std::int32_t>(rng.uniform_u64(1u << bits));
             }
-            scalar.scale_w_per_o = scale_per_o.data();
-            scalar.zero_w_per_o = zero_per_o.data();
+            args.scale_w_per_o = scale_per_o.data();
+            args.zero_w_per_o = zero_per_o.data();
         }
-    }
-
-    /// Packs both operands under (tp, to, tk) and mirrors the scalar args.
-    BlockedGemmArgs blocked(std::int64_t tp, std::int64_t to, std::int64_t tk,
-                            Workspace& ws) const {
-        BlockedGemmArgs b;
-        b.bits = scalar.bits;
-        b.lut = scalar.lut;
-        b.w = kernels::pack_weight_panels(
-            wq.data(), scalar.bits,
-            kernels::make_panel_plan(scalar.o, scalar.k, to, tk), ws);
-        b.x = kernels::pack_activation_panels(
-            xq.data(), kernels::make_panel_plan(scalar.p, scalar.k, tp, tk),
-            ws);
-        b.o = scalar.o;
-        b.p = scalar.p;
-        b.k = scalar.k;
-        b.scale_w = scalar.scale_w;
-        b.scale_x = scalar.scale_x;
-        b.zero_w = scalar.zero_w;
-        b.zero_x = scalar.zero_x;
-        b.scale_w_per_o = scalar.scale_w_per_o;
-        b.zero_w_per_o = scalar.zero_w_per_o;
-        return b;
     }
 };
 
@@ -241,14 +213,15 @@ TEST(BlockedKernels, ForwardMatchesScalarOracleBitwise) {
             std::vector<float> bias(static_cast<std::size_t>(sh.o));
             for (auto& v : bias) v = static_cast<float>(rng.normal());
 
-            Workspace ws;
             std::vector<float> ref(static_cast<std::size_t>(sh.p * sh.o));
-            kernels::lut_forward(g.scalar, bias.data(), ref.data(), ws);
+            lut_oracle::naive_forward(g.args, bias.data(), ref.data());
 
+            Workspace ws;
             std::vector<float> y(ref.size());
             for (const auto& t : kPanelTiles) {
                 ws.reset();
-                const BlockedGemmArgs b = g.blocked(t.tp, t.to, t.tk, ws);
+                const BlockedGemmArgs b =
+                    lut_oracle::pack_blocked(g.args, t.tp, t.to, t.tk, ws);
                 std::fill(y.begin(), y.end(), -1.0f);
                 kernels::lut_forward_blocked(b, bias.data(), y.data(), ws);
                 ASSERT_EQ(std::memcmp(y.data(), ref.data(),
@@ -263,8 +236,8 @@ TEST(BlockedKernels, ForwardMatchesScalarOracleBitwise) {
 }
 
 TEST(BlockedKernels, BackwardMatchesScalarOracleBitwise) {
-    // The blocked layout's backward needs no panels: it reads the row-major
-    // codes and the transposed dX table, and must memcmp-match the oracle.
+    // The backward needs no panels: it reads the row-major codes and the
+    // transposed dX table, and must memcmp-match the oracle.
     util::Rng rng(92);
     for (const unsigned bits : {4u, 8u}) {
         for (const GemmShape& sh : kShapes) {
@@ -274,14 +247,14 @@ TEST(BlockedKernels, BackwardMatchesScalarOracleBitwise) {
             const std::size_t nx = static_cast<std::size_t>(sh.p * sh.k);
 
             std::vector<float> gw_ref(nw, 0.0f), gx_ref(nx, 0.0f);
-            kernels::lut_backward(g.scalar, g.gyp.data(),
-                                  g.grad.dw_table().data(),
-                                  g.grad.dx_table().data(), gw_ref.data(),
-                                  gx_ref.data());
+            lut_oracle::naive_backward(g.args, g.gyp.data(),
+                                       g.grad.dw_table().data(),
+                                       g.grad.dx_table().data(), gw_ref.data(),
+                                       gx_ref.data());
 
             Workspace ws;
             std::vector<float> gw(nw, 0.0f), gx(nx, 0.0f);
-            kernels::lut_backward_rows(g.scalar, g.gyp.data(),
+            kernels::lut_backward_rows(g.args, g.gyp.data(),
                                        g.grad.dw_table().data(),
                                        g.grad.dx_t_table().data(), gw.data(),
                                        gx.data(), ws);
@@ -373,7 +346,7 @@ TEST(FusedIm2col, U8PanelsMatchUnfusedIm2colPlusPack) {
         for (const std::int64_t grain : {std::int64_t{1}, std::int64_t{2},
                                          plan.row_blocks()}) {
             const ActPanels got = kernels::pack_im2col_panels_u8(
-                x.data(), geom, ActivationLayout::kNCHW, zp, plan, ws, 8, grain);
+                x.data(), geom, zp, plan, ws, 8, grain);
             ASSERT_EQ(std::memcmp(got.codes, want.codes.data(),
                                   static_cast<std::size_t>(plan.elems()) *
                                       sizeof(std::uint16_t)),
@@ -384,26 +357,6 @@ TEST(FusedIm2col, U8PanelsMatchUnfusedIm2colPlusPack) {
                       0);
         }
 
-        // NHWC interleave of the same image produces the same panels.
-        std::vector<std::uint8_t> nhwc(img);
-        for (std::int64_t n = 0; n < geom.batch; ++n)
-            for (std::int64_t c = 0; c < geom.in_ch; ++c)
-                for (std::int64_t yy = 0; yy < geom.in_h; ++yy)
-                    for (std::int64_t xx = 0; xx < geom.in_w; ++xx)
-                        nhwc[static_cast<std::size_t>(
-                            ((n * geom.in_h + yy) * geom.in_w + xx) *
-                                geom.in_ch +
-                            c)] =
-                            x[static_cast<std::size_t>(
-                                ((n * geom.in_ch + c) * geom.in_h + yy) *
-                                    geom.in_w +
-                                xx)];
-        const ActPanels got_nhwc = kernels::pack_im2col_panels_u8(
-            nhwc.data(), geom, ActivationLayout::kNHWC, zp, plan, ws, 8, 1);
-        ASSERT_EQ(std::memcmp(got_nhwc.codes, want.codes.data(),
-                              static_cast<std::size_t>(plan.elems()) *
-                                  sizeof(std::uint16_t)),
-                  0);
     }
 }
 
@@ -469,120 +422,6 @@ TEST(FusedIm2col, QuantizePanelsMatchUnfusedFloatPath) {
     }
 }
 
-// --------------------------------------- layer-level scalar vs blocked ---
-
-struct LayerRun {
-    tensor::Tensor y, gx, gw, gb;
-};
-
-LayerRun run_conv(kernels::LayoutMode mode, bool per_channel, std::int64_t pad,
-                  const tensor::Tensor& x, const tensor::Tensor& gy) {
-    kernels::set_layout_mode(mode);
-    util::Rng rng(21); // identical weights for both runs
-    nn::Context ctx;
-    approx::ApproxConv2d conv(3, 5, 3, 2, pad, rng);
-    conv.set_multiplier(approx::MultiplierConfig::exact_ste(8));
-    conv.set_mode(approx::ComputeMode::kQuantized);
-    conv.set_per_channel_weights(per_channel);
-    conv.set_training(true);
-    LayerRun run;
-    run.y = conv.forward(x, ctx);
-    conv.zero_grad();
-    run.gx = conv.backward(gy, ctx);
-    run.gw = conv.weight.grad;
-    run.gb = conv.bias.grad;
-    kernels::clear_layout_mode_override();
-    return run;
-}
-
-TEST(LayerLayout, QuantizedConvIsBitwiseIdenticalAcrossLayouts) {
-    util::Rng rng(77);
-    // 7x9 input under stride 2: odd output extent, position count not a
-    // multiple of any default tile.
-    const tensor::Tensor x = tensor::Tensor::randn(Shape{2, 3, 7, 9}, rng);
-    // pad 0: an unpadded conv packs no padding constant.
-    for (const auto& [per_channel, pad] :
-         {std::pair{false, 1}, std::pair{true, 1}, std::pair{false, 0}}) {
-        kernels::set_layout_mode(kernels::LayoutMode::kScalar);
-        util::Rng wrng(21);
-        nn::Context shape_ctx;
-        approx::ApproxConv2d shape_conv(3, 5, 3, 2, pad, wrng);
-        shape_conv.set_multiplier(approx::MultiplierConfig::exact_ste(8));
-        shape_conv.set_mode(approx::ComputeMode::kQuantized);
-        const tensor::Tensor y0 = shape_conv.forward(x, shape_ctx);
-        kernels::clear_layout_mode_override();
-        const tensor::Tensor gy = tensor::Tensor::randn(y0.shape(), rng);
-
-        const LayerRun scalar =
-            run_conv(kernels::LayoutMode::kScalar, per_channel, pad, x, gy);
-        for (const auto mode : {kernels::LayoutMode::kBlocked,
-                                kernels::LayoutMode::kBlockedNhwc}) {
-            const LayerRun blocked = run_conv(mode, per_channel, pad, x, gy);
-            ASSERT_EQ(std::memcmp(blocked.y.data(), scalar.y.data(),
-                                  static_cast<std::size_t>(scalar.y.numel()) *
-                                      sizeof(float)),
-                      0)
-                << "forward per_channel=" << per_channel << " pad=" << pad;
-            ASSERT_EQ(std::memcmp(blocked.gx.data(), scalar.gx.data(),
-                                  static_cast<std::size_t>(scalar.gx.numel()) *
-                                      sizeof(float)),
-                      0)
-                << "gx per_channel=" << per_channel << " pad=" << pad;
-            ASSERT_EQ(std::memcmp(blocked.gw.data(), scalar.gw.data(),
-                                  static_cast<std::size_t>(scalar.gw.numel()) *
-                                      sizeof(float)),
-                      0)
-                << "gw per_channel=" << per_channel << " pad=" << pad;
-            ASSERT_EQ(std::memcmp(blocked.gb.data(), scalar.gb.data(),
-                                  static_cast<std::size_t>(scalar.gb.numel()) *
-                                      sizeof(float)),
-                      0)
-                << "gb per_channel=" << per_channel << " pad=" << pad;
-        }
-    }
-}
-
-TEST(LayerLayout, QuantizedLinearIsBitwiseIdenticalAcrossLayouts) {
-    util::Rng rng(78);
-    const tensor::Tensor x = tensor::Tensor::randn(Shape{9, 37}, rng);
-    const tensor::Tensor gy = tensor::Tensor::randn(Shape{9, 11}, rng);
-    auto run = [&](kernels::LayoutMode mode) {
-        kernels::set_layout_mode(mode);
-        util::Rng wrng(33);
-        nn::Context ctx;
-        approx::ApproxLinear lin(37, 11, wrng);
-        lin.set_multiplier(approx::MultiplierConfig::exact_ste(8));
-        lin.set_mode(approx::ComputeMode::kQuantized);
-        lin.set_training(true);
-        LayerRun r;
-        r.y = lin.forward(x, ctx);
-        lin.zero_grad();
-        r.gx = lin.backward(gy, ctx);
-        r.gw = lin.weight.grad;
-        r.gb = lin.bias.grad;
-        kernels::clear_layout_mode_override();
-        return r;
-    };
-    const LayerRun scalar = run(kernels::LayoutMode::kScalar);
-    const LayerRun blocked = run(kernels::LayoutMode::kBlocked);
-    EXPECT_EQ(std::memcmp(blocked.y.data(), scalar.y.data(),
-                          static_cast<std::size_t>(scalar.y.numel()) *
-                              sizeof(float)),
-              0);
-    EXPECT_EQ(std::memcmp(blocked.gx.data(), scalar.gx.data(),
-                          static_cast<std::size_t>(scalar.gx.numel()) *
-                              sizeof(float)),
-              0);
-    EXPECT_EQ(std::memcmp(blocked.gw.data(), scalar.gw.data(),
-                          static_cast<std::size_t>(scalar.gw.numel()) *
-                              sizeof(float)),
-              0);
-    EXPECT_EQ(std::memcmp(blocked.gb.data(), scalar.gb.data(),
-                          static_cast<std::size_t>(scalar.gb.numel()) *
-                              sizeof(float)),
-              0);
-}
-
 // ------------------------------------------------ plan-keyed workspace ----
 
 TEST(WorkspacePlans, TrimKeepsTheHotPlanWorkingSet) {
@@ -636,73 +475,7 @@ TEST(WorkspacePlans, MidEpochRegrowBumpsTheObsCounter) {
     EXPECT_EQ(regrows.value(), steady);
 }
 
-// ------------------------------------------------- tuning + layout mode ---
-
-TEST(TuningResolve, EnvOverrideWinsAndRejectsGarbage) {
-    ::setenv("AMRET_TILES", "16x8x32", 1);
-    Tuning t = Tuning::resolve();
-    EXPECT_EQ(t.tp, 16);
-    EXPECT_EQ(t.to, 8);
-    EXPECT_EQ(t.tk, 32);
-    ::setenv("AMRET_TILES", "12,34,56", 1); // comma separators also accepted
-    t = Tuning::resolve();
-    EXPECT_EQ(t.tp, 12);
-    EXPECT_EQ(t.to, 34);
-    EXPECT_EQ(t.tk, 56);
-    // Malformed and out-of-range picks fall back to the defaults.
-    ::setenv("AMRET_TUNING_FILE", "/nonexistent/kernel_tuning.json", 1);
-    for (const char* bad : {"garbage", "0x4x4", "4x4", "4x4x0", "4x4x9999999"}) {
-        ::setenv("AMRET_TILES", bad, 1);
-        t = Tuning::resolve();
-        EXPECT_EQ(t.tp, kernels::tune::kTileP) << bad;
-        EXPECT_EQ(t.to, kernels::tune::kTileO) << bad;
-        EXPECT_EQ(t.tk, kernels::tune::kTileK) << bad;
-    }
-    ::unsetenv("AMRET_TILES");
-    ::unsetenv("AMRET_TUNING_FILE");
-}
-
-TEST(TuningResolve, AutoTunerFileFeedsTheDefaults) {
-    const char* path = "kernel_tuning_test.json";
-    {
-        std::ofstream out(path);
-        out << "{\n  \"tp\": 4, \"to\": 32, \"tk\": 128,\n"
-               "  \"source\": \"bench_micro --tile-sweep\"\n}\n";
-    }
-    ::unsetenv("AMRET_TILES");
-    ::setenv("AMRET_TUNING_FILE", path, 1);
-    const Tuning t = Tuning::resolve();
-    EXPECT_EQ(t.tp, 4);
-    EXPECT_EQ(t.to, 32);
-    EXPECT_EQ(t.tk, 128);
-    ::unsetenv("AMRET_TUNING_FILE");
-    std::remove(path);
-}
-
-TEST(TuningOverride, TestOverrideFeedsTileConfigDefaults) {
-    Tuning t;
-    t.tp = 3;
-    t.to = 5;
-    t.tk = 7;
-    Tuning::set_for_test(t);
-    const TileConfig tile;
-    EXPECT_EQ(tile.tp, 3);
-    EXPECT_EQ(tile.to, 5);
-    EXPECT_EQ(tile.tk, 7);
-    Tuning::clear_test_override();
-    const TileConfig fallback;
-    EXPECT_GE(fallback.tp, 1);
-}
-
-TEST(LayoutModeTest, OverrideRoundTrips) {
-    kernels::set_layout_mode(kernels::LayoutMode::kScalar);
-    EXPECT_EQ(kernels::layout_mode(), kernels::LayoutMode::kScalar);
-    kernels::set_layout_mode(kernels::LayoutMode::kBlockedNhwc);
-    EXPECT_EQ(kernels::layout_mode(), kernels::LayoutMode::kBlockedNhwc);
-    kernels::clear_layout_mode_override();
-}
-
-// ------------------------------------------------------- engine layouts --
+// ------------------------------------------------------- engine panels --
 
 struct EngineFixture {
     std::unique_ptr<nn::Sequential> model;
@@ -738,40 +511,6 @@ EngineFixture make_engine_fixture() {
     return out;
 }
 
-TEST(EngineLayout, IntEngineIsBitwiseIdenticalAcrossLayouts) {
-    EngineFixture fx = make_engine_fixture();
-    data::DataLoader loader(fx.data.test, 16, /*shuffle=*/false, 0);
-    loader.start_epoch();
-    data::Batch batch;
-    ASSERT_TRUE(loader.next(batch));
-
-    const kernels::LayoutMode modes[] = {kernels::LayoutMode::kScalar,
-                                         kernels::LayoutMode::kBlocked,
-                                         kernels::LayoutMode::kBlockedNhwc};
-    std::vector<tensor::Tensor> logits;
-    for (const kernels::LayoutMode mode : modes) {
-        kernels::set_layout_mode(mode);
-        approx::IntInferenceEngine engine(*fx.model, fx.data.train, 48);
-        ASSERT_NE(engine.certificate(), nullptr);
-        EXPECT_TRUE(engine.certificate()->safe);
-        logits.push_back(engine.forward(batch.images));
-    }
-    kernels::clear_layout_mode_override();
-
-    ASSERT_EQ(logits[0].numel(), logits[1].numel());
-    ASSERT_EQ(logits[0].numel(), logits[2].numel());
-    EXPECT_EQ(std::memcmp(logits[0].data(), logits[1].data(),
-                          static_cast<std::size_t>(logits[0].numel()) *
-                              sizeof(float)),
-              0)
-        << "blocked engine diverges from the scalar oracle";
-    EXPECT_EQ(std::memcmp(logits[0].data(), logits[2].data(),
-                          static_cast<std::size_t>(logits[0].numel()) *
-                              sizeof(float)),
-              0)
-        << "blocked-nhwc engine diverges from the scalar oracle";
-}
-
 bool has_check(const analysis::Certificate& cert, const char* name) {
     for (const auto& d : cert.diags)
         if (d.check == name) return true;
@@ -780,10 +519,8 @@ bool has_check(const analysis::Certificate& cert, const char* name) {
 
 TEST(EngineLayout, AnalyzerCrossChecksThePanelPacking) {
     EngineFixture fx = make_engine_fixture();
-    kernels::set_layout_mode(kernels::LayoutMode::kBlocked);
     approx::IntInferenceEngine engine(*fx.model, fx.data.train, 48,
                                       approx::SafetyPolicy::kOff);
-    kernels::clear_layout_mode_override();
 
     analysis::GraphDesc desc = engine.describe();
     std::size_t conv_i = desc.ops.size();

@@ -7,7 +7,6 @@
 #include "serve/serve.hpp"
 
 #include "appmult/registry.hpp"
-#include "kernels/tuning.hpp"
 #include "models/models.hpp"
 #include "train/pipeline.hpp"
 #include "train/trainer.hpp"
@@ -314,40 +313,6 @@ TEST_F(ServeEndToEnd, ServedLogitsBitwiseMatchSingleShot) {
     EXPECT_TRUE(saw_multi_row_batch)
         << "coalescer never packed a multi-row batch";
     EXPECT_EQ(server.stats().served, 24);
-}
-
-TEST_F(ServeEndToEnd, BlockedServePathMatchesScalarOracleBitwise) {
-    const serve::ModelSpec spec{"lenet", "mul8u_acc", "v0"};
-    // Reference: a scalar-layout engine (the row-major oracle path),
-    // single-shot, no server involved.
-    kernels::set_layout_mode(kernels::LayoutMode::kScalar);
-    auto oracle = load_engine(spec);
-    std::vector<tensor::Tensor> expected;
-    for (std::int64_t i = 0; i < 16; ++i)
-        expected.push_back(oracle->forward(sample(i)));
-
-    // Served traffic compiles its own engine under the blocked layout and
-    // runs the whole fused assembly: batch coalescing -> plan-keyed
-    // workspace epoch -> fused im2col panel packing -> blocked LUT-GEMM.
-    kernels::set_layout_mode(kernels::LayoutMode::kBlocked);
-    auto registry = make_registry();
-    serve::ServeConfig sc;
-    sc.workers = 2;
-    sc.max_batch = 8;
-    sc.deadline_us = 2000;
-    serve::InferenceServer server(registry, sc);
-    std::vector<std::future<serve::Result>> futures;
-    for (std::int64_t i = 0; i < 16; ++i)
-        futures.push_back(server.submit(spec, sample(i)));
-    for (std::int64_t i = 0; i < 16; ++i) {
-        serve::Result r = futures[static_cast<std::size_t>(i)].get();
-        ASSERT_EQ(r.status, serve::Status::kOk) << "request " << i;
-        EXPECT_TRUE(bitwise_equal(r.logits, expected[static_cast<std::size_t>(i)]))
-            << "blocked serve path diverged from the scalar oracle at request "
-            << i;
-    }
-    server.stop(true);
-    kernels::clear_layout_mode_override();
 }
 
 TEST_F(ServeEndToEnd, AdmissionRejectsWhenQueueFull) {

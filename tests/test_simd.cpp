@@ -1,15 +1,16 @@
 // Tests for the runtime-dispatched SIMD LUT-GEMM kernels (kernels/simd):
 // dispatch resolution (parse/cap/override semantics of AMRET_SIMD), the
 // nibble-packed activation sidecar (format and eligibility), and the bitwise
-// contract — every vector kernel's forward output must memcmp-equal the
-// scalar blocked oracle, and the row-major backward's grad-X and grad-W the
-// lut_backward oracle, on every shape, including ragged edges and every
+// contract — at every dispatch level the forward output and the row-major
+// backward's grad-X and grad-W must memcmp-equal the naive loops of
+// lut_oracle.hpp, on every shape, including ragged edges and every
 // lane tail, for 4-, 6- and 8-bit codes, per-tensor and per-channel quantization,
 // at both thread-count extremes (registered at AMRET_THREADS=1 and 8 in
 // CMakeLists.txt). The CI simd-dispatch matrix additionally re-runs tier-1
 // under AMRET_SIMD=scalar|ssse3|avx2 so the env-var path is exercised
 // end to end, not just through resolve_request().
 #include "amret.hpp"
+#include "lut_oracle.hpp"
 
 #include "kernels/simd/simd.hpp"
 
@@ -173,7 +174,7 @@ TEST(Packed4, AttachIsSkippedWhenIneligible) {
     }
 }
 
-// --------------------------------------- vector kernels vs scalar oracle --
+// ---------------------------------------- vector kernels vs the oracle --
 
 /// Gradient tables of random normal entries: unlike STE, neither table is
 /// symmetric in (w, x) or constant along a row, so a lookup in the wrong
@@ -183,9 +184,9 @@ core::GradLut random_grad(unsigned bits, util::Rng& rng) {
     return core::build_custom_grad(bits, draw, draw);
 }
 
-/// Random GEMM operands shared by the scalar oracle and every dispatch
-/// level; mirrors test_layout's fixture plus the packed4 sidecar so 4-bit
-/// runs exercise the pshufb path, not just the gather path.
+/// Random GEMM operands shared by the naive oracle and every dispatch level;
+/// mirrors test_layout's fixture plus the packed4 sidecar so 4-bit runs
+/// exercise the pshufb path, not just the gather path.
 struct SimdRandom {
     appmult::AppMultLut lut;
     core::GradLut grad;
@@ -193,7 +194,7 @@ struct SimdRandom {
     std::vector<float> gyp;
     std::vector<float> scale_per_o;
     std::vector<std::int32_t> zero_per_o;
-    LutGemmArgs scalar;
+    LutGemmArgs args;
 
     SimdRandom(unsigned bits, std::int64_t o, std::int64_t p, std::int64_t k,
                bool per_channel, util::Rng& rng)
@@ -209,17 +210,17 @@ struct SimdRandom {
         for (auto& v : gyp)
             v = (rng.uniform_u64(4) == 0) ? 0.0f
                                           : static_cast<float>(rng.normal());
-        scalar.bits = bits;
-        scalar.lut = lut.table().data();
-        scalar.wq = wq.data();
-        scalar.xq = xq.data();
-        scalar.o = o;
-        scalar.p = p;
-        scalar.k = k;
-        scalar.scale_w = 0.013f;
-        scalar.scale_x = 0.029f;
-        scalar.zero_w = static_cast<std::int32_t>(rng.uniform_u64(1u << bits));
-        scalar.zero_x = static_cast<std::int32_t>(rng.uniform_u64(1u << bits));
+        args.bits = bits;
+        args.lut = lut.table().data();
+        args.wq = wq.data();
+        args.xq = xq.data();
+        args.o = o;
+        args.p = p;
+        args.k = k;
+        args.scale_w = 0.013f;
+        args.scale_x = 0.029f;
+        args.zero_w = static_cast<std::int32_t>(rng.uniform_u64(1u << bits));
+        args.zero_x = static_cast<std::int32_t>(rng.uniform_u64(1u << bits));
         if (per_channel) {
             scale_per_o.resize(static_cast<std::size_t>(o));
             zero_per_o.resize(static_cast<std::size_t>(o));
@@ -229,33 +230,15 @@ struct SimdRandom {
                 zero_per_o[static_cast<std::size_t>(i)] =
                     static_cast<std::int32_t>(rng.uniform_u64(1u << bits));
             }
-            scalar.scale_w_per_o = scale_per_o.data();
-            scalar.zero_w_per_o = zero_per_o.data();
+            args.scale_w_per_o = scale_per_o.data();
+            args.zero_w_per_o = zero_per_o.data();
         }
     }
 
     BlockedGemmArgs blocked(std::int64_t tp, std::int64_t to, std::int64_t tk,
                             Workspace& ws) const {
-        BlockedGemmArgs b;
-        b.bits = scalar.bits;
-        b.lut = scalar.lut;
-        b.w = kernels::pack_weight_panels(
-            wq.data(), scalar.bits,
-            kernels::make_panel_plan(scalar.o, scalar.k, to, tk), ws);
-        ActPanels x = kernels::pack_activation_panels(
-            xq.data(), kernels::make_panel_plan(scalar.p, scalar.k, tp, tk),
-            ws);
-        if (scalar.bits <= 4) kernels::attach_packed4(x, scalar.bits, ws, 1);
-        b.x = x;
-        b.o = scalar.o;
-        b.p = scalar.p;
-        b.k = scalar.k;
-        b.scale_w = scalar.scale_w;
-        b.scale_x = scalar.scale_x;
-        b.zero_w = scalar.zero_w;
-        b.zero_x = scalar.zero_x;
-        b.scale_w_per_o = scalar.scale_w_per_o;
-        b.zero_w_per_o = scalar.zero_w_per_o;
+        BlockedGemmArgs b = lut_oracle::pack_blocked(args, tp, to, tk, ws);
+        if (args.bits <= 4) kernels::attach_packed4(b.x, args.bits, ws, 1);
         return b;
     }
 };
@@ -292,7 +275,7 @@ TEST(SimdKernels, ForwardMatchesScalarOracleBitwise) {
 
             Workspace ws;
             std::vector<float> ref(static_cast<std::size_t>(sh.p * sh.o));
-            kernels::lut_forward(g.scalar, bias.data(), ref.data(), ws);
+            lut_oracle::naive_forward(g.args, bias.data(), ref.data());
 
             std::vector<float> y(ref.size());
             for (const auto& t : kTiles) {
@@ -339,22 +322,10 @@ TEST(SimdKernels, NibbleVerdictFollowsTheTableNotItsAddress) {
         a.zero_x = 5;
         ws.reset();
         std::vector<float> ref(static_cast<std::size_t>(p * o));
-        kernels::lut_forward(a, nullptr, ref.data(), ws);
-        BlockedGemmArgs b;
-        b.bits = 4;
-        b.lut = table;
-        b.w = kernels::pack_weight_panels(
-            wq.data(), 4, kernels::make_panel_plan(o, k, 16, 64), ws);
-        ActPanels x = kernels::pack_activation_panels(
-            xq.data(), kernels::make_panel_plan(p, k, 16, 64), ws);
-        kernels::attach_packed4(x, 4, ws, 1);
-        ASSERT_NE(x.packed4, nullptr);
-        b.x = x;
-        b.o = o;
-        b.p = p;
-        b.k = k;
-        b.zero_w = a.zero_w;
-        b.zero_x = a.zero_x;
+        lut_oracle::naive_forward(a, nullptr, ref.data());
+        BlockedGemmArgs b = lut_oracle::pack_blocked(a, 16, 16, 64, ws);
+        kernels::attach_packed4(b.x, 4, ws, 1);
+        ASSERT_NE(b.x.packed4, nullptr);
         std::vector<float> y(ref.size());
         for (const Isa isa : runnable_isas()) {
             ScopedIsa pin(isa);
@@ -384,15 +355,15 @@ TEST(SimdKernels, NibbleVerdictFollowsTheTableNotItsAddress) {
 }
 
 /// Runs lut_backward_rows under every runnable dispatch level and memcmps
-/// gw and gx against the lut_backward oracle over the same codes.
+/// gw and gx against the naive backward over the same codes.
 ::testing::AssertionResult backward_matches_oracle(const SimdRandom& g) {
-    const LutGemmArgs& a = g.scalar;
+    const LutGemmArgs& a = g.args;
     const std::size_t nw = static_cast<std::size_t>(a.o * a.k);
     const std::size_t nx = static_cast<std::size_t>(a.p * a.k);
     std::vector<float> gw_ref(nw, 0.0f), gx_ref(nx, 0.0f);
-    kernels::lut_backward(a, g.gyp.data(), g.grad.dw_table().data(),
-                          g.grad.dx_table().data(), gw_ref.data(),
-                          gx_ref.data());
+    lut_oracle::naive_backward(a, g.gyp.data(), g.grad.dw_table().data(),
+                               g.grad.dx_table().data(), gw_ref.data(),
+                               gx_ref.data());
     Workspace ws;
     std::vector<float> gw(nw), gx(nx);
     for (const Isa isa : runnable_isas()) {
@@ -453,78 +424,12 @@ TEST(SimdKernels, BackwardCoversEveryLaneTailAndZeroGradients) {
 
 // --------------------------------------------- layer / engine level -------
 
-struct LayerRun {
-    tensor::Tensor y, gx, gw, gb;
-};
-
-LayerRun run_conv(kernels::LayoutMode mode, const tensor::Tensor& x,
-                  const tensor::Tensor& gy) {
-    kernels::set_layout_mode(mode);
-    util::Rng rng(23); // identical weights every run
-    nn::Context ctx;
-    approx::ApproxConv2d conv(3, 5, 3, 2, 1, rng);
-    conv.set_multiplier(approx::MultiplierConfig::exact_ste(8));
-    conv.set_mode(approx::ComputeMode::kQuantized);
-    conv.set_training(true);
-    LayerRun run;
-    run.y = conv.forward(x, ctx);
-    conv.zero_grad();
-    run.gx = conv.backward(gy, ctx);
-    run.gw = conv.weight.grad;
-    run.gb = conv.bias.grad;
-    kernels::clear_layout_mode_override();
-    return run;
-}
-
-TEST(SimdLayer, QuantizedConvIsBitwiseIdenticalAcrossLayoutsAndIsas) {
-    util::Rng rng(103);
-    const tensor::Tensor x = tensor::Tensor::randn(tensor::Shape{2, 3, 7, 9},
-                                                   rng);
-    // Shape probe + reference under scalar layout, scalar dispatch.
-    LayerRun ref;
-    {
-        ScopedIsa pin(Isa::kScalar);
-        kernels::set_layout_mode(kernels::LayoutMode::kScalar);
-        util::Rng wrng(23);
-        nn::Context ctx;
-        approx::ApproxConv2d conv(3, 5, 3, 2, 1, wrng);
-        conv.set_multiplier(approx::MultiplierConfig::exact_ste(8));
-        conv.set_mode(approx::ComputeMode::kQuantized);
-        const tensor::Tensor y0 = conv.forward(x, ctx);
-        kernels::clear_layout_mode_override();
-        const tensor::Tensor gy = tensor::Tensor::randn(y0.shape(), rng);
-        ref = run_conv(kernels::LayoutMode::kScalar, x, gy);
-        for (const Isa isa : runnable_isas()) {
-            kernels::simd::set_isa_for_test(isa);
-            for (const auto mode : {kernels::LayoutMode::kBlocked,
-                                    kernels::LayoutMode::kBlockedNhwc}) {
-                const LayerRun got = run_conv(mode, x, gy);
-                const auto eq = [](const tensor::Tensor& a,
-                                   const tensor::Tensor& b) {
-                    return a.shape() == b.shape() &&
-                           std::memcmp(a.data(), b.data(),
-                                       static_cast<std::size_t>(a.numel()) *
-                                           sizeof(float)) == 0;
-                };
-                ASSERT_TRUE(eq(got.y, ref.y))
-                    << "y " << kernels::simd::isa_name(isa);
-                ASSERT_TRUE(eq(got.gx, ref.gx))
-                    << "gx " << kernels::simd::isa_name(isa);
-                ASSERT_TRUE(eq(got.gw, ref.gw))
-                    << "gw " << kernels::simd::isa_name(isa);
-                ASSERT_TRUE(eq(got.gb, ref.gb))
-                    << "gb " << kernels::simd::isa_name(isa);
-            }
-        }
-    }
-}
-
 TEST(SimdEngine, VggBatchOneRowsMatchBatchRowsAtEveryIsa) {
     // VGG19 at width 1/8 on 16x16 inputs: the last eight convs run at 2x2
     // and 1x1, so a batch of 1 forms position blocks of 4 and 1 rows (the
     // output-channel-lane leaves) where the batch of 5 forms 20 and 5. Every
     // batch-1 row must memcmp its batch row, and every level the scalar
-    // level, in both blocked layouts.
+    // level.
     data::SyntheticConfig dc;
     dc.num_classes = 4;
     dc.height = dc.width = 16;
@@ -550,37 +455,28 @@ TEST(SimdEngine, VggBatchOneRowsMatchBatchRowsAtEveryIsa) {
     const std::int64_t numel = ds.test.sample_numel();
     tensor::Tensor batch(tensor::Shape{n, 3, 16, 16});
     std::copy_n(ds.test.images.data(), n * numel, batch.data());
-    for (const auto mode :
-         {kernels::LayoutMode::kBlocked, kernels::LayoutMode::kBlockedNhwc}) {
-        kernels::set_layout_mode(mode);
-        approx::IntInferenceEngine engine(*model, ds.train, 32);
-        kernels::clear_layout_mode_override();
-        tensor::Tensor ref;
-        {
-            ScopedIsa pin(Isa::kScalar);
-            ref = engine.forward(batch);
-        }
-        const std::int64_t classes = ref.dim(1);
-        for (const Isa isa : runnable_isas()) {
-            ScopedIsa pin(isa);
-            const tensor::Tensor logits = engine.forward(batch);
-            ASSERT_EQ(std::memcmp(logits.data(), ref.data(),
-                                  static_cast<std::size_t>(ref.numel()) *
-                                      sizeof(float)),
+    approx::IntInferenceEngine engine(*model, ds.train, 32);
+    tensor::Tensor ref;
+    {
+        ScopedIsa pin(Isa::kScalar);
+        ref = engine.forward(batch);
+    }
+    const std::int64_t classes = ref.dim(1);
+    for (const Isa isa : runnable_isas()) {
+        ScopedIsa pin(isa);
+        const tensor::Tensor logits = engine.forward(batch);
+        ASSERT_EQ(std::memcmp(logits.data(), ref.data(),
+                              static_cast<std::size_t>(ref.numel()) * sizeof(float)),
+                  0)
+            << kernels::simd::isa_name(isa);
+        tensor::Tensor one(tensor::Shape{1, 3, 16, 16});
+        for (std::int64_t i = 0; i < n; ++i) {
+            std::copy_n(batch.data() + i * numel, numel, one.data());
+            const tensor::Tensor row = engine.forward(one);
+            ASSERT_EQ(std::memcmp(row.data(), ref.data() + i * classes,
+                                  static_cast<std::size_t>(classes) * sizeof(float)),
                       0)
-                << kernels::simd::isa_name(isa) << " mode="
-                << static_cast<int>(mode);
-            tensor::Tensor one(tensor::Shape{1, 3, 16, 16});
-            for (std::int64_t i = 0; i < n; ++i) {
-                std::copy_n(batch.data() + i * numel, numel, one.data());
-                const tensor::Tensor row = engine.forward(one);
-                ASSERT_EQ(std::memcmp(row.data(), ref.data() + i * classes,
-                                      static_cast<std::size_t>(classes) *
-                                          sizeof(float)),
-                          0)
-                    << "row " << i << " " << kernels::simd::isa_name(isa)
-                    << " mode=" << static_cast<int>(mode);
-            }
+                << "row " << i << " " << kernels::simd::isa_name(isa);
         }
     }
 }
@@ -619,27 +515,18 @@ TEST(SimdEngine, IntEngineIsBitwiseIdenticalAcrossIsas) {
     tensor::Tensor ref;
     {
         ScopedIsa pin(Isa::kScalar);
-        kernels::set_layout_mode(kernels::LayoutMode::kBlocked);
         approx::IntInferenceEngine engine(*model, ds.train, 48);
         ref = engine.forward(batch.images);
-        kernels::clear_layout_mode_override();
     }
     for (const Isa isa : runnable_isas()) {
         ScopedIsa pin(isa);
-        for (const auto mode : {kernels::LayoutMode::kBlocked,
-                                kernels::LayoutMode::kBlockedNhwc}) {
-            kernels::set_layout_mode(mode);
-            approx::IntInferenceEngine engine(*model, ds.train, 48);
-            const tensor::Tensor logits = engine.forward(batch.images);
-            kernels::clear_layout_mode_override();
-            ASSERT_EQ(logits.numel(), ref.numel());
-            ASSERT_EQ(std::memcmp(logits.data(), ref.data(),
-                                  static_cast<std::size_t>(ref.numel()) *
-                                      sizeof(float)),
-                      0)
-                << kernels::simd::isa_name(isa) << " mode="
-                << static_cast<int>(mode);
-        }
+        approx::IntInferenceEngine engine(*model, ds.train, 48);
+        const tensor::Tensor logits = engine.forward(batch.images);
+        ASSERT_EQ(logits.numel(), ref.numel());
+        ASSERT_EQ(std::memcmp(logits.data(), ref.data(),
+                              static_cast<std::size_t>(ref.numel()) * sizeof(float)),
+                  0)
+            << kernels::simd::isa_name(isa);
     }
 }
 

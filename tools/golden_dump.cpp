@@ -224,6 +224,27 @@ void dump_padded_convs() {
     }
 }
 
+/// One stride-2 3x3 conv on a 7x9 input at batch 2, unpadded (every block's
+/// tap box is full) and, with the same seeds, padded with per-channel
+/// weights.
+void dump_stride2_convs() {
+    {
+        util::Rng wrng(807);
+        approx::ApproxConv2d conv(3, 5, 3, 2, 0, wrng);
+        conv.set_multiplier(make_config("mul8u_rm8"));
+        conv.set_mode(approx::ComputeMode::kQuantized);
+        dump_two_steps("conv_p0", conv, tensor::Shape{2, 3, 7, 9}, 908);
+    }
+    {
+        util::Rng wrng(807);
+        approx::ApproxConv2d conv(3, 5, 3, 2, 1, wrng);
+        conv.set_multiplier(make_config("mul8u_rm8"));
+        conv.set_mode(approx::ComputeMode::kQuantized);
+        conv.set_per_channel_weights(true);
+        dump_two_steps("conv_s2_pc", conv, tensor::Shape{2, 3, 7, 9}, 908);
+    }
+}
+
 void dump_engine() {
     data::SyntheticConfig dc;
     dc.num_classes = 4;
@@ -329,6 +350,35 @@ void dump_engine_vgg() {
     print("engine_vgg.b20.logits", hash_tensor(engine.forward(twenty)));
 }
 
+/// LeNet at width 1/2 on 8x8 inputs (two 5x5 convs, two pools), calibrated
+/// on 48 samples and run on one batch of 16.
+void dump_engine_lenet() {
+    data::SyntheticConfig dc;
+    dc.num_classes = 4;
+    dc.height = dc.width = 8;
+    dc.train_samples = 64;
+    dc.test_samples = 32;
+    dc.seed = 99;
+    const auto pair = data::make_synthetic(dc);
+
+    models::ModelConfig mc;
+    mc.in_size = 8;
+    mc.num_classes = 4;
+    mc.width_mult = 0.5f;
+    const auto model = models::make_lenet(mc);
+    approx::configure_approx_layers(*model, make_config("mul8u_acc"),
+                                    approx::ComputeMode::kQuantized);
+    model->set_training(false);
+
+    approx::IntInferenceEngine engine(*model, pair.train, 48);
+    data::DataLoader loader(pair.test, 16, /*shuffle=*/false, 0);
+    loader.start_epoch();
+    data::Batch batch;
+    loader.next(batch);
+    std::printf("// int inference engine, LeNet\n");
+    print("engine_lenet.logits", hash_tensor(engine.forward(batch.images)));
+}
+
 } // namespace
 
 int main() {
@@ -339,8 +389,10 @@ int main() {
     dump_depthwise();
     dump_two_step_layers();
     dump_padded_convs();
+    dump_stride2_convs();
     dump_engine();
     dump_engine_head();
     dump_engine_vgg();
+    dump_engine_lenet();
     return 0;
 }
