@@ -11,9 +11,11 @@
 ///                   forward at scalar dispatch, a "simd" section timing the
 ///                   vector paths (8-bit gather leg, 4-bit nibble/pshufb
 ///                   leg) per ISA against it, a per-ISA lut_backward_rows
-///                   leg, a narrow-position leg (VGG19-slim's last convs at
-///                   batch 1, P = 1 and 4) and a padded-conv leg (a 3x3 conv
-///                   at 2x2 and 1x1, batch 32, through the engine packer).
+///                   leg (with the backward of a padded 3x3 conv at 2x2 and
+///                   1x1, batch 32), a narrow-position leg (VGG19-slim's
+///                   last convs at batch 1, P = 1 and 4) and a padded-conv
+///                   leg (the same conv's forward through the engine
+///                   packer).
 ///                   Every output is memcmp'd against the naive loops of
 ///                   tests/lut_oracle.hpp and reported as a *bitwise_equal
 ///                   flag. Run by scripts/check.sh and the bench-smoke
@@ -102,6 +104,7 @@ void BM_LutBackwardGemm(benchmark::State& state) {
     args.o = o;
     args.p = p;
     args.k = k;
+    args.geom = kernels::matrix_geom(p, k);
     std::vector<float> gw(static_cast<std::size_t>(o * k));
     std::vector<float> gx(static_cast<std::size_t>(p * k));
     kernels::Workspace ws;
@@ -297,12 +300,99 @@ std::vector<kernels::simd::Isa> supported_isas() {
     return v;
 }
 
+/// The "padded_conv" object of the lut_backward leg: the backward of
+/// VGG19-slim's 128 -> 128 3x3 conv (pad 1) at 2x2 and 1x1, batch 32, over
+/// im2col rows and a tap-major depth, where grad-X walks only each row's
+/// in-image taps (4 or 6 of 9 at 2x2, the centre tap at 1x1) and grad-W
+/// every tap. Times lut_backward_rows per supported dispatch level and
+/// memcmps gw against the naive backward, and gx after col2im_tap_major
+/// folds both, dropping the padding taps the oracle sums too. Clears
+/// *all_eq on any mismatch.
+std::string backward_padded_json(int iters, bool* all_eq) {
+    const std::int64_t batch = 32, ch = 128, kernel = 3;
+    const appmult::AppMultLut& lut = appmult::Registry::instance().lut("mul8u_rm8");
+    const core::GradLut grad = core::build_difference_grad(lut, 8);
+    std::string j = ",\n    \"padded_conv\": {\n      \"batch\": 32, "
+                    "\"in_ch\": 128, \"out_ch\": 128, \"kernel\": 3";
+    bool eq_all = true;
+    char buf[256];
+    for (const std::int64_t hw : {std::int64_t{2}, std::int64_t{1}}) {
+        const tensor::ConvGeom geom{batch, ch, hw, hw, kernel, 1, 1};
+        const std::int64_t p = geom.positions(), k = geom.patch();
+        util::Rng rng(static_cast<std::uint64_t>(41 + hw));
+        std::vector<std::uint16_t> wq(static_cast<std::size_t>(ch * k));
+        std::vector<std::uint16_t> xq(static_cast<std::size_t>(p * k));
+        std::vector<float> gyp(static_cast<std::size_t>(p * ch));
+        fill_codes(wq, lut, rng);
+        fill_codes(xq, lut, rng);
+        for (auto& v : gyp)
+            v = rng.uniform_u64(4) == 0 ? 0.0f : static_cast<float>(rng.normal());
+        kernels::LutGemmArgs args;
+        args.bits = 8;
+        args.lut = lut.table().data();
+        args.wq = wq.data();
+        args.xq = xq.data();
+        args.o = ch;
+        args.p = p;
+        args.k = k;
+        args.geom = geom;
+        args.scale_w = 0.01f;
+        args.zero_w = 120;
+        args.zero_x = 130;
+        std::vector<float> gw_ref(wq.size(), 0.0f), gx_ref(xq.size(), 0.0f);
+        lut_oracle::naive_backward(args, gyp.data(), grad.dw_table().data(),
+                                   grad.dx_table().data(), gw_ref.data(),
+                                   gx_ref.data());
+        const std::size_t image = static_cast<std::size_t>(batch * ch * hw * hw);
+        std::vector<float> dx_ref(image, 0.0f), dx(image);
+        kernels::col2im_tap_major(gx_ref.data(), geom, dx_ref.data());
+
+        std::vector<float> gw(wq.size()), gx(xq.size());
+        kernels::Workspace ws;
+        std::snprintf(buf, sizeof(buf), ",\n      \"hw%lld\": {",
+                      static_cast<long long>(hw));
+        j += buf;
+        for (const auto isa : supported_isas()) {
+            kernels::simd::set_isa_for_test(isa);
+            const double ms = time_ms_best(iters, [&] {
+                std::fill(gw.begin(), gw.end(), 0.0f);
+                std::fill(gx.begin(), gx.end(), 0.0f);
+                ws.reset();
+                kernels::lut_backward_rows(args, gyp.data(), grad.dw_table().data(),
+                                           grad.dx_t_table().data(), gw.data(),
+                                           gx.data(), ws);
+            });
+            kernels::simd::clear_isa_override();
+            std::fill(dx.begin(), dx.end(), 0.0f);
+            kernels::col2im_tap_major(gx.data(), geom, dx.data());
+            const bool eq =
+                std::memcmp(gw.data(), gw_ref.data(), gw.size() * sizeof(float)) ==
+                    0 &&
+                std::memcmp(dx.data(), dx_ref.data(), dx.size() * sizeof(float)) == 0;
+            eq_all = eq_all && eq;
+            const char* name = kernels::simd::isa_name(isa);
+            std::snprintf(buf, sizeof(buf), "%s\"%s_ms\": %.4f",
+                          isa == kernels::simd::Isa::kScalar ? "" : ", ", name, ms);
+            j += buf;
+            std::printf("lut_backward padded conv %lldx%lld [%s]: %.3f ms, "
+                        "bitwise_equal=%d\n",
+                        static_cast<long long>(hw), static_cast<long long>(hw), name,
+                        ms, eq ? 1 : 0);
+        }
+        j += "}";
+    }
+    *all_eq = *all_eq && eq_all;
+    return j + ",\n      \"bitwise_equal\": " + (eq_all ? "true" : "false") +
+           "\n    }";
+}
+
 /// The "lut_backward" leg of BENCH_kernels.json: the row-major backward
 /// (lut_backward_rows) on one VGG19-slim-sized conv layer (32x32 channels,
 /// 3x3 taps, batch 32 at 8x8: o=32, p=2048, k=288) under the mul8u_rm8
 /// difference gradient, timed per supported dispatch level and memcmp'd
 /// against the naive backward (tests/lut_oracle.hpp), whose time is
-/// oracle_ms. Clears *all_eq on any mismatch.
+/// oracle_ms; then the padded-conv object (backward_padded_json). Clears
+/// *all_eq on any mismatch.
 std::string backward_leg_json(int iters, bool* all_eq) {
     const std::int64_t o = 32, p = 2048, k = 288;
     const appmult::AppMultLut& lut = appmult::Registry::instance().lut("mul8u_rm8");
@@ -325,6 +415,7 @@ std::string backward_leg_json(int iters, bool* all_eq) {
     args.o = o;
     args.p = p;
     args.k = k;
+    args.geom = kernels::matrix_geom(p, k);
     args.scale_w = 0.01f;
     args.zero_w = 120;
     args.zero_x = 130;
@@ -371,7 +462,7 @@ std::string backward_leg_json(int iters, bool* all_eq) {
                     "bitwise_equal=%d\n",
                     name, ms, oracle_ms, eq ? 1 : 0);
     }
-    return j + "\n  }";
+    return j + backward_padded_json(iters, all_eq) + "\n  }";
 }
 
 /// The "narrow_positions" leg of BENCH_kernels.json: VGG19-slim's last-conv

@@ -219,14 +219,29 @@ Tensor ApproxConv2d::backward_quant(const Tensor& gy, State& st, nn::Context& ct
                           [&](std::int64_t b, std::int64_t e) {
         for (std::int64_t i = b; i < e; ++i) gx_raw[i] = 0.0f;
     });
+    // The kernel reads the weight codes in the tap-major depth of the row
+    // codes, from a copy: st.wq and its masks keep the (O, C, K, K) order of
+    // the gradient they fold into.
+    const std::int64_t taps = kernel_ * kernel_;
+    std::uint16_t* wq_taps = st.ws.alloc<std::uint16_t>(out_ch_ * patch);
+    runtime::parallel_for(0, out_ch_,
+                          runtime::grain_for(out_ch_, tune::kGrainChannel),
+                          [&](std::int64_t o0, std::int64_t o1) {
+        for (std::int64_t o = o0; o < o1; ++o)
+            for (std::int64_t c = 0; c < in_ch_; ++c)
+                for (std::int64_t t = 0; t < taps; ++t)
+                    wq_taps[o * patch + t * in_ch_ + c] =
+                        st.wq.codes[o * patch + c * taps + t];
+    });
     kernels::LutGemmArgs args;
     args.bits = mult_.bits();
     args.lut = mult_.lut->table().data();
-    args.wq = st.wq.codes;
+    args.wq = wq_taps;
     args.xq = st.xq.codes;
     args.o = out_ch_;
     args.p = p;
     args.k = patch;
+    args.geom = st.geom;
     args.scale_x = scale_x;
     args.zero_x = static_cast<std::int32_t>(st.xq.params.zero_point);
     if (per_channel_) {
@@ -242,17 +257,21 @@ Tensor ApproxConv2d::backward_quant(const Tensor& gy, State& st, nn::Context& ct
 
     // Eq. (9): fold in the quantizer derivative. dW/dw = 1/s_w inside the
     // clamp range (0 outside); dy/dY contributed s_w*s_x, so the weight
-    // gradient scale is s_x. The activation gradient's s_w factor was folded
-    // into gx_raw by the kernel (it varies per row in per-channel mode);
-    // only the clamp mask remains.
+    // gradient scale is s_x. gw_raw is tap-major, so the (O, C, K, K)
+    // gradient reads it through the permutation. The activation gradient's
+    // s_w factor was folded into gx_raw by the kernel (it varies per row in
+    // per-channel mode); only the clamp mask remains.
     float* wg = ctx.grad(weight).data();
-    runtime::parallel_for(0, out_ch_ * patch,
-                          runtime::grain_for(out_ch_ * patch,
-                                             tune::kGrainElementwise),
-                          [&](std::int64_t b, std::int64_t e) {
-        for (std::int64_t i = b; i < e; ++i) {
-            if (st.wq.in_range[i]) wg[i] += scale_x * gw_raw[i];
-        }
+    runtime::parallel_for(0, out_ch_,
+                          runtime::grain_for(out_ch_, tune::kGrainChannel),
+                          [&](std::int64_t o0, std::int64_t o1) {
+        for (std::int64_t o = o0; o < o1; ++o)
+            for (std::int64_t c = 0; c < in_ch_; ++c)
+                for (std::int64_t t = 0; t < taps; ++t) {
+                    const std::int64_t i = o * patch + c * taps + t;
+                    if (st.wq.in_range[i])
+                        wg[i] += scale_x * gw_raw[o * patch + t * in_ch_ + c];
+                }
     });
     runtime::parallel_for(0, p * patch,
                           runtime::grain_for(p * patch,
@@ -263,7 +282,7 @@ Tensor ApproxConv2d::backward_quant(const Tensor& gy, State& st, nn::Context& ct
         }
     });
     Tensor gx(Shape{st.geom.batch, st.geom.in_ch, st.geom.in_h, st.geom.in_w});
-    kernels::col2im(gx_raw, st.geom, gx.data());
+    kernels::col2im_tap_major(gx_raw, st.geom, gx.data());
     return gx;
 }
 
@@ -403,6 +422,7 @@ Tensor ApproxLinear::backward(const Tensor& gy, nn::Context& ctx) {
     args.o = out_features_;
     args.p = st.batch;
     args.k = in_features_;
+    args.geom = kernels::matrix_geom(st.batch, in_features_);
     args.scale_w = st.wq.params.scale;
     args.scale_x = scale_x;
     args.zero_w = static_cast<std::int32_t>(st.wq.params.zero_point);

@@ -107,7 +107,7 @@ private:
         tensor::ConvGeom geom;
         tensor::Tensor cols;                  // float mode: (P, patch)
         kernels::Workspace ws;                // scratch arena (float mode: packed weights)
-        kernels::QuantView xq;                // quant mode: im2col-order codes
+        kernels::QuantView xq;                // quant mode: row codes (tap-major depth)
         kernels::QuantView wq;                // quant mode: codes of weights
         float* wscale_per_o = nullptr;        // per-channel row scales (ws-backed)
         std::int32_t* wzero_per_o = nullptr;  // per-channel row zeros (ws-backed)

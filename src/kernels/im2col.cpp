@@ -80,14 +80,22 @@ void im2col_u8(const std::uint8_t* x, const ConvGeom& geom,
     });
 }
 
-void col2im(const float* cols, const ConvGeom& geom, float* x) {
+namespace {
+
+/// The fold of col2im and col2im_tap_major: column (c, ky, kx) of a row is
+/// at c * c_stride + (ky * K + kx) * t_stride. Images fold independently
+/// (disjoint writes); within an image positions fold in ascending order,
+/// and one position adds at most once to each pixel, so the tap order
+/// within a row, and the thread count, leave every sum's order unchanged.
+/// Out-of-image taps are skipped a whole tap (all channels) at a time.
+void fold_columns(const float* cols, const ConvGeom& geom, std::int64_t c_stride,
+                  std::int64_t t_stride, float* x) {
     AMRET_OBS_SPAN("kernels.col2im");
     AMRET_OBS_COUNT("kernels.col2im.images", geom.batch);
     const std::int64_t oh = geom.out_h(), ow = geom.out_w();
     const std::int64_t patch = geom.patch();
-    const std::int64_t image = geom.in_ch * geom.in_h * geom.in_w;
-    // Images fold independently (disjoint writes); taps within an image fold
-    // in ascending position order, identical to the serial loop.
+    const std::int64_t plane = geom.in_h * geom.in_w;
+    const std::int64_t image = geom.in_ch * plane;
     runtime::parallel_for(0, geom.batch, tune::kGrainChannel,
                           [&](std::int64_t nb, std::int64_t ne) {
         for (std::int64_t n = nb; n < ne; ++n) {
@@ -95,24 +103,33 @@ void col2im(const float* cols, const ConvGeom& geom, float* x) {
             for (std::int64_t oy = 0; oy < oh; ++oy) {
                 for (std::int64_t ox = 0; ox < ow; ++ox) {
                     const float* row = cols + ((n * oh + oy) * ow + ox) * patch;
-                    std::int64_t idx = 0;
-                    for (std::int64_t c = 0; c < geom.in_ch; ++c) {
-                        for (std::int64_t ky = 0; ky < geom.kernel; ++ky) {
-                            const std::int64_t iy = oy * geom.stride + ky - geom.pad;
-                            for (std::int64_t kx = 0; kx < geom.kernel; ++kx, ++idx) {
-                                const std::int64_t ix = ox * geom.stride + kx - geom.pad;
-                                if (iy >= 0 && iy < geom.in_h && ix >= 0 &&
-                                    ix < geom.in_w) {
-                                    px[(c * geom.in_h + iy) * geom.in_w + ix] +=
-                                        row[idx];
-                                }
-                            }
+                    for (std::int64_t ky = 0; ky < geom.kernel; ++ky) {
+                        const std::int64_t iy = oy * geom.stride + ky - geom.pad;
+                        if (iy < 0 || iy >= geom.in_h) continue;
+                        for (std::int64_t kx = 0; kx < geom.kernel; ++kx) {
+                            const std::int64_t ix = ox * geom.stride + kx - geom.pad;
+                            if (ix < 0 || ix >= geom.in_w) continue;
+                            const float* tap =
+                                row + (ky * geom.kernel + kx) * t_stride;
+                            float* dst = px + iy * geom.in_w + ix;
+                            for (std::int64_t c = 0; c < geom.in_ch; ++c)
+                                dst[c * plane] += tap[c * c_stride];
                         }
                     }
                 }
             }
         }
     });
+}
+
+} // namespace
+
+void col2im(const float* cols, const ConvGeom& geom, float* x) {
+    fold_columns(cols, geom, geom.kernel * geom.kernel, 1, x);
+}
+
+void col2im_tap_major(const float* cols, const ConvGeom& geom, float* x) {
+    fold_columns(cols, geom, 1, geom.in_ch, x);
 }
 
 Tensor col2im(const Tensor& cols, const ConvGeom& geom) {

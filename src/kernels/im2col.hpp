@@ -34,11 +34,18 @@ void im2col_u8(const std::uint8_t* x, const tensor::ConvGeom& geom,
                std::uint16_t zero_point, std::uint16_t* cols);
 
 /// Transpose of im2col: folds (positions, patch) gradients back onto the
-/// input feature map, accumulating overlapping taps. \p x (batch * in_ch *
-/// in_h * in_w floats) must be zero-initialized by the caller. Images
-/// accumulate independently (parallel over N); within an image taps fold in
-/// ascending position order, matching the serial fold bit for bit.
+/// input feature map, accumulating overlapping taps and dropping the
+/// out-of-image ones. \p x (batch * in_ch * in_h * in_w floats) must be
+/// zero-initialized by the caller. Images accumulate independently
+/// (parallel over N); within an image taps fold in ascending position
+/// order, matching the serial fold bit for bit.
 void col2im(const float* cols, const tensor::ConvGeom& geom, float* x);
+
+/// col2im of columns whose depth is tap-major, (ky, kx, c): the row-major
+/// order of the quantized conv's codes and gradients (layout.hpp, "Conv
+/// order"). The same fold, so each pixel receives the same additions in the
+/// same order as col2im of the im2col-order columns.
+void col2im_tap_major(const float* cols, const tensor::ConvGeom& geom, float* x);
 
 /// Convenience wrapper producing a fresh (N, C, H, W) tensor.
 tensor::Tensor col2im(const tensor::Tensor& cols, const tensor::ConvGeom& geom);

@@ -56,25 +56,21 @@ void pack_rows_fused(const PanelPlan& plan, std::uint16_t* codes,
 }
 
 /// The im2col taps in panel depth order, tap-major (ky, kx, then c): each
-/// tap's kernel offsets, its element offset from a window's top-left input
-/// pixel in the NCHW map, and its index in the im2col (c, ky, kx) order of
-/// the row-major codes and the (O, C, K, K) weights. Built once per packing
-/// call.
+/// tap's kernel offsets and its element offset from a window's top-left
+/// input pixel in the NCHW map. Built once per packing call.
 struct TapTable {
     std::int32_t* ky = nullptr;
     std::int32_t* kx = nullptr;
     std::int64_t* off = nullptr;
-    std::int64_t* im2col = nullptr;
 };
 
 TapTable make_tap_table(const tensor::ConvGeom& geom, Workspace& ws) {
     const std::int64_t patch = geom.patch();
-    const std::int64_t k = geom.kernel, taps = k * k;
+    const std::int64_t k = geom.kernel;
     TapTable table;
     table.ky = ws.alloc<std::int32_t>(patch);
     table.kx = ws.alloc<std::int32_t>(patch);
     table.off = ws.alloc<std::int64_t>(patch);
-    table.im2col = ws.alloc<std::int64_t>(patch);
     std::int64_t d = 0;
     for (std::int64_t ky = 0; ky < k; ++ky)
         for (std::int64_t kx = 0; kx < k; ++kx)
@@ -82,7 +78,6 @@ TapTable make_tap_table(const tensor::ConvGeom& geom, Workspace& ws) {
                 table.ky[d] = static_cast<std::int32_t>(ky);
                 table.kx[d] = static_cast<std::int32_t>(kx);
                 table.off[d] = (c * geom.in_h + ky) * geom.in_w + kx;
-                table.im2col[d] = c * taps + ky * k + kx;
             }
     return table;
 }
@@ -91,8 +86,8 @@ TapTable make_tap_table(const tensor::ConvGeom& geom, Workspace& ws) {
 /// row is location-major, row = (oy * OW + ox) * N + n; its im2col row
 /// n * OH * OW + oy * OW + ox and window base offset are computed once. A
 /// window inside the image reads every tap d through
-/// at(im2col_row, im2col[d], base + off[d]); a border window checks each
-/// tap and takes pad(im2col_row, im2col[d]) outside the image.
+/// at(im2col_row, d, base + off[d]); a border window checks each tap and
+/// takes pad(im2col_row, d) outside the image.
 template <typename At, typename Pad>
 auto im2col_row_taps(const tensor::ConvGeom& geom, const TapTable& taps, At& at,
                      Pad& pad) {
@@ -112,9 +107,9 @@ auto im2col_row_taps(const tensor::ConvGeom& geom, const TapTable& taps, At& at,
             if (!interior) {
                 const std::int64_t iy = iy0 + taps.ky[d], ix = ix0 + taps.kx[d];
                 if (iy < 0 || iy >= geom.in_h || ix < 0 || ix >= geom.in_w)
-                    return pad(src_row, taps.im2col[d]);
+                    return pad(src_row, d);
             }
-            return at(src_row, taps.im2col[d], base + taps.off[d]);
+            return at(src_row, d, base + taps.off[d]);
         };
     };
 }
@@ -364,14 +359,14 @@ ActPanels quantize_im2col_panels(const float* x, const tensor::ConvGeom& geom,
     std::uint16_t* codes = ws.alloc<std::uint16_t>(plan.elems());
     std::int64_t* sums = ws.alloc<std::int64_t>(plan.rows);
     const std::int64_t depth = plan.depth;
-    auto at = [&](std::int64_t row, std::int64_t col, std::int64_t i) {
-        row_codes[row * depth + col] = plane.codes[i];
-        in_range[row * depth + col] = plane.in_range[i];
+    auto at = [&](std::int64_t row, std::int64_t d, std::int64_t i) {
+        row_codes[row * depth + d] = plane.codes[i];
+        in_range[row * depth + d] = plane.in_range[i];
         return plane.codes[i];
     };
-    auto pad = [&](std::int64_t row, std::int64_t col) {
-        row_codes[row * depth + col] = code0;
-        in_range[row * depth + col] = mask0;
+    auto pad = [&](std::int64_t row, std::int64_t d) {
+        row_codes[row * depth + d] = code0;
+        in_range[row * depth + d] = mask0;
         return code0;
     };
     const std::int64_t nblocks = plan.row_blocks();

@@ -38,13 +38,16 @@
 ///   each kernel tap is one contiguous run of C depth indices, and their
 ///   rows location-major, r = (oy * OW + ox) * N + n, so a 16-row block of a
 ///   batch of 16 or more holds one output location (or the tail of one and
-///   the head of the next). The row-major codes the backward reads keep the
-///   im2col order: rows (n, oy, ox), depth (c, ky, kx). A plain matrix is the
-///   1x1 conv of its rows and depth, for which both orders are the identity.
-///   The tap table of the fused packers and the weight packer are the only
-///   code that knows the tap-major order; the blocked kernels see it through
-///   TapBox, and lut_gemm_blocked_tile hands its epilogue the im2col row, so
-///   no code outside the kernels sees either order.
+///   the head of the next). The row-major codes the backward reads share
+///   the tap-major depth but keep the im2col rows, (n, oy, ox), the order
+///   grad-W sums positions in; so one row's in-image taps are the depth runs
+///   of its own TapBox there too. A plain matrix is the 1x1 conv of its rows
+///   and depth, for which both orders are the identity. The kernels see the
+///   tap-major depth through TapBox, and lut_gemm_blocked_tile hands its
+///   epilogue the im2col row, so the location-major rows stay inside the
+///   kernels; the training conv reorders its (O, C, K, K) weight codes to the
+///   tap-major depth for the backward and folds grad-W back, and
+///   col2im_tap_major folds grad-X.
 ///
 /// The planner also fuses im2col into panel production: the im2col packers
 /// walk the convolution taps directly from the NCHW feature map into panel
@@ -300,9 +303,9 @@ ActPanels pack_im2col_panels_u8(const std::uint8_t* x,
 /// tap of the NCHW input (zero padding), quantizes it under \p params and
 /// writes the code straight into its panel slot (location-major rows,
 /// tap-major depth). \p in_range and \p row_codes (caller-owned, positions
-/// x patch row-major in im2col order) receive the clamp-STE mask and a
-/// row-major copy of the codes, which the backward pass consumes. Parallel
-/// over position blocks.
+/// x patch row-major: im2col rows, tap-major depth) receive the clamp-STE
+/// mask and a row-major copy of the codes, which the backward pass consumes.
+/// Parallel over position blocks.
 ActPanels quantize_im2col_panels(const float* x, const tensor::ConvGeom& geom,
                                  const quant::QuantParams& params,
                                  const PanelPlan& plan, std::uint8_t* in_range,

@@ -102,12 +102,16 @@ void lut_backward_rows(const LutGemmArgs& args, const float* gyp,
     AMRET_OBS_SPAN("kernels.lut_backward_blocked");
     AMRET_OBS_COUNT("kernels.gemm.backward_rows", args.p);
     const std::int64_t o_rows = args.o, p_rows = args.p, depth = args.k;
+    const tensor::ConvGeom& geom = args.geom;
+    assert(geom.positions() == p_rows && geom.patch() == depth);
+    const std::int64_t spatial = geom.out_h() * geom.out_w();
 
     // Activation gradients: one chunk owns each gx row. For every element
     // gx[p, k] the oracle accumulates g * s_w * (dX - Z_w) over output
     // channels in ascending o; here the row's nonzero gradients are
-    // compacted once, in ascending o, and replayed per depth index — the
-    // same float ops in the same order, so the sums match bit for bit.
+    // compacted once, in ascending o, and replayed per depth index of the
+    // row's in-image runs — the same float ops in the same order, so the
+    // sums match bit for bit.
     {
         const std::int64_t grain =
             runtime::grain_for(p_rows, tune::kGrainGemmRows);
@@ -126,8 +130,13 @@ void lut_backward_rows(const LutGemmArgs& args, const float* gyp,
             ga.off = nz_off + base;
             ga.m = nz_m + base;
             ga.z = nz_z + base;
-            ga.k = depth;
+            [[maybe_unused]] std::int64_t skipped = 0;
             for (std::int64_t pp = pb; pp < pe; ++pp) {
+                // Im2col row n * OH * OW + s is location-major row s * N + n.
+                const std::int64_t r =
+                    (pp % spatial) * geom.batch + pp / spatial;
+                const DepthRuns runs = TapBox::of_rows(geom, r, r + 1).runs(geom);
+                skipped += depth - runs.depth();
                 const float* gyrow = gyp + pp * o_rows;
                 std::int64_t cnt = 0;
                 for (std::int64_t oo = 0; oo < o_rows; ++oo) {
@@ -141,8 +150,9 @@ void lut_backward_rows(const LutGemmArgs& args, const float* gyp,
                 ga.fixed = args.xq + pp * depth;
                 ga.cnt = cnt;
                 ga.out = gx_raw + pp * depth;
-                simd::grad_x_row(ga);
+                simd::grad_x_row(ga, runs);
             }
+            AMRET_OBS_COUNT("kernels.gemm.grad_x_pad_skipped", skipped);
         });
     }
 

@@ -34,7 +34,8 @@ namespace amret::kernels {
 
 /// Operand matrices and quantization constants of one LUT GEMM.
 /// Layout: wq is (rows_o, depth_k), xq is (rows_p, depth_k), both row-major;
-/// LUT index is (w << bits) | x.
+/// LUT index is (w << bits) | x. A conv's rows are im2col rows (n, oy, ox)
+/// and its depth is tap-major, (ky, kx, c) (layout.hpp, "Conv order").
 struct LutGemmArgs {
     unsigned bits = 8;
     const std::int32_t* lut = nullptr;  ///< product LUT, 2^(2*bits) entries
@@ -43,6 +44,9 @@ struct LutGemmArgs {
     std::int64_t o = 0;                 ///< output rows (channels)
     std::int64_t p = 0;                 ///< positions (batch x spatial)
     std::int64_t k = 0;                 ///< reduction depth
+    /// Conv geometry of the rows and depth, as in ActPanels; a plain matrix
+    /// is matrix_geom(p, k). The backward reads it (lut_backward_rows).
+    tensor::ConvGeom geom = matrix_geom(0, 0);
     float scale_w = 1.0f, scale_x = 1.0f;
     std::int32_t zero_w = 0, zero_x = 0;
     /// Optional per-output-channel weight quantization: when non-null these
@@ -77,9 +81,18 @@ void accumulate_bias_grad(const float* gyp, std::int64_t p, std::int64_t o,
 /// depth indices in the vector lanes: grad-X fixes each lane's activation
 /// code, and so its row of the transposed table, and replays the row's
 /// nonzero output gradients in ascending o; grad-W fixes each lane's weight
-/// code and replays the column's nonzero gradients in ascending p. Every LUT index is built from
-/// contiguous loads of both code matrices. Parallel over gx rows, then gw
-/// rows; scratch for the nonzero-gradient compaction comes from \p ws.
+/// code and replays the column's nonzero gradients in ascending p. Every
+/// LUT index is built from contiguous loads of both code matrices.
+///
+/// Grad-X computes only the in-image taps of each row of args.geom: the
+/// depth runs of the row's TapBox, one per kernel row, or one for a full
+/// box. A padding tap's gx element stays as the caller left it (zero), and
+/// col2im_tap_major drops it; each computed element does the oracle's float
+/// ops in the oracle's order, so no bit moves. The skipped elements count
+/// in kernels.gemm.grad_x_pad_skipped. Grad-W keeps every tap: at the pad
+/// code Z_x, ∂AM/∂W - Z_x is not zero under the difference gradient, so
+/// padding taps feed gw. Parallel over gx rows, then gw rows; scratch for
+/// the nonzero-gradient compaction comes from \p ws.
 void lut_backward_rows(const LutGemmArgs& args, const float* gyp,
                        const float* grad_w_lut, const float* grad_x_lut_t,
                        float* gw_raw, float* gx_raw, Workspace& ws);

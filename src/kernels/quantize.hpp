@@ -61,7 +61,8 @@ QuantPanels quantize_panels(const float* src, const quant::QuantParams& params,
 
 /// Fused im2col + quantize + pack of an NCHW float feature map (the
 /// ApproxConv2d activation path): no intermediate (positions x patch)
-/// column buffer is materialized.
+/// column buffer is materialized. The row-major codes and masks keep the
+/// im2col rows and take the panels' tap-major depth (layout.hpp).
 QuantPanels quantize_conv_panels(const float* x, const tensor::ConvGeom& geom,
                                  const quant::QuantParams& params,
                                  const PanelPlan& plan, Workspace& ws);

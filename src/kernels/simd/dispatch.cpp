@@ -183,25 +183,30 @@ void detail::grad_row_scalar(const GradRowArgs& a, std::int64_t kk0) {
 
 namespace {
 
-/// Walks the row with the widest leaf the selected level has and returns
-/// that level; kScalar means the scalar walk ran.
-Isa grad_row(const GradRowArgs& a) {
-    const Isa isa = select();
-    if (isa == Isa::kAvx512) {
+/// Walks the row with the widest leaf level \p isa has.
+void grad_row(Isa isa, const GradRowArgs& a) {
+    if (isa == Isa::kAvx512)
         detail::grad_row_avx512(a);
-    } else if (isa == Isa::kAvx2) {
+    else if (isa == Isa::kAvx2)
         detail::grad_row_avx2(a, 0);
-    } else {
+    else
         detail::grad_row_scalar(a, 0);
-        return Isa::kScalar;
-    }
-    return isa;
 }
 
 } // namespace
 
-void grad_x_row(const GradRowArgs& a) {
-    switch (grad_row(a)) {
+void grad_x_row(const GradRowArgs& a, const DepthRuns& runs) {
+    const Isa isa = select();
+    for (std::int64_t j = 0; j < runs.count; ++j) {
+        const std::int64_t start = runs.start + j * runs.stride;
+        GradRowArgs run = a;
+        run.fixed += start;
+        run.ops += start;
+        run.out += start;
+        run.k = runs.len;
+        grad_row(isa, run);
+    }
+    switch (isa) {
     case Isa::kAvx512:
         AMRET_OBS_COUNT("kernels.simd.grad_x_blocks.avx512", 1);
         break;
@@ -213,7 +218,9 @@ void grad_x_row(const GradRowArgs& a) {
 }
 
 void grad_w_row(const GradRowArgs& a) {
-    switch (grad_row(a)) {
+    const Isa isa = select();
+    grad_row(isa, a);
+    switch (isa) {
     case Isa::kAvx512:
         AMRET_OBS_COUNT("kernels.simd.grad_w_blocks.avx512", 1);
         break;

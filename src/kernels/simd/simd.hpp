@@ -134,10 +134,13 @@ struct GradRowArgs {
 };
 
 /// grad-X and grad-W entry points of the same walk. Each runs the widest
-/// leaf the selected level has, or scalar code below AVX2; they differ only
-/// in the counter a vector leaf bumps per row
-/// (kernels.simd.grad_{x,w}_blocks.<isa>).
-void grad_x_row(const GradRowArgs& a);
+/// leaf the selected level has, or scalar code below AVX2, and a vector
+/// level bumps its counter once per row
+/// (kernels.simd.grad_{x,w}_blocks.<isa>). grad-X walks only the depth
+/// \p runs of the row, the in-image taps of a conv row: each run is the
+/// walk of \p a with fixed, ops and out offset to the run's start and
+/// a.k = runs.len; a.k is not read. grad-W walks all a.k lanes.
+void grad_x_row(const GradRowArgs& a, const DepthRuns& runs);
 void grad_w_row(const GradRowArgs& a);
 
 /// Operands of the float GEMM's row walk (kernels::gemm_nt_packed).

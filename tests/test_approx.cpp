@@ -127,6 +127,7 @@ TEST(LutGemm, BackwardSteMatchesDequantizedOperands) {
     args.o = O;
     args.p = P;
     args.k = K;
+    args.geom = kernels::matrix_geom(P, K);
     args.zero_w = 7;
     args.zero_x = 4;
 

@@ -315,6 +315,13 @@ const std::map<std::string, std::uint64_t> kGolden = {
     {"conv_s2_pc.y", 0x5f607c9f23956e51ull},  {"conv_s2_pc.gx", 0x4400e6a6f00bf8aaull},
     {"conv_s2_pc.gw", 0xe372c2cec9319309ull}, {"conv_s2_pc.gb", 0x21dbeb6e99405ee4ull},
     {"engine_lenet.logits", 0xe8207265f40b7d61ull},
+    // 20-channel 3x3 convs on 3x3 and 1x1 maps, whose rows' in-image taps
+    // span several vector steps, captured while grad-X still summed every
+    // tap, padding included.
+    {"conv_c20.y", 0xa090066f6b47fd91ull},     {"conv_c20.gx", 0x47a284fc5f688108ull},
+    {"conv_c20.gw", 0x6c62a49086eb9310ull},    {"conv_c20.gb", 0xa7e7b9a2209c5bf4ull},
+    {"conv_c20_1x1.y", 0x722818be7c8a9892ull}, {"conv_c20_1x1.gx", 0x00992ae80a76b7beull},
+    {"conv_c20_1x1.gw", 0x3bc5271890b8223aull}, {"conv_c20_1x1.gb", 0x56bd14e3ada61eefull},
 };
 
 void expect_golden(const std::string& key, std::uint64_t h) {
@@ -554,6 +561,23 @@ TEST(Golden, QuantizedConvNibblePaddedBlocks) {
                      quant_conv(5, 12, 3, 1, 1, 797,
                                 approx::MultiplierConfig::exact_ste(4)),
                      Shape{16, 5, 6, 6}, 898);
+}
+
+TEST(Golden, QuantizedConvDeepChannelsSmallMap) {
+    // 3x3 map: rows see 2x2, 2x3, 3x2 and 3x3 boxes of in-image taps, runs
+    // of 40, 120 and 180 depth indices that take the 16-lane body, the
+    // 8-lane step and the scalar tail.
+    golden_two_steps("conv_c20",
+                     quant_conv(20, 12, 3, 1, 1, 817, golden_config("mul8u_rm8")),
+                     Shape{3, 20, 3, 3}, 918);
+}
+
+TEST(Golden, QuantizedConvDeepChannelsOneByOnePerChannel) {
+    // 1x1 map: only the centre tap is in the image, one 20-index run per row.
+    golden_two_steps("conv_c20_1x1",
+                     quant_conv(20, 12, 3, 1, 1, 817, golden_config("mul8u_rm8"),
+                                /*per_channel=*/true),
+                     Shape{5, 20, 1, 1}, 928);
 }
 
 TEST(Golden, FloatLinear) {

@@ -172,6 +172,7 @@ struct BlockedRandom {
         args.o = o;
         args.p = p;
         args.k = k;
+        args.geom = kernels::matrix_geom(p, k);
         args.scale_w = 0.017f;
         args.scale_x = 0.031f;
         args.zero_w = static_cast<std::int32_t>(rng.uniform_u64(1u << bits));
@@ -381,8 +382,8 @@ TEST(FusedIm2col, QuantizePanelsMatchUnfusedFloatPath) {
         const PanelPlan plan = kernels::make_panel_plan(positions, patch, 8, 16);
 
         // Reference: unfused float im2col, the row-major quantizer for the
-        // row-major copies and masks, and the hand-written panel image of
-        // the quantized columns.
+        // codes and masks in im2col order, and the hand-written panel image
+        // of the quantized columns.
         Workspace ws;
         std::vector<float> cols(static_cast<std::size_t>(positions * patch));
         kernels::im2col(x.data(), geom, cols.data());
@@ -408,16 +409,23 @@ TEST(FusedIm2col, QuantizePanelsMatchUnfusedFloatPath) {
                               static_cast<std::size_t>(plan.rows) *
                                   sizeof(std::int64_t)),
                   0);
-        EXPECT_EQ(std::memcmp(mask_got.data(), mask_want.data(), mask_want.size()),
-                  0);
         // And the codes really are the quantized column matrix: in panel
-        // order in the panels, in im2col order in both row-major copies.
+        // order in the panels, in im2col order in the reference copy, and in
+        // the packer's row-major copy and mask with the rows kept and the
+        // depth tap-major: element d = (ky * K + kx) * C + c of a row is
+        // im2col column c * K * K + ky * K + kx.
         std::vector<std::uint16_t> back(cols.size());
         kernels::unpack_activation_panels(got, back.data());
+        const std::int64_t taps = geom.kernel * geom.kernel;
         for (std::size_t i = 0; i < cols.size(); ++i) {
             ASSERT_EQ(back[i], qcols[want.src[i]]);
-            ASSERT_EQ(rows_got[i], qcols[i]);
             ASSERT_EQ(rows_want[i], qcols[i]);
+            const std::int64_t p = static_cast<std::int64_t>(i) / patch;
+            const std::int64_t d = static_cast<std::int64_t>(i) % patch;
+            const std::size_t col = static_cast<std::size_t>(
+                p * patch + (d % geom.in_ch) * taps + d / geom.in_ch);
+            ASSERT_EQ(rows_got[i], qcols[col]) << "row " << p << " depth " << d;
+            ASSERT_EQ(mask_got[i], mask_want[col]) << "row " << p << " depth " << d;
         }
     }
 }

@@ -217,6 +217,7 @@ struct SimdRandom {
         args.o = o;
         args.p = p;
         args.k = k;
+        args.geom = kernels::matrix_geom(p, k);
         args.scale_w = 0.013f;
         args.scale_x = 0.029f;
         args.zero_w = static_cast<std::int32_t>(rng.uniform_u64(1u << bits));
@@ -419,6 +420,109 @@ TEST(SimdKernels, BackwardCoversEveryLaneTailAndZeroGradients) {
                 g.gyp[static_cast<std::size_t>(r * o + 2)] = 0.0f;
             ASSERT_TRUE(backward_matches_oracle(g));
         }
+    }
+}
+
+// Conv geometries of the padding-free grad-X walk: pad 1 and 2, stride 1
+// and 2, K = 3 and 5, C = 3 and 20, and an unpadded conv whose rows are one
+// full run. The 20-channel maps give runs from one 20-lane tap to whole
+// kernel rows, so the 16-lane body, the 8-lane step and the scalar tail all
+// run inside a row's runs.
+const tensor::ConvGeom kConvGeoms[] = {
+    {2, 3, 5, 6, 3, 1, 1},  {3, 20, 3, 3, 3, 1, 1}, {5, 20, 1, 1, 3, 1, 1},
+    {2, 3, 7, 6, 3, 2, 1},  {2, 3, 7, 9, 5, 1, 2},  {1, 20, 6, 5, 5, 2, 2},
+    {2, 20, 4, 4, 3, 2, 2}, {2, 3, 6, 6, 3, 1, 0},
+};
+
+/// Whether depth index \p d, tap-major (ky, kx, c), of im2col row \p pp
+/// (n, oy, ox) of \p g reads a pixel inside the image.
+bool tap_in_image(const tensor::ConvGeom& g, std::int64_t pp, std::int64_t d) {
+    const std::int64_t s = pp % (g.out_h() * g.out_w());
+    const std::int64_t t = d / g.in_ch;
+    const std::int64_t iy = (s / g.out_w()) * g.stride - g.pad + t / g.kernel;
+    const std::int64_t ix = (s % g.out_w()) * g.stride - g.pad + t % g.kernel;
+    return iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w;
+}
+
+TEST(SimdKernels, ConvBackwardSkipsPaddingTapsAndMatchesOracle) {
+    // Codes over im2col rows and a tap-major depth. grad-W keeps every tap,
+    // so gw equals the oracle everywhere; grad-X walks only each row's
+    // in-image taps, so gx equals the oracle there and stays +0.0f on the
+    // padding taps, which col2im_tap_major drops.
+    util::Rng rng(106);
+    const float zero = 0.0f;
+    int variant = 0;
+    for (const tensor::ConvGeom& geom : kConvGeoms) {
+        for (const unsigned bits : {4u, 8u}) {
+            const bool per_channel = (variant++ % 2) == 1;
+            SimdRandom g(bits, 7, geom.positions(), geom.patch(), per_channel,
+                         rng);
+            g.args.geom = geom;
+            // Signed zeros beside the randn and +0.0f mix of SimdRandom.
+            for (std::size_t i = 0; i < g.gyp.size(); i += 5) g.gyp[i] = -0.0f;
+            const LutGemmArgs& a = g.args;
+            const std::size_t nw = static_cast<std::size_t>(a.o * a.k);
+            const std::size_t nx = static_cast<std::size_t>(a.p * a.k);
+            std::vector<float> gw_ref(nw, 0.0f), gx_ref(nx, 0.0f);
+            lut_oracle::naive_backward(a, g.gyp.data(), g.grad.dw_table().data(),
+                                       g.grad.dx_table().data(), gw_ref.data(),
+                                       gx_ref.data());
+            Workspace ws;
+            std::vector<float> gw(nw), gx(nx);
+            for (const Isa isa : runnable_isas()) {
+                ScopedIsa pin(isa);
+                std::fill(gw.begin(), gw.end(), 0.0f);
+                std::fill(gx.begin(), gx.end(), 0.0f);
+                ws.reset();
+                kernels::lut_backward_rows(a, g.gyp.data(),
+                                           g.grad.dw_table().data(),
+                                           g.grad.dx_t_table().data(),
+                                           gw.data(), gx.data(), ws);
+                ASSERT_EQ(std::memcmp(gw.data(), gw_ref.data(),
+                                      nw * sizeof(float)),
+                          0)
+                    << kernels::simd::isa_name(isa) << " bits=" << bits
+                    << " C=" << geom.in_ch << " K=" << geom.kernel;
+                for (std::int64_t pp = 0; pp < a.p; ++pp)
+                    for (std::int64_t d = 0; d < a.k; ++d) {
+                        const std::size_t i = static_cast<std::size_t>(pp * a.k + d);
+                        const float* want =
+                            tap_in_image(geom, pp, d) ? &gx_ref[i] : &zero;
+                        ASSERT_EQ(std::memcmp(&gx[i], want, sizeof(float)), 0)
+                            << kernels::simd::isa_name(isa) << " bits=" << bits
+                            << " C=" << geom.in_ch << " K=" << geom.kernel
+                            << " row=" << pp << " depth=" << d;
+                    }
+            }
+        }
+    }
+}
+
+TEST(SimdKernels, GradXPadSkippedCountsOutOfImageTaps) {
+#if defined(AMRET_OBS_DISABLED)
+    GTEST_SKIP() << "obs instrumentation compiled out";
+#endif
+    // Independent count: every (row, tap) pair whose pixel is outside the
+    // image leaves C gx elements uncomputed.
+    obs::Counter& skipped = obs::counter("kernels.gemm.grad_x_pad_skipped");
+    util::Rng rng(107);
+    for (const tensor::ConvGeom& geom : kConvGeoms) {
+        SimdRandom g(8, 5, geom.positions(), geom.patch(), false, rng);
+        g.args.geom = geom;
+        std::int64_t want = 0;
+        for (std::int64_t pp = 0; pp < geom.positions(); ++pp)
+            for (std::int64_t t = 0; t < geom.kernel * geom.kernel; ++t)
+                if (!tap_in_image(geom, pp, t * geom.in_ch)) want += geom.in_ch;
+        std::vector<float> gw(static_cast<std::size_t>(g.args.o * g.args.k), 0.0f);
+        std::vector<float> gx(static_cast<std::size_t>(g.args.p * g.args.k), 0.0f);
+        Workspace ws;
+        const std::int64_t before = skipped.value();
+        kernels::lut_backward_rows(g.args, g.gyp.data(), g.grad.dw_table().data(),
+                                   g.grad.dx_t_table().data(), gw.data(),
+                                   gx.data(), ws);
+        EXPECT_EQ(skipped.value() - before, want)
+            << "C=" << geom.in_ch << " K=" << geom.kernel << " pad=" << geom.pad
+            << " stride=" << geom.stride;
     }
 }
 

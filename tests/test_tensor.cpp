@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 namespace {
 
@@ -114,6 +115,30 @@ TEST(Im2col, Col2imIsAdjoint) {
     for (std::int64_t i = 0; i < v.numel(); ++i)
         rhs += static_cast<double>(cu[i]) * v[i];
     EXPECT_NEAR(lhs, rhs, 1e-3);
+
+    // The tap-major fold is the transpose of the tap-major unfold: column
+    // d = (ky * K + kx) * C + c of a row is im2col column c * K * K + ky * K
+    // + kx. Over the same columns it is the same fold, bit for bit.
+    const std::int64_t patch = geom.patch(), taps = geom.kernel * geom.kernel;
+    Tensor ivt(iv.shape()), ut(u.shape());
+    for (std::int64_t i = 0; i < u.numel(); ++i) {
+        const std::int64_t p = i / patch, d = i % patch;
+        const std::int64_t col =
+            p * patch + (d % geom.in_ch) * taps + d / geom.in_ch;
+        ivt[i] = iv[col];
+        ut[i] = u[col];
+    }
+    Tensor cut(v.shape());
+    kernels::col2im_tap_major(ut.data(), geom, cut.data());
+    double lhs_t = 0.0, rhs_t = 0.0;
+    for (std::int64_t i = 0; i < ut.numel(); ++i)
+        lhs_t += static_cast<double>(ut[i]) * ivt[i];
+    for (std::int64_t i = 0; i < v.numel(); ++i)
+        rhs_t += static_cast<double>(cut[i]) * v[i];
+    EXPECT_NEAR(lhs_t, rhs_t, 1e-3);
+    EXPECT_EQ(std::memcmp(cut.data(), cu.data(),
+                          static_cast<std::size_t>(cu.numel()) * sizeof(float)),
+              0);
 }
 
 TEST(Im2col, ConvViaGemmMatchesDirectConv) {

@@ -245,6 +245,28 @@ void dump_stride2_convs() {
     }
 }
 
+/// A 20-channel 3x3 conv on maps as small as VGG19-slim's deepest: at 3x3
+/// its rows see 2x2, 2x3, 3x2 and 3x3 boxes of in-image taps (runs of 40,
+/// 120 and 180 depth indices), and at 1x1, with per-channel weights, only
+/// the centre tap (one 20-index run per row).
+void dump_deep_convs() {
+    {
+        util::Rng wrng(817);
+        approx::ApproxConv2d conv(20, 12, 3, 1, 1, wrng);
+        conv.set_multiplier(make_config("mul8u_rm8"));
+        conv.set_mode(approx::ComputeMode::kQuantized);
+        dump_two_steps("conv_c20", conv, tensor::Shape{3, 20, 3, 3}, 918);
+    }
+    {
+        util::Rng wrng(817);
+        approx::ApproxConv2d conv(20, 12, 3, 1, 1, wrng);
+        conv.set_multiplier(make_config("mul8u_rm8"));
+        conv.set_mode(approx::ComputeMode::kQuantized);
+        conv.set_per_channel_weights(true);
+        dump_two_steps("conv_c20_1x1", conv, tensor::Shape{5, 20, 1, 1}, 928);
+    }
+}
+
 void dump_engine() {
     data::SyntheticConfig dc;
     dc.num_classes = 4;
@@ -390,6 +412,7 @@ int main() {
     dump_two_step_layers();
     dump_padded_convs();
     dump_stride2_convs();
+    dump_deep_convs();
     dump_engine();
     dump_engine_head();
     dump_engine_vgg();
