@@ -1,7 +1,6 @@
 #include "accel/energy_model.hpp"
 
 #include "approx/approx_conv.hpp"
-#include "approx/depthwise.hpp"
 #include "tensor/tensor.hpp"
 
 #include <algorithm>
@@ -21,19 +20,11 @@ NetworkWorkload analyze_workload(nn::Module& model, std::int64_t in_channels,
     // Probe with a real forward pass so every layer records its geometry,
     // including strided/downsample paths inside residual blocks. Run in
     // float mode (no multiplier needed) and restore each layer's mode after.
-    std::vector<std::pair<approx::ApproxConv2d*, approx::ComputeMode>> conv_modes;
-    std::vector<std::pair<approx::ApproxLinear*, approx::ComputeMode>> linear_modes;
-    std::vector<std::pair<approx::DepthwiseConv2d*, approx::ComputeMode>> dw_modes;
+    std::vector<std::pair<approx::ApproxLayer*, approx::ComputeMode>> modes;
     model.visit([&](nn::Module& m) {
-        if (auto* conv = dynamic_cast<approx::ApproxConv2d*>(&m)) {
-            conv_modes.emplace_back(conv, conv->mode());
-            conv->set_mode(approx::ComputeMode::kFloat);
-        } else if (auto* linear = dynamic_cast<approx::ApproxLinear*>(&m)) {
-            linear_modes.emplace_back(linear, linear->mode());
-            linear->set_mode(approx::ComputeMode::kFloat);
-        } else if (auto* dw = dynamic_cast<approx::DepthwiseConv2d*>(&m)) {
-            dw_modes.emplace_back(dw, dw->mode());
-            dw->set_mode(approx::ComputeMode::kFloat);
+        if (auto* layer = dynamic_cast<approx::ApproxLayer*>(&m)) {
+            modes.emplace_back(layer, layer->mode());
+            layer->set_mode(approx::ComputeMode::kFloat);
         }
     });
 
@@ -47,34 +38,15 @@ NetworkWorkload analyze_workload(nn::Module& model, std::int64_t in_channels,
     model.set_training(was_training);
 
     NetworkWorkload workload;
-    model.visit([&](nn::Module& m) {
-        if (auto* conv = dynamic_cast<approx::ApproxConv2d*>(&m)) {
-            LayerWorkload layer;
-            layer.name = "ApproxConv2d";
-            layer.macs = conv->last_forward_macs(probe_ctx);
-            layer.params = conv->weight.value.numel() + conv->bias.value.numel();
-            workload.layers.push_back(layer);
-            workload.total_macs += layer.macs;
-        } else if (auto* linear = dynamic_cast<approx::ApproxLinear*>(&m)) {
-            LayerWorkload layer;
-            layer.name = "ApproxLinear";
-            layer.macs = linear->last_forward_macs(probe_ctx);
-            layer.params = linear->weight.value.numel() + linear->bias.value.numel();
-            workload.layers.push_back(layer);
-            workload.total_macs += layer.macs;
-        } else if (auto* dw = dynamic_cast<approx::DepthwiseConv2d*>(&m)) {
-            LayerWorkload layer;
-            layer.name = "DepthwiseConv2d";
-            layer.macs = dw->last_forward_macs(probe_ctx);
-            layer.params = dw->weight.value.numel() + dw->bias.value.numel();
-            workload.layers.push_back(layer);
-            workload.total_macs += layer.macs;
-        }
-    });
-
-    for (auto& [conv, mode] : conv_modes) conv->set_mode(mode);
-    for (auto& [linear, mode] : linear_modes) linear->set_mode(mode);
-    for (auto& [dw, mode] : dw_modes) dw->set_mode(mode);
+    for (const auto& [layer, mode] : modes) {
+        LayerWorkload entry;
+        entry.name = layer->name();
+        entry.macs = layer->last_forward_macs(probe_ctx);
+        entry.params = layer->weight.value.numel() + layer->bias.value.numel();
+        workload.layers.push_back(entry);
+        workload.total_macs += entry.macs;
+        layer->set_mode(mode);
+    }
     return workload;
 }
 

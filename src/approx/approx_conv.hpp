@@ -19,7 +19,9 @@
 /// Per-invocation state (geometry, im2col columns, the scratch arena with
 /// quantized codes/masks) lives in the caller's nn::Context; the layer
 /// itself keeps only weights, the multiplier config, and the activation
-/// observer (persistent calibration state).
+/// observer (persistent calibration state). Both layers here run one
+/// quantized LUT-GEMM core (GemmLayer); ApproxLinear is the 1x1 conv of its
+/// matrix.
 #pragma once
 
 #include "appmult/appmult.hpp"
@@ -57,20 +59,18 @@ struct MultiplierConfig {
     static MultiplierConfig exact_ste(unsigned bits);
 };
 
-/// 2-D convolution whose multiplications can be replaced by an AppMult.
-class ApproxConv2d : public nn::Module {
+/// Base of the approximate layers (ApproxConv2d, DepthwiseConv2d,
+/// ApproxLinear): the weight and bias, the mode, the multiplier and the
+/// activation observer, whose range is the layer's checkpoint state. The
+/// model-wide helpers below and accel::analyze_workload reach every kind
+/// through it.
+class ApproxLayer : public nn::Module {
 public:
-    ApproxConv2d(std::int64_t in_ch, std::int64_t out_ch, std::int64_t kernel,
-                 std::int64_t stride, std::int64_t pad, util::Rng& rng);
-
-    tensor::Tensor forward(const tensor::Tensor& x, nn::Context& ctx) override;
-    tensor::Tensor backward(const tensor::Tensor& gy, nn::Context& ctx) override;
     [[nodiscard]] nn::BatchCoupling coupling() const override;
     void batch_pre_pass(const tensor::Tensor& x) override;
     void collect_params(std::vector<nn::Param*>& out) override;
     void save_extra_state(std::vector<float>& out) const override;
     void load_extra_state(const float*& cursor) override;
-    [[nodiscard]] std::string name() const override { return "ApproxConv2d"; }
 
     /// Switches float / quantized execution.
     void set_mode(ComputeMode mode) { mode_ = mode; }
@@ -80,13 +80,97 @@ public:
     void set_multiplier(MultiplierConfig config);
     [[nodiscard]] const MultiplierConfig& multiplier() const { return mult_; }
 
+    nn::Param weight; ///< (O, C, K, K) conv, (C, K, K) depthwise, (out, in) linear
+    nn::Param bias;   ///< (O), (C), (out)
+
+    /// Multiplications executed by the most recent forward call through
+    /// \p ctx: its output positions times the weight count; 0 before any
+    /// forward.
+    [[nodiscard]] std::int64_t last_forward_macs(const nn::Context& ctx) const {
+        return last_positions(ctx) * weight.value.numel();
+    }
+
+protected:
+    /// Parameters "<prefix>.weight" and "<prefix>.bias".
+    ApproxLayer(const std::string& prefix, tensor::Tensor w, tensor::Tensor b);
+
+    /// Quantization parameters of the activation \p x at the multiplier's
+    /// width. The observer is EMA-calibrated during training (standard fake
+    /// quantization) and frozen in eval; frozen contexts rely on
+    /// batch_pre_pass having fed it the full batch already.
+    quant::QuantParams activation_params(const tensor::Tensor& x,
+                                         const nn::Context& ctx);
+
+    ComputeMode mode_ = ComputeMode::kFloat;
+    MultiplierConfig mult_;
+
+private:
+    /// Output positions of the most recent forward through \p ctx.
+    [[nodiscard]] virtual std::int64_t last_positions(const nn::Context& ctx) const = 0;
+
+    quant::EmaObserver act_observer_;
+};
+
+/// Base of the two LUT-GEMM layers, ApproxConv2d and ApproxLinear, which
+/// run one core over a conv geometry. A linear layer is the 1x1 conv of its
+/// (batch, in_features) matrix (kernels::matrix_geom), whose row and depth
+/// orders are the identity; the conv wraps the core in its position
+/// gathers, scatters and col2im.
+class GemmLayer : public ApproxLayer {
+protected:
+    using ApproxLayer::ApproxLayer;
+
+    // Per-invocation state (nn::Context slot). Scratch (packed weights in
+    // float mode; codes, masks, raw gradients in quantized mode) lives in
+    // the embedded workspace arena: reset at the start of each forward,
+    // buffers remain valid through the matching backward (DESIGN.md §10/§11).
+    struct State {
+        tensor::ConvGeom geom;
+        tensor::Tensor cols;                  // float mode: (P, patch) columns
+        kernels::Workspace ws;
+        kernels::QuantView xq;                // row codes and mask (tap-major depth)
+        kernels::QuantView wq;                // weight codes and mask, weights' order
+        float* wscale_per_o = nullptr;        // per-channel row scales, else null
+        std::int32_t* wzero_per_o = nullptr;  // per-channel row zeros, else null
+    };
+
+    /// The forward GEMM over st.geom into \p y, (P, O) position-major, with
+    /// the bias. Float mode multiplies st.cols, which the caller fills.
+    /// Quantized mode (Fig. 4): weight quantize (per-tensor, or per-channel
+    /// with per_channel_) -> pack_conv_weight_panels -> quantize_conv_panels
+    /// of the NCHW \p x -> lut_forward_blocked with the Eq. (8) correction.
+    void forward_gemm(const tensor::Tensor& x, State& st, nn::Context& ctx,
+                      float* y);
+
+    /// The backward of the last forward from \p gyp, (P, O): accumulates the
+    /// bias and weight gradients and writes the input gradient's (P, patch)
+    /// columns to \p gcols, in im2col order in float mode. Quantized mode
+    /// (Eq. 9): zero-fill -> tap-major weight copy -> lut_backward_rows ->
+    /// grad-W fold -> clamp mask, so \p gcols is tap-major and holds zero on
+    /// out-of-image taps.
+    void backward_gemm(const float* gyp, State& st, nn::Context& ctx,
+                       float* gcols);
+
+    bool per_channel_ = false;
+
+private:
+    [[nodiscard]] std::int64_t last_positions(const nn::Context& ctx) const override;
+};
+
+/// 2-D convolution whose multiplications can be replaced by an AppMult.
+class ApproxConv2d : public GemmLayer {
+public:
+    ApproxConv2d(std::int64_t in_ch, std::int64_t out_ch, std::int64_t kernel,
+                 std::int64_t stride, std::int64_t pad, util::Rng& rng);
+
+    tensor::Tensor forward(const tensor::Tensor& x, nn::Context& ctx) override;
+    tensor::Tensor backward(const tensor::Tensor& gy, nn::Context& ctx) override;
+    [[nodiscard]] std::string name() const override { return "ApproxConv2d"; }
+
     /// Per-output-channel weight quantization (each filter gets its own
     /// scale/zero-point, standard in production QAT). Default: per-tensor.
     void set_per_channel_weights(bool enabled) { per_channel_ = enabled; }
     [[nodiscard]] bool per_channel_weights() const { return per_channel_; }
-
-    nn::Param weight; ///< (O, C, K, K)
-    nn::Param bias;   ///< (O)
 
     [[nodiscard]] std::int64_t in_channels() const { return in_ch_; }
     [[nodiscard]] std::int64_t out_channels() const { return out_ch_; }
@@ -94,85 +178,23 @@ public:
     [[nodiscard]] std::int64_t stride() const { return stride_; }
     [[nodiscard]] std::int64_t padding() const { return pad_; }
 
-    /// Multiplications executed by the most recent forward call through
-    /// \p ctx (positions x patch x out_channels); 0 before any forward.
-    [[nodiscard]] std::int64_t last_forward_macs(const nn::Context& ctx) const;
-
 private:
-    // Per-invocation state (nn::Context slot). Quant-mode scratch (codes,
-    // masks, columns, raw gradients) lives in the embedded workspace arena:
-    // reset at the start of each quantized forward, buffers remain valid
-    // through the matching backward (DESIGN.md §10/§11).
-    struct State {
-        tensor::ConvGeom geom;
-        tensor::Tensor cols;                  // float mode: (P, patch)
-        kernels::Workspace ws;                // scratch arena (float mode: packed weights)
-        kernels::QuantView xq;                // quant mode: row codes (tap-major depth)
-        kernels::QuantView wq;                // quant mode: codes of weights
-        float* wscale_per_o = nullptr;        // per-channel row scales (ws-backed)
-        std::int32_t* wzero_per_o = nullptr;  // per-channel row zeros (ws-backed)
-        // The forward reads panels, which the fused im2col+quantize packer
-        // fills alongside the row-major codes and masks in xq; the backward
-        // reads only the row-major wq and xq (lut_backward_rows).
-    };
-
-    tensor::Tensor forward_float(const tensor::Tensor& x, State& st,
-                                 nn::Context& ctx);
-    tensor::Tensor forward_quant(const tensor::Tensor& x, State& st,
-                                 nn::Context& ctx);
-    tensor::Tensor backward_float(const tensor::Tensor& gy, State& st,
-                                  nn::Context& ctx);
-    tensor::Tensor backward_quant(const tensor::Tensor& gy, State& st,
-                                  nn::Context& ctx);
-
     std::int64_t in_ch_, out_ch_, kernel_, stride_, pad_;
-    ComputeMode mode_ = ComputeMode::kFloat;
-    bool per_channel_ = false;
-    MultiplierConfig mult_;
-    quant::EmaObserver act_observer_;
 };
 
 /// Fully connected layer with the same two modes (provided for completeness;
 /// the paper approximates conv layers only and the stock models keep their
 /// classifier in kFloat).
-class ApproxLinear : public nn::Module {
+class ApproxLinear : public GemmLayer {
 public:
     ApproxLinear(std::int64_t in_features, std::int64_t out_features, util::Rng& rng);
 
     tensor::Tensor forward(const tensor::Tensor& x, nn::Context& ctx) override;
     tensor::Tensor backward(const tensor::Tensor& gy, nn::Context& ctx) override;
-    [[nodiscard]] nn::BatchCoupling coupling() const override;
-    void batch_pre_pass(const tensor::Tensor& x) override;
-    void collect_params(std::vector<nn::Param*>& out) override;
-    void save_extra_state(std::vector<float>& out) const override;
-    void load_extra_state(const float*& cursor) override;
     [[nodiscard]] std::string name() const override { return "ApproxLinear"; }
 
-    void set_mode(ComputeMode mode) { mode_ = mode; }
-    [[nodiscard]] ComputeMode mode() const { return mode_; }
-    void set_multiplier(MultiplierConfig config);
-    [[nodiscard]] const MultiplierConfig& multiplier() const { return mult_; }
-
-    nn::Param weight; ///< (out, in)
-    nn::Param bias;   ///< (out)
-
-    /// Multiplications executed by the most recent forward call through
-    /// \p ctx.
-    [[nodiscard]] std::int64_t last_forward_macs(const nn::Context& ctx) const;
-
 private:
-    struct State {
-        tensor::Tensor x;       // float mode cache
-        kernels::Workspace ws;  // scratch arena (DESIGN.md §10)
-        kernels::QuantView xq;
-        kernels::QuantView wq;
-        std::int64_t batch = 0;
-    };
-
     std::int64_t in_features_, out_features_;
-    ComputeMode mode_ = ComputeMode::kFloat;
-    MultiplierConfig mult_;
-    quant::EmaObserver act_observer_;
 };
 
 /// Applies \p config and \p mode to every approximate layer in \p root.

@@ -1,7 +1,6 @@
 #include "approx/assignment.hpp"
 
 #include "appmult/registry.hpp"
-#include "approx/depthwise.hpp"
 #include "obs/obs.hpp"
 
 #include <cstdio>
@@ -346,15 +345,9 @@ std::size_t apply_assignment(nn::Module& root,
     auto& cache = MultiplierCache::instance();
     std::size_t index = 0;
     root.visit([&](nn::Module& m) {
-        if (auto* conv = dynamic_cast<ApproxConv2d*>(&m)) {
-            conv->set_multiplier(cache.config(assignment.at(index++)));
-            conv->set_mode(mode);
-        } else if (auto* linear = dynamic_cast<ApproxLinear*>(&m)) {
-            linear->set_multiplier(cache.config(assignment.at(index++)));
-            linear->set_mode(mode);
-        } else if (auto* dw = dynamic_cast<DepthwiseConv2d*>(&m)) {
-            dw->set_multiplier(cache.config(assignment.at(index++)));
-            dw->set_mode(mode);
+        if (auto* layer = dynamic_cast<ApproxLayer*>(&m)) {
+            layer->set_multiplier(cache.config(assignment.at(index++)));
+            layer->set_mode(mode);
         }
     });
     return index;
@@ -363,10 +356,7 @@ std::size_t apply_assignment(nn::Module& root,
 std::size_t count_approx_layers(nn::Module& root) {
     std::size_t count = 0;
     root.visit([&](nn::Module& m) {
-        if (dynamic_cast<ApproxConv2d*>(&m) != nullptr ||
-            dynamic_cast<ApproxLinear*>(&m) != nullptr ||
-            dynamic_cast<DepthwiseConv2d*>(&m) != nullptr)
-            ++count;
+        if (dynamic_cast<ApproxLayer*>(&m) != nullptr) ++count;
     });
     return count;
 }

@@ -11,50 +11,14 @@ using tensor::Tensor;
 DepthwiseConv2d::DepthwiseConv2d(std::int64_t channels, std::int64_t kernel,
                                  std::int64_t stride, std::int64_t pad,
                                  util::Rng& rng)
-    : weight("dwconv.weight",
-             Tensor::he_init(Shape{channels, kernel, kernel}, kernel * kernel, rng)),
-      bias("dwconv.bias", Tensor::zeros(Shape{channels})),
+    : ApproxLayer("dwconv",
+                  Tensor::he_init(Shape{channels, kernel, kernel}, kernel * kernel, rng),
+                  Tensor::zeros(Shape{channels})),
       channels_(channels), kernel_(kernel), stride_(stride), pad_(pad) {}
 
-void DepthwiseConv2d::set_multiplier(MultiplierConfig config) {
-    assert(config.valid());
-    mult_ = std::move(config);
-}
-
-void DepthwiseConv2d::collect_params(std::vector<nn::Param*>& out) {
-    out.push_back(&weight);
-    out.push_back(&bias);
-}
-
-void DepthwiseConv2d::save_extra_state(std::vector<float>& out) const {
-    out.push_back(act_observer_.lo());
-    out.push_back(act_observer_.hi());
-    out.push_back(act_observer_.initialized() ? 1.0f : 0.0f);
-}
-
-void DepthwiseConv2d::load_extra_state(const float*& cursor) {
-    const float lo = *cursor++;
-    const float hi = *cursor++;
-    const bool init = *cursor++ != 0.0f;
-    act_observer_.set_range(lo, hi, init);
-}
-
-nn::BatchCoupling DepthwiseConv2d::coupling() const {
-    return mode_ == ComputeMode::kQuantized && training_
-               ? nn::BatchCoupling::kStatsCoupled
-               : nn::BatchCoupling::kSampleLocal;
-}
-
-void DepthwiseConv2d::batch_pre_pass(const Tensor& x) {
-    if (mode_ == ComputeMode::kQuantized &&
-        (training_ || !act_observer_.initialized()))
-        act_observer_.observe(x);
-}
-
-std::int64_t DepthwiseConv2d::last_forward_macs(const nn::Context& ctx) const {
+std::int64_t DepthwiseConv2d::last_positions(const nn::Context& ctx) const {
     const State* st = ctx.peek<State>(*this);
-    if (!st || st->args.geom.batch == 0) return 0;
-    return st->args.geom.positions() * kernel_ * kernel_ * channels_;
+    return st ? st->args.geom.positions() : 0;
 }
 
 Tensor DepthwiseConv2d::forward(const Tensor& x, nn::Context& ctx) {
@@ -74,9 +38,7 @@ Tensor DepthwiseConv2d::forward(const Tensor& x, nn::Context& ctx) {
             weight.value.data(), weight.value.numel(),
             quant::choose_params(weight.value.min(), weight.value.max(), bits),
             st.ws);
-        if ((training_ && !ctx.observers_frozen()) || !act_observer_.initialized())
-            act_observer_.observe(x);
-        a.xparams = act_observer_.params(bits);
+        a.xparams = activation_params(x, ctx);
         a.lut = mult_.lut->table().data();
         a.grad_w_lut = mult_.grad->dw_table().data();
         a.grad_x_lut = mult_.grad->dx_table().data();

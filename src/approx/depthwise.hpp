@@ -21,31 +21,14 @@ namespace amret::approx {
 
 /// Channel-wise conv: weight (C, K, K), each channel c convolved with its
 /// own filter; stride/padding like ApproxConv2d.
-class DepthwiseConv2d : public nn::Module {
+class DepthwiseConv2d : public ApproxLayer {
 public:
     DepthwiseConv2d(std::int64_t channels, std::int64_t kernel, std::int64_t stride,
                     std::int64_t pad, util::Rng& rng);
 
     tensor::Tensor forward(const tensor::Tensor& x, nn::Context& ctx) override;
     tensor::Tensor backward(const tensor::Tensor& gy, nn::Context& ctx) override;
-    [[nodiscard]] nn::BatchCoupling coupling() const override;
-    void batch_pre_pass(const tensor::Tensor& x) override;
-    void collect_params(std::vector<nn::Param*>& out) override;
-    void save_extra_state(std::vector<float>& out) const override;
-    void load_extra_state(const float*& cursor) override;
     [[nodiscard]] std::string name() const override { return "DepthwiseConv2d"; }
-
-    void set_mode(ComputeMode mode) { mode_ = mode; }
-    [[nodiscard]] ComputeMode mode() const { return mode_; }
-    void set_multiplier(MultiplierConfig config);
-    [[nodiscard]] const MultiplierConfig& multiplier() const { return mult_; }
-
-    nn::Param weight; ///< (C, K, K)
-    nn::Param bias;   ///< (C)
-
-    /// Multiplications executed by the most recent forward call through
-    /// \p ctx.
-    [[nodiscard]] std::int64_t last_forward_macs(const nn::Context& ctx) const;
 
 private:
     // Per-invocation state (nn::Context slot). The forward's padded input
@@ -58,10 +41,9 @@ private:
         kernels::DepthwisePlanes input;  ///< padded input planes (ws-backed)
     };
 
+    [[nodiscard]] std::int64_t last_positions(const nn::Context& ctx) const override;
+
     std::int64_t channels_, kernel_, stride_, pad_;
-    ComputeMode mode_ = ComputeMode::kFloat;
-    MultiplierConfig mult_;
-    quant::EmaObserver act_observer_;
 };
 
 } // namespace amret::approx

@@ -187,45 +187,28 @@ struct ConvOp final : IntInferenceEngine::Op {
         // im2col is fused into activation panel production (no (positions x
         // patch) column buffer), the weight panels and the padding constant
         // were built at finalize(), and the Eq. (8) row sums come from the
-        // panel headers.
+        // panel headers. The packer runs on the GEMM's chunks.
         assert(x.zero == in_zero && "pad_sum assumes the input zero point");
         const kernels::PanelPlan xplan =
             kernels::make_conv_act_plan(positions, patch, tune::kTileP, wplan.tk);
-        // Packer and GEMM share chunks of whole position blocks, each worth
-        // at least tune::kMinChunkWork lookups (a block is tr * O * K), so a
-        // conv with less work runs on the caller.
-        const std::int64_t nblocks = xplan.row_blocks();
-        const std::int64_t grain =
-            kernels::chunk_grain(nblocks, xplan.tr * out_ch * patch);
-        const kernels::ActPanels xpan = kernels::pack_im2col_panels_u8(
-            x.data, geom, static_cast<std::uint16_t>(x.zero), xplan, ws, bits,
-            grain);
-
         kernels::BlockedGemmArgs args;
         args.bits = bits;
         args.lut = lut->table().data();
         args.w = kernels::WeightPanels{wplan, wq_panels.data(), sum_w.data(),
                                        pad_sum.data()};
-        args.x = xpan;
+        args.x = kernels::pack_im2col_panels_u8(
+            x.data, geom, static_cast<std::uint16_t>(x.zero), xplan, ws, bits,
+            kernels::forward_grain(xplan, out_ch));
         args.o = out_ch;
         args.p = positions;
         args.k = patch;
         args.zero_w = zero_w;
         args.zero_x = x.zero;
-
-        const std::int64_t acc_elems = xplan.tr * wplan.tr;
-        const std::int64_t chunks = runtime::chunk_count(0, nblocks, grain);
-        std::int64_t* acc = ws.alloc<std::int64_t>(chunks * acc_elems);
-        runtime::parallel_for_chunks(0, nblocks, grain,
-                                     [&](std::int64_t bb, std::int64_t be,
-                                         std::size_t chunk) {
-            kernels::lut_gemm_blocked_tile(
-                args, bb, be, acc + static_cast<std::int64_t>(chunk) * acc_elems,
-                [&](std::int64_t pp, std::int64_t oo, std::int64_t corrected) {
-                    const std::int64_t n = pp / spatial;
-                    y.data[(n * out_ch + oo) * spatial + pp % spatial] =
-                        requantize(oo, corrected);
-                });
+        kernels::lut_gemm_blocked(args, ws, [&](std::int64_t pp, std::int64_t oo,
+                                                std::int64_t corrected) {
+            const std::int64_t n = pp / spatial;
+            y.data[(n * out_ch + oo) * spatial + pp % spatial] =
+                requantize(oo, corrected);
         });
         return y;
     }

@@ -114,6 +114,32 @@ auto im2col_row_taps(const tensor::ConvGeom& geom, const TapTable& taps, At& at,
     };
 }
 
+/// The gather body of both fused im2col packers: allocates the panels and
+/// their row-sum header, fills every panel row from its taps through
+/// at/pad (im2col_row_taps) on chunks of \p grain position blocks, and
+/// attaches the nibble mirror of <= 4-bit codes on the same chunks.
+template <typename At, typename Pad>
+ActPanels gather_im2col_panels(const tensor::ConvGeom& geom, const PanelPlan& plan,
+                               unsigned bits, std::int64_t grain, Workspace& ws,
+                               At at, Pad pad) {
+    assert(plan.rows == geom.positions() && plan.depth == geom.patch());
+    const TapTable taps = make_tap_table(geom, ws);
+    ActPanels out;
+    out.plan = plan;
+    out.geom = geom;
+    std::uint16_t* codes = ws.alloc<std::uint16_t>(plan.elems());
+    std::int64_t* sums = ws.alloc<std::int64_t>(plan.rows);
+    runtime::parallel_for(0, plan.row_blocks(), grain,
+                          [&](std::int64_t b0, std::int64_t b1) {
+        pack_rows_fused(plan, codes, sums, b0, b1,
+                        im2col_row_taps(geom, taps, at, pad));
+    });
+    out.codes = codes;
+    out.sum_x = sums;
+    attach_packed4(out, bits, ws, grain);
+    return out;
+}
+
 } // namespace
 
 std::uint64_t PanelPlan::key() const {
@@ -316,34 +342,24 @@ ActPanels pack_im2col_panels_u8(const std::uint8_t* x,
                                 std::int64_t grain) {
     AMRET_OBS_SPAN("kernels.im2col_panels");
     AMRET_OBS_COUNT("kernels.im2col.images", geom.batch);
-    assert(plan.rows == geom.positions() && plan.depth == geom.patch());
-    const TapTable taps = make_tap_table(geom, ws);
-    ActPanels out;
-    out.plan = plan;
-    out.geom = geom;
-    std::uint16_t* codes = ws.alloc<std::uint16_t>(plan.elems());
-    std::int64_t* sums = ws.alloc<std::int64_t>(plan.rows);
-    auto at = [x](std::int64_t, std::int64_t, std::int64_t i) {
-        return static_cast<std::uint16_t>(x[i]);
-    };
-    auto pad = [zero_point](std::int64_t, std::int64_t) { return zero_point; };
-    runtime::parallel_for(0, plan.row_blocks(), grain,
-                          [&](std::int64_t b0, std::int64_t b1) {
-        pack_rows_fused(plan, codes, sums, b0, b1,
-                        im2col_row_taps(geom, taps, at, pad));
-    });
-    out.codes = codes;
-    out.sum_x = sums;
-    attach_packed4(out, bits, ws, grain);
-    return out;
+    return gather_im2col_panels(
+        geom, plan, bits, grain, ws,
+        [x](std::int64_t, std::int64_t, std::int64_t i) {
+            return static_cast<std::uint16_t>(x[i]);
+        },
+        [zero_point](std::int64_t, std::int64_t) { return zero_point; });
 }
 
-ActPanels quantize_im2col_panels(const float* x, const tensor::ConvGeom& geom,
+QuantPanels quantize_conv_panels(const float* x, const tensor::ConvGeom& geom,
                                  const quant::QuantParams& params,
-                                 const PanelPlan& plan, std::uint8_t* in_range,
-                                 std::uint16_t* row_codes, Workspace& ws) {
+                                 const PanelPlan& plan, std::int64_t grain,
+                                 Workspace& ws) {
     AMRET_OBS_SPAN("kernels.im2col_panels");
-    assert(plan.rows == geom.positions() && plan.depth == geom.patch());
+    const std::int64_t depth = plan.depth;
+    QuantPanels out;
+    out.rows = QuantView{ws.alloc<std::uint16_t>(plan.rows * depth),
+                         ws.alloc<std::uint8_t>(plan.rows * depth), params,
+                         plan.rows * depth};
     // Each input element is quantized once into an NCHW code + mask plane,
     // and the taps are gathered from it. Out-of-image taps take the code and
     // mask of 0.0f, exactly what the zero-padded float im2col quantized to,
@@ -352,64 +368,19 @@ ActPanels quantize_im2col_panels(const float* x, const tensor::ConvGeom& geom,
         x, geom.batch * geom.in_ch * geom.in_h * geom.in_w, params, ws);
     const auto code0 = static_cast<std::uint16_t>(params.quantize(0.0f));
     const std::uint8_t mask0 = params.in_range(0.0f) ? 1 : 0;
-    const TapTable taps = make_tap_table(geom, ws);
-    ActPanels out;
-    out.plan = plan;
-    out.geom = geom;
-    std::uint16_t* codes = ws.alloc<std::uint16_t>(plan.elems());
-    std::int64_t* sums = ws.alloc<std::int64_t>(plan.rows);
-    const std::int64_t depth = plan.depth;
-    auto at = [&](std::int64_t row, std::int64_t d, std::int64_t i) {
-        row_codes[row * depth + d] = plane.codes[i];
-        in_range[row * depth + d] = plane.in_range[i];
-        return plane.codes[i];
-    };
-    auto pad = [&](std::int64_t row, std::int64_t d) {
-        row_codes[row * depth + d] = code0;
-        in_range[row * depth + d] = mask0;
-        return code0;
-    };
-    const std::int64_t nblocks = plan.row_blocks();
-    const std::int64_t grain = runtime::grain_for(nblocks, 1);
-    runtime::parallel_for(0, nblocks, grain,
-                          [&](std::int64_t b0, std::int64_t b1) {
-        pack_rows_fused(plan, codes, sums, b0, b1,
-                        im2col_row_taps(geom, taps, at, pad));
-    });
-    out.codes = codes;
-    out.sum_x = sums;
-    attach_packed4(out, params.bits, ws, grain);
-    return out;
-}
-
-ActPanels quantize_into_panels(const float* src, const quant::QuantParams& params,
-                               const PanelPlan& plan, std::uint8_t* in_range,
-                               std::uint16_t* row_codes, Workspace& ws) {
-    AMRET_OBS_SPAN("kernels.quantize");
-    AMRET_OBS_COUNT("kernels.quantize.elems", plan.rows * plan.depth);
-    ActPanels out;
-    out.plan = plan;
-    out.geom = matrix_geom(plan.rows, plan.depth);
-    std::uint16_t* codes = ws.alloc<std::uint16_t>(plan.elems());
-    std::int64_t* sums = ws.alloc<std::int64_t>(plan.rows);
-    const std::int64_t nblocks = plan.row_blocks();
-    const std::int64_t grain = runtime::grain_for(nblocks, 1);
-    runtime::parallel_for(0, nblocks, grain,
-                          [&](std::int64_t b0, std::int64_t b1) {
-        pack_rows_fused(plan, codes, sums, b0, b1, [&](std::int64_t row) {
-            return [&, row](std::int64_t kk) -> std::uint16_t {
-                const std::int64_t i = row * plan.depth + kk;
-                const float v = src[i];
-                const auto code = static_cast<std::uint16_t>(params.quantize(v));
-                in_range[i] = params.in_range(v) ? 1 : 0;
-                row_codes[i] = code;
-                return code;
-            };
+    const QuantView& rows = out.rows;
+    out.panels = gather_im2col_panels(
+        geom, plan, params.bits, grain, ws,
+        [&](std::int64_t row, std::int64_t d, std::int64_t i) {
+            rows.codes[row * depth + d] = plane.codes[i];
+            rows.in_range[row * depth + d] = plane.in_range[i];
+            return plane.codes[i];
+        },
+        [&](std::int64_t row, std::int64_t d) {
+            rows.codes[row * depth + d] = code0;
+            rows.in_range[row * depth + d] = mask0;
+            return code0;
         });
-    });
-    out.codes = codes;
-    out.sum_x = sums;
-    attach_packed4(out, params.bits, ws, grain);
     return out;
 }
 

@@ -42,16 +42,18 @@
 ///   the tap-major depth but keep the im2col rows, (n, oy, ox), the order
 ///   grad-W sums positions in; so one row's in-image taps are the depth runs
 ///   of its own TapBox there too. A plain matrix is the 1x1 conv of its rows
-///   and depth, for which both orders are the identity. The kernels see the
-///   tap-major depth through TapBox, and lut_gemm_blocked_tile hands its
-///   epilogue the im2col row, so the location-major rows stay inside the
-///   kernels; the training conv reorders its (O, C, K, K) weight codes to the
-///   tap-major depth for the backward and folds grad-W back, and
-///   col2im_tap_major folds grad-X.
+///   and depth, for which both orders are the identity; ApproxLinear runs as
+///   that conv. The kernels see the tap-major depth through TapBox, and
+///   lut_gemm_blocked hands its epilogue the im2col row, so the
+///   location-major rows stay inside the kernels; the training layers
+///   reorder their (O, C, K, K) weight codes to the tap-major depth for the
+///   backward and fold grad-W back, and the conv folds grad-X with
+///   col2im_tap_major.
 ///
-/// The planner also fuses im2col into panel production: the im2col packers
-/// walk the convolution taps directly from the NCHW feature map into panel
-/// slots (zero-point padding applied on the fly), so no (positions x patch)
+/// The planner also fuses im2col into panel production: the two im2col
+/// packers (pack_im2col_panels_u8 for the engine, quantize_conv_panels for
+/// training) walk the convolution taps directly from the NCHW feature map
+/// into panel slots (padding applied on the fly), so no (positions x patch)
 /// im2col buffer is materialized.
 ///
 /// Raw indexing into panel buffers outside src/kernels is rejected by
@@ -61,7 +63,6 @@
 #pragma once
 
 #include "kernels/workspace.hpp"
-#include "quant/quant.hpp"
 #include "tensor/tensor.hpp"
 
 #include <algorithm>
@@ -224,7 +225,7 @@ struct ActPanels {
     /// matching `codes` at half scale. Within each 16-lane row group, byte j
     /// holds lane g0+j in its low nibble and lane g0+8+j in its high nibble
     /// — exactly the order one pshufb nibble-unpack restores. Attached by
-    /// the quantizing packers when the operand is <= 4-bit (or explicitly
+    /// the im2col packers when the operand is <= 4-bit (or explicitly
     /// via attach_packed4); null otherwise.
     const std::uint8_t* packed4 = nullptr;
 };
@@ -247,8 +248,8 @@ void pack_weight_panels_into(const std::uint16_t* wq, unsigned bits,
                              std::uint32_t* codes, std::int64_t* sum_w);
 
 /// Workspace-backed pack_weight_panels_into of a plain matrix (taps = 1,
-/// depth order kept, no padding constant). Conv weights go through
-/// pack_conv_weight_panels.
+/// depth order kept, no padding constant), for tests and benches. The
+/// layers' weights go through pack_conv_weight_panels.
 WeightPanels pack_weight_panels(const std::uint16_t* wq, unsigned bits,
                                 const PanelPlan& plan, Workspace& ws);
 
@@ -263,7 +264,7 @@ void pad_sums_into(const std::uint16_t* wq, unsigned bits, std::int64_t rows,
 
 /// Packs row-major activation codes into workspace-backed panels + header,
 /// as a plain matrix (matrix_geom). The layers pack through the fused
-/// quantizing packers; tests and benches build operands with this one.
+/// im2col packers; tests and benches build operands with this one.
 ActPanels pack_activation_panels(const std::uint16_t* xq, const PanelPlan& plan,
                                  Workspace& ws);
 
@@ -285,37 +286,20 @@ void unpack_weight_panels(const WeightPanels& w, unsigned bits,
 void unpack_activation_panels(const ActPanels& x, std::uint16_t* xq_out);
 
 /// Fused im2col + pack for the integer inference path: unfolds the NCHW
-/// uint8 feature map \p x under \p geom straight into
-/// zero-point-padded uint16 panels (plan rows = positions, location-major;
-/// depth = patch, tap-major), computing the row-sum header on the fly. No
-/// intermediate (positions x patch) column buffer is materialized. Parallel over chunks
-/// of \p grain position blocks; the engine passes its GEMM's chunks, so a
-/// conv too small to split packs on the caller. \p bits is the operand
+/// uint8 feature map \p x under \p geom straight into zero-point-padded
+/// uint16 panels (plan rows = positions, location-major; depth = patch,
+/// tap-major), computing the row-sum header on the fly, so no (positions x
+/// patch) column buffer is materialized. Parallel over chunks of \p grain
+/// position blocks; the engine passes its GEMM's chunks (forward_grain), so
+/// a conv too small to split packs on the caller. \p bits is the operand
 /// width: <= 4-bit operands also get the nibble-packed mirror for the SIMD
-/// pshufb path (attach_packed4), on the same chunks.
+/// pshufb path (attach_packed4), on the same chunks. The training packer,
+/// quantize_conv_panels (quantize.hpp), shares its gather body and differs
+/// only in where a code comes from.
 ActPanels pack_im2col_panels_u8(const std::uint8_t* x,
                                 const tensor::ConvGeom& geom,
                                 std::uint16_t zero_point, const PanelPlan& plan,
                                 Workspace& ws, unsigned bits,
                                 std::int64_t grain);
-
-/// Fused im2col + quantize + pack for the training path: gathers each float
-/// tap of the NCHW input (zero padding), quantizes it under \p params and
-/// writes the code straight into its panel slot (location-major rows,
-/// tap-major depth). \p in_range and \p row_codes (caller-owned, positions
-/// x patch row-major: im2col rows, tap-major depth) receive the clamp-STE
-/// mask and a row-major copy of the codes, which the backward pass consumes.
-/// Parallel over position blocks.
-ActPanels quantize_im2col_panels(const float* x, const tensor::ConvGeom& geom,
-                                 const quant::QuantParams& params,
-                                 const PanelPlan& plan, std::uint8_t* in_range,
-                                 std::uint16_t* row_codes, Workspace& ws);
-
-/// Fused quantize + pack of a row-major float matrix (the ApproxLinear
-/// activation path). \p in_range and \p row_codes are row-major
-/// (plan.rows x plan.depth).
-ActPanels quantize_into_panels(const float* src, const quant::QuantParams& params,
-                               const PanelPlan& plan, std::uint8_t* in_range,
-                               std::uint16_t* row_codes, Workspace& ws);
 
 } // namespace amret::kernels

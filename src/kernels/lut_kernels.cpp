@@ -74,24 +74,13 @@ void lut_forward_blocked(const BlockedGemmArgs& args, const float* bias,
                          float* y, Workspace& ws) {
     AMRET_OBS_SPAN("kernels.lut_forward_blocked");
     AMRET_OBS_COUNT("kernels.gemm.rows", args.p);
-    const std::int64_t nblocks = args.x.plan.row_blocks();
-    const std::int64_t grain = runtime::grain_for(nblocks, 1);
-    const std::int64_t chunks = runtime::chunk_count(0, nblocks, grain);
-    const std::int64_t acc_elems = args.x.plan.tr * args.w.plan.tr;
-    std::int64_t* acc = ws.alloc<std::int64_t>(chunks * acc_elems);
-    // Position row-blocks write disjoint y rows; each chunk owns its own
-    // accumulator tile. The epilogue is the naive forward's float
-    // expression (per-element values are order-independent).
-    runtime::parallel_for_chunks(0, nblocks, grain,
-                                 [&](std::int64_t b0, std::int64_t b1,
-                                     std::size_t chunk) {
-        lut_gemm_blocked_tile(
-            args, b0, b1, acc + static_cast<std::int64_t>(chunk) * acc_elems,
-            [&](std::int64_t pp, std::int64_t oo, std::int64_t corrected) {
-            const float ss = args.row_scale_w(oo) * args.scale_x;
-            y[pp * args.o + oo] =
-                ss * static_cast<float>(corrected) + (bias ? bias[oo] : 0.0f);
-        });
+    // The epilogue is the naive forward's float expression (per-element
+    // values are order-independent).
+    lut_gemm_blocked(args, ws, [&](std::int64_t pp, std::int64_t oo,
+                                   std::int64_t corrected) {
+        const float ss = args.row_scale_w(oo) * args.scale_x;
+        y[pp * args.o + oo] =
+            ss * static_cast<float>(corrected) + (bias ? bias[oo] : 0.0f);
     });
 }
 
@@ -113,8 +102,7 @@ void lut_backward_rows(const LutGemmArgs& args, const float* gyp,
     // row's in-image runs — the same float ops in the same order, so the
     // sums match bit for bit.
     {
-        const std::int64_t grain =
-            runtime::grain_for(p_rows, tune::kGrainGemmRows);
+        const std::int64_t grain = chunk_grain(p_rows, o_rows * depth);
         const std::int64_t chunks = runtime::chunk_count(0, p_rows, grain);
         std::int64_t* nz_off = ws.alloc<std::int64_t>(chunks * o_rows);
         float* nz_m = ws.alloc<float>(chunks * o_rows);
@@ -161,8 +149,7 @@ void lut_backward_rows(const LutGemmArgs& args, const float* gyp,
     // column's nonzero gradients are compacted in ascending p and replayed
     // per depth index the same way.
     {
-        const std::int64_t grain =
-            runtime::grain_for(o_rows, tune::kGrainChannel);
+        const std::int64_t grain = chunk_grain(o_rows, p_rows * depth);
         const std::int64_t chunks = runtime::chunk_count(0, o_rows, grain);
         std::int64_t* nz_off = ws.alloc<std::int64_t>(chunks * p_rows);
         float* nz_m = ws.alloc<float>(chunks * p_rows);

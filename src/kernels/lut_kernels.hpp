@@ -24,7 +24,9 @@
 #pragma once
 
 #include "kernels/layout.hpp"
+#include "kernels/tuning.hpp"
 #include "kernels/workspace.hpp"
+#include "runtime/parallel.hpp"
 
 #include <algorithm>
 #include <cassert>
@@ -91,8 +93,9 @@ void accumulate_bias_grad(const float* gyp, std::int64_t p, std::int64_t o,
 /// ops in the oracle's order, so no bit moves. The skipped elements count
 /// in kernels.gemm.grad_x_pad_skipped. Grad-W keeps every tap: at the pad
 /// code Z_x, ∂AM/∂W - Z_x is not zero under the difference gradient, so
-/// padding taps feed gw. Parallel over gx rows, then gw rows; scratch for
-/// the nonzero-gradient compaction comes from \p ws.
+/// padding taps feed gw. Parallel over chunk_grain chunks of gx rows, then
+/// of gw rows, each row in one chunk; scratch for the nonzero-gradient
+/// compaction comes from \p ws.
 void lut_backward_rows(const LutGemmArgs& args, const float* gyp,
                        const float* grad_w_lut, const float* grad_x_lut_t,
                        float* gw_raw, float* gx_raw, Workspace& ws);
@@ -130,8 +133,8 @@ struct BlockedGemmArgs {
 /// True when \p bits <= 4 and every entry of the 2^(2*bits) product LUT fits
 /// uint8, the precondition of the SIMD pshufb path, whose in-register tables
 /// hold byte products. Scans at most 256 entries; wider tables return false
-/// without a scan. lut_gemm_blocked_tile reads it from the table once per
-/// call, so no verdict outlives the table it describes.
+/// without a scan. lut_gemm_blocked reads it from the table once per call,
+/// so no verdict outlives the table it describes.
 bool lut_fits_u8(const std::int32_t* lut, unsigned bits);
 
 /// Adds \p n to the kernels.gemm.pad_skipped counter: lookups the blocked
@@ -182,9 +185,18 @@ inline std::int64_t pad_outside(const WeightPanels& w, std::int64_t k,
     return s;
 }
 
-/// Blocked integer GEMM core over position row-blocks [rb0, rb1) of
-/// a.x.plan. \p acc must hold a.x.plan.tr * a.w.plan.tr int64s. Serial —
-/// callers own the parallel decomposition (blocks write disjoint rows).
+/// Chunk grain of a blocked forward over the position row blocks of \p x
+/// against \p o output rows: chunk_grain over blocks of x.tr * o * x.depth
+/// lookups each. The forward (lut_gemm_blocked) and the packer of its
+/// activation panels share these chunks, so a GEMM with less than
+/// tune::kMinChunkWork lookups packs and runs on the caller.
+inline std::int64_t forward_grain(const PanelPlan& x, std::int64_t o) {
+    return chunk_grain(x.row_blocks(), x.tr * o * x.depth);
+}
+
+/// The blocked integer GEMM, parallel over chunks of forward_grain position
+/// row blocks; blocks write disjoint rows and each chunk owns an int64
+/// accumulator tile from \p ws.
 ///
 /// Each row block reads only the depth runs of its tap box (TapBox): the
 /// taps outside it are padding in every row of the block, so their lookups
@@ -195,60 +207,69 @@ inline std::int64_t pad_outside(const WeightPanels& w, std::int64_t k,
 /// accumulation of each (rb, ob) tile runs through the SIMD dispatch seam
 /// (accumulate_panel_block). \p epi(row, o, corrected) receives the im2col
 /// row (n, oy, ox) of each panel row, so the location-major panel order
-/// (layout.hpp) stays inside the kernels.
+/// (layout.hpp) stays inside the kernels. The training forward
+/// (lut_forward_blocked) and the engine's requantizing conv are its two
+/// epilogues.
 template <class Epilogue>
-void lut_gemm_blocked_tile(const BlockedGemmArgs& a, std::int64_t rb0,
-                           std::int64_t rb1, std::int64_t* acc, Epilogue&& epi) {
+void lut_gemm_blocked(const BlockedGemmArgs& a, Workspace& ws, Epilogue&& epi) {
     const PanelPlan& xp = a.x.plan;
     const PanelPlan& wp = a.w.plan;
     assert(xp.depth == wp.depth && xp.tk == wp.tk && "mismatched depth blocking");
     const tensor::ConvGeom& geom = a.x.geom;
     const std::int64_t spatial = geom.out_h() * geom.out_w();
     const std::int64_t tp = xp.tr, to = wp.tr;
-    const std::int64_t oblocks = wp.row_blocks();
+    const std::int64_t nblocks = xp.row_blocks(), oblocks = wp.row_blocks();
+    const std::int64_t grain = forward_grain(xp, a.o);
+    std::int64_t* tiles =
+        ws.alloc<std::int64_t>(runtime::chunk_count(0, nblocks, grain) * tp * to);
     const bool lut_u8 = lut_fits_u8(a.lut, a.bits);
-    std::int64_t skipped = 0;
-    for (std::int64_t rb = rb0; rb < rb1; ++rb) {
-        const std::int64_t pr = xp.block_rows(rb);
-        const std::int64_t pbase = rb * tp;
-        const TapBox box = TapBox::of_rows(geom, pbase, pbase + pr);
-        const DepthRuns runs = box.runs(geom);
-        skipped += (a.k - runs.depth()) * pr * a.o;
-        for (std::int64_t ob = 0; ob < oblocks; ++ob) {
-            const std::int64_t orr = wp.block_rows(ob);
-            const std::int64_t obase = ob * to;
-            accumulate_panel_block(a, lut_u8, rb, ob, runs, acc);
-            for (std::int64_t oo = 0; oo < orr; ++oo) {
-                const std::int64_t pad =
-                    pad_outside(a.w, geom.kernel, obase + oo, box);
-                if (pad == 0) continue;
-                for (std::int64_t pp = 0; pp < pr; ++pp) acc[oo * tp + pp] += pad;
-            }
-            for (std::int64_t pp = 0; pp < pr; ++pp) {
-                // Panel row (oy * OW + ox) * N + n is im2col row
-                // n * OH * OW + oy * OW + ox.
-                const std::int64_t r = pbase + pp;
-                const std::int64_t row =
-                    (r % geom.batch) * spatial + r / geom.batch;
-                const std::int64_t sx = a.x.sum_x[r];
+    runtime::parallel_for_chunks(0, nblocks, grain,
+                                 [&](std::int64_t rb0, std::int64_t rb1,
+                                     std::size_t chunk) {
+        std::int64_t* acc = tiles + static_cast<std::int64_t>(chunk) * tp * to;
+        std::int64_t skipped = 0;
+        for (std::int64_t rb = rb0; rb < rb1; ++rb) {
+            const std::int64_t pr = xp.block_rows(rb);
+            const std::int64_t pbase = rb * tp;
+            const TapBox box = TapBox::of_rows(geom, pbase, pbase + pr);
+            const DepthRuns runs = box.runs(geom);
+            skipped += (a.k - runs.depth()) * pr * a.o;
+            for (std::int64_t ob = 0; ob < oblocks; ++ob) {
+                const std::int64_t orr = wp.block_rows(ob);
+                const std::int64_t obase = ob * to;
+                accumulate_panel_block(a, lut_u8, rb, ob, runs, acc);
                 for (std::int64_t oo = 0; oo < orr; ++oo) {
-                    const std::int32_t zw = a.row_zero_w(obase + oo);
-                    const std::int64_t corrected =
-                        acc[oo * tp + pp] -
-                        static_cast<std::int64_t>(a.zero_x) * a.w.sum_w[obase + oo] -
-                        static_cast<std::int64_t>(zw) * sx +
-                        a.k * static_cast<std::int64_t>(zw) * a.zero_x;
-                    epi(row, obase + oo, corrected);
+                    const std::int64_t pad =
+                        pad_outside(a.w, geom.kernel, obase + oo, box);
+                    if (pad == 0) continue;
+                    for (std::int64_t pp = 0; pp < pr; ++pp) acc[oo * tp + pp] += pad;
+                }
+                for (std::int64_t pp = 0; pp < pr; ++pp) {
+                    // Panel row (oy * OW + ox) * N + n is im2col row
+                    // n * OH * OW + oy * OW + ox.
+                    const std::int64_t r = pbase + pp;
+                    const std::int64_t row =
+                        (r % geom.batch) * spatial + r / geom.batch;
+                    const std::int64_t sx = a.x.sum_x[r];
+                    for (std::int64_t oo = 0; oo < orr; ++oo) {
+                        const std::int32_t zw = a.row_zero_w(obase + oo);
+                        const std::int64_t corrected =
+                            acc[oo * tp + pp] -
+                            static_cast<std::int64_t>(a.zero_x) * a.w.sum_w[obase + oo] -
+                            static_cast<std::int64_t>(zw) * sx +
+                            a.k * static_cast<std::int64_t>(zw) * a.zero_x;
+                        epi(row, obase + oo, corrected);
+                    }
                 }
             }
         }
-    }
-    count_pad_skipped(skipped);
+        count_pad_skipped(skipped);
+    });
 }
 
 /// Forward into a (P, O) float matrix: y[p, o] = s_w*s_x*(sum_k LUT[w,x]
 /// - Z_x*sumW[o] - Z_w*sumX[p] + K*Z_w*Z_x) + bias[o], \p bias may be null.
-/// Parallel over position row-blocks; scratch comes from \p ws.
+/// lut_gemm_blocked with that epilogue; scratch comes from \p ws.
 void lut_forward_blocked(const BlockedGemmArgs& args, const float* bias,
                          float* y, Workspace& ws);
 

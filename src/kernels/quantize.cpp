@@ -64,27 +64,4 @@ QuantView quantize_weights_per_channel(const float* w, std::int64_t o,
     return view;
 }
 
-QuantPanels quantize_panels(const float* src, const quant::QuantParams& params,
-                            const PanelPlan& plan, Workspace& ws) {
-    QuantPanels out;
-    out.params = params;
-    out.codes = ws.alloc<std::uint16_t>(plan.rows * plan.depth);
-    out.in_range = ws.alloc<std::uint8_t>(plan.rows * plan.depth);
-    out.panels =
-        quantize_into_panels(src, params, plan, out.in_range, out.codes, ws);
-    return out;
-}
-
-QuantPanels quantize_conv_panels(const float* x, const tensor::ConvGeom& geom,
-                                 const quant::QuantParams& params,
-                                 const PanelPlan& plan, Workspace& ws) {
-    QuantPanels out;
-    out.params = params;
-    out.codes = ws.alloc<std::uint16_t>(plan.rows * plan.depth);
-    out.in_range = ws.alloc<std::uint8_t>(plan.rows * plan.depth);
-    out.panels = quantize_im2col_panels(x, geom, params, plan, out.in_range,
-                                        out.codes, ws);
-    return out;
-}
-
 } // namespace amret::kernels

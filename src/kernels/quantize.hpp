@@ -1,8 +1,7 @@
 /// \file quantize.hpp
 /// \brief Quantization kernels writing into a Workspace.
 ///
-/// Thin parallel wrappers over quant::QuantParams (Eq. 7) that replace the
-/// per-call std::vector scratch of quant::quantize_tensor in the layer hot
+/// Thin parallel wrappers over quant::QuantParams (Eq. 7) for the layer hot
 /// paths: codes and clamp masks are bump-allocated from the layer's
 /// Workspace and stay valid from forward through the matching backward
 /// (see workspace.hpp lifetime rules).
@@ -49,22 +48,20 @@ QuantView quantize_weights_per_channel(const float* w, std::int64_t o,
 /// bitwise-identical to quantize_into over the same values.
 struct QuantPanels {
     ActPanels panels;
-    std::uint16_t* codes = nullptr;   ///< row-major copy of the panel codes
-    std::uint8_t* in_range = nullptr; ///< 1 where the STE gradient passes
-    quant::QuantParams params;
+    QuantView rows; ///< row-major copy of the panel codes, and the mask
 };
 
-/// Fused quantize + pack of a row-major float matrix (the ApproxLinear
-/// activation path).
-QuantPanels quantize_panels(const float* src, const quant::QuantParams& params,
-                            const PanelPlan& plan, Workspace& ws);
-
-/// Fused im2col + quantize + pack of an NCHW float feature map (the
-/// ApproxConv2d activation path): no intermediate (positions x patch)
-/// column buffer is materialized. The row-major codes and masks keep the
-/// im2col rows and take the panels' tap-major depth (layout.hpp).
+/// Fused im2col + quantize + pack of an NCHW float feature map, the
+/// training layers' one activation packer (ApproxLinear's matrix is the 1x1
+/// conv of kernels::matrix_geom): no (positions x patch) column buffer is
+/// materialized. The row-major codes and masks keep the im2col rows and
+/// take the panels' tap-major depth (layout.hpp); out-of-image taps take
+/// the code and mask of 0.0f. Defined beside pack_im2col_panels_u8, whose
+/// gather body it shares on chunks of \p grain position blocks
+/// (forward_grain); only the source of a code differs.
 QuantPanels quantize_conv_panels(const float* x, const tensor::ConvGeom& geom,
                                  const quant::QuantParams& params,
-                                 const PanelPlan& plan, Workspace& ws);
+                                 const PanelPlan& plan, std::int64_t grain,
+                                 Workspace& ws);
 
 } // namespace amret::kernels

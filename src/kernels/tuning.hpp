@@ -21,9 +21,6 @@ namespace amret::kernels::tune {
 /// Per-channel / per-filter loops (one channel is already a big work item).
 inline constexpr std::int64_t kGrainChannel = 1;
 
-/// Position-row loops of a LUT GEMM (forward rows, gx rows).
-inline constexpr std::int64_t kGrainGemmRows = 4;
-
 /// Row-sum / LUT-table-row scans.
 inline constexpr std::int64_t kGrainSumRows = 8;
 
@@ -71,7 +68,8 @@ namespace amret::kernels {
 /// tune::kMinChunkWork; at most runtime::kMaxChunks chunks; a multiple of
 /// \p align. Work below tune::kMinChunkWork gives one chunk. A pure
 /// function of the shape, as the runtime's determinism contract asks; the
-/// float GEMM and the engine's LUT-GEMM size their chunks with it.
+/// float GEMM and every LUT-GEMM loop (the blocked forward and its packer,
+/// grad-X, grad-W) size their chunks with it.
 std::int64_t chunk_grain(std::int64_t count, std::int64_t item_work,
                          std::int64_t align = 1);
 

@@ -5,9 +5,13 @@
 #include "gemm_oracle.hpp"
 #include "lut_oracle.hpp"
 
+#include "accel/energy_model.hpp"
 #include "approx/approx_conv.hpp"
+#include "approx/assignment.hpp"
+#include "approx/depthwise.hpp"
 #include "kernels/im2col.hpp"
 #include "kernels/lut_kernels.hpp"
+#include "kernels/simd/simd.hpp"
 #include "kernels/tuning.hpp"
 #include "appmult/registry.hpp"
 #include "models/models.hpp"
@@ -446,6 +450,144 @@ TEST(ApproxLayers, DirtyArenaGivesTheSameBitsAsAFreshContext) {
     nn::Context fresh;
     EXPECT_TRUE(same_bits(conv_dirty, run_pass(conv, xc, gyc, fresh)));
     EXPECT_TRUE(same_bits(lin_dirty, run_pass(lin, xl, gyl, fresh)));
+}
+
+::testing::AssertionResult same_bits(const Tensor& a, const Tensor& b) {
+    if (a.numel() != b.numel() ||
+        std::memcmp(a.data(), b.data(),
+                    static_cast<std::size_t>(a.numel()) * sizeof(float)) != 0)
+        return ::testing::AssertionFailure() << "bits differ";
+    return ::testing::AssertionSuccess();
+}
+
+TEST(ApproxLayers, LinearIsTheOneByOneConvOfItsMatrix) {
+    // ApproxLinear(in, out) on (N, in) is ApproxConv2d(in, out, 1, 1, 0) on
+    // the (N, in, 1, 1) view: with the same weights, multiplier and observer
+    // range, y, gx, gw and gb match bit for bit over two steps, at every
+    // dispatch level. Batch 5 is one narrow block, 19 a 16-row block and a
+    // tail, and 32 on the 4-bit exact multiplier takes the nibble leaf.
+    using kernels::simd::Isa;
+    const std::pair<MultiplierConfig, std::int64_t> cases[] = {
+        {approx_config("mul8u_rm8", core::GradientMode::kDifference, 8), 5},
+        {approx_config("mul8u_rm8", core::GradientMode::kDifference, 8), 19},
+        {MultiplierConfig::exact_ste(4), 32},
+    };
+    for (const Isa isa : {Isa::kScalar, Isa::kSsse3, Isa::kAvx2, Isa::kAvx512}) {
+        if (!kernels::simd::supported(isa)) continue;
+        SCOPED_TRACE(kernels::simd::isa_name(isa));
+        kernels::simd::set_isa_for_test(isa);
+        for (const auto& [config, batch] : cases) {
+            SCOPED_TRACE(batch);
+            util::Rng rng(43);
+            ApproxLinear lin(37, 21, rng);
+            ApproxConv2d conv(37, 21, 1, 1, 0, rng);
+            std::copy_n(lin.weight.value.data(), lin.weight.value.numel(),
+                        conv.weight.value.data());
+            lin.bias.value.fill(0.25f);
+            conv.bias.value.fill(0.25f);
+            lin.set_multiplier(config);
+            conv.set_multiplier(config);
+            lin.set_mode(ComputeMode::kQuantized);
+            conv.set_mode(ComputeMode::kQuantized);
+            nn::Context lctx, cctx;
+            for (int step = 0; step < 2; ++step) {
+                const Tensor x = Tensor::randn(Shape{batch, 37}, rng, 2.0f);
+                Tensor gy = Tensor::randn(Shape{batch, 21}, rng);
+                for (std::int64_t i = 0; i < gy.numel(); i += 3) gy[i] = 0.0f;
+                const Tensor y_lin = lin.forward(x, lctx);
+                const Tensor y_conv =
+                    conv.forward(x.reshaped(Shape{batch, 37, 1, 1}), cctx);
+                const Tensor gx_lin = lin.backward(gy, lctx);
+                const Tensor gx_conv =
+                    conv.backward(gy.reshaped(Shape{batch, 21, 1, 1}), cctx);
+                EXPECT_TRUE(same_bits(y_lin, y_conv)) << "y, step " << step;
+                EXPECT_TRUE(same_bits(gx_lin, gx_conv)) << "gx, step " << step;
+                EXPECT_TRUE(same_bits(lin.weight.grad, conv.weight.grad))
+                    << "gw, step " << step;
+                EXPECT_TRUE(same_bits(lin.bias.grad, conv.bias.grad))
+                    << "gb, step " << step;
+            }
+        }
+        kernels::simd::clear_isa_override();
+    }
+}
+
+TEST(ConfigureHelpers, ReachEveryApproxLayerKind) {
+    // One model holding each approximate layer kind: every helper must
+    // reach all three, and each layer's observer must round-trip through
+    // its checkpoint state.
+    util::Rng rng(44);
+    nn::Sequential model;
+    auto* conv = model.emplace<ApproxConv2d>(3, 4, 3, 1, 1, rng);
+    auto* dw = model.emplace<approx::DepthwiseConv2d>(4, 3, 1, 1, rng);
+    model.emplace<nn::Flatten>();
+    auto* lin = model.emplace<ApproxLinear>(4 * 6 * 6, 5, rng);
+    const std::vector<approx::ApproxLayer*> layers = {conv, dw, lin};
+
+    EXPECT_EQ(approx::count_approx_layers(model), 3u);
+
+    approx::configure_approx_layers(model, MultiplierConfig::exact_ste(7),
+                                    ComputeMode::kQuantized);
+    for (const approx::ApproxLayer* layer : layers) {
+        EXPECT_TRUE(layer->multiplier().valid()) << layer->name();
+        EXPECT_EQ(layer->multiplier().bits(), 7u) << layer->name();
+        EXPECT_EQ(layer->mode(), ComputeMode::kQuantized) << layer->name();
+    }
+
+    const auto grad = std::make_shared<core::GradLut>(core::build_ste_grad(7));
+    const auto lut = conv->multiplier().lut;
+    approx::set_gradient_luts(model, grad);
+    for (const approx::ApproxLayer* layer : layers) {
+        EXPECT_EQ(layer->multiplier().grad, grad) << layer->name();
+        EXPECT_EQ(layer->multiplier().lut, lut) << layer->name();
+    }
+
+    approx::MultiplierAssignment assignment(approx::LayerChoice{"mul8u_rm8"});
+    assignment.set_layer(1, approx::LayerChoice{"mul8u_acc"});
+    assignment.set_layer(2, approx::LayerChoice{"mul8u_2NDH"});
+    EXPECT_EQ(approx::apply_assignment(model, assignment, ComputeMode::kFloat), 3u);
+    const char* names[] = {"mul8u_rm8", "mul8u_acc", "mul8u_2NDH"};
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+        EXPECT_EQ(layers[i]->multiplier().name, names[i]) << layers[i]->name();
+        EXPECT_EQ(layers[i]->mode(), ComputeMode::kFloat) << layers[i]->name();
+    }
+
+    // One input position per output location: 36 convs of 27 taps into 4
+    // channels, 36 x 9 taps per channel, and one 144-wide row into 5.
+    const accel::NetworkWorkload work = accel::analyze_workload(model, 3, 6);
+    ASSERT_EQ(work.layers.size(), 3u);
+    EXPECT_EQ(work.layers[0].name, "ApproxConv2d");
+    EXPECT_EQ(work.layers[0].macs, 36 * 27 * 4);
+    EXPECT_EQ(work.layers[1].name, "DepthwiseConv2d");
+    EXPECT_EQ(work.layers[1].macs, 36 * 9 * 4);
+    EXPECT_EQ(work.layers[2].name, "ApproxLinear");
+    EXPECT_EQ(work.layers[2].macs, 144 * 5);
+    EXPECT_EQ(work.total_macs, 36 * 27 * 4 + 36 * 9 * 4 + 144 * 5);
+    for (const approx::ApproxLayer* layer : layers)
+        EXPECT_EQ(layer->mode(), ComputeMode::kFloat) << layer->name();
+
+    // A quantized training step moves every observer; each layer's state
+    // must load into a fresh layer of its kind and save back unchanged.
+    approx::configure_approx_layers(model, MultiplierConfig::exact_ste(8),
+                                    ComputeMode::kQuantized);
+    nn::Context ctx;
+    model.forward(Tensor::randn(Shape{2, 3, 6, 6}, rng, 2.0f), ctx);
+    ApproxConv2d conv2(3, 4, 3, 1, 1, rng);
+    approx::DepthwiseConv2d dw2(4, 3, 1, 1, rng);
+    ApproxLinear lin2(4 * 6 * 6, 5, rng);
+    const std::vector<approx::ApproxLayer*> fresh = {&conv2, &dw2, &lin2};
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+        std::vector<float> saved;
+        layers[i]->save_extra_state(saved);
+        ASSERT_EQ(saved.size(), 3u) << layers[i]->name();
+        EXPECT_EQ(saved[2], 1.0f) << layers[i]->name();
+        const float* cursor = saved.data();
+        fresh[i]->load_extra_state(cursor);
+        EXPECT_EQ(cursor, saved.data() + saved.size()) << layers[i]->name();
+        std::vector<float> again;
+        fresh[i]->save_extra_state(again);
+        EXPECT_EQ(again, saved) << layers[i]->name();
+    }
 }
 
 TEST(ConfigureHelpers, ReachEveryApproxLayerInAModel) {

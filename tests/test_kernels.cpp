@@ -322,6 +322,12 @@ const std::map<std::string, std::uint64_t> kGolden = {
     {"conv_c20.gw", 0x6c62a49086eb9310ull},    {"conv_c20.gb", 0xa7e7b9a2209c5bf4ull},
     {"conv_c20_1x1.y", 0x722818be7c8a9892ull}, {"conv_c20_1x1.gx", 0x00992ae80a76b7beull},
     {"conv_c20_1x1.gw", 0x3bc5271890b8223aull}, {"conv_c20_1x1.gb", 0x56bd14e3ada61eefull},
+    // Quantized linears with a 16-row block and a 3-row tail, and on the
+    // nibble leaf, captured while ApproxLinear ran its own quantized step.
+    {"qlinear.y", 0xed3f7b3c2beac58full},      {"qlinear.gx", 0x691ae4fa132aa71bull},
+    {"qlinear.gw", 0x38680db2fed1478aull},     {"qlinear.gb", 0x61e4533d478ccac4ull},
+    {"qlinear_nib.y", 0xcca918835c583c97ull},  {"qlinear_nib.gx", 0xf197755ad89e308full},
+    {"qlinear_nib.gw", 0x83be8f9cd466b4e9ull}, {"qlinear_nib.gb", 0x844475bea469fafaull},
 };
 
 void expect_golden(const std::string& key, std::uint64_t h) {
@@ -578,6 +584,30 @@ TEST(Golden, QuantizedConvDeepChannelsOneByOnePerChannel) {
                      quant_conv(20, 12, 3, 1, 1, 817, golden_config("mul8u_rm8"),
                                 /*per_channel=*/true),
                      Shape{5, 20, 1, 1}, 928);
+}
+
+/// A quantized ApproxLinear(37, 21) on \p config, for golden_two_steps.
+auto quant_linear(approx::MultiplierConfig config) {
+    return [config] {
+        util::Rng wrng(937);
+        auto linear = std::make_unique<approx::ApproxLinear>(37, 21, wrng);
+        linear->set_multiplier(config);
+        linear->set_mode(approx::ComputeMode::kQuantized);
+        return linear;
+    };
+}
+
+TEST(Golden, QuantizedLinearBlockAndTail) {
+    // Batch 19: one full 16-row position block and a 3-row tail.
+    golden_two_steps("qlinear", quant_linear(golden_config("mul8u_rm8")),
+                     Shape{19, 37}, 938);
+}
+
+TEST(Golden, QuantizedLinearNibble) {
+    // 4-bit exact products fit a byte: the nibble (pshufb) leaf runs.
+    golden_two_steps("qlinear_nib",
+                     quant_linear(approx::MultiplierConfig::exact_ste(4)),
+                     Shape{32, 37}, 948);
 }
 
 TEST(Golden, FloatLinear) {

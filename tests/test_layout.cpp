@@ -387,45 +387,47 @@ TEST(FusedIm2col, QuantizePanelsMatchUnfusedFloatPath) {
         Workspace ws;
         std::vector<float> cols(static_cast<std::size_t>(positions * patch));
         kernels::im2col(x.data(), geom, cols.data());
-        std::vector<std::uint8_t> mask_want(cols.size(), 2);
-        std::vector<std::uint16_t> rows_want(cols.size(), 2);
-        kernels::quantize_into_panels(cols.data(), params, plan,
-                                      mask_want.data(), rows_want.data(), ws);
+        const kernels::QuantView want_rows = kernels::quantize_into(
+            cols.data(), positions * patch, params, ws);
         std::vector<std::uint16_t> qcols(cols.size());
         for (std::size_t i = 0; i < cols.size(); ++i)
             qcols[i] = static_cast<std::uint16_t>(params.quantize(cols[i]));
         const PanelImage want = conv_panel_image(qcols, geom, plan);
 
-        std::vector<std::uint8_t> mask_got(cols.size(), 3);
-        std::vector<std::uint16_t> rows_got(cols.size(), 3);
-        const ActPanels got = kernels::quantize_im2col_panels(
-            x.data(), geom, params, plan, mask_got.data(), rows_got.data(), ws);
+        // Any chunking gives the same panels, codes and masks: one block per
+        // chunk, two, and one chunk for all blocks.
+        for (const std::int64_t grain : {std::int64_t{1}, std::int64_t{2},
+                                         plan.row_blocks()}) {
+            const kernels::QuantPanels got =
+                kernels::quantize_conv_panels(x.data(), geom, params, plan, grain, ws);
 
-        EXPECT_EQ(std::memcmp(got.codes, want.codes.data(),
-                              static_cast<std::size_t>(plan.elems()) *
-                                  sizeof(std::uint16_t)),
-                  0);
-        EXPECT_EQ(std::memcmp(got.sum_x, want.sums.data(),
-                              static_cast<std::size_t>(plan.rows) *
-                                  sizeof(std::int64_t)),
-                  0);
-        // And the codes really are the quantized column matrix: in panel
-        // order in the panels, in im2col order in the reference copy, and in
-        // the packer's row-major copy and mask with the rows kept and the
-        // depth tap-major: element d = (ky * K + kx) * C + c of a row is
-        // im2col column c * K * K + ky * K + kx.
-        std::vector<std::uint16_t> back(cols.size());
-        kernels::unpack_activation_panels(got, back.data());
-        const std::int64_t taps = geom.kernel * geom.kernel;
-        for (std::size_t i = 0; i < cols.size(); ++i) {
-            ASSERT_EQ(back[i], qcols[want.src[i]]);
-            ASSERT_EQ(rows_want[i], qcols[i]);
-            const std::int64_t p = static_cast<std::int64_t>(i) / patch;
-            const std::int64_t d = static_cast<std::int64_t>(i) % patch;
-            const std::size_t col = static_cast<std::size_t>(
-                p * patch + (d % geom.in_ch) * taps + d / geom.in_ch);
-            ASSERT_EQ(rows_got[i], qcols[col]) << "row " << p << " depth " << d;
-            ASSERT_EQ(mask_got[i], mask_want[col]) << "row " << p << " depth " << d;
+            EXPECT_EQ(std::memcmp(got.panels.codes, want.codes.data(),
+                                  static_cast<std::size_t>(plan.elems()) *
+                                      sizeof(std::uint16_t)),
+                      0);
+            EXPECT_EQ(std::memcmp(got.panels.sum_x, want.sums.data(),
+                                  static_cast<std::size_t>(plan.rows) *
+                                      sizeof(std::int64_t)),
+                      0);
+            // And the codes really are the quantized column matrix: in panel
+            // order in the panels, in im2col order in the reference copy, and
+            // in the packer's row-major copy and mask with the rows kept and
+            // the depth tap-major: element d = (ky * K + kx) * C + c of a row
+            // is im2col column c * K * K + ky * K + kx.
+            std::vector<std::uint16_t> back(cols.size());
+            kernels::unpack_activation_panels(got.panels, back.data());
+            const std::int64_t taps = geom.kernel * geom.kernel;
+            for (std::size_t i = 0; i < cols.size(); ++i) {
+                ASSERT_EQ(back[i], qcols[want.src[i]]);
+                ASSERT_EQ(want_rows.codes[i], qcols[i]);
+                const std::int64_t p = static_cast<std::int64_t>(i) / patch;
+                const std::int64_t d = static_cast<std::int64_t>(i) % patch;
+                const std::size_t col = static_cast<std::size_t>(
+                    p * patch + (d % geom.in_ch) * taps + d / geom.in_ch);
+                ASSERT_EQ(got.rows.codes[i], qcols[col]) << "row " << p << " depth " << d;
+                ASSERT_EQ(got.rows.in_range[i], want_rows.in_range[col])
+                    << "row " << p << " depth " << d;
+            }
         }
     }
 }

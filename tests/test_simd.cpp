@@ -526,6 +526,57 @@ TEST(SimdKernels, GradXPadSkippedCountsOutOfImageTaps) {
     }
 }
 
+TEST(SimdKernels, GemmLoopsSizeChunksWithChunkGrain) {
+#if defined(AMRET_OBS_DISABLED)
+    GTEST_SKIP() << "obs instrumentation compiled out";
+#endif
+    // The forward, grad-X and grad-W loops each size their chunks with
+    // chunk_grain over their items: position blocks of tp * O * K lookups,
+    // gx rows of O * K and gw rows of P * K. A GEMM under
+    // tune::kMinChunkWork lookups runs each loop as one chunk.
+    namespace tune = kernels::tune;
+    obs::Counter& chunks = obs::counter("runtime.parallel_for.chunks");
+    util::Rng rng(109);
+    struct Shape3 {
+        std::int64_t o, p, k;
+    };
+    for (const Shape3 sh : {Shape3{8, 20, 30}, Shape3{32, 256, 144}}) {
+        const bool small = sh.o * sh.p * sh.k < tune::kMinChunkWork;
+        SimdRandom g(8, sh.o, sh.p, sh.k, false, rng);
+        Workspace ws;
+        const BlockedGemmArgs b = lut_oracle::pack_blocked(
+            g.args, tune::kTileP, tune::kTileO, tune::kTileK, ws);
+        std::vector<float> y(static_cast<std::size_t>(sh.p * sh.o));
+        const std::int64_t nblocks = b.x.plan.row_blocks();
+        const std::int64_t fwd_want = runtime::chunk_count(
+            0, nblocks, kernels::chunk_grain(nblocks, b.x.plan.tr * sh.o * sh.k));
+        std::int64_t before = chunks.value();
+        kernels::lut_forward_blocked(b, nullptr, y.data(), ws);
+        EXPECT_EQ(chunks.value() - before, small ? 1 : fwd_want)
+            << "forward, O=" << sh.o << " P=" << sh.p << " K=" << sh.k;
+        if (!small) {
+            EXPECT_GT(fwd_want, 1);
+        }
+
+        const std::int64_t gx_want = runtime::chunk_count(
+            0, sh.p, kernels::chunk_grain(sh.p, sh.o * sh.k));
+        const std::int64_t gw_want = runtime::chunk_count(
+            0, sh.o, kernels::chunk_grain(sh.o, sh.p * sh.k));
+        std::vector<float> gw(static_cast<std::size_t>(sh.o * sh.k), 0.0f);
+        std::vector<float> gx(static_cast<std::size_t>(sh.p * sh.k), 0.0f);
+        before = chunks.value();
+        kernels::lut_backward_rows(g.args, g.gyp.data(), g.grad.dw_table().data(),
+                                   g.grad.dx_t_table().data(), gw.data(),
+                                   gx.data(), ws);
+        EXPECT_EQ(chunks.value() - before, small ? 2 : gx_want + gw_want)
+            << "backward, O=" << sh.o << " P=" << sh.p << " K=" << sh.k;
+        if (!small) {
+            EXPECT_GT(gx_want, 1);
+            EXPECT_GT(gw_want, 1);
+        }
+    }
+}
+
 // --------------------------------------------- layer / engine level -------
 
 TEST(SimdEngine, VggBatchOneRowsMatchBatchRowsAtEveryIsa) {

@@ -267,6 +267,26 @@ void dump_deep_convs() {
     }
 }
 
+/// Quantized ApproxLinear(37, 21) layers: on mul8u_rm8 at batch 19 (one
+/// full 16-row position block and a 3-row tail), and on the 4-bit exact
+/// multiplier at batch 32, whose 16-row blocks take the nibble (pshufb) leaf.
+void dump_quant_linears() {
+    {
+        util::Rng wrng(937);
+        approx::ApproxLinear linear(37, 21, wrng);
+        linear.set_multiplier(make_config("mul8u_rm8"));
+        linear.set_mode(approx::ComputeMode::kQuantized);
+        dump_two_steps("qlinear", linear, tensor::Shape{19, 37}, 938);
+    }
+    {
+        util::Rng wrng(937);
+        approx::ApproxLinear linear(37, 21, wrng);
+        linear.set_multiplier(approx::MultiplierConfig::exact_ste(4));
+        linear.set_mode(approx::ComputeMode::kQuantized);
+        dump_two_steps("qlinear_nib", linear, tensor::Shape{32, 37}, 948);
+    }
+}
+
 void dump_engine() {
     data::SyntheticConfig dc;
     dc.num_classes = 4;
@@ -413,6 +433,7 @@ int main() {
     dump_padded_convs();
     dump_stride2_convs();
     dump_deep_convs();
+    dump_quant_linears();
     dump_engine();
     dump_engine_head();
     dump_engine_vgg();
