@@ -48,8 +48,8 @@ void fill_codes(std::vector<std::uint16_t>& v, const appmult::AppMultLut& lut,
 
 /// The codes of \p a packed with the compiled tiles, as the layers pack
 /// them.
-kernels::BlockedGemmArgs pack_compiled(const kernels::LutGemmArgs& a,
-                                       kernels::Workspace& ws) {
+kernels::LutGemmArgs pack_compiled(const kernels::LutGemmArgs& a,
+                                   kernels::Workspace& ws) {
     return lut_oracle::pack_blocked(a, tune::kTileP, tune::kTileO, tune::kTileK, ws);
 }
 
@@ -69,11 +69,10 @@ void BM_LutForwardGemm(benchmark::State& state) {
     args.wq = wq.data();
     args.xq = xq.data();
     args.o = o;
-    args.p = p;
-    args.k = k;
+    args.geom = kernels::matrix_geom(p, k);
     std::vector<float> y(static_cast<std::size_t>(p * o));
     kernels::Workspace pack_ws, ws;
-    const kernels::BlockedGemmArgs b = pack_compiled(args, pack_ws);
+    const kernels::LutGemmArgs b = pack_compiled(args, pack_ws);
     for (auto _ : state) {
         ws.reset();
         kernels::lut_forward_blocked(b, nullptr, y.data(), ws);
@@ -102,8 +101,6 @@ void BM_LutBackwardGemm(benchmark::State& state) {
     args.wq = wq.data();
     args.xq = xq.data();
     args.o = o;
-    args.p = p;
-    args.k = k;
     args.geom = kernels::matrix_geom(p, k);
     std::vector<float> gw(static_cast<std::size_t>(o * k));
     std::vector<float> gx(static_cast<std::size_t>(p * k));
@@ -200,11 +197,10 @@ void BM_LutForwardGemmThreads(benchmark::State& state) {
     args.wq = wq.data();
     args.xq = xq.data();
     args.o = o;
-    args.p = p;
-    args.k = k;
+    args.geom = kernels::matrix_geom(p, k);
     std::vector<float> y(static_cast<std::size_t>(p * o));
     kernels::Workspace pack_ws, ws;
-    const kernels::BlockedGemmArgs b = pack_compiled(args, pack_ws);
+    const kernels::LutGemmArgs b = pack_compiled(args, pack_ws);
     for (auto _ : state) {
         ws.reset();
         kernels::lut_forward_blocked(b, nullptr, y.data(), ws);
@@ -263,8 +259,7 @@ struct BenchGemm {
         args.wq = wq.data();
         args.xq = xq.data();
         args.o = o;
-        args.p = p;
-        args.k = k;
+        args.geom = kernels::matrix_geom(p, k);
         args.scale_w = 0.01f;
         args.scale_x = 0.02f;
         args.zero_w = 120;
@@ -333,8 +328,6 @@ std::string backward_padded_json(int iters, bool* all_eq) {
         args.wq = wq.data();
         args.xq = xq.data();
         args.o = ch;
-        args.p = p;
-        args.k = k;
         args.geom = geom;
         args.scale_w = 0.01f;
         args.zero_w = 120;
@@ -413,8 +406,6 @@ std::string backward_leg_json(int iters, bool* all_eq) {
     args.wq = wq.data();
     args.xq = xq.data();
     args.o = o;
-    args.p = p;
-    args.k = k;
     args.geom = kernels::matrix_geom(p, k);
     args.scale_w = 0.01f;
     args.zero_w = 120;
@@ -479,7 +470,7 @@ std::string narrow_leg_json(int iters, bool* all_eq) {
     for (const std::int64_t p : {std::int64_t{1}, std::int64_t{4}}) {
         BenchGemm g(o, p, k);
         kernels::Workspace pack_ws, ws;
-        const kernels::BlockedGemmArgs b = pack_compiled(g.args, pack_ws);
+        const kernels::LutGemmArgs b = pack_compiled(g.args, pack_ws);
         std::vector<float> y_ref(g.y.size()), y(g.y.size());
         lut_oracle::naive_forward(g.args, nullptr, y_ref.data());
         std::snprintf(buf, sizeof(buf), ",\n    \"p%lld\": {", static_cast<long long>(p));
@@ -536,7 +527,7 @@ std::string padded_leg_json(int iters, bool* all_eq) {
         kernels::im2col_u8(x.data(), geom, zp, cols.data());
         kernels::LutGemmArgs oracle = g.args;
         oracle.xq = cols.data();
-        oracle.p = p;
+        oracle.geom = kernels::matrix_geom(p, k);
         std::vector<float> y_ref(static_cast<std::size_t>(p * ch)), y(y_ref.size());
         lut_oracle::naive_forward(oracle, nullptr, y_ref.data());
 
@@ -544,20 +535,12 @@ std::string padded_leg_json(int iters, bool* all_eq) {
         const kernels::PanelPlan xplan =
             kernels::make_conv_act_plan(p, k, tune::kTileP, tune::kTileK);
         kernels::Workspace weight_ws;
-        kernels::BlockedGemmArgs b;
-        b.bits = g.args.bits;
-        b.lut = g.args.lut;
+        kernels::LutGemmArgs b = g.args;
+        b.geom = geom;
         b.w = kernels::pack_conv_weight_panels(
             g.wq.data(), b.bits,
-            kernels::make_panel_plan(ch, k, tune::kTileO, tune::kTileK),
-            kernel * kernel, b.lut, zp, weight_ws);
-        b.o = ch;
-        b.p = p;
-        b.k = k;
-        b.scale_w = g.args.scale_w;
-        b.scale_x = g.args.scale_x;
-        b.zero_w = g.args.zero_w;
-        b.zero_x = g.args.zero_x;
+            kernels::make_panel_plan(ch, k, tune::kTileO, tune::kTileK), geom, b.lut,
+            zp, weight_ws);
         std::snprintf(buf, sizeof(buf), ",\n    \"hw%lld\": {",
                       static_cast<long long>(hw));
         j += buf;
@@ -601,7 +584,7 @@ int run_kernels_json() {
     std::vector<float> y_oracle(g.y.size()), y_blocked(g.y.size());
     lut_oracle::naive_forward(g.args, nullptr, y_oracle.data());
     kernels::Workspace ws, pack_ws;
-    const kernels::BlockedGemmArgs bargs = pack_compiled(g.args, pack_ws);
+    const kernels::LutGemmArgs bargs = pack_compiled(g.args, pack_ws);
     // The "blocked" leg is pinned to scalar dispatch, so it is the scalar
     // block loop: the baseline the SIMD legs below are measured against.
     kernels::simd::set_isa_for_test(kernels::simd::Isa::kScalar);
@@ -625,7 +608,7 @@ int run_kernels_json() {
     double best_overall_speedup = 0.0;
     std::string best_overall = "none";
     std::vector<float> y_leg(g.y.size());
-    auto time_leg = [&](const kernels::BlockedGemmArgs& la, kernels::simd::Isa isa) {
+    auto time_leg = [&](const kernels::LutGemmArgs& la, kernels::simd::Isa isa) {
         kernels::simd::set_isa_for_test(isa);
         const double ms = time_ms_best(iters, [&] {
             ws.reset();
@@ -635,7 +618,7 @@ int run_kernels_json() {
         return ms;
     };
     // Emits the per-leg JSON object.
-    auto leg_json = [&](const char* leg, const kernels::BlockedGemmArgs& la,
+    auto leg_json = [&](const char* leg, const kernels::LutGemmArgs& la,
                         const float* oracle) {
         const std::size_t bytes = g.y.size() * sizeof(float);
         const double scalar_ms = time_leg(la, kernels::simd::Isa::kScalar);
@@ -693,7 +676,7 @@ int run_kernels_json() {
     args4.xq = xq4.data();
     args4.zero_w = 7;
     args4.zero_x = 9;
-    kernels::BlockedGemmArgs bargs4 =
+    kernels::LutGemmArgs bargs4 =
         lut_oracle::pack_blocked(args4, 16, tune::kTileO, tune::kTileK, pack_ws);
     kernels::attach_packed4(bargs4.x, 4, pack_ws, 1);
     std::vector<float> y_oracle4(g.y.size());
@@ -749,8 +732,8 @@ int run_kernels_json() {
         "%s,\n"
         "%s\n"
         "}\n",
-        static_cast<long long>(g.args.o), static_cast<long long>(g.args.p),
-        static_cast<long long>(g.args.k), g.args.bits,
+        static_cast<long long>(g.args.o), static_cast<long long>(g.args.p()),
+        static_cast<long long>(g.args.k()), g.args.bits,
         static_cast<long long>(tune::kTileP), static_cast<long long>(tune::kTileO),
         static_cast<long long>(tune::kTileK), blocked_ms,
         blocked_eq ? "true" : "false", simd_json.c_str(), backward_json.c_str(),
@@ -759,8 +742,8 @@ int run_kernels_json() {
 
     std::printf("lut_gemm forward (o=%lld p=%lld k=%lld): blocked %.3f ms, "
                 "bitwise_equal=%d\n",
-                static_cast<long long>(g.args.o), static_cast<long long>(g.args.p),
-                static_cast<long long>(g.args.k), blocked_ms, blocked_eq ? 1 : 0);
+                static_cast<long long>(g.args.o), static_cast<long long>(g.args.p()),
+                static_cast<long long>(g.args.k()), blocked_ms, blocked_eq ? 1 : 0);
     std::printf("simd best: %s at %.2fx vs scalar-dispatch blocked\n",
                 best_overall.c_str(), best_overall_speedup);
     std::printf("wrote results/BENCH_kernels.json\n");

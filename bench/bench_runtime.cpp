@@ -43,17 +43,16 @@ void threads_sweep(int iters) {
     for (auto& v : xq) v = static_cast<std::uint16_t>(rng.uniform_u64(lut.domain()));
     namespace tune = kernels::tune;
     kernels::Workspace pack_ws, ws;
-    kernels::BlockedGemmArgs gemm;
+    kernels::LutGemmArgs gemm;
     gemm.bits = bits;
     gemm.lut = lut.table().data();
-    gemm.w = kernels::pack_weight_panels(
+    gemm.o = o;
+    gemm.geom = kernels::matrix_geom(p, k);
+    gemm.w = kernels::pack_conv_weight_panels(
         wq.data(), bits, kernels::make_panel_plan(o, k, tune::kTileO, tune::kTileK),
-        pack_ws);
+        gemm.geom, gemm.lut, 0, pack_ws);
     gemm.x = kernels::pack_activation_panels(
         xq.data(), kernels::make_panel_plan(p, k, tune::kTileP, tune::kTileK), pack_ws);
-    gemm.o = o;
-    gemm.p = p;
-    gemm.k = k;
     std::vector<float> y(static_cast<std::size_t>(p * o));
 
     approx::ApproxConv2d conv(8, 32, 3, 1, 1, rng);

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # One-command CI gate: release build, tier-1 tests, kernel tests at the
-# thread-count extremes, TSan over the parallel trainer + obs + serve, bench
+# thread-count extremes, TSan over the binaries CI's TSan step runs, bench
 # smoke, a loaded run of the batching inference server, static verification
 # of every registered multiplier, and (when the tools are available)
 # clang-format + clang-tidy.
@@ -101,13 +101,17 @@ for isa in scalar ssse3 avx2 avx512; do
 done
 end_stage
 
-begin_stage "parallel trainer + obs + serve + depthwise + layout + simd + assignment + gemm under ThreadSanitizer"
+# The twelve binaries of CI's TSan step (.github/workflows/ci.yml); the
+# parallel trainer runs its determinism tests only.
+begin_stage "the twelve CI TSan binaries under ThreadSanitizer"
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs" \
-  --target test_train_parallel test_obs test_serve test_depthwise test_layout \
-  test_simd test_assignment test_gemm
+  --target test_train_parallel test_runtime_determinism test_obs test_serve \
+  test_depthwise test_layout test_simd test_assignment test_gemm test_kernels \
+  test_approx test_inference
 AMRET_THREADS=8 TSAN_OPTIONS=halt_on_error=1 \
   ./build-tsan/tests/test_train_parallel --gtest_filter='TrainerDeterminism.*'
+AMRET_THREADS=8 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_runtime_determinism
 AMRET_THREADS=8 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_obs
 AMRET_THREADS=8 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_serve
 AMRET_THREADS=8 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_depthwise
@@ -115,6 +119,9 @@ AMRET_THREADS=8 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_layout
 AMRET_THREADS=8 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_simd
 AMRET_THREADS=8 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_assignment
 AMRET_THREADS=8 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_gemm
+AMRET_THREADS=8 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_kernels
+AMRET_THREADS=8 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_approx
+AMRET_THREADS=8 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/test_inference
 end_stage
 
 begin_stage "bench_micro smoke (--quick; fails on crash only)"

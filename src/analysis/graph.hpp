@@ -32,7 +32,9 @@
 namespace amret::analysis {
 
 /// Static parameters of one compiled conv (or linear-as-1x1-conv) op — the
-/// exact values the integer kernel consumes at run time.
+/// exact values the integer kernel consumes at run time. The engine's conv
+/// op keeps its compiled parameters in one and runs on it, so
+/// IntInferenceEngine::describe() hands the analyzer a copy.
 struct ConvOpDesc {
     // Identity metadata (EXCLUDED from the content digest, like the panel
     // fields below): which assignment entry produced this op. The digest
@@ -66,7 +68,7 @@ struct ConvOpDesc {
     // them against wq / sum_w ("panel-pack-mismatch" / "panel-sum-mismatch"
     // / "pad-sum-mismatch"), so the certificate also covers the fused
     // blocked path the engine actually runs.
-    std::int64_t panel_tr = 0;            ///< rows per weight panel (0 = scalar)
+    std::int64_t panel_tr = 0;            ///< rows per weight panel (0 = no panels)
     std::int64_t panel_tk = 0;            ///< depth per weight panel
     std::int64_t panel_taps = 1;          ///< kernel taps per channel (kernel^2);
                                           ///< panel depth is tap-major

@@ -77,13 +77,14 @@ quant::QuantParams ApproxLayer::activation_params(const Tensor& x,
 
 std::int64_t GemmLayer::last_positions(const nn::Context& ctx) const {
     const State* st = ctx.peek<State>(*this);
-    return st ? st->geom.positions() : 0;
+    return st ? st->args.p() : 0;
 }
 
 void GemmLayer::forward_gemm(const Tensor& x, State& st, nn::Context& ctx,
                              float* y) {
+    kernels::LutGemmArgs& a = st.args;
     const std::int64_t o = weight.value.dim(0);
-    const std::int64_t positions = st.geom.positions(), patch = st.geom.patch();
+    const std::int64_t positions = a.p(), patch = a.k();
     // New allocation epoch: everything the forward puts in the arena stays
     // valid through the matching backward.
     st.ws.reset();
@@ -93,60 +94,58 @@ void GemmLayer::forward_gemm(const Tensor& x, State& st, nn::Context& ctx,
         return;
     }
     assert(mult_.valid() && "set_multiplier() before quantized forward");
-    const unsigned bits = mult_.bits();
+    a.bits = mult_.bits();
+    a.lut = mult_.lut->table().data();
+    a.o = o;
 
     // Weight quantization parameters track the current weights each step;
     // per-channel, each output channel (filter) gets its own.
-    st.wscale_per_o = nullptr;
-    st.wzero_per_o = nullptr;
+    a.scale_w_per_o = nullptr;
+    a.zero_w_per_o = nullptr;
     if (per_channel_) {
-        st.wscale_per_o = st.ws.alloc<float>(o);
-        st.wzero_per_o = st.ws.alloc<std::int32_t>(o);
+        float* scales = st.ws.alloc<float>(o);
+        std::int32_t* zeros = st.ws.alloc<std::int32_t>(o);
         st.wq = kernels::quantize_weights_per_channel(weight.value.data(), o, patch,
-                                                      bits, st.wscale_per_o,
-                                                      st.wzero_per_o, st.ws);
+                                                      a.bits, scales, zeros, st.ws);
+        a.scale_w_per_o = scales;
+        a.zero_w_per_o = zeros;
     } else {
         st.wq = kernels::quantize_into(
             weight.value.data(), o * patch,
-            quant::choose_params(weight.value.min(), weight.value.max(), bits),
+            quant::choose_params(weight.value.min(), weight.value.max(), a.bits),
             st.ws);
     }
     const quant::QuantParams xparams = activation_params(x, ctx);
 
-    // Weight codes are re-packed into pre-shifted, tap-major panels with
-    // their padding constant against the code out-of-image taps quantize to
-    // (that of 0.0f), and the activation codes are produced by the fused
-    // im2col+quantize packer on the forward's chunks — the (P, patch) float
-    // column buffer never exists.
-    kernels::BlockedGemmArgs args;
-    args.bits = bits;
-    args.lut = mult_.lut->table().data();
-    args.w = kernels::pack_conv_weight_panels(
-        st.wq.codes, bits, kernels::make_panel_plan(o, patch, tune::kTileO, tune::kTileK),
-        st.geom.kernel * st.geom.kernel, args.lut,
+    // Weight codes are re-packed into pre-shifted, tap-major panels with,
+    // for a padded conv, their padding constant against the code
+    // out-of-image taps quantize to (that of 0.0f), and the activation codes
+    // are produced by the fused im2col+quantize packer on the forward's
+    // chunks — the (P, patch) float column buffer never exists.
+    const kernels::PanelPlan wplan =
+        kernels::make_panel_plan(o, patch, tune::kTileO, tune::kTileK);
+    a.w = kernels::pack_conv_weight_panels(
+        st.wq.codes, a.bits, wplan, a.geom, a.lut,
         static_cast<std::uint16_t>(xparams.quantize(0.0f)), st.ws);
     const kernels::PanelPlan xplan =
         kernels::make_conv_act_plan(positions, patch, tune::kTileP, tune::kTileK);
     const kernels::QuantPanels xq = kernels::quantize_conv_panels(
-        x.data(), st.geom, xparams, xplan, kernels::forward_grain(xplan, o), st.ws);
+        x.data(), a.geom, xparams, xplan, kernels::forward_grain(xplan, o), st.ws);
     st.xq = xq.rows;
-    args.x = xq.panels;
-    args.o = o;
-    args.p = positions;
-    args.k = patch;
-    args.scale_w = st.wq.params.scale;
-    args.scale_x = xparams.scale;
-    args.zero_w = static_cast<std::int32_t>(st.wq.params.zero_point);
-    args.zero_x = static_cast<std::int32_t>(xparams.zero_point);
-    args.scale_w_per_o = st.wscale_per_o;
-    args.zero_w_per_o = st.wzero_per_o;
-    kernels::lut_forward_blocked(args, bias.value.data(), y, st.ws);
+    a.x = xq.panels;
+    a.xq = st.xq.codes;
+    a.scale_w = st.wq.params.scale;
+    a.scale_x = xparams.scale;
+    a.zero_w = static_cast<std::int32_t>(st.wq.params.zero_point);
+    a.zero_x = static_cast<std::int32_t>(xparams.zero_point);
+    kernels::lut_forward_blocked(a, bias.value.data(), y, st.ws);
 }
 
 void GemmLayer::backward_gemm(const float* gyp, State& st, nn::Context& ctx,
                               float* gcols) {
+    kernels::LutGemmArgs& a = st.args;
     const std::int64_t o = weight.value.dim(0);
-    const std::int64_t p = st.geom.positions(), patch = st.geom.patch();
+    const std::int64_t p = a.p(), patch = a.k();
     kernels::accumulate_bias_grad(gyp, p, o, ctx.grad(bias).data());
     if (mode_ == ComputeMode::kFloat) {
         // dW = gyp^T @ cols, (O, patch) laid out as the weights; the input
@@ -158,7 +157,6 @@ void GemmLayer::backward_gemm(const float* gyp, State& st, nn::Context& ctx,
         return;
     }
 
-    const float scale_x = st.xq.params.scale;
     float* gw_raw = st.ws.alloc<float>(o * patch);
     const auto zero_fill = [](float* v, std::int64_t n) {
         runtime::parallel_for(0, n, runtime::grain_for(n, tune::kGrainElementwiseWide),
@@ -169,34 +167,25 @@ void GemmLayer::backward_gemm(const float* gyp, State& st, nn::Context& ctx,
     zero_fill(gw_raw, o * patch);
     zero_fill(gcols, p * patch);
     // The kernel reads the weight codes in the tap-major depth of the row
-    // codes, from a copy: st.wq and its masks keep the (O, C, K, K) order of
-    // the gradient they fold into.
-    const std::int64_t taps = st.geom.kernel * st.geom.kernel, c_in = st.geom.in_ch;
-    std::uint16_t* wq_taps = st.ws.alloc<std::uint16_t>(o * patch);
-    runtime::parallel_for(0, o, runtime::grain_for(o, tune::kGrainChannel),
-                          [&](std::int64_t o0, std::int64_t o1) {
-        for (std::int64_t oo = o0; oo < o1; ++oo)
-            for (std::int64_t c = 0; c < c_in; ++c)
-                for (std::int64_t t = 0; t < taps; ++t)
-                    wq_taps[oo * patch + t * c_in + c] =
-                        st.wq.codes[oo * patch + c * taps + t];
-    });
-    kernels::LutGemmArgs args;
-    args.bits = mult_.bits();
-    args.lut = mult_.lut->table().data();
-    args.wq = wq_taps;
-    args.xq = st.xq.codes;
-    args.o = o;
-    args.p = p;
-    args.k = patch;
-    args.geom = st.geom;
-    args.scale_w = st.wq.params.scale;
-    args.scale_x = scale_x;
-    args.zero_w = static_cast<std::int32_t>(st.wq.params.zero_point);
-    args.zero_x = static_cast<std::int32_t>(st.xq.params.zero_point);
-    args.scale_w_per_o = st.wscale_per_o;
-    args.zero_w_per_o = st.wzero_per_o;
-    kernels::lut_backward_rows(args, gyp, mult_.grad->dw_table().data(),
+    // codes: st.wq and its masks keep the (O, C, K, K) order of the gradient
+    // they fold into, which a 1x1 kernel's tap-major order equals; any other
+    // kernel reads a tap-major copy.
+    const std::int64_t taps = a.geom.kernel * a.geom.kernel, c_in = a.geom.in_ch;
+    if (taps == 1) {
+        a.wq = st.wq.codes;
+    } else {
+        std::uint16_t* wq_taps = st.ws.alloc<std::uint16_t>(o * patch);
+        runtime::parallel_for(0, o, runtime::grain_for(o, tune::kGrainChannel),
+                              [&](std::int64_t o0, std::int64_t o1) {
+            for (std::int64_t oo = o0; oo < o1; ++oo)
+                for (std::int64_t c = 0; c < c_in; ++c)
+                    for (std::int64_t t = 0; t < taps; ++t)
+                        wq_taps[oo * patch + t * c_in + c] =
+                            st.wq.codes[oo * patch + c * taps + t];
+        });
+        a.wq = wq_taps;
+    }
+    kernels::lut_backward_rows(a, gyp, mult_.grad->dw_table().data(),
                                mult_.grad->dx_t_table().data(), gw_raw, gcols,
                                st.ws);
 
@@ -206,6 +195,7 @@ void GemmLayer::backward_gemm(const float* gyp, State& st, nn::Context& ctx,
     // gradient reads it through the permutation. The activation gradient's
     // s_w factor was folded into gcols by the kernel (it varies per row in
     // per-channel mode); only the clamp mask remains.
+    const float scale_x = a.scale_x;
     float* wg = ctx.grad(weight).data();
     runtime::parallel_for(0, o, runtime::grain_for(o, tune::kGrainChannel),
                           [&](std::int64_t o0, std::int64_t o1) {
@@ -240,8 +230,8 @@ ApproxConv2d::ApproxConv2d(std::int64_t in_ch, std::int64_t out_ch,
 Tensor ApproxConv2d::forward(const Tensor& x, nn::Context& ctx) {
     assert(x.rank() == 4 && x.dim(1) == in_ch_);
     State& st = ctx.state<State>(*this);
-    st.geom = ConvGeom{x.dim(0), in_ch_, x.dim(2), x.dim(3), kernel_, stride_, pad_};
-    const ConvGeom& g = st.geom;
+    ConvGeom& g = st.args.geom;
+    g = ConvGeom{x.dim(0), in_ch_, x.dim(2), x.dim(3), kernel_, stride_, pad_};
     if (mode_ == ComputeMode::kFloat) st.cols = kernels::im2col(x, g);
     Tensor po(Shape{g.positions(), out_ch_});
     forward_gemm(x, st, ctx, po.data());
@@ -253,7 +243,7 @@ Tensor ApproxConv2d::forward(const Tensor& x, nn::Context& ctx) {
 
 Tensor ApproxConv2d::backward(const Tensor& gy, nn::Context& ctx) {
     State& st = ctx.state<State>(*this);
-    const ConvGeom& g = st.geom;
+    const ConvGeom& g = st.args.geom;
     float* gyp = st.ws.alloc<float>(g.positions() * out_ch_);
     kernels::gather_positions(gy.data(), g.batch, out_ch_, g.out_h(), g.out_w(),
                               gyp);
@@ -280,7 +270,7 @@ Tensor ApproxLinear::forward(const Tensor& x, nn::Context& ctx) {
     assert(x.rank() == 2 && x.dim(1) == in_features_);
     State& st = ctx.state<State>(*this);
     // The 1x1 conv of the (batch, in) matrix: its columns are x itself.
-    st.geom = kernels::matrix_geom(x.dim(0), in_features_);
+    st.args.geom = kernels::matrix_geom(x.dim(0), in_features_);
     if (mode_ == ComputeMode::kFloat) st.cols = x;
     Tensor y(Shape{x.dim(0), out_features_});
     forward_gemm(x, st, ctx, y.data());
@@ -289,8 +279,8 @@ Tensor ApproxLinear::forward(const Tensor& x, nn::Context& ctx) {
 
 Tensor ApproxLinear::backward(const Tensor& gy, nn::Context& ctx) {
     State& st = ctx.state<State>(*this);
-    assert(gy.rank() == 2 && gy.dim(0) == st.geom.batch);
-    Tensor gx(Shape{st.geom.batch, in_features_});
+    assert(gy.rank() == 2 && gy.dim(0) == st.args.geom.batch);
+    Tensor gx(Shape{st.args.geom.batch, in_features_});
     backward_gemm(gy.data(), st, ctx, gx.data());
     return gx;
 }

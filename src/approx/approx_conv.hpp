@@ -26,6 +26,7 @@
 
 #include "appmult/appmult.hpp"
 #include "core/grad_lut.hpp"
+#include "kernels/lut_kernels.hpp"
 #include "kernels/quantize.hpp"
 #include "kernels/workspace.hpp"
 #include "nn/module.hpp"
@@ -125,17 +126,18 @@ protected:
     // the embedded workspace arena: reset at the start of each forward,
     // buffers remain valid through the matching backward (DESIGN.md §10/§11).
     struct State {
-        tensor::ConvGeom geom;
-        tensor::Tensor cols;                  // float mode: (P, patch) columns
+        // The GEMM from the forward to its backward: the caller sets its
+        // geometry; in quantized mode the forward fills its constants,
+        // panels and row codes, and the backward its tap-major weight codes.
+        kernels::LutGemmArgs args;
+        tensor::Tensor cols;    // float mode: (P, patch) columns
         kernels::Workspace ws;
-        kernels::QuantView xq;                // row codes and mask (tap-major depth)
-        kernels::QuantView wq;                // weight codes and mask, weights' order
-        float* wscale_per_o = nullptr;        // per-channel row scales, else null
-        std::int32_t* wzero_per_o = nullptr;  // per-channel row zeros, else null
+        kernels::QuantView xq;  // row codes and mask (tap-major depth)
+        kernels::QuantView wq;  // weight codes and mask, weights' order
     };
 
-    /// The forward GEMM over st.geom into \p y, (P, O) position-major, with
-    /// the bias. Float mode multiplies st.cols, which the caller fills.
+    /// The forward GEMM over st.args.geom into \p y, (P, O) position-major,
+    /// with the bias. Float mode multiplies st.cols, which the caller fills.
     /// Quantized mode (Fig. 4): weight quantize (per-tensor, or per-channel
     /// with per_channel_) -> pack_conv_weight_panels -> quantize_conv_panels
     /// of the NCHW \p x -> lut_forward_blocked with the Eq. (8) correction.
@@ -145,9 +147,9 @@ protected:
     /// The backward of the last forward from \p gyp, (P, O): accumulates the
     /// bias and weight gradients and writes the input gradient's (P, patch)
     /// columns to \p gcols, in im2col order in float mode. Quantized mode
-    /// (Eq. 9): zero-fill -> tap-major weight copy -> lut_backward_rows ->
-    /// grad-W fold -> clamp mask, so \p gcols is tap-major and holds zero on
-    /// out-of-image taps.
+    /// (Eq. 9): zero-fill -> tap-major weight codes (a copy, unless the
+    /// kernel is 1x1) -> lut_backward_rows -> grad-W fold -> clamp mask, so
+    /// \p gcols is tap-major and holds zero on out-of-image taps.
     void backward_gemm(const float* gyp, State& st, nn::Context& ctx,
                        float* gcols);
 

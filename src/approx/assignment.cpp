@@ -54,9 +54,9 @@ core::GradientMode parse_grad_mode(const std::string& name, bool& ok) {
 }
 
 // ------------------------------------------------- minimal JSON scanning ----
-// The repo carries no JSON library; like kernels/tuning.cpp, the parser below
-// scans for the exact shapes to_json() emits (and tolerates re-ordered fields
-// and extra whitespace). It is not a general JSON parser.
+// The repo carries no JSON library; the parser below scans for the exact
+// shapes to_json() emits (and tolerates re-ordered fields and extra
+// whitespace). It is not a general JSON parser.
 
 void skip_ws(const std::string& s, std::size_t& pos) {
     while (pos < s.size() &&

@@ -35,52 +35,55 @@ struct IntInferenceEngine::Op {
     /// reset it.
     virtual tensor::Tensor run_float(const tensor::Tensor& in,
                                      kernels::Workspace& ws) = 0;
+    /// The op's analyzer description (label left empty): a copy of the
+    /// parameters it runs on.
+    [[nodiscard]] virtual analysis::OpDesc describe() const = 0;
 };
 
 namespace {
 
+/// The op kind of an engine span label ("engine.op03.conv").
+const char* span_kind(const analysis::OpDesc& d) {
+    if (d.kind == analysis::OpDesc::Kind::kConv) return "conv";
+    switch (d.pool.kind) {
+    case analysis::PoolOpDesc::Kind::kMax: return "maxpool";
+    case analysis::PoolOpDesc::Kind::kAvg: return "avgpool";
+    case analysis::PoolOpDesc::Kind::kGlobalAvg: return "gap";
+    }
+    return "pool";
+}
+
 struct ConvOp final : IntInferenceEngine::Op {
-    // Static configuration.
-    std::shared_ptr<const appmult::AppMultLut> lut;
-    std::string mult_name; ///< assignment identity metadata ("" = ad-hoc)
-    unsigned mult_hws = 0;
-    unsigned bits = 8;
-    std::int64_t in_ch = 0, out_ch = 0, kernel = 3, stride = 1, pad = 1;
-    bool relu = false;
+    /// The compiled integer parameters (finalize() fills the codes and
+    /// constants), exactly as the kernel consumes and the analyzer checks
+    /// them: multiplier identity, LUT, weight codes, their tap-major panels
+    /// with the Eq. (8) header and the padding constant, bias, zero points
+    /// and requantization.
+    analysis::ConvOpDesc d;
+    std::int64_t in_ch = 0, kernel = 3, stride = 1, pad = 1;
     tensor::Tensor folded_w; // (O, C, K, K) float, BN folded
     tensor::Tensor folded_b; // (O)
+    float out_scale = 1.0f;  // output scale (finalize()), the next op's input
 
     // Calibration state.
     float out_lo = 0.0f, out_hi = 0.0f;
     bool calibrated = false;
 
-    // Compiled integer parameters (filled by finalize()).
-    std::vector<std::uint16_t> wq;
-    std::vector<std::int64_t> sum_w; ///< hoisted weight row sums (static)
-    std::vector<std::int32_t> bias_int;
-    std::vector<std::int64_t> bias_raw; ///< pre-narrowing bias, for the analyzer
-    std::int32_t zero_w = 0;
-    float out_scale = 1.0f;
-    std::int32_t out_zero = 0;
-    std::int32_t out_qmax = 255; ///< activations live in [0, 2^act_bits - 1]
-    FixedPointMultiplier requant;
-    float in_scale = 1.0f; // fixed at finalize from the previous op
-    std::int32_t in_zero = 0;
-
-    // The wq codes as pre-shifted, tap-major panels, and their padding
-    // constant against the input zero point (filled by finalize()).
-    kernels::PanelPlan wplan;
-    std::vector<std::uint32_t> wq_panels;
-    std::vector<std::int64_t> pad_sum; ///< (out_ch, kernel^2), WeightPanels::pad_sum
+    analysis::OpDesc describe() const override {
+        analysis::OpDesc out;
+        out.kind = analysis::OpDesc::Kind::kConv;
+        out.conv = d;
+        return out;
+    }
 
     tensor::Tensor run_float(const tensor::Tensor& x,
                              kernels::Workspace& ws) override {
         tensor::ConvGeom geom{x.dim(0), in_ch, x.dim(2), x.dim(3), kernel, stride, pad};
         const tensor::Tensor cols = kernels::im2col(x, geom);
-        tensor::Tensor po(tensor::Shape{geom.positions(), out_ch}); // post-ReLU
+        tensor::Tensor po(tensor::Shape{geom.positions(), d.out_ch}); // post-ReLU
         ws.reset();
-        kernels::gemm_nt(cols.data(), folded_w.data(), geom.positions(), out_ch,
-                         geom.patch(), po.data(), ws, {folded_b.data(), relu});
+        kernels::gemm_nt(cols.data(), folded_w.data(), geom.positions(), d.out_ch,
+                         geom.patch(), po.data(), ws, {folded_b.data(), d.relu});
         // Track output range for requantization.
         const float lo = po.min(), hi = po.max();
         if (!calibrated) {
@@ -91,69 +94,57 @@ struct ConvOp final : IntInferenceEngine::Op {
             out_lo = std::min(out_lo, lo);
             out_hi = std::max(out_hi, hi);
         }
-        tensor::Tensor y(tensor::Shape{x.dim(0), out_ch, geom.out_h(), geom.out_w()});
-        kernels::scatter_positions(po.data(), x.dim(0), out_ch, geom.out_h(),
+        tensor::Tensor y(tensor::Shape{x.dim(0), d.out_ch, geom.out_h(), geom.out_w()});
+        kernels::scatter_positions(po.data(), x.dim(0), d.out_ch, geom.out_h(),
                                    geom.out_w(), y.data());
         return y;
     }
 
     void finalize(float input_scale, std::int32_t input_zero, unsigned act_bits) {
-        in_scale = input_scale;
-        in_zero = input_zero;
-        const auto wp = quant::choose_params(folded_w.min(), folded_w.max(), bits);
-        zero_w = static_cast<std::int32_t>(wp.zero_point);
-        wq.resize(static_cast<std::size_t>(folded_w.numel()));
+        d.zero_x = input_zero;
+        const auto wp = quant::choose_params(folded_w.min(), folded_w.max(), d.bits);
+        d.zero_w = static_cast<std::int32_t>(wp.zero_point);
+        d.wq.resize(static_cast<std::size_t>(folded_w.numel()));
         for (std::int64_t i = 0; i < folded_w.numel(); ++i)
-            wq[static_cast<std::size_t>(i)] =
+            d.wq[static_cast<std::size_t>(i)] =
                 static_cast<std::uint16_t>(wp.quantize(folded_w[i]));
-
-        // Weights are static after compilation, so the Eq. (8) weight row
-        // sums are hoisted here instead of being recomputed every batch.
-        const std::int64_t patch = folded_w.numel() / out_ch;
-        sum_w.assign(static_cast<std::size_t>(out_ch), 0);
-        for (std::int64_t o = 0; o < out_ch; ++o) {
-            std::int64_t s = 0;
-            for (std::int64_t k = 0; k < patch; ++k)
-                s += wq[static_cast<std::size_t>(o * patch + k)];
-            sum_w[static_cast<std::size_t>(o)] = s;
-        }
 
         // Output activations must index the *next* layer's LUT, so they are
         // quantized to the network-wide activation width.
-        out_qmax = static_cast<std::int32_t>((1u << act_bits) - 1);
+        d.out_qmax = static_cast<std::int32_t>((1u << act_bits) - 1);
         const auto op = quant::choose_params(out_lo, out_hi, act_bits);
         out_scale = op.scale;
-        out_zero = static_cast<std::int32_t>(op.zero_point);
+        d.out_zero = static_cast<std::int32_t>(op.zero_point);
 
-        const double acc_scale = static_cast<double>(in_scale) * wp.scale;
-        requant = quantize_multiplier(acc_scale / out_scale);
-        bias_int.resize(static_cast<std::size_t>(out_ch));
-        bias_raw.resize(static_cast<std::size_t>(out_ch));
-        for (std::int64_t o = 0; o < out_ch; ++o) {
-            // Keep the pre-narrowing value: the static analyzer proves the
-            // int32 cast below lossless (or reports "bias-overflow").
-            bias_raw[static_cast<std::size_t>(o)] =
+        const double acc_scale = static_cast<double>(input_scale) * wp.scale;
+        d.requant = quantize_multiplier(acc_scale / out_scale);
+        // The pre-narrowing value: requantize() narrows it to int32, which
+        // the static analyzer proves lossless (or reports "bias-overflow").
+        d.bias_raw.resize(static_cast<std::size_t>(d.out_ch));
+        for (std::int64_t o = 0; o < d.out_ch; ++o)
+            d.bias_raw[static_cast<std::size_t>(o)] =
                 std::lround(static_cast<double>(folded_b[o]) / acc_scale);
-            bias_int[static_cast<std::size_t>(o)] =
-                static_cast<std::int32_t>(bias_raw[static_cast<std::size_t>(o)]);
-        }
 
-        // Pack the codes into panels once at compile time. The packer also
-        // emits the Eq. (8) header; it must reproduce the hoisted sum_w above
-        // exactly (the analyzer re-checks this on every certificate via
-        // "panel-sum-mismatch").
-        const std::int64_t taps = kernel * kernel;
-        wplan = kernels::make_panel_plan(out_ch, patch, tune::kTileO, tune::kTileK);
-        wq_panels.resize(static_cast<std::size_t>(wplan.elems()));
-        std::vector<std::int64_t> header(static_cast<std::size_t>(out_ch));
-        kernels::pack_weight_panels_into(wq.data(), bits, wplan, taps,
-                                         wq_panels.data(), header.data());
-        assert(header == sum_w);
-        // The analyzer recomputes this too ("pad-sum-mismatch").
-        pad_sum.resize(static_cast<std::size_t>(out_ch * taps));
-        kernels::pad_sums_into(wq.data(), bits, out_ch, patch, taps,
-                               lut->table().data(),
-                               static_cast<std::uint16_t>(in_zero), pad_sum.data());
+        // Weights are static after compilation, so they are packed once here:
+        // tap-major panels with the Eq. (8) weight row sums as their header,
+        // and the padding constant against the input zero point. The analyzer
+        // re-derives all three on every certificate ("panel-pack-mismatch",
+        // "panel-sum-mismatch", "pad-sum-mismatch"), so every conv carries
+        // the constant, unpadded or not.
+        d.k = folded_w.numel() / d.out_ch;
+        d.panel_taps = kernel * kernel;
+        const kernels::PanelPlan wplan =
+            kernels::make_panel_plan(d.out_ch, d.k, tune::kTileO, tune::kTileK);
+        d.panel_tr = wplan.tr;
+        d.panel_tk = wplan.tk;
+        d.wq_panels.resize(static_cast<std::size_t>(wplan.elems()));
+        d.sum_w.resize(static_cast<std::size_t>(d.out_ch));
+        kernels::pack_weight_panels_into(d.wq.data(), d.bits, wplan, d.panel_taps,
+                                         d.wq_panels.data(), d.sum_w.data());
+        d.pad_sum.resize(static_cast<std::size_t>(d.out_ch * d.panel_taps));
+        kernels::pad_sums_into(d.wq.data(), d.bits, d.out_ch, d.k, d.panel_taps,
+                               d.lut->table().data(),
+                               static_cast<std::uint16_t>(d.zero_x), d.pad_sum.data());
     }
 
     /// The requantization epilogue. Pure integer arithmetic on the exact
@@ -161,131 +152,115 @@ struct ConvOp final : IntInferenceEngine::Op {
     /// result.
     [[nodiscard]] std::uint8_t requantize(std::int64_t oo,
                                           std::int64_t corrected) const {
-        const std::int64_t a = corrected + bias_int[static_cast<std::size_t>(oo)];
-        std::int32_t v = quant::fixed_point_rescale(a, requant) + out_zero;
-        if (relu) v = std::max(v, out_zero);
-        v = std::clamp(v, 0, out_qmax);
+        // The int32 bias the kernel adds: bias_raw narrowed.
+        const auto bias =
+            static_cast<std::int32_t>(d.bias_raw[static_cast<std::size_t>(oo)]);
+        const std::int64_t a = corrected + bias;
+        std::int32_t v = quant::fixed_point_rescale(a, d.requant) + d.out_zero;
+        if (d.relu) v = std::max(v, d.out_zero);
+        v = std::clamp(v, 0, d.out_qmax);
         return static_cast<std::uint8_t>(v);
     }
 
     QTensor run(const QTensor& x, kernels::Workspace& ws) const override {
         tensor::ConvGeom geom{x.n, in_ch, x.h, x.w, kernel, stride, pad};
-        const std::int64_t patch = geom.patch();
-        const std::int64_t positions = geom.positions();
-        const std::int64_t oh = geom.out_h(), ow = geom.out_w();
-        const std::int64_t spatial = oh * ow;
+        const std::int64_t spatial = geom.out_h() * geom.out_w();
 
         QTensor y;
         y.n = x.n;
-        y.c = out_ch;
-        y.h = oh;
-        y.w = ow;
+        y.c = d.out_ch;
+        y.h = geom.out_h();
+        y.w = geom.out_w();
         y.scale = out_scale;
-        y.zero = out_zero;
+        y.zero = d.out_zero;
         y.data = ws.alloc<std::uint8_t>(y.numel());
 
         // im2col is fused into activation panel production (no (positions x
         // patch) column buffer), the weight panels and the padding constant
         // were built at finalize(), and the Eq. (8) row sums come from the
         // panel headers. The packer runs on the GEMM's chunks.
-        assert(x.zero == in_zero && "pad_sum assumes the input zero point");
-        const kernels::PanelPlan xplan =
-            kernels::make_conv_act_plan(positions, patch, tune::kTileP, wplan.tk);
-        kernels::BlockedGemmArgs args;
-        args.bits = bits;
-        args.lut = lut->table().data();
-        args.w = kernels::WeightPanels{wplan, wq_panels.data(), sum_w.data(),
-                                       pad_sum.data()};
-        args.x = kernels::pack_im2col_panels_u8(
-            x.data, geom, static_cast<std::uint16_t>(x.zero), xplan, ws, bits,
-            kernels::forward_grain(xplan, out_ch));
-        args.o = out_ch;
-        args.p = positions;
-        args.k = patch;
-        args.zero_w = zero_w;
-        args.zero_x = x.zero;
-        kernels::lut_gemm_blocked(args, ws, [&](std::int64_t pp, std::int64_t oo,
-                                                std::int64_t corrected) {
+        assert(x.zero == d.zero_x && "pad_sum assumes the input zero point");
+        const kernels::PanelPlan wplan{d.out_ch, d.k, d.panel_tr, d.panel_tk};
+        const kernels::PanelPlan xplan = kernels::make_conv_act_plan(
+            geom.positions(), d.k, tune::kTileP, wplan.tk);
+        kernels::LutGemmArgs a;
+        a.bits = d.bits;
+        a.lut = d.lut->table().data();
+        a.o = d.out_ch;
+        a.geom = geom;
+        a.zero_w = d.zero_w;
+        a.zero_x = x.zero;
+        a.w = kernels::WeightPanels{wplan, d.wq_panels.data(), d.sum_w.data(),
+                                    d.pad_sum.data()};
+        a.x = kernels::pack_im2col_panels_u8(
+            x.data, geom, static_cast<std::uint16_t>(x.zero), xplan, ws, d.bits,
+            kernels::forward_grain(xplan, d.out_ch));
+        kernels::lut_gemm_blocked(a, ws, [&](std::int64_t pp, std::int64_t oo,
+                                             std::int64_t corrected) {
             const std::int64_t n = pp / spatial;
-            y.data[(n * out_ch + oo) * spatial + pp % spatial] =
+            y.data[(n * d.out_ch + oo) * spatial + pp % spatial] =
                 requantize(oo, corrected);
         });
         return y;
     }
 };
 
-struct MaxPoolOp final : IntInferenceEngine::Op {
-    std::int64_t kernel = 2;
+/// Integer max, average or global-average pooling, kernel == stride; scale
+/// and zero point pass through.
+struct PoolOp final : IntInferenceEngine::Op {
+    analysis::PoolOpDesc d;
+
+    explicit PoolOp(analysis::PoolOpDesc::Kind kind) { d.kind = kind; }
+
+    analysis::OpDesc describe() const override {
+        analysis::OpDesc out;
+        out.kind = analysis::OpDesc::Kind::kPool;
+        out.pool = d;
+        return out;
+    }
 
     tensor::Tensor run_float(const tensor::Tensor& x, kernels::Workspace&) override {
         nn::Context ctx;
-        nn::MaxPool2d pool(kernel);
-        return pool.forward(x, ctx);
+        switch (d.kind) {
+        case analysis::PoolOpDesc::Kind::kMax:
+            return nn::MaxPool2d(d.kernel).forward(x, ctx);
+        case analysis::PoolOpDesc::Kind::kAvg:
+            return nn::AvgPool2d(d.kernel).forward(x, ctx);
+        case analysis::PoolOpDesc::Kind::kGlobalAvg: break;
+        }
+        return nn::GlobalAvgPool().forward(x, ctx);
     }
 
     QTensor run(const QTensor& x, kernels::Workspace& ws) const override {
-        QTensor y;
-        y.n = x.n;
-        y.c = x.c;
-        y.h = x.h / kernel;
-        y.w = x.w / kernel;
-        y.scale = x.scale;
-        y.zero = x.zero;
-        y.data = ws.alloc<std::uint8_t>(y.numel());
-        for (std::int64_t i = 0; i < x.n * x.c; ++i) {
-            const std::uint8_t* px = x.data + i * x.h * x.w;
-            std::uint8_t* py = y.data + i * y.h * y.w;
-            for (std::int64_t oy = 0; oy < y.h; ++oy)
-                for (std::int64_t ox = 0; ox < y.w; ++ox) {
-                    std::uint8_t best = 0;
-                    for (std::int64_t ky = 0; ky < kernel; ++ky)
-                        for (std::int64_t kx = 0; kx < kernel; ++kx)
-                            best = std::max(
-                                best, px[(oy * kernel + ky) * x.w + ox * kernel + kx]);
-                    py[oy * y.w + ox] = best;
-                }
-        }
-        return y;
-    }
-};
-
-struct AvgPoolOp final : IntInferenceEngine::Op {
-    std::int64_t kernel = 2;
-    bool global = false;
-
-    tensor::Tensor run_float(const tensor::Tensor& x, kernels::Workspace&) override {
-        nn::Context ctx;
-        if (global) {
-            nn::GlobalAvgPool pool;
-            return pool.forward(x, ctx);
-        }
-        nn::AvgPool2d pool(kernel);
-        return pool.forward(x, ctx);
-    }
-
-    QTensor run(const QTensor& x, kernels::Workspace& ws) const override {
-        QTensor y;
-        y.n = x.n;
-        y.c = x.c;
-        y.h = global ? 1 : x.h / kernel;
-        y.w = global ? 1 : x.w / kernel;
-        y.scale = x.scale;
-        y.zero = x.zero;
-        y.data = ws.alloc<std::uint8_t>(y.numel());
-        const std::int64_t kh = global ? x.h : kernel;
-        const std::int64_t kw = global ? x.w : kernel;
+        const bool max = d.kind == analysis::PoolOpDesc::Kind::kMax;
+        const bool global = d.kind == analysis::PoolOpDesc::Kind::kGlobalAvg;
+        const std::int64_t kh = global ? x.h : d.kernel;
+        const std::int64_t kw = global ? x.w : d.kernel;
         const std::int64_t window = kh * kw;
+        QTensor y;
+        y.n = x.n;
+        y.c = x.c;
+        y.h = x.h / kh;
+        y.w = x.w / kw;
+        y.scale = x.scale;
+        y.zero = x.zero;
+        y.data = ws.alloc<std::uint8_t>(y.numel());
         for (std::int64_t i = 0; i < x.n * x.c; ++i) {
             const std::uint8_t* px = x.data + i * x.h * x.w;
             std::uint8_t* py = y.data + i * y.h * y.w;
             for (std::int64_t oy = 0; oy < y.h; ++oy)
                 for (std::int64_t ox = 0; ox < y.w; ++ox) {
-                    std::int64_t acc = 0;
+                    std::int64_t acc = 0; // the window's max, or its sum
                     for (std::int64_t ky = 0; ky < kh; ++ky)
-                        for (std::int64_t kx = 0; kx < kw; ++kx)
-                            acc += px[(oy * kh + ky) * x.w + ox * kw + kx];
-                    py[oy * y.w + ox] = static_cast<std::uint8_t>(
-                        std::clamp<std::int64_t>((acc + window / 2) / window, 0, 255));
+                        for (std::int64_t kx = 0; kx < kw; ++kx) {
+                            const std::int64_t v =
+                                px[(oy * kh + ky) * x.w + ox * kw + kx];
+                            acc = max ? std::max(acc, v) : acc + v;
+                        }
+                    if (!max)
+                        acc = std::clamp<std::int64_t>((acc + window / 2) / window, 0,
+                                                       255);
+                    py[oy * y.w + ox] = static_cast<std::uint8_t>(acc);
                 }
         }
         return y;
@@ -325,28 +300,28 @@ IntInferenceEngine::IntInferenceEngine(nn::Sequential& model,
                 throw std::invalid_argument("conv after classifier head unsupported");
             auto op = std::make_unique<ConvOp>();
             op->in_ch = conv->in_channels();
-            op->out_ch = conv->out_channels();
+            op->d.out_ch = conv->out_channels();
             op->kernel = conv->kernel();
             op->stride = conv->stride();
             op->pad = conv->padding();
             op->folded_w = conv->weight.value;
             op->folded_b = conv->bias.value;
-            if (conv->multiplier().valid()) {
-                op->lut = conv->multiplier().lut;
-                op->bits = conv->multiplier().bits();
-                op->mult_name = conv->multiplier().name;
-                op->mult_hws = conv->multiplier().hws;
+            if (const MultiplierConfig& mult = conv->multiplier(); mult.valid()) {
+                op->d.lut = mult.lut;
+                op->d.bits = mult.bits();
+                op->d.multiplier = mult.name;
+                op->d.hws = mult.hws;
             } else {
-                op->lut = std::make_shared<appmult::AppMultLut>(
+                op->d.lut = std::make_shared<appmult::AppMultLut>(
                     appmult::AppMultLut::exact(8));
-                op->bits = 8;
+                op->d.bits = 8;
             }
             // Fold a following BatchNorm2d.
             if (i + 1 < model.size()) {
                 if (auto* bn = dynamic_cast<nn::BatchNorm2d*>(model.child(i + 1))) {
                     const std::int64_t patch =
-                        op->folded_w.numel() / op->out_ch;
-                    for (std::int64_t o = 0; o < op->out_ch; ++o) {
+                        op->folded_w.numel() / op->d.out_ch;
+                    for (std::int64_t o = 0; o < op->d.out_ch; ++o) {
                         const float inv_std =
                             1.0f / std::sqrt(bn->running_var()[o] + 1e-5f);
                         const float g = bn->gamma.value[o] * inv_std;
@@ -361,21 +336,17 @@ IntInferenceEngine::IntInferenceEngine(nn::Sequential& model,
             // Fuse a following ReLU.
             if (i + 1 < model.size() &&
                 dynamic_cast<nn::ReLU*>(model.child(i + 1)) != nullptr) {
-                op->relu = true;
+                op->d.relu = true;
                 ++i;
             }
             ops_.push_back(std::move(op));
-        } else if (auto* mp = dynamic_cast<nn::MaxPool2d*>(m)) {
-            (void)mp;
-            auto op = std::make_unique<MaxPoolOp>();
-            ops_.push_back(std::move(op));
+        } else if (dynamic_cast<nn::MaxPool2d*>(m) != nullptr) {
+            ops_.push_back(std::make_unique<PoolOp>(analysis::PoolOpDesc::Kind::kMax));
         } else if (dynamic_cast<nn::AvgPool2d*>(m) != nullptr) {
-            auto op = std::make_unique<AvgPoolOp>();
-            ops_.push_back(std::move(op));
+            ops_.push_back(std::make_unique<PoolOp>(analysis::PoolOpDesc::Kind::kAvg));
         } else if (dynamic_cast<nn::GlobalAvgPool*>(m) != nullptr) {
-            auto op = std::make_unique<AvgPoolOp>();
-            op->global = true;
-            ops_.push_back(std::move(op));
+            ops_.push_back(
+                std::make_unique<PoolOp>(analysis::PoolOpDesc::Kind::kGlobalAvg));
         } else if (dynamic_cast<nn::Flatten*>(m) != nullptr ||
                    dynamic_cast<nn::Dropout*>(m) != nullptr) {
             // Flatten is a view change handled at the head boundary; dropout
@@ -396,14 +367,9 @@ IntInferenceEngine::IntInferenceEngine(nn::Sequential& model,
         throw std::invalid_argument("model has no classifier head");
     // One span label per op, interned now so forward_into passes a pointer.
     for (std::size_t i = 0; i < ops_.size(); ++i) {
-        const Op* op = ops_[i].get();
-        const auto* avg = dynamic_cast<const AvgPoolOp*>(op);
-        const char* kind = dynamic_cast<const ConvOp*>(op) != nullptr ? "conv"
-                           : avg == nullptr                          ? "maxpool"
-                           : avg->global                             ? "gap"
-                                                                     : "avgpool";
         char label[48];
-        std::snprintf(label, sizeof(label), "engine.op%02zu.%s", i, kind);
+        std::snprintf(label, sizeof(label), "engine.op%02zu.%s", i,
+                      span_kind(ops_[i]->describe()));
         ops_[i]->span = obs::intern_label(label);
     }
 
@@ -458,7 +424,7 @@ IntInferenceEngine::IntInferenceEngine(nn::Sequential& model,
     act_bits_ = 8;
     for (auto& op : ops_) {
         if (auto* conv = dynamic_cast<ConvOp*>(op.get()))
-            act_bits_ = std::min(act_bits_, conv->bits);
+            act_bits_ = std::min(act_bits_, conv->d.bits);
     }
     const auto ip = quant::choose_params(in_lo, in_hi, act_bits_);
     input_scale_ = ip.scale;
@@ -471,7 +437,7 @@ IntInferenceEngine::IntInferenceEngine(nn::Sequential& model,
         if (auto* conv = dynamic_cast<ConvOp*>(op.get())) {
             conv->finalize(scale, zero, act_bits_);
             scale = conv->out_scale;
-            zero = conv->out_zero;
+            zero = conv->d.out_zero;
         }
         // Pool ops keep scale/zero.
     }
@@ -512,49 +478,10 @@ analysis::GraphDesc IntInferenceEngine::describe() const {
     desc.ops.reserve(ops_.size());
     std::size_t conv_index = 0, pool_index = 0;
     for (const auto& op : ops_) {
-        analysis::OpDesc d;
-        if (const auto* conv = dynamic_cast<const ConvOp*>(op.get())) {
-            d.kind = analysis::OpDesc::Kind::kConv;
-            d.label = "conv" + std::to_string(conv_index++);
-            d.conv.multiplier = conv->mult_name;
-            d.conv.hws = conv->mult_hws;
-            d.conv.bits = conv->bits;
-            d.conv.relu = conv->relu;
-            d.conv.out_ch = conv->out_ch;
-            d.conv.k = conv->out_ch > 0
-                           ? static_cast<std::int64_t>(conv->wq.size()) / conv->out_ch
-                           : 0;
-            d.conv.lut = conv->lut;
-            d.conv.wq = conv->wq;
-            d.conv.sum_w = conv->sum_w;
-            d.conv.bias_raw = conv->bias_raw;
-            d.conv.zero_w = conv->zero_w;
-            d.conv.zero_x = conv->in_zero;
-            d.conv.requant = conv->requant;
-            d.conv.out_zero = conv->out_zero;
-            d.conv.out_qmax = conv->out_qmax;
-            // Digest-excluded derived data; the analyzer cross-checks the
-            // packing and the padding constant so the certificate covers the
-            // panels the forward reads.
-            d.conv.panel_tr = conv->wplan.tr;
-            d.conv.panel_tk = conv->wplan.tk;
-            d.conv.panel_taps = conv->kernel * conv->kernel;
-            d.conv.wq_panels = conv->wq_panels;
-            d.conv.pad_sum = conv->pad_sum;
-        } else if (const auto* avg = dynamic_cast<const AvgPoolOp*>(op.get())) {
-            d.kind = analysis::OpDesc::Kind::kPool;
-            d.label = "pool" + std::to_string(pool_index++);
-            d.pool.kind = avg->global ? analysis::PoolOpDesc::Kind::kGlobalAvg
-                                      : analysis::PoolOpDesc::Kind::kAvg;
-            d.pool.kernel = avg->kernel;
-        } else if (const auto* mp = dynamic_cast<const MaxPoolOp*>(op.get())) {
-            d.kind = analysis::OpDesc::Kind::kPool;
-            d.label = "pool" + std::to_string(pool_index++);
-            d.pool.kind = analysis::PoolOpDesc::Kind::kMax;
-            d.pool.kernel = mp->kernel;
-        } else {
-            continue; // unreachable: the constructor only builds these ops
-        }
+        analysis::OpDesc d = op->describe();
+        d.label = d.kind == analysis::OpDesc::Kind::kConv
+                      ? "conv" + std::to_string(conv_index++)
+                      : "pool" + std::to_string(pool_index++);
         desc.ops.push_back(std::move(d));
     }
     return desc;

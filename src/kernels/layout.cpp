@@ -126,7 +126,6 @@ ActPanels gather_im2col_panels(const tensor::ConvGeom& geom, const PanelPlan& pl
     const TapTable taps = make_tap_table(geom, ws);
     ActPanels out;
     out.plan = plan;
-    out.geom = geom;
     std::uint16_t* codes = ws.alloc<std::uint16_t>(plan.elems());
     std::int64_t* sums = ws.alloc<std::int64_t>(plan.rows);
     runtime::parallel_for(0, plan.row_blocks(), grain,
@@ -209,14 +208,6 @@ void pack_weight_panels_into(const std::uint16_t* wq, unsigned bits,
     });
 }
 
-WeightPanels pack_weight_panels(const std::uint16_t* wq, unsigned bits,
-                                const PanelPlan& plan, Workspace& ws) {
-    std::uint32_t* codes = ws.alloc<std::uint32_t>(plan.elems());
-    std::int64_t* sums = ws.alloc<std::int64_t>(plan.rows);
-    pack_weight_panels_into(wq, bits, plan, 1, codes, sums);
-    return WeightPanels{plan, codes, sums};
-}
-
 void pad_sums_into(const std::uint16_t* wq, unsigned bits, std::int64_t rows,
                    std::int64_t depth, std::int64_t taps,
                    const std::int32_t* lut, std::uint16_t z_pad,
@@ -235,14 +226,20 @@ void pad_sums_into(const std::uint16_t* wq, unsigned bits, std::int64_t rows,
 }
 
 WeightPanels pack_conv_weight_panels(const std::uint16_t* wq, unsigned bits,
-                                     const PanelPlan& plan, std::int64_t taps,
+                                     const PanelPlan& plan,
+                                     const tensor::ConvGeom& geom,
                                      const std::int32_t* lut,
                                      std::uint16_t z_pad, Workspace& ws) {
+    assert(plan.depth == geom.patch());
+    const std::int64_t taps = geom.kernel * geom.kernel;
     std::uint32_t* codes = ws.alloc<std::uint32_t>(plan.elems());
     std::int64_t* sums = ws.alloc<std::int64_t>(plan.rows);
-    std::int64_t* pad_sum = ws.alloc<std::int64_t>(plan.rows * taps);
     pack_weight_panels_into(wq, bits, plan, taps, codes, sums);
-    pad_sums_into(wq, bits, plan.rows, plan.depth, taps, lut, z_pad, pad_sum);
+    std::int64_t* pad_sum = nullptr;
+    if (geom.pad > 0) {
+        pad_sum = ws.alloc<std::int64_t>(plan.rows * taps);
+        pad_sums_into(wq, bits, plan.rows, plan.depth, taps, lut, z_pad, pad_sum);
+    }
     return WeightPanels{plan, codes, sums, pad_sum};
 }
 
@@ -251,7 +248,6 @@ ActPanels pack_activation_panels(const std::uint16_t* xq, const PanelPlan& plan,
     AMRET_OBS_SPAN("kernels.pack_acts");
     ActPanels x;
     x.plan = plan;
-    x.geom = matrix_geom(plan.rows, plan.depth);
     std::uint16_t* codes = ws.alloc<std::uint16_t>(plan.elems());
     std::int64_t* sums = ws.alloc<std::int64_t>(plan.rows);
     const std::int64_t nblocks = plan.row_blocks();

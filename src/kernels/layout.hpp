@@ -47,8 +47,8 @@
 ///   lut_gemm_blocked hands its epilogue the im2col row, so the
 ///   location-major rows stay inside the kernels; the training layers
 ///   reorder their (O, C, K, K) weight codes to the tap-major depth for the
-///   backward and fold grad-W back, and the conv folds grad-X with
-///   col2im_tap_major.
+///   backward (a 1x1 kernel's order already is) and fold grad-W back, and
+///   the conv folds grad-X with col2im_tap_major.
 ///
 /// The planner also fuses im2col into panel production: the two im2col
 /// packers (pack_im2col_panels_u8 for the engine, quantize_conv_panels for
@@ -58,8 +58,9 @@
 ///
 /// Raw indexing into panel buffers outside src/kernels is rejected by
 /// scripts/check_invariants.py (rule panel-indexing); consumers go through
-/// the kernels in lut_kernels.hpp, and tests and benches build and read
-/// panels with pack_activation_panels and the unpack_* helpers below.
+/// the kernels in lut_kernels.hpp, and tests and benches build panels with
+/// pack_conv_weight_panels and pack_activation_panels and read them with the
+/// unpack_* helpers below.
 #pragma once
 
 #include "kernels/workspace.hpp"
@@ -206,8 +207,8 @@ struct WeightPanels {
     /// pad_sum[o * kernel^2 + t] = sum_c LUT[(w[o, c, t] << bits) | z_pad],
     /// what the lookups of tap t add in a window where the tap is padding
     /// (pad_sums_into). The blocked forward adds it back for the taps outside
-    /// a block's box. Every conv carries it (pack_conv_weight_panels); null
-    /// for a plain matrix, whose blocks never skip a tap.
+    /// a block's box. Every padded conv carries it; null for an unpadded conv
+    /// or a plain matrix, whose blocks never skip a tap.
     const std::int64_t* pad_sum = nullptr;
 };
 
@@ -217,9 +218,6 @@ struct ActPanels {
     PanelPlan plan;
     const std::uint16_t* codes = nullptr;
     const std::int64_t* sum_x = nullptr;
-    /// Conv geometry of the rows and depth (the "Conv order" above); a plain
-    /// matrix is matrix_geom(rows, depth).
-    tensor::ConvGeom geom = matrix_geom(0, 0);
     /// Optional nibble-packed mirror of `codes` for the SIMD pshufb path
     /// (bits <= 4): two codes per byte, plan.elems()/2 bytes, panel layout
     /// matching `codes` at half scale. Within each 16-lane row group, byte j
@@ -237,21 +235,16 @@ struct ActPanels {
 void attach_packed4(ActPanels& x, unsigned bits, Workspace& ws,
                     std::int64_t grain);
 
-/// Packs row-major weight codes (rows = o, depth = k of \p plan) into
-/// caller storage: \p codes holds plan.elems() pre-shifted uint32 codes,
-/// \p sum_w the plan.rows row sums. A conv's codes are (o, c, ky, kx) with
-/// \p taps = kernel^2 taps per channel, and their panels take the depth
-/// tap-major, (ky, kx, c); \p taps = 1 keeps the depth order. Parallel over
-/// row blocks.
+/// The one weight packer: packs row-major weight codes (rows = o, depth = k
+/// of \p plan) into caller storage. \p codes holds plan.elems() pre-shifted
+/// uint32 codes, \p sum_w the plan.rows row sums (the Eq. (8) header). A
+/// conv's codes are (o, c, ky, kx) with \p taps = kernel^2 taps per
+/// channel, and their panels take the depth tap-major, (ky, kx, c); a plain
+/// matrix is taps = 1, which keeps the depth order. Parallel over row
+/// blocks.
 void pack_weight_panels_into(const std::uint16_t* wq, unsigned bits,
                              const PanelPlan& plan, std::int64_t taps,
                              std::uint32_t* codes, std::int64_t* sum_w);
-
-/// Workspace-backed pack_weight_panels_into of a plain matrix (taps = 1,
-/// depth order kept, no padding constant), for tests and benches. The
-/// layers' weights go through pack_conv_weight_panels.
-WeightPanels pack_weight_panels(const std::uint16_t* wq, unsigned bits,
-                                const PanelPlan& plan, Workspace& ws);
 
 /// The padding constant of WeightPanels::pad_sum for \p rows filters of
 /// \p depth row-major (c, ky, kx) codes with \p taps taps each, against
@@ -262,22 +255,27 @@ void pad_sums_into(const std::uint16_t* wq, unsigned bits, std::int64_t rows,
                    const std::int32_t* lut, std::uint16_t z_pad,
                    std::int64_t* pad_sum);
 
-/// Packs row-major activation codes into workspace-backed panels + header,
-/// as a plain matrix (matrix_geom). The layers pack through the fused
-/// im2col packers; tests and benches build operands with this one.
-ActPanels pack_activation_panels(const std::uint16_t* xq, const PanelPlan& plan,
-                                 Workspace& ws);
-
-/// Conv weights, workspace-backed: pack_weight_panels_into with \p taps
-/// taps per channel, plus the padding constant against the pad code
-/// \p z_pad (pad_sums_into), attached as pad_sum.
+/// The weights of a conv of \p geom (plan.depth = geom.patch()) in
+/// workspace-backed panels: pack_weight_panels_into with geom.kernel^2 taps
+/// per channel and, when geom.pad > 0, the padding constant against the pad
+/// code \p z_pad (pad_sums_into over \p lut) as pad_sum. An unpadded conv or
+/// a plain matrix (matrix_geom) never skips a tap, so it gets no constant
+/// and \p lut is not read.
 WeightPanels pack_conv_weight_panels(const std::uint16_t* wq, unsigned bits,
-                                     const PanelPlan& plan, std::int64_t taps,
+                                     const PanelPlan& plan,
+                                     const tensor::ConvGeom& geom,
                                      const std::int32_t* lut,
                                      std::uint16_t z_pad, Workspace& ws);
 
-/// Inverse of pack_weight_panels: recovers the row-major uint16 codes
-/// (un-shifted). For round-trip tests.
+/// Packs row-major activation codes into workspace-backed panels + header,
+/// in row order, the panels of a plain matrix (matrix_geom). The layers
+/// pack through the fused im2col packers; tests and benches build operands
+/// with this one.
+ActPanels pack_activation_panels(const std::uint16_t* xq, const PanelPlan& plan,
+                                 Workspace& ws);
+
+/// Inverse of pack_weight_panels_into over a plain matrix (taps = 1):
+/// recovers the row-major uint16 codes (un-shifted). For round-trip tests.
 void unpack_weight_panels(const WeightPanels& w, unsigned bits,
                           std::uint16_t* wq_out);
 

@@ -33,47 +33,10 @@ void count_pad_skipped([[maybe_unused]] std::int64_t n) {
     AMRET_OBS_COUNT("kernels.gemm.pad_skipped", n);
 }
 
-void accumulate_panel_block_scalar(const BlockedGemmArgs& a, std::int64_t rb,
-                                   std::int64_t ob, const DepthRuns& runs,
-                                   std::int64_t* acc) {
-    const PanelPlan& xp = a.x.plan;
-    const PanelPlan& wp = a.w.plan;
-    const std::int64_t tp = xp.tr, to = wp.tr;
-    const std::int64_t pr = xp.block_rows(rb);
-    const std::int64_t orr = wp.block_rows(ob);
-    const std::int64_t kblocks = xp.depth_blocks();
-    std::fill(acc, acc + orr * tp, std::int64_t{0});
-    for (std::int64_t kb = 0; kb < kblocks; ++kb) {
-        const std::int64_t kr = xp.block_depth(kb), kbase = kb * xp.tk;
-        const std::uint16_t* xpan = a.x.codes + xp.panel_offset(rb, kb);
-        const std::uint32_t* wpan = a.w.codes + wp.panel_offset(ob, kb);
-        for (std::int64_t j = 0; j < runs.count; ++j) {
-            const std::int64_t hi = runs.hi(j, kbase, kr);
-            for (std::int64_t kk = runs.lo(j, kbase); kk < hi; ++kk) {
-                const std::uint16_t* xv = xpan + kk * tp;
-                const std::uint32_t* wv = wpan + kk * to;
-                for (std::int64_t oo = 0; oo < orr; ++oo) {
-                    const std::int32_t* lrow = a.lut + wv[oo];
-                    std::int64_t* arow = acc + oo * tp;
-                    for (std::int64_t pp = 0; pp < pr; ++pp)
-                        arow[pp] += lrow[xv[pp]];
-                }
-            }
-        }
-    }
-}
-
-void accumulate_panel_block(const BlockedGemmArgs& a, bool lut_u8,
-                            std::int64_t rb, std::int64_t ob,
-                            const DepthRuns& runs, std::int64_t* acc) {
-    if (!simd::accumulate_panel(a, lut_u8, rb, ob, runs, acc))
-        accumulate_panel_block_scalar(a, rb, ob, runs, acc);
-}
-
-void lut_forward_blocked(const BlockedGemmArgs& args, const float* bias,
+void lut_forward_blocked(const LutGemmArgs& args, const float* bias,
                          float* y, Workspace& ws) {
     AMRET_OBS_SPAN("kernels.lut_forward_blocked");
-    AMRET_OBS_COUNT("kernels.gemm.rows", args.p);
+    AMRET_OBS_COUNT("kernels.gemm.rows", args.p());
     // The epilogue is the naive forward's float expression (per-element
     // values are order-independent).
     lut_gemm_blocked(args, ws, [&](std::int64_t pp, std::int64_t oo,
@@ -89,10 +52,9 @@ void lut_backward_rows(const LutGemmArgs& args, const float* gyp,
                        float* gw_raw, float* gx_raw, Workspace& ws) {
     // The span keeps the name perfbench's trace fold reads.
     AMRET_OBS_SPAN("kernels.lut_backward_blocked");
-    AMRET_OBS_COUNT("kernels.gemm.backward_rows", args.p);
-    const std::int64_t o_rows = args.o, p_rows = args.p, depth = args.k;
+    AMRET_OBS_COUNT("kernels.gemm.backward_rows", args.p());
     const tensor::ConvGeom& geom = args.geom;
-    assert(geom.positions() == p_rows && geom.patch() == depth);
+    const std::int64_t o_rows = args.o, p_rows = args.p(), depth = args.k();
     const std::int64_t spatial = geom.out_h() * geom.out_w();
 
     // Activation gradients: one chunk owns each gx row. For every element

@@ -34,20 +34,17 @@
 
 namespace amret::kernels {
 
-/// Operand matrices and quantization constants of one LUT GEMM.
-/// Layout: wq is (rows_o, depth_k), xq is (rows_p, depth_k), both row-major;
-/// LUT index is (w << bits) | x. A conv's rows are im2col rows (n, oy, ox)
-/// and its depth is tap-major, (ky, kx, c) (layout.hpp, "Conv order").
+/// One LUT GEMM from packing to backward: its quantization constants, its
+/// conv geometry, the forward's panels and the backward's row-major codes.
+/// The rows are the geometry's positions, P = geom.positions(), im2col
+/// order (n, oy, ox) for the codes and location-major for the panels; the
+/// depth is its patch, K = geom.patch(), tap-major, (ky, kx, c)
+/// (layout.hpp, "Conv order"). A plain matrix is matrix_geom(p, k). The
+/// LUT index is (w << bits) | x.
 struct LutGemmArgs {
     unsigned bits = 8;
-    const std::int32_t* lut = nullptr;  ///< product LUT, 2^(2*bits) entries
-    const std::uint16_t* wq = nullptr;  ///< quantized weights (O, K)
-    const std::uint16_t* xq = nullptr;  ///< quantized activations (P, K)
-    std::int64_t o = 0;                 ///< output rows (channels)
-    std::int64_t p = 0;                 ///< positions (batch x spatial)
-    std::int64_t k = 0;                 ///< reduction depth
-    /// Conv geometry of the rows and depth, as in ActPanels; a plain matrix
-    /// is matrix_geom(p, k). The backward reads it (lut_backward_rows).
+    const std::int32_t* lut = nullptr; ///< product LUT, 2^(2*bits) entries
+    std::int64_t o = 0;                ///< output rows (channels)
     tensor::ConvGeom geom = matrix_geom(0, 0);
     float scale_w = 1.0f, scale_x = 1.0f;
     std::int32_t zero_w = 0, zero_x = 0;
@@ -55,7 +52,15 @@ struct LutGemmArgs {
     /// arrays (length O) override scale_w / zero_w row-wise.
     const float* scale_w_per_o = nullptr;
     const std::int32_t* zero_w_per_o = nullptr;
+    /// Forward operands (lut_gemm_blocked), sharing one depth blocking.
+    WeightPanels w; ///< plan.rows = O, pre-shifted codes
+    ActPanels x;    ///< plan.rows = P
+    /// Backward operands (lut_backward_rows).
+    const std::uint16_t* wq = nullptr; ///< quantized weights (O, K)
+    const std::uint16_t* xq = nullptr; ///< quantized activations (P, K)
 
+    [[nodiscard]] std::int64_t p() const { return geom.positions(); }
+    [[nodiscard]] std::int64_t k() const { return geom.patch(); }
     [[nodiscard]] float row_scale_w(std::int64_t oo) const {
         return scale_w_per_o ? scale_w_per_o[oo] : scale_w;
     }
@@ -77,7 +82,7 @@ void accumulate_bias_grad(const float* gyp, std::int64_t p, std::int64_t o,
 /// over the row-major codes of \p args, gx in ascending o and gw in
 /// ascending p. The weight scale is folded into gx_raw (it varies per row in
 /// per-channel mode); the remaining factors — s_x for gw, and the clamp
-/// masks — are applied by the caller (see ApproxConv2d::backward_quant).
+/// masks — are applied by the caller (approx::GemmLayer::backward_gemm).
 /// Buffers must be zero-initialized. The ∂AM/∂X table is taken transposed,
 /// indexed (x << bits) | w (core::GradLut::dx_t_table()). Both walks put
 /// depth indices in the vector lanes: grad-X fixes each lane's activation
@@ -107,29 +112,6 @@ void lut_backward_rows(const LutGemmArgs& args, const float* gyp,
 // lut_backward_rows reads the row-major codes.
 // ----------------------------------------------------------------------
 
-/// One LUT GEMM over blocked operands. Both panels must share the same
-/// depth blocking (same tk and logical depth k).
-struct BlockedGemmArgs {
-    unsigned bits = 8;
-    const std::int32_t* lut = nullptr; ///< product LUT, 2^(2*bits) entries
-    WeightPanels w;                    ///< plan.rows = o, pre-shifted codes
-    ActPanels x;                       ///< plan.rows = p
-    std::int64_t o = 0;
-    std::int64_t p = 0;
-    std::int64_t k = 0;
-    float scale_w = 1.0f, scale_x = 1.0f;
-    std::int32_t zero_w = 0, zero_x = 0;
-    const float* scale_w_per_o = nullptr;
-    const std::int32_t* zero_w_per_o = nullptr;
-
-    [[nodiscard]] float row_scale_w(std::int64_t oo) const {
-        return scale_w_per_o ? scale_w_per_o[oo] : scale_w;
-    }
-    [[nodiscard]] std::int32_t row_zero_w(std::int64_t oo) const {
-        return zero_w_per_o ? zero_w_per_o[oo] : zero_w;
-    }
-};
-
 /// True when \p bits <= 4 and every entry of the 2^(2*bits) product LUT fits
 /// uint8, the precondition of the SIMD pshufb path, whose in-register tables
 /// hold byte products. Scans at most 256 entries; wider tables return false
@@ -142,31 +124,21 @@ bool lut_fits_u8(const std::int32_t* lut, unsigned bits);
 /// block. Out of line so the header stays free of obs.
 void count_pad_skipped(std::int64_t n);
 
-/// Fills the int64 accumulator tile of block (rb, ob) with the scalar panel
-/// loop: acc[oo * a.x.plan.tr + pp] = sum LUT[w, x] over the real rows of
-/// the block and the depth of \p runs, the block's tap box (pad rows are
-/// left zero). It is the scalar dispatch level, which every SIMD kernel
-/// must match bit for bit. \p acc must hold a.x.plan.tr * a.w.plan.tr
-/// int64s.
-///
-/// Inner loop: for a fixed depth index the activation panel column and the
-/// accumulator row are walked at unit stride, and each pre-shifted weight
-/// code pins one product-LUT row (`lut + wcode`) that consecutive activation
-/// codes index directly — the layout refactor's cache contract.
-void accumulate_panel_block_scalar(const BlockedGemmArgs& a, std::int64_t rb,
-                                   std::int64_t ob, const DepthRuns& runs,
-                                   std::int64_t* acc);
+namespace simd {
 
-/// Same contract, routed through the runtime SIMD dispatch
-/// (kernels::simd::select()): the fastest eligible vector kernel fills the
-/// tile, falling back to accumulate_panel_block_scalar when none applies.
-/// \p lut_u8 is lut_fits_u8(a.lut, a.bits). The forward accumulator is
-/// int64, so the result is bitwise-identical either way on the real rows;
-/// SIMD kernels may leave other values in pad rows/lanes (callers'
-/// epilogues never read them).
-void accumulate_panel_block(const BlockedGemmArgs& a, bool lut_u8,
-                            std::int64_t rb, std::int64_t ob,
-                            const DepthRuns& runs, std::int64_t* acc);
+/// The forward's SIMD dispatch seam (simd.hpp), defined in
+/// simd/dispatch.cpp: fills the int64 accumulator tile of block (rb, ob),
+/// acc[oo * a.x.plan.tr + pp] = sum LUT[w, x] over the depth of \p runs
+/// (the block's tap box), for every real row, with the widest leaf the
+/// selected level has for the operands; the scalar block loop is the
+/// scalar level's leaf and every other level's fallback. Pad rows/lanes
+/// hold unspecified values (epilogues never read them). \p acc must hold
+/// a.x.plan.tr * a.w.plan.tr int64s; \p lut_u8 is lut_fits_u8(a.lut,
+/// a.bits), the pshufb path's condition on the table.
+void accumulate_panel(const LutGemmArgs& a, bool lut_u8, std::int64_t rb,
+                      std::int64_t ob, const DepthRuns& runs, std::int64_t* acc);
+
+} // namespace simd
 
 /// Sum of pad_sum over the taps of filter \p o outside \p box: what the
 /// lookups the box walk skipped would have added, since each of them reads
@@ -205,17 +177,19 @@ inline std::int64_t forward_grain(const PanelPlan& x, std::int64_t o) {
 /// before the Eq. (8) correction, whose headers still sum the full depth,
 /// so the corrected value equals the full-depth sum exactly. The
 /// accumulation of each (rb, ob) tile runs through the SIMD dispatch seam
-/// (accumulate_panel_block). \p epi(row, o, corrected) receives the im2col
+/// (simd::accumulate_panel). \p epi(row, o, corrected) receives the im2col
 /// row (n, oy, ox) of each panel row, so the location-major panel order
 /// (layout.hpp) stays inside the kernels. The training forward
 /// (lut_forward_blocked) and the engine's requantizing conv are its two
 /// epilogues.
 template <class Epilogue>
-void lut_gemm_blocked(const BlockedGemmArgs& a, Workspace& ws, Epilogue&& epi) {
+void lut_gemm_blocked(const LutGemmArgs& a, Workspace& ws, Epilogue&& epi) {
     const PanelPlan& xp = a.x.plan;
     const PanelPlan& wp = a.w.plan;
     assert(xp.depth == wp.depth && xp.tk == wp.tk && "mismatched depth blocking");
-    const tensor::ConvGeom& geom = a.x.geom;
+    const tensor::ConvGeom& geom = a.geom;
+    assert(xp.rows == geom.positions() && xp.depth == geom.patch());
+    const std::int64_t k = xp.depth;
     const std::int64_t spatial = geom.out_h() * geom.out_w();
     const std::int64_t tp = xp.tr, to = wp.tr;
     const std::int64_t nblocks = xp.row_blocks(), oblocks = wp.row_blocks();
@@ -233,11 +207,11 @@ void lut_gemm_blocked(const BlockedGemmArgs& a, Workspace& ws, Epilogue&& epi) {
             const std::int64_t pbase = rb * tp;
             const TapBox box = TapBox::of_rows(geom, pbase, pbase + pr);
             const DepthRuns runs = box.runs(geom);
-            skipped += (a.k - runs.depth()) * pr * a.o;
+            skipped += (k - runs.depth()) * pr * a.o;
             for (std::int64_t ob = 0; ob < oblocks; ++ob) {
                 const std::int64_t orr = wp.block_rows(ob);
                 const std::int64_t obase = ob * to;
-                accumulate_panel_block(a, lut_u8, rb, ob, runs, acc);
+                simd::accumulate_panel(a, lut_u8, rb, ob, runs, acc);
                 for (std::int64_t oo = 0; oo < orr; ++oo) {
                     const std::int64_t pad =
                         pad_outside(a.w, geom.kernel, obase + oo, box);
@@ -257,7 +231,7 @@ void lut_gemm_blocked(const BlockedGemmArgs& a, Workspace& ws, Epilogue&& epi) {
                             acc[oo * tp + pp] -
                             static_cast<std::int64_t>(a.zero_x) * a.w.sum_w[obase + oo] -
                             static_cast<std::int64_t>(zw) * sx +
-                            a.k * static_cast<std::int64_t>(zw) * a.zero_x;
+                            k * static_cast<std::int64_t>(zw) * a.zero_x;
                         epi(row, obase + oo, corrected);
                     }
                 }
@@ -270,7 +244,7 @@ void lut_gemm_blocked(const BlockedGemmArgs& a, Workspace& ws, Epilogue&& epi) {
 /// Forward into a (P, O) float matrix: y[p, o] = s_w*s_x*(sum_k LUT[w,x]
 /// - Z_x*sumW[o] - Z_w*sumX[p] + K*Z_w*Z_x) + bias[o], \p bias may be null.
 /// lut_gemm_blocked with that epilogue; scratch comes from \p ws.
-void lut_forward_blocked(const BlockedGemmArgs& args, const float* bias,
+void lut_forward_blocked(const LutGemmArgs& args, const float* bias,
                          float* y, Workspace& ws);
 
 } // namespace amret::kernels

@@ -7,6 +7,7 @@
 #include "kernels/simd/simd_internal.hpp"
 #include "obs/obs.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -124,26 +125,48 @@ void set_isa_for_test(Isa isa) {
 
 void clear_isa_override() { g_override.store(-1, std::memory_order_relaxed); }
 
-namespace {
-
-bool nibble_eligible(const BlockedGemmArgs& a, bool lut_u8) {
-    return a.bits <= 4 && a.x.packed4 != nullptr && a.x.plan.tr % 16 == 0 &&
-           lut_u8;
+void detail::acc_panel_scalar(const LutGemmArgs& a, std::int64_t rb,
+                              std::int64_t ob, const DepthRuns& runs,
+                              std::int64_t* acc) {
+    const PanelPlan& xp = a.x.plan;
+    const PanelPlan& wp = a.w.plan;
+    const std::int64_t tp = xp.tr, to = wp.tr;
+    const std::int64_t pr = xp.block_rows(rb);
+    const std::int64_t orr = wp.block_rows(ob);
+    const std::int64_t kblocks = xp.depth_blocks();
+    std::fill(acc, acc + orr * tp, std::int64_t{0});
+    for (std::int64_t kb = 0; kb < kblocks; ++kb) {
+        const std::int64_t kr = xp.block_depth(kb), kbase = kb * xp.tk;
+        const std::uint16_t* xpan = a.x.codes + xp.panel_offset(rb, kb);
+        const std::uint32_t* wpan = a.w.codes + wp.panel_offset(ob, kb);
+        for (std::int64_t j = 0; j < runs.count; ++j) {
+            const std::int64_t hi = runs.hi(j, kbase, kr);
+            for (std::int64_t kk = runs.lo(j, kbase); kk < hi; ++kk) {
+                const std::uint16_t* xv = xpan + kk * tp;
+                const std::uint32_t* wv = wpan + kk * to;
+                for (std::int64_t oo = 0; oo < orr; ++oo) {
+                    const std::int32_t* lrow = a.lut + wv[oo];
+                    std::int64_t* arow = acc + oo * tp;
+                    for (std::int64_t pp = 0; pp < pr; ++pp)
+                        arow[pp] += lrow[xv[pp]];
+                }
+            }
+        }
+    }
 }
 
-} // namespace
-
-bool accumulate_panel(const BlockedGemmArgs& a, bool lut_u8, std::int64_t rb,
+void accumulate_panel(const LutGemmArgs& a, bool lut_u8, std::int64_t rb,
                       std::int64_t ob, const DepthRuns& runs, std::int64_t* acc) {
     const Isa isa = select();
-    if (isa == Isa::kScalar) return false;
-    const bool nibble = nibble_eligible(a, lut_u8);
+    const bool nibble = a.bits <= 4 && a.x.packed4 != nullptr &&
+                        a.x.plan.tr % 16 == 0 && lut_u8;
     switch (isa) {
+    case Isa::kScalar: break;
     case Isa::kSsse3:
-        if (!nibble) return false;
+        if (!nibble) break;
         detail::acc_panel_nibble_ssse3(a, rb, ob, runs, acc);
         AMRET_OBS_COUNT("kernels.simd.panels.ssse3", 1);
-        return true;
+        return;
     case Isa::kAvx2:
         if (nibble)
             detail::acc_panel_nibble_avx2(a, rb, ob, runs, acc);
@@ -152,7 +175,7 @@ bool accumulate_panel(const BlockedGemmArgs& a, bool lut_u8, std::int64_t rb,
         else
             detail::acc_panel_gather_avx2(a, rb, ob, runs, acc);
         AMRET_OBS_COUNT("kernels.simd.panels.avx2", 1);
-        return true;
+        return;
     case Isa::kAvx512:
         // The byte-table path beats gathers even at 512-bit width, and the
         // 8-lane output-channel leaf beat a 16-lane copy on narrow blocks;
@@ -164,10 +187,9 @@ bool accumulate_panel(const BlockedGemmArgs& a, bool lut_u8, std::int64_t rb,
         else
             detail::acc_panel_gather_avx512(a, rb, ob, runs, acc);
         AMRET_OBS_COUNT("kernels.simd.panels.avx512", 1);
-        return true;
-    case Isa::kScalar: break;
+        return;
     }
-    return false;
+    detail::acc_panel_scalar(a, rb, ob, runs, acc);
 }
 
 void detail::grad_row_scalar(const GradRowArgs& a, std::int64_t kk0) {

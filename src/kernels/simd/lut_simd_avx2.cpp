@@ -32,13 +32,13 @@ namespace amret::kernels::simd::detail {
 
 bool compiled_avx2() { return true; }
 
-void acc_panel_nibble_avx2(const BlockedGemmArgs& a, std::int64_t rb,
+void acc_panel_nibble_avx2(const LutGemmArgs& a, std::int64_t rb,
                            std::int64_t ob, const DepthRuns& runs,
                            std::int64_t* acc) {
     acc_panel_nibble_impl(a, rb, ob, runs, acc);
 }
 
-void acc_panel_gather_avx2(const BlockedGemmArgs& a, std::int64_t rb,
+void acc_panel_gather_avx2(const LutGemmArgs& a, std::int64_t rb,
                            std::int64_t ob, const DepthRuns& runs,
                            std::int64_t* acc) {
     const PanelPlan& xp = a.x.plan;
@@ -104,7 +104,7 @@ void acc_panel_gather_avx2(const BlockedGemmArgs& a, std::int64_t rb,
     }
 }
 
-void acc_panel_olanes_avx2(const BlockedGemmArgs& a, std::int64_t rb,
+void acc_panel_olanes_avx2(const LutGemmArgs& a, std::int64_t rb,
                            std::int64_t ob, const DepthRuns& runs,
                            std::int64_t* acc) {
     const PanelPlan& xp = a.x.plan;
@@ -199,11 +199,11 @@ namespace amret::kernels::simd::detail {
 bool compiled_avx2() { return false; }
 
 // Unreachable: dispatch.cpp never routes to a level compiled() rejects.
-void acc_panel_nibble_avx2(const BlockedGemmArgs&, std::int64_t, std::int64_t,
+void acc_panel_nibble_avx2(const LutGemmArgs&, std::int64_t, std::int64_t,
                            const DepthRuns&, std::int64_t*) {}
-void acc_panel_gather_avx2(const BlockedGemmArgs&, std::int64_t, std::int64_t,
+void acc_panel_gather_avx2(const LutGemmArgs&, std::int64_t, std::int64_t,
                            const DepthRuns&, std::int64_t*) {}
-void acc_panel_olanes_avx2(const BlockedGemmArgs&, std::int64_t, std::int64_t,
+void acc_panel_olanes_avx2(const LutGemmArgs&, std::int64_t, std::int64_t,
                            const DepthRuns&, std::int64_t*) {}
 void grad_row_avx2(const GradRowArgs&, std::int64_t) {}
 

@@ -22,7 +22,7 @@ namespace amret::kernels::simd::detail {
 
 bool compiled_avx512() { return true; }
 
-void acc_panel_gather_avx512(const BlockedGemmArgs& a, std::int64_t rb,
+void acc_panel_gather_avx512(const LutGemmArgs& a, std::int64_t rb,
                              std::int64_t ob, const DepthRuns& runs,
                              std::int64_t* acc) {
     const PanelPlan& xp = a.x.plan;
@@ -157,7 +157,7 @@ namespace amret::kernels::simd::detail {
 bool compiled_avx512() { return false; }
 
 // Unreachable: dispatch.cpp never routes to a level compiled() rejects.
-void acc_panel_gather_avx512(const BlockedGemmArgs&, std::int64_t,
+void acc_panel_gather_avx512(const LutGemmArgs&, std::int64_t,
                              std::int64_t, const DepthRuns&, std::int64_t*) {}
 void grad_row_avx512(const GradRowArgs&) {}
 

@@ -19,7 +19,7 @@ namespace amret::kernels::simd::detail {
 
 bool compiled_ssse3() { return true; }
 
-void acc_panel_nibble_ssse3(const BlockedGemmArgs& a, std::int64_t rb,
+void acc_panel_nibble_ssse3(const LutGemmArgs& a, std::int64_t rb,
                             std::int64_t ob, const DepthRuns& runs,
                             std::int64_t* acc) {
     acc_panel_nibble_impl(a, rb, ob, runs, acc);
@@ -34,7 +34,7 @@ namespace amret::kernels::simd::detail {
 bool compiled_ssse3() { return false; }
 
 // Unreachable: dispatch.cpp never routes to a level compiled() rejects.
-void acc_panel_nibble_ssse3(const BlockedGemmArgs&, std::int64_t, std::int64_t,
+void acc_panel_nibble_ssse3(const LutGemmArgs&, std::int64_t, std::int64_t,
                             const DepthRuns&, std::int64_t*) {}
 
 } // namespace amret::kernels::simd::detail

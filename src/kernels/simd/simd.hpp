@@ -33,10 +33,10 @@
 /// (SSSE3 / AVX2 / AVX-512F via cpuid) and honours AMRET_SIMD=
 /// scalar|ssse3|avx2|avx512 as a *cap*: requesting a level the machine or
 /// build lacks falls back to the best supported level below it, with a typed
-/// warning through src/obs. The forward entry point returns false when the
-/// active level has no eligible kernel for the operands, and the caller
-/// then runs its scalar loop; the backward row walks fall back to scalar
-/// code themselves. Every path memcmp-matches the naive forward and backward
+/// warning through src/obs. Every entry point always does its work: when
+/// the active level has no eligible vector leaf for the operands, it runs
+/// the scalar leaf (the forward's scalar block loop, the backward's
+/// grad_row_scalar). Every path memcmp-matches the naive forward and backward
 /// of tests/lut_oracle.hpp:
 ///   - the forward accumulator is int64, so any lane split is exact and
 ///     SIMD forward output memcmp-equals the scalar oracle;
@@ -101,15 +101,8 @@ void clear_isa_override();
 // ---------------------------------------------------------------- seams ----
 // Called by the kernels in lut_kernels and gemm.
 
-/// Fills the int64 accumulator tile of block (rb, ob):
-/// acc[oo * x.plan.tr + pp] = sum LUT[w, x] over the depth of \p runs (the
-/// block's tap box), for every real row (pad lanes hold unspecified values;
-/// callers never read them). \p acc must hold x.plan.tr * w.plan.tr int64s. \p lut_u8
-/// is kernels::lut_fits_u8(a.lut, a.bits), the pshufb path's condition on
-/// the table. Returns false when the selected level has no eligible
-/// kernel; the caller then runs its scalar loop over the same block.
-bool accumulate_panel(const BlockedGemmArgs& a, bool lut_u8, std::int64_t rb,
-                      std::int64_t ob, const DepthRuns& runs, std::int64_t* acc);
+// The forward's seam, accumulate_panel, is declared in lut_kernels.hpp,
+// whose lut_gemm_blocked template calls it for every (rb, ob) tile.
 
 /// One row of the row-major backward walk (lut_backward_rows): for kk in
 /// [0, k), out[kk] accumulates, over the compacted nonzero output gradients

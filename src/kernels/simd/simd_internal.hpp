@@ -26,14 +26,24 @@ bool compiled_avx512();
 // contiguous depth indices. Pad row lanes may accumulate LUT[w, 0] or keep
 // stale values (callers never read pad lanes).
 
+/// The scalar block loop: the scalar level's leaf, and the fallback of
+/// every level for operands its vector leaves do not take; every vector
+/// leaf must match it bit for bit. For a fixed depth index it walks the
+/// activation panel column and the accumulator row at unit stride, and
+/// each pre-shifted weight code pins one product-LUT row (`lut + wcode`)
+/// that consecutive activation codes index directly — the panel layout's
+/// cache contract. Pad rows are left zero. Defined in dispatch.cpp.
+void acc_panel_scalar(const LutGemmArgs& a, std::int64_t rb, std::int64_t ob,
+                      const DepthRuns& runs, std::int64_t* acc);
+
 /// pshufb 16-entry in-register LUT path (bits <= 4). Requires
 /// a.x.packed4 != nullptr, a.x.plan.tr % 16 == 0, and every product-LUT
 /// entry in [0, 255] (lut_fits_u8, checked by the dispatcher).
-void acc_panel_nibble_ssse3(const BlockedGemmArgs& a, std::int64_t rb,
+void acc_panel_nibble_ssse3(const LutGemmArgs& a, std::int64_t rb,
                             std::int64_t ob, const DepthRuns& runs,
                             std::int64_t* acc);
 /// Same algorithm compiled VEX-encoded for AVX2-selected processes.
-void acc_panel_nibble_avx2(const BlockedGemmArgs& a, std::int64_t rb,
+void acc_panel_nibble_avx2(const LutGemmArgs& a, std::int64_t rb,
                            std::int64_t ob, const DepthRuns& runs,
                            std::int64_t* acc);
 
@@ -41,11 +51,11 @@ void acc_panel_nibble_avx2(const BlockedGemmArgs& a, std::int64_t rb,
 /// are widened, OR'd with the pre-shifted weight code and gathered from the
 /// product LUT, accumulating into 4+4 independent int64 lanes. Requires
 /// a.x.plan.tr >= 8.
-void acc_panel_gather_avx2(const BlockedGemmArgs& a, std::int64_t rb,
+void acc_panel_gather_avx2(const LutGemmArgs& a, std::int64_t rb,
                            std::int64_t ob, const DepthRuns& runs,
                            std::int64_t* acc);
 /// 16-lane AVX-512F variant (8+8 int64 accumulator lanes).
-void acc_panel_gather_avx512(const BlockedGemmArgs& a, std::int64_t rb,
+void acc_panel_gather_avx512(const LutGemmArgs& a, std::int64_t rb,
                              std::int64_t ob, const DepthRuns& runs,
                              std::int64_t* acc);
 
@@ -56,7 +66,7 @@ void acc_panel_gather_avx512(const BlockedGemmArgs& a, std::int64_t rb,
 /// with the broadcast code of one real activation row and gathered; the
 /// channel tail runs masked. Writes the real rows of the tile only and
 /// leaves pad rows untouched. The AVX-512 level runs it too.
-void acc_panel_olanes_avx2(const BlockedGemmArgs& a, std::int64_t rb,
+void acc_panel_olanes_avx2(const LutGemmArgs& a, std::int64_t rb,
                            std::int64_t ob, const DepthRuns& runs,
                            std::int64_t* acc);
 

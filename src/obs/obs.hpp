@@ -116,7 +116,8 @@ std::string counters_table();
 /// distinct \p code fires in the process, and always bumps the counter
 /// `warn.<code>` so tests and exporters can observe the condition without
 /// scraping stderr. Codes are short dotted identifiers
-/// ("tuning.file_malformed", "simd.env_unsupported", ...). Thread-safe.
+/// ("simd.env_unsupported", "runtime.threads_env_invalid", ...).
+/// Thread-safe.
 void warn_once(std::string_view code, std::string_view message);
 
 } // namespace amret::obs

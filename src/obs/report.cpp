@@ -33,7 +33,9 @@ struct JsonValue {
 };
 
 /// Recursive-descent parser. Tolerant only in what it accepts from valid
-/// JSON; any malformed input fails with a position-stamped message.
+/// JSON; any malformed input fails with a position-stamped message. Arrays
+/// and objects nest at most kMaxDepth deep, so no input can exhaust the
+/// stack; a trace file nests 4 deep.
 class JsonParser {
 public:
     explicit JsonParser(const std::string& text) : text_(text) {}
@@ -117,8 +119,17 @@ private:
             return false;
         }
         const char c = text_[pos_];
-        if (c == '{') return object_value(out, error);
-        if (c == '[') return array_value(out, error);
+        if (c == '{' || c == '[') {
+            if (depth_ == kMaxDepth) {
+                error = fail("nesting deeper than " + std::to_string(kMaxDepth));
+                return false;
+            }
+            ++depth_;
+            const bool ok =
+                c == '{' ? object_value(out, error) : array_value(out, error);
+            --depth_;
+            return ok;
+        }
         if (c == '"') {
             out.kind = JsonValue::Kind::kString;
             return string_value(out.string, error);
@@ -226,8 +237,11 @@ private:
         }
     }
 
+    static constexpr int kMaxDepth = 256;
+
     const std::string& text_;
     std::size_t pos_ = 0;
+    int depth_ = 0;
 };
 
 double number_or(const JsonValue* v, double fallback) {

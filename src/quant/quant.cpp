@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <vector>
 
 namespace amret::quant {
 
@@ -50,46 +49,6 @@ void EmaObserver::observe(const tensor::Tensor& t) {
 
 QuantParams EmaObserver::params(unsigned bits) const {
     return choose_params(lo(), hi(), bits);
-}
-
-void PercentileObserver::observe(const tensor::Tensor& t) {
-    if (t.empty()) return;
-    std::vector<float> values(t.data(), t.data() + t.numel());
-    const auto hi_pos = static_cast<std::ptrdiff_t>(
-        percentile_ * static_cast<double>(values.size() - 1));
-    const auto lo_pos = static_cast<std::ptrdiff_t>(
-        (1.0 - percentile_) * static_cast<double>(values.size() - 1));
-    std::nth_element(values.begin(), values.begin() + hi_pos, values.end());
-    const double hi = values[static_cast<std::size_t>(hi_pos)];
-    std::nth_element(values.begin(), values.begin() + lo_pos, values.end());
-    const double lo = values[static_cast<std::size_t>(lo_pos)];
-
-    if (!initialized_) {
-        lo_ = lo;
-        hi_ = hi;
-        initialized_ = true;
-        return;
-    }
-    lo_ = momentum_ * lo_ + (1.0 - momentum_) * lo;
-    hi_ = momentum_ * hi_ + (1.0 - momentum_) * hi;
-}
-
-QuantParams PercentileObserver::params(unsigned bits) const {
-    return choose_params(lo(), hi(), bits);
-}
-
-QuantizedTensor quantize_tensor(const tensor::Tensor& t, const QuantParams& params) {
-    QuantizedTensor q;
-    q.params = params;
-    const std::size_t n = static_cast<std::size_t>(t.numel());
-    q.codes.resize(n);
-    q.in_range.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const float v = t[static_cast<std::int64_t>(i)];
-        q.codes[i] = static_cast<std::uint16_t>(params.quantize(v));
-        q.in_range[i] = params.in_range(v) ? 1 : 0;
-    }
-    return q;
 }
 
 tensor::Tensor fake_quantize(const tensor::Tensor& t, const QuantParams& params) {

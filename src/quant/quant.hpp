@@ -12,7 +12,6 @@
 #include "tensor/tensor.hpp"
 
 #include <cstdint>
-#include <vector>
 
 namespace amret::quant {
 
@@ -69,39 +68,6 @@ private:
     double lo_ = 0.0, hi_ = 0.0;
     bool initialized_ = false;
 };
-
-/// Percentile-clipping observer: tracks the EMA of a low/high batch
-/// quantile instead of the absolute min/max, so a handful of activation
-/// outliers cannot blow up the quantization range (a standard calibration
-/// refinement over min/max observers).
-class PercentileObserver {
-public:
-    explicit PercentileObserver(double momentum = 0.9, double percentile = 0.999)
-        : momentum_(momentum), percentile_(percentile) {}
-
-    /// Folds the batch's [1-p, p] quantile range into the running range.
-    void observe(const tensor::Tensor& t);
-
-    [[nodiscard]] bool initialized() const { return initialized_; }
-    [[nodiscard]] float lo() const { return static_cast<float>(lo_); }
-    [[nodiscard]] float hi() const { return static_cast<float>(hi_); }
-    [[nodiscard]] QuantParams params(unsigned bits) const;
-
-private:
-    double momentum_, percentile_;
-    double lo_ = 0.0, hi_ = 0.0;
-    bool initialized_ = false;
-};
-
-/// Quantizes a whole tensor into unsigned 8/16-bit codes (stored as
-/// uint16_t to cover bits <= 10) and records the in-range mask for the
-/// backward pass.
-struct QuantizedTensor {
-    std::vector<std::uint16_t> codes;
-    std::vector<std::uint8_t> in_range; ///< 1 where the STE gradient passes
-    QuantParams params;
-};
-QuantizedTensor quantize_tensor(const tensor::Tensor& t, const QuantParams& params);
 
 /// Fake-quantization: quantize then dequantize elementwise (used in tests
 /// as the reference for the exact-multiplier integer path).

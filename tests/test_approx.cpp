@@ -55,7 +55,7 @@ MultiplierConfig approx_config(const std::string& name, core::GradientMode mode,
 void blocked_forward(const kernels::LutGemmArgs& args, const float* bias, float* y) {
     namespace tune = kernels::tune;
     kernels::Workspace ws;
-    const kernels::BlockedGemmArgs b =
+    const kernels::LutGemmArgs b =
         lut_oracle::pack_blocked(args, tune::kTileP, tune::kTileO, tune::kTileK, ws);
     kernels::lut_forward_blocked(b, bias, y, ws);
 }
@@ -73,8 +73,7 @@ TEST(LutGemm, ForwardMatchesDequantizedDotProduct) {
     args.wq = wq.data();
     args.xq = xq.data();
     args.o = O;
-    args.p = P;
-    args.k = K;
+    args.geom = kernels::matrix_geom(P, K);
     args.scale_w = 0.25f;
     args.scale_x = 0.5f;
     args.zero_w = 7;
@@ -107,7 +106,8 @@ TEST(LutGemm, ForwardAddsBias) {
     args.lut = lut.table().data();
     args.wq = wq.data();
     args.xq = xq.data();
-    args.o = args.p = args.k = 1;
+    args.o = 1;
+    args.geom = kernels::matrix_geom(1, 1);
     const float bias = 2.75f;
     float y = 0.0f;
     blocked_forward(args, &bias, &y);
@@ -129,8 +129,6 @@ TEST(LutGemm, BackwardSteMatchesDequantizedOperands) {
     args.wq = wq.data();
     args.xq = xq.data();
     args.o = O;
-    args.p = P;
-    args.k = K;
     args.geom = kernels::matrix_geom(P, K);
     args.zero_w = 7;
     args.zero_x = 4;

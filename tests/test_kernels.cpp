@@ -322,12 +322,22 @@ const std::map<std::string, std::uint64_t> kGolden = {
     {"conv_c20.gw", 0x6c62a49086eb9310ull},    {"conv_c20.gb", 0xa7e7b9a2209c5bf4ull},
     {"conv_c20_1x1.y", 0x722818be7c8a9892ull}, {"conv_c20_1x1.gx", 0x00992ae80a76b7beull},
     {"conv_c20_1x1.gw", 0x3bc5271890b8223aull}, {"conv_c20_1x1.gb", 0x56bd14e3ada61eefull},
+    // 1x1 convs on spatial maps, a per-channel pointwise conv and a stride-2
+    // downsample, captured while the backward still copied their weight
+    // codes into a tap-major order that is the identity for them.
+    {"conv_pw_pc.y", 0xb63e19b779988debull},  {"conv_pw_pc.gx", 0xf58b4246f5337fbbull},
+    {"conv_pw_pc.gw", 0x913947e5d69c8edeull}, {"conv_pw_pc.gb", 0xb1099216d10bf716ull},
+    {"conv_1x1_s2.y", 0x36466136e768e2c7ull},  {"conv_1x1_s2.gx", 0x8d3372ff4207cd40ull},
+    {"conv_1x1_s2.gw", 0xf462ec6c5dcdf849ull}, {"conv_1x1_s2.gb", 0x98add1c258be5345ull},
     // Quantized linears with a 16-row block and a 3-row tail, and on the
     // nibble leaf, captured while ApproxLinear ran its own quantized step.
     {"qlinear.y", 0xed3f7b3c2beac58full},      {"qlinear.gx", 0x691ae4fa132aa71bull},
     {"qlinear.gw", 0x38680db2fed1478aull},     {"qlinear.gb", 0x61e4533d478ccac4ull},
     {"qlinear_nib.y", 0xcca918835c583c97ull},  {"qlinear_nib.gx", 0xf197755ad89e308full},
     {"qlinear_nib.gw", 0x83be8f9cd466b4e9ull}, {"qlinear_nib.gb", 0x844475bea469fafaull},
+    // An engine with a 2x2 average pool and a global average pool, captured
+    // while the engine still ran them as their own op types.
+    {"engine_avg.logits", 0xc00ac3935b52ec6eull},
 };
 
 void expect_golden(const std::string& key, std::uint64_t h) {
@@ -586,6 +596,21 @@ TEST(Golden, QuantizedConvDeepChannelsOneByOnePerChannel) {
                      Shape{5, 20, 1, 1}, 928);
 }
 
+TEST(Golden, QuantizedPointwiseConvPerChannel) {
+    // MobileNet's pointwise shape: a 1x1 stride-1 conv on a 5x6 map.
+    golden_two_steps("conv_pw_pc",
+                     quant_conv(12, 20, 1, 1, 0, 827, golden_config("mul8u_rm8"),
+                                /*per_channel=*/true),
+                     Shape{3, 12, 5, 6}, 938);
+}
+
+TEST(Golden, QuantizedOneByOneConvStrideTwo) {
+    // ResNet's downsample shape: a 1x1 stride-2 conv on a 7x9 map.
+    golden_two_steps("conv_1x1_s2",
+                     quant_conv(6, 10, 1, 2, 0, 837, golden_config("mul8u_rm8")),
+                     Shape{2, 6, 7, 9}, 948);
+}
+
 /// A quantized ApproxLinear(37, 21) on \p config, for golden_two_steps.
 auto quant_linear(approx::MultiplierConfig config) {
     return [config] {
@@ -758,6 +783,40 @@ TEST(Golden, IntInferenceEngineLenet) {
 
         approx::IntInferenceEngine engine(*model, pair.train, 48);
         expect_golden("engine_lenet.logits", hash_tensor(engine.forward(batch.images)));
+    });
+}
+
+TEST(Golden, IntInferenceEngineAveragePools) {
+    // The engine's average and global average pools, which no stock VGG or
+    // LeNet engine runs: a 2x2 average pool between the convs and a global
+    // average pool before the head, on one batch of 5.
+    data::SyntheticConfig dc;
+    dc.num_classes = 4;
+    dc.height = dc.width = 12;
+    dc.train_samples = 40;
+    dc.test_samples = 8;
+    dc.seed = 21;
+    const auto pair = data::make_synthetic(dc);
+
+    at_every_isa([&] {
+        util::Rng rng(31);
+        nn::Sequential model;
+        auto* conv = model.emplace<approx::ApproxConv2d>(3, 6, 3, 1, 1, rng);
+        model.emplace<nn::ReLU>();
+        model.emplace<nn::AvgPool2d>(2);
+        auto* conv2 = model.emplace<approx::ApproxConv2d>(6, 8, 3, 1, 0, rng);
+        model.emplace<nn::ReLU>();
+        model.emplace<nn::GlobalAvgPool>();
+        model.emplace<nn::Flatten>();
+        model.emplace<nn::Linear>(8, 4, rng);
+        conv->set_multiplier(golden_config("mul8u_rm8"));
+        conv2->set_multiplier(golden_config("mul8u_rm8"));
+        model.set_training(false);
+
+        approx::IntInferenceEngine engine(model, pair.train, 40);
+        util::Rng xrng(1616);
+        const Tensor images = Tensor::randn(Shape{5, 3, 12, 12}, xrng);
+        expect_golden("engine_avg.logits", hash_tensor(engine.forward(images)));
     });
 }
 

@@ -19,7 +19,6 @@ namespace {
 
 using namespace amret;
 using kernels::ActPanels;
-using kernels::BlockedGemmArgs;
 using kernels::LutGemmArgs;
 using kernels::PanelPlan;
 using kernels::WeightPanels;
@@ -92,8 +91,9 @@ TEST(PanelPack, RoundTripIsIdentityForAllPaddingConfigs) {
                 v = static_cast<std::uint16_t>(rng.uniform_u64(1u << bits));
 
             Workspace ws;
-            const WeightPanels w =
-                kernels::pack_weight_panels(codes.data(), bits, plan, ws);
+            const WeightPanels w = kernels::pack_conv_weight_panels(
+                codes.data(), bits, plan,
+                kernels::matrix_geom(cfg.rows, cfg.depth), nullptr, 0, ws);
             std::vector<std::uint16_t> back(n, 0xffffu);
             kernels::unpack_weight_panels(w, bits, back.data());
             EXPECT_EQ(std::memcmp(codes.data(), back.data(),
@@ -129,12 +129,44 @@ TEST(PanelPack, WeightCodesAreStoredPreShifted) {
     const PanelPlan plan = kernels::make_panel_plan(2, 2, 2, 2);
     const std::uint16_t codes[4] = {1, 2, 3, 4};
     Workspace ws;
-    const WeightPanels w = kernels::pack_weight_panels(codes, 8, plan, ws);
+    const WeightPanels w = kernels::pack_conv_weight_panels(
+        codes, 8, plan, kernels::matrix_geom(2, 2), nullptr, 0, ws);
     // Panel slot (kk=0, rr=0) holds codes[0] << 8: `lut + slot` is the LUT
     // row base for weight code 1.
     EXPECT_EQ(w.codes[0], static_cast<std::uint32_t>(1) << 8);
     EXPECT_EQ(w.codes[1], static_cast<std::uint32_t>(3) << 8); // rr=1
     EXPECT_EQ(w.codes[2], static_cast<std::uint32_t>(2) << 8); // kk=1
+}
+
+TEST(PanelPack, OnlyPaddedConvWeightsCarryThePaddingConstant) {
+    // A padded conv's panels carry pad_sum[o * K^2 + t], the sum over
+    // channels of LUT[(w[o, c, t] << bits) | z_pad]; an unpadded conv and a
+    // plain matrix never skip a tap, so the packer builds none for them.
+    util::Rng rng(19);
+    const auto lut = appmult::AppMultLut::exact(8);
+    const std::int64_t o = 5, c = 3, taps = 9;
+    std::vector<std::uint16_t> codes(static_cast<std::size_t>(o * c * taps));
+    for (auto& v : codes) v = static_cast<std::uint16_t>(rng.uniform_u64(256));
+    const PanelPlan plan = kernels::make_panel_plan(o, c * taps, 4, 16);
+    const std::uint16_t z_pad = 37;
+    Workspace ws;
+    const auto pack = [&](const ConvGeom& g) {
+        return kernels::pack_conv_weight_panels(codes.data(), 8, plan, g,
+                                                lut.table().data(), z_pad, ws);
+    };
+    const WeightPanels padded = pack(ConvGeom{2, c, 6, 6, 3, 1, 1});
+    ASSERT_NE(padded.pad_sum, nullptr);
+    for (std::int64_t oo = 0; oo < o; ++oo)
+        for (std::int64_t t = 0; t < taps; ++t) {
+            std::int64_t want = 0;
+            for (std::int64_t cc = 0; cc < c; ++cc)
+                want += lut.table()[static_cast<std::size_t>(
+                    (codes[static_cast<std::size_t>((oo * c + cc) * taps + t)] << 8) |
+                    z_pad)];
+            EXPECT_EQ(padded.pad_sum[oo * taps + t], want) << oo << " " << t;
+        }
+    EXPECT_EQ(pack(ConvGeom{2, c, 6, 6, 3, 1, 0}).pad_sum, nullptr);
+    EXPECT_EQ(pack(kernels::matrix_geom(7, c * taps)).pad_sum, nullptr);
 }
 
 // ----------------------------------------------- kernels vs the oracle --
@@ -170,8 +202,6 @@ struct BlockedRandom {
         args.wq = wq.data();
         args.xq = xq.data();
         args.o = o;
-        args.p = p;
-        args.k = k;
         args.geom = kernels::matrix_geom(p, k);
         args.scale_w = 0.017f;
         args.scale_x = 0.031f;
@@ -221,7 +251,7 @@ TEST(BlockedKernels, ForwardMatchesScalarOracleBitwise) {
             std::vector<float> y(ref.size());
             for (const auto& t : kPanelTiles) {
                 ws.reset();
-                const BlockedGemmArgs b =
+                const LutGemmArgs b =
                     lut_oracle::pack_blocked(g.args, t.tp, t.to, t.tk, ws);
                 std::fill(y.begin(), y.end(), -1.0f);
                 kernels::lut_forward_blocked(b, bias.data(), y.data(), ws);

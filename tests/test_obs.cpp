@@ -251,6 +251,25 @@ TEST(ObsTrace, LoaderRejectsGarbage) {
     EXPECT_FALSE(error.empty());
 }
 
+TEST(ObsTrace, LoaderRejectsDeepNestingWithPositionedError) {
+    // 200,000 unclosed arrays: the parser stops at its nesting limit with a
+    // positioned error instead of recursing off the stack.
+    const std::string path =
+        std::string(::testing::TempDir()) + "amret_obs_deep.json";
+    {
+        std::FILE* f = std::fopen(path.c_str(), "w");
+        ASSERT_NE(f, nullptr);
+        const std::string deep(200000, '[');
+        std::fputs(deep.c_str(), f);
+        std::fclose(f);
+    }
+    std::string error;
+    EXPECT_TRUE(obs::load_chrome_trace(path, &error).empty());
+    std::remove(path.c_str());
+    EXPECT_NE(error.find("nesting deeper than"), std::string::npos) << error;
+    EXPECT_NE(error.find("at offset"), std::string::npos) << error;
+}
+
 // ------------------------------------------------------------ determinism --
 
 void expect_snapshots_equal(const train::ModelSnapshot& a,

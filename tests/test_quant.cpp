@@ -1,4 +1,5 @@
 // Tests for the Eq. (7)/(8) quantization layer.
+#include "kernels/quantize.hpp"
 #include "quant/quant.hpp"
 
 #include <gtest/gtest.h>
@@ -89,18 +90,7 @@ TEST(Observer, SetRangeRestoresState) {
     EXPECT_NEAR(p.dequantize(p.quantize(-2.0f)), -2.0f, p.scale);
 }
 
-TEST(QuantizedTensor, CodesAndMask) {
-    const QuantParams p = quant::choose_params(-1.0f, 1.0f, 8);
-    const tensor::Tensor t = tensor::Tensor::from({-1.0f, 0.0f, 1.0f, 50.0f});
-    const auto q = quant::quantize_tensor(t, p);
-    ASSERT_EQ(q.codes.size(), 4u);
-    EXPECT_EQ(q.codes[0], 0u);
-    EXPECT_EQ(q.codes[3], 255u); // clamped
-    EXPECT_EQ(q.in_range[1], 1);
-    EXPECT_EQ(q.in_range[3], 0); // gradient blocked outside range
-}
-
-TEST(QuantizedTensor, FakeQuantizeIdempotent) {
+TEST(Quant, FakeQuantizeIdempotent) {
     const QuantParams p = quant::choose_params(-1.0f, 1.0f, 6);
     util::Rng rng(11);
     const tensor::Tensor t = tensor::Tensor::randn(tensor::Shape{64}, rng, 0.4f);
@@ -110,53 +100,31 @@ TEST(QuantizedTensor, FakeQuantizeIdempotent) {
         EXPECT_FLOAT_EQ(once[i], twice[i]) << i;
 }
 
-TEST(QuantizedTensor, DequantOfCodesMatchesFakeQuant) {
+// The layers quantize through kernels::quantize_into: codes clamp to
+// [0, 2^B - 1], the mask blocks the gradient outside the range, and the
+// dequantized codes are fake_quantize.
+
+TEST(QuantizeInto, CodesAndMask) {
+    const QuantParams p = quant::choose_params(-1.0f, 1.0f, 8);
+    const float v[4] = {-1.0f, 0.0f, 1.0f, 50.0f};
+    kernels::Workspace ws;
+    const kernels::QuantView q = kernels::quantize_into(v, 4, p, ws);
+    ASSERT_EQ(q.size, 4);
+    EXPECT_EQ(q.codes[0], 0u);
+    EXPECT_EQ(q.codes[3], 255u); // clamped
+    EXPECT_EQ(q.in_range[1], 1);
+    EXPECT_EQ(q.in_range[3], 0); // gradient blocked outside range
+}
+
+TEST(QuantizeInto, DequantOfCodesMatchesFakeQuant) {
     const QuantParams p = quant::choose_params(-1.5f, 0.7f, 7);
     util::Rng rng(12);
     const tensor::Tensor t = tensor::Tensor::randn(tensor::Shape{128}, rng, 0.5f);
-    const auto q = quant::quantize_tensor(t, p);
+    kernels::Workspace ws;
+    const kernels::QuantView q = kernels::quantize_into(t.data(), t.numel(), p, ws);
     const tensor::Tensor fq = quant::fake_quantize(t, p);
     for (std::int64_t i = 0; i < t.numel(); ++i)
-        EXPECT_NEAR(p.dequantize(static_cast<float>(q.codes[static_cast<std::size_t>(i)])),
-                    fq[i], 1e-6f);
-}
-
-} // namespace
-
-namespace {
-
-TEST(PercentileObserver, IgnoresOutliers) {
-    // A min/max observer blows its range on a single outlier; the
-    // percentile observer stays tight.
-    util::Rng rng(61);
-    tensor::Tensor t = tensor::Tensor::randn(tensor::Shape{4000}, rng, 1.0f);
-    t[5] = 1000.0f; // single wild outlier
-
-    quant::EmaObserver minmax;
-    quant::PercentileObserver pct(0.9, 0.999);
-    minmax.observe(t);
-    pct.observe(t);
-    EXPECT_GT(minmax.hi(), 900.0f);
-    EXPECT_LT(pct.hi(), 10.0f);
-    EXPECT_GT(pct.hi(), 2.0f); // still covers the bulk of the distribution
-}
-
-TEST(PercentileObserver, EmaConverges) {
-    quant::PercentileObserver obs(0.5, 1.0); // p=1 -> exact min/max
-    obs.observe(tensor::Tensor::from({0.0f, 0.0f, 0.0f}));
-    for (int i = 0; i < 30; ++i)
-        obs.observe(tensor::Tensor::from({-3.0f, 0.0f, 3.0f}));
-    EXPECT_NEAR(obs.lo(), -3.0f, 1e-3f);
-    EXPECT_NEAR(obs.hi(), 3.0f, 1e-3f);
-}
-
-TEST(PercentileObserver, ParamsCoverClippedRange) {
-    quant::PercentileObserver obs;
-    util::Rng rng(62);
-    obs.observe(tensor::Tensor::randn(tensor::Shape{2000}, rng, 0.5f));
-    const auto p = obs.params(8);
-    EXPECT_GT(p.scale, 0.0f);
-    EXPECT_NEAR(p.dequantize(p.quantize(0.0f)), 0.0f, 1e-5f);
+        EXPECT_NEAR(p.dequantize(static_cast<float>(q.codes[i])), fq[i], 1e-6f);
 }
 
 // ------------------------------------------------ fixed-point requantize --

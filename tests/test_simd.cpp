@@ -25,7 +25,6 @@ namespace {
 
 using namespace amret;
 using kernels::ActPanels;
-using kernels::BlockedGemmArgs;
 using kernels::LutGemmArgs;
 using kernels::PanelPlan;
 using kernels::Workspace;
@@ -215,8 +214,6 @@ struct SimdRandom {
         args.wq = wq.data();
         args.xq = xq.data();
         args.o = o;
-        args.p = p;
-        args.k = k;
         args.geom = kernels::matrix_geom(p, k);
         args.scale_w = 0.013f;
         args.scale_x = 0.029f;
@@ -236,9 +233,9 @@ struct SimdRandom {
         }
     }
 
-    BlockedGemmArgs blocked(std::int64_t tp, std::int64_t to, std::int64_t tk,
+    LutGemmArgs blocked(std::int64_t tp, std::int64_t to, std::int64_t tk,
                             Workspace& ws) const {
-        BlockedGemmArgs b = lut_oracle::pack_blocked(args, tp, to, tk, ws);
+        LutGemmArgs b = lut_oracle::pack_blocked(args, tp, to, tk, ws);
         if (args.bits <= 4) kernels::attach_packed4(b.x, args.bits, ws, 1);
         return b;
     }
@@ -281,7 +278,7 @@ TEST(SimdKernels, ForwardMatchesScalarOracleBitwise) {
             std::vector<float> y(ref.size());
             for (const auto& t : kTiles) {
                 ws.reset();
-                const BlockedGemmArgs b = g.blocked(t.tp, t.to, t.tk, ws);
+                const LutGemmArgs b = g.blocked(t.tp, t.to, t.tk, ws);
                 for (const Isa isa : isas) {
                     ScopedIsa pin(isa);
                     std::fill(y.begin(), y.end(), -1.0f);
@@ -317,14 +314,13 @@ TEST(SimdKernels, NibbleVerdictFollowsTheTableNotItsAddress) {
         a.wq = wq.data();
         a.xq = xq.data();
         a.o = o;
-        a.p = p;
-        a.k = k;
+        a.geom = kernels::matrix_geom(p, k);
         a.zero_w = 3;
         a.zero_x = 5;
         ws.reset();
         std::vector<float> ref(static_cast<std::size_t>(p * o));
         lut_oracle::naive_forward(a, nullptr, ref.data());
-        BlockedGemmArgs b = lut_oracle::pack_blocked(a, 16, 16, 64, ws);
+        LutGemmArgs b = lut_oracle::pack_blocked(a, 16, 16, 64, ws);
         kernels::attach_packed4(b.x, 4, ws, 1);
         ASSERT_NE(b.x.packed4, nullptr);
         std::vector<float> y(ref.size());
@@ -359,8 +355,8 @@ TEST(SimdKernels, NibbleVerdictFollowsTheTableNotItsAddress) {
 /// gw and gx against the naive backward over the same codes.
 ::testing::AssertionResult backward_matches_oracle(const SimdRandom& g) {
     const LutGemmArgs& a = g.args;
-    const std::size_t nw = static_cast<std::size_t>(a.o * a.k);
-    const std::size_t nx = static_cast<std::size_t>(a.p * a.k);
+    const std::size_t nw = static_cast<std::size_t>(a.o * a.k());
+    const std::size_t nx = static_cast<std::size_t>(a.p() * a.k());
     std::vector<float> gw_ref(nw, 0.0f), gx_ref(nx, 0.0f);
     lut_oracle::naive_backward(a, g.gyp.data(), g.grad.dw_table().data(),
                                g.grad.dx_table().data(), gw_ref.data(),
@@ -382,8 +378,8 @@ TEST(SimdKernels, NibbleVerdictFollowsTheTableNotItsAddress) {
         if (!gw_eq || !gx_eq) {
             return ::testing::AssertionFailure()
                    << (gw_eq ? "gx " : "gw ") << kernels::simd::isa_name(isa)
-                   << " bits=" << a.bits << " o=" << a.o << " p=" << a.p
-                   << " k=" << a.k
+                   << " bits=" << a.bits << " o=" << a.o << " p=" << a.p()
+                   << " k=" << a.k()
                    << " per_channel=" << (a.scale_w_per_o != nullptr);
         }
     }
@@ -461,8 +457,8 @@ TEST(SimdKernels, ConvBackwardSkipsPaddingTapsAndMatchesOracle) {
             // Signed zeros beside the randn and +0.0f mix of SimdRandom.
             for (std::size_t i = 0; i < g.gyp.size(); i += 5) g.gyp[i] = -0.0f;
             const LutGemmArgs& a = g.args;
-            const std::size_t nw = static_cast<std::size_t>(a.o * a.k);
-            const std::size_t nx = static_cast<std::size_t>(a.p * a.k);
+            const std::size_t nw = static_cast<std::size_t>(a.o * a.k());
+            const std::size_t nx = static_cast<std::size_t>(a.p() * a.k());
             std::vector<float> gw_ref(nw, 0.0f), gx_ref(nx, 0.0f);
             lut_oracle::naive_backward(a, g.gyp.data(), g.grad.dw_table().data(),
                                        g.grad.dx_table().data(), gw_ref.data(),
@@ -483,9 +479,9 @@ TEST(SimdKernels, ConvBackwardSkipsPaddingTapsAndMatchesOracle) {
                           0)
                     << kernels::simd::isa_name(isa) << " bits=" << bits
                     << " C=" << geom.in_ch << " K=" << geom.kernel;
-                for (std::int64_t pp = 0; pp < a.p; ++pp)
-                    for (std::int64_t d = 0; d < a.k; ++d) {
-                        const std::size_t i = static_cast<std::size_t>(pp * a.k + d);
+                for (std::int64_t pp = 0; pp < a.p(); ++pp)
+                    for (std::int64_t d = 0; d < a.k(); ++d) {
+                        const std::size_t i = static_cast<std::size_t>(pp * a.k() + d);
                         const float* want =
                             tap_in_image(geom, pp, d) ? &gx_ref[i] : &zero;
                         ASSERT_EQ(std::memcmp(&gx[i], want, sizeof(float)), 0)
@@ -513,8 +509,8 @@ TEST(SimdKernels, GradXPadSkippedCountsOutOfImageTaps) {
         for (std::int64_t pp = 0; pp < geom.positions(); ++pp)
             for (std::int64_t t = 0; t < geom.kernel * geom.kernel; ++t)
                 if (!tap_in_image(geom, pp, t * geom.in_ch)) want += geom.in_ch;
-        std::vector<float> gw(static_cast<std::size_t>(g.args.o * g.args.k), 0.0f);
-        std::vector<float> gx(static_cast<std::size_t>(g.args.p * g.args.k), 0.0f);
+        std::vector<float> gw(static_cast<std::size_t>(g.args.o * g.args.k()), 0.0f);
+        std::vector<float> gx(static_cast<std::size_t>(g.args.p() * g.args.k()), 0.0f);
         Workspace ws;
         const std::int64_t before = skipped.value();
         kernels::lut_backward_rows(g.args, g.gyp.data(), g.grad.dw_table().data(),
@@ -544,7 +540,7 @@ TEST(SimdKernels, GemmLoopsSizeChunksWithChunkGrain) {
         const bool small = sh.o * sh.p * sh.k < tune::kMinChunkWork;
         SimdRandom g(8, sh.o, sh.p, sh.k, false, rng);
         Workspace ws;
-        const BlockedGemmArgs b = lut_oracle::pack_blocked(
+        const LutGemmArgs b = lut_oracle::pack_blocked(
             g.args, tune::kTileP, tune::kTileO, tune::kTileK, ws);
         std::vector<float> y(static_cast<std::size_t>(sh.p * sh.o));
         const std::int64_t nblocks = b.x.plan.row_blocks();

@@ -267,6 +267,27 @@ void dump_deep_convs() {
     }
 }
 
+/// Quantized 1x1 convs on spatial maps: a per-channel stride-1 pointwise
+/// conv (MobileNet's shape) and a stride-2 downsample (ResNet's), whose
+/// tap-major depth and weight order are the identity.
+void dump_pointwise_convs() {
+    {
+        util::Rng wrng(827);
+        approx::ApproxConv2d conv(12, 20, 1, 1, 0, wrng);
+        conv.set_multiplier(make_config("mul8u_rm8"));
+        conv.set_mode(approx::ComputeMode::kQuantized);
+        conv.set_per_channel_weights(true);
+        dump_two_steps("conv_pw_pc", conv, tensor::Shape{3, 12, 5, 6}, 938);
+    }
+    {
+        util::Rng wrng(837);
+        approx::ApproxConv2d conv(6, 10, 1, 2, 0, wrng);
+        conv.set_multiplier(make_config("mul8u_rm8"));
+        conv.set_mode(approx::ComputeMode::kQuantized);
+        dump_two_steps("conv_1x1_s2", conv, tensor::Shape{2, 6, 7, 9}, 948);
+    }
+}
+
 /// Quantized ApproxLinear(37, 21) layers: on mul8u_rm8 at batch 19 (one
 /// full 16-row position block and a 3-row tail), and on the 4-bit exact
 /// multiplier at batch 32, whose 16-row blocks take the nibble (pshufb) leaf.
@@ -392,6 +413,40 @@ void dump_engine_vgg() {
     print("engine_vgg.b20.logits", hash_tensor(engine.forward(twenty)));
 }
 
+/// An engine with the two average pools (a 2x2 average pool, then a global
+/// average pool before the head), calibrated on 40 samples and run on a
+/// batch of 5.
+void dump_engine_avg_pools() {
+    data::SyntheticConfig dc;
+    dc.num_classes = 4;
+    dc.height = dc.width = 12;
+    dc.train_samples = 40;
+    dc.test_samples = 8;
+    dc.seed = 21;
+    const auto pair = data::make_synthetic(dc);
+
+    util::Rng rng(31);
+    nn::Sequential model;
+    auto* conv = model.emplace<approx::ApproxConv2d>(3, 6, 3, 1, 1, rng);
+    model.emplace<nn::ReLU>();
+    model.emplace<nn::AvgPool2d>(2);
+    auto* conv2 = model.emplace<approx::ApproxConv2d>(6, 8, 3, 1, 0, rng);
+    model.emplace<nn::ReLU>();
+    model.emplace<nn::GlobalAvgPool>();
+    model.emplace<nn::Flatten>();
+    model.emplace<nn::Linear>(8, 4, rng);
+    conv->set_multiplier(make_config("mul8u_rm8"));
+    conv2->set_multiplier(make_config("mul8u_rm8"));
+    model.set_training(false);
+
+    approx::IntInferenceEngine engine(model, pair.train, 40);
+    util::Rng xrng(1616);
+    const tensor::Tensor images =
+        tensor::Tensor::randn(tensor::Shape{5, 3, 12, 12}, xrng);
+    std::printf("// int inference engine, average and global average pools\n");
+    print("engine_avg.logits", hash_tensor(engine.forward(images)));
+}
+
 /// LeNet at width 1/2 on 8x8 inputs (two 5x5 convs, two pools), calibrated
 /// on 48 samples and run on one batch of 16.
 void dump_engine_lenet() {
@@ -433,10 +488,12 @@ int main() {
     dump_padded_convs();
     dump_stride2_convs();
     dump_deep_convs();
+    dump_pointwise_convs();
     dump_quant_linears();
     dump_engine();
     dump_engine_head();
     dump_engine_vgg();
     dump_engine_lenet();
+    dump_engine_avg_pools();
     return 0;
 }
