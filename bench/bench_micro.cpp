@@ -102,12 +102,15 @@ void BM_LutBackwardGemm(benchmark::State& state) {
     args.xq = xq.data();
     args.o = o;
     args.geom = kernels::matrix_geom(p, k);
+    const std::vector<std::uint8_t> w_ok(static_cast<std::size_t>(o * k), 1);
+    const std::vector<std::uint8_t> x_ok(static_cast<std::size_t>(p * k), 1);
+    args.w_in_range = w_ok.data();
+    args.x_in_range = x_ok.data();
     std::vector<float> gw(static_cast<std::size_t>(o * k));
     std::vector<float> gx(static_cast<std::size_t>(p * k));
     kernels::Workspace ws;
     for (auto _ : state) {
         std::fill(gw.begin(), gw.end(), 0.0f);
-        std::fill(gx.begin(), gx.end(), 0.0f);
         ws.reset();
         kernels::lut_backward_rows(args, gyp.data(), grad.dw_table().data(),
                                    grad.dx_t_table().data(), gw.data(), gx.data(),
@@ -299,10 +302,10 @@ std::vector<kernels::simd::Isa> supported_isas() {
 /// VGG19-slim's 128 -> 128 3x3 conv (pad 1) at 2x2 and 1x1, batch 32, over
 /// im2col rows and a tap-major depth, where grad-X walks only each row's
 /// in-image taps (4 or 6 of 9 at 2x2, the centre tap at 1x1) and grad-W
-/// every tap. Times lut_backward_rows per supported dispatch level and
-/// memcmps gw against the naive backward, and gx after col2im_tap_major
-/// folds both, dropping the padding taps the oracle sums too. Clears
-/// *all_eq on any mismatch.
+/// looks up only those, adding a per-lane constant for the rest. Times
+/// lut_backward_rows per supported dispatch level and memcmps gw against
+/// the naive backward, and gx after col2im_tap_major folds both, dropping
+/// the padding taps the oracle writes too. Clears *all_eq on any mismatch.
 std::string backward_padded_json(int iters, bool* all_eq) {
     const std::int64_t batch = 32, ch = 128, kernel = 3;
     const appmult::AppMultLut& lut = appmult::Registry::instance().lut("mul8u_rm8");
@@ -332,7 +335,11 @@ std::string backward_padded_json(int iters, bool* all_eq) {
         args.scale_w = 0.01f;
         args.zero_w = 120;
         args.zero_x = 130;
-        std::vector<float> gw_ref(wq.size(), 0.0f), gx_ref(xq.size(), 0.0f);
+        lut_oracle::write_pad_codes(geom, args.zero_x, xq.data());
+        const std::vector<std::uint8_t> w_ok(wq.size(), 1), x_ok(xq.size(), 1);
+        args.w_in_range = w_ok.data();
+        args.x_in_range = x_ok.data();
+        std::vector<float> gw_ref(wq.size(), 0.0f), gx_ref(xq.size());
         lut_oracle::naive_backward(args, gyp.data(), grad.dw_table().data(),
                                    grad.dx_table().data(), gw_ref.data(),
                                    gx_ref.data());
@@ -347,9 +354,9 @@ std::string backward_padded_json(int iters, bool* all_eq) {
         j += buf;
         for (const auto isa : supported_isas()) {
             kernels::simd::set_isa_for_test(isa);
+            std::fill(gx.begin(), gx.end(), 0.0f);
             const double ms = time_ms_best(iters, [&] {
                 std::fill(gw.begin(), gw.end(), 0.0f);
-                std::fill(gx.begin(), gx.end(), 0.0f);
                 ws.reset();
                 kernels::lut_backward_rows(args, gyp.data(), grad.dw_table().data(),
                                            grad.dx_t_table().data(), gw.data(),
@@ -410,6 +417,9 @@ std::string backward_leg_json(int iters, bool* all_eq) {
     args.scale_w = 0.01f;
     args.zero_w = 120;
     args.zero_x = 130;
+    const std::vector<std::uint8_t> w_ok(wq.size(), 1), x_ok(xq.size(), 1);
+    args.w_in_range = w_ok.data();
+    args.x_in_range = x_ok.data();
     std::vector<float> gw_ref(wq.size()), gx_ref(xq.size());
     std::vector<float> gw(wq.size()), gx(xq.size());
     const double oracle_ms = time_ms_best(iters, [&] {
@@ -433,7 +443,6 @@ std::string backward_leg_json(int iters, bool* all_eq) {
         kernels::simd::set_isa_for_test(isa);
         const double ms = time_ms_best(iters, [&] {
             std::fill(gw.begin(), gw.end(), 0.0f);
-            std::fill(gx.begin(), gx.end(), 0.0f);
             ws.reset();
             kernels::lut_backward_rows(args, gyp.data(), grad.dw_table().data(),
                                        grad.dx_t_table().data(), gw.data(),

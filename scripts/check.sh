@@ -95,6 +95,8 @@ for isa in scalar ssse3 avx2 avx512; do
   if ./build/tools/amret_cli simd-info --check "$isa"; then
     AMRET_SIMD="$isa" ./build/tests/test_simd
     AMRET_SIMD="$isa" ./build/tests/test_gemm
+    AMRET_SIMD="$isa" ./build/tests/test_kernels
+    AMRET_SIMD="$isa" ./build/tests/test_approx
   else
     echo "this machine lacks $isa; skipping AMRET_SIMD=$isa leg"
   fi

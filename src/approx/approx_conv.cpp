@@ -4,9 +4,7 @@
 #include "kernels/im2col.hpp"
 #include "kernels/lut_kernels.hpp"
 #include "kernels/tuning.hpp"
-#include "runtime/parallel.hpp"
 
-#include <algorithm>
 #include <cassert>
 
 namespace amret::approx {
@@ -110,10 +108,8 @@ void GemmLayer::forward_gemm(const Tensor& x, State& st, nn::Context& ctx,
         a.scale_w_per_o = scales;
         a.zero_w_per_o = zeros;
     } else {
-        st.wq = kernels::quantize_into(
-            weight.value.data(), o * patch,
-            quant::choose_params(weight.value.min(), weight.value.max(), a.bits),
-            st.ws);
+        st.wq = kernels::quantize_weights_per_tensor(weight.value.data(), o * patch,
+                                                     a.bits, st.ws);
     }
     const quant::QuantParams xparams = activation_params(x, ctx);
 
@@ -134,6 +130,9 @@ void GemmLayer::forward_gemm(const Tensor& x, State& st, nn::Context& ctx,
     st.xq = xq.rows;
     a.x = xq.panels;
     a.xq = st.xq.codes;
+    a.x_in_range = st.xq.in_range;
+    a.wq = st.wq.codes;
+    a.w_in_range = st.wq.in_range;
     a.scale_w = st.wq.params.scale;
     a.scale_x = xparams.scale;
     a.zero_w = static_cast<std::int32_t>(st.wq.params.zero_point);
@@ -143,7 +142,7 @@ void GemmLayer::forward_gemm(const Tensor& x, State& st, nn::Context& ctx,
 
 void GemmLayer::backward_gemm(const float* gyp, State& st, nn::Context& ctx,
                               float* gcols) {
-    kernels::LutGemmArgs& a = st.args;
+    const kernels::LutGemmArgs& a = st.args;
     const std::int64_t o = weight.value.dim(0);
     const std::int64_t p = a.p(), patch = a.k();
     kernels::accumulate_bias_grad(gyp, p, o, ctx.grad(bias).data());
@@ -157,63 +156,9 @@ void GemmLayer::backward_gemm(const float* gyp, State& st, nn::Context& ctx,
         return;
     }
 
-    float* gw_raw = st.ws.alloc<float>(o * patch);
-    const auto zero_fill = [](float* v, std::int64_t n) {
-        runtime::parallel_for(0, n, runtime::grain_for(n, tune::kGrainElementwiseWide),
-                              [v](std::int64_t b, std::int64_t e) {
-            std::fill(v + b, v + e, 0.0f);
-        });
-    };
-    zero_fill(gw_raw, o * patch);
-    zero_fill(gcols, p * patch);
-    // The kernel reads the weight codes in the tap-major depth of the row
-    // codes: st.wq and its masks keep the (O, C, K, K) order of the gradient
-    // they fold into, which a 1x1 kernel's tap-major order equals; any other
-    // kernel reads a tap-major copy.
-    const std::int64_t taps = a.geom.kernel * a.geom.kernel, c_in = a.geom.in_ch;
-    if (taps == 1) {
-        a.wq = st.wq.codes;
-    } else {
-        std::uint16_t* wq_taps = st.ws.alloc<std::uint16_t>(o * patch);
-        runtime::parallel_for(0, o, runtime::grain_for(o, tune::kGrainChannel),
-                              [&](std::int64_t o0, std::int64_t o1) {
-            for (std::int64_t oo = o0; oo < o1; ++oo)
-                for (std::int64_t c = 0; c < c_in; ++c)
-                    for (std::int64_t t = 0; t < taps; ++t)
-                        wq_taps[oo * patch + t * c_in + c] =
-                            st.wq.codes[oo * patch + c * taps + t];
-        });
-        a.wq = wq_taps;
-    }
     kernels::lut_backward_rows(a, gyp, mult_.grad->dw_table().data(),
-                               mult_.grad->dx_t_table().data(), gw_raw, gcols,
-                               st.ws);
-
-    // Eq. (9): fold in the quantizer derivative. dW/dw = 1/s_w inside the
-    // clamp range (0 outside); dy/dY contributed s_w*s_x, so the weight
-    // gradient scale is s_x. gw_raw is tap-major, so the (O, C, K, K)
-    // gradient reads it through the permutation. The activation gradient's
-    // s_w factor was folded into gcols by the kernel (it varies per row in
-    // per-channel mode); only the clamp mask remains.
-    const float scale_x = a.scale_x;
-    float* wg = ctx.grad(weight).data();
-    runtime::parallel_for(0, o, runtime::grain_for(o, tune::kGrainChannel),
-                          [&](std::int64_t o0, std::int64_t o1) {
-        for (std::int64_t oo = o0; oo < o1; ++oo)
-            for (std::int64_t c = 0; c < c_in; ++c)
-                for (std::int64_t t = 0; t < taps; ++t) {
-                    const std::int64_t i = oo * patch + c * taps + t;
-                    if (st.wq.in_range[i])
-                        wg[i] += scale_x * gw_raw[oo * patch + t * c_in + c];
-                }
-    });
-    runtime::parallel_for(0, p * patch,
-                          runtime::grain_for(p * patch, tune::kGrainElementwise),
-                          [&](std::int64_t b, std::int64_t e) {
-        for (std::int64_t i = b; i < e; ++i) {
-            if (!st.xq.in_range[i]) gcols[i] = 0.0f;
-        }
-    });
+                               mult_.grad->dx_t_table().data(),
+                               ctx.grad(weight).data(), gcols, st.ws);
 }
 
 // ------------------------------------------------------------ ApproxConv2d

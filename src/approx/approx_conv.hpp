@@ -128,7 +128,7 @@ protected:
     struct State {
         // The GEMM from the forward to its backward: the caller sets its
         // geometry; in quantized mode the forward fills its constants,
-        // panels and row codes, and the backward its tap-major weight codes.
+        // panels, row codes and masks.
         kernels::LutGemmArgs args;
         tensor::Tensor cols;    // float mode: (P, patch) columns
         kernels::Workspace ws;
@@ -147,9 +147,10 @@ protected:
     /// The backward of the last forward from \p gyp, (P, O): accumulates the
     /// bias and weight gradients and writes the input gradient's (P, patch)
     /// columns to \p gcols, in im2col order in float mode. Quantized mode
-    /// (Eq. 9): zero-fill -> tap-major weight codes (a copy, unless the
-    /// kernel is 1x1) -> lut_backward_rows -> grad-W fold -> clamp mask, so
-    /// \p gcols is tap-major and holds zero on out-of-image taps.
+    /// (Eq. 9): one lut_backward_rows, which folds the weight gradient and
+    /// writes the masked in-image taps of \p gcols, tap-major; its
+    /// out-of-image elements stay unwritten, and col2im_tap_major reads
+    /// none.
     void backward_gemm(const float* gyp, State& st, nn::Context& ctx,
                        float* gcols);
 

@@ -210,7 +210,10 @@ struct ConvOp final : IntInferenceEngine::Op {
 struct PoolOp final : IntInferenceEngine::Op {
     analysis::PoolOpDesc d;
 
-    explicit PoolOp(analysis::PoolOpDesc::Kind kind) { d.kind = kind; }
+    PoolOp(analysis::PoolOpDesc::Kind kind, std::int64_t kernel) {
+        d.kind = kind;
+        d.kernel = kernel;
+    }
 
     analysis::OpDesc describe() const override {
         analysis::OpDesc out;
@@ -340,13 +343,16 @@ IntInferenceEngine::IntInferenceEngine(nn::Sequential& model,
                 ++i;
             }
             ops_.push_back(std::move(op));
-        } else if (dynamic_cast<nn::MaxPool2d*>(m) != nullptr) {
-            ops_.push_back(std::make_unique<PoolOp>(analysis::PoolOpDesc::Kind::kMax));
-        } else if (dynamic_cast<nn::AvgPool2d*>(m) != nullptr) {
-            ops_.push_back(std::make_unique<PoolOp>(analysis::PoolOpDesc::Kind::kAvg));
+        } else if (auto* maxpool = dynamic_cast<nn::MaxPool2d*>(m)) {
+            ops_.push_back(std::make_unique<PoolOp>(analysis::PoolOpDesc::Kind::kMax,
+                                                    maxpool->kernel()));
+        } else if (auto* avgpool = dynamic_cast<nn::AvgPool2d*>(m)) {
+            ops_.push_back(std::make_unique<PoolOp>(analysis::PoolOpDesc::Kind::kAvg,
+                                                    avgpool->kernel()));
         } else if (dynamic_cast<nn::GlobalAvgPool*>(m) != nullptr) {
-            ops_.push_back(
-                std::make_unique<PoolOp>(analysis::PoolOpDesc::Kind::kGlobalAvg));
+            // The window is the whole map; the kernel field is not read.
+            ops_.push_back(std::make_unique<PoolOp>(
+                analysis::PoolOpDesc::Kind::kGlobalAvg, analysis::PoolOpDesc{}.kernel));
         } else if (dynamic_cast<nn::Flatten*>(m) != nullptr ||
                    dynamic_cast<nn::Dropout*>(m) != nullptr) {
             // Flatten is a view change handled at the head boundary; dropout

@@ -55,9 +55,15 @@ struct LutGemmArgs {
     /// Forward operands (lut_gemm_blocked), sharing one depth blocking.
     WeightPanels w; ///< plan.rows = O, pre-shifted codes
     ActPanels x;    ///< plan.rows = P
-    /// Backward operands (lut_backward_rows).
+    /// Backward operands (lut_backward_rows) with their clamp masks, 1 where
+    /// the STE gradient passes. The weights keep the (O, C, K, K) order of
+    /// the weight gradient; the activations take the tap-major depth and
+    /// hold zero_x at every out-of-image tap, the code 0.0f quantizes to
+    /// (quantize_conv_panels writes it there).
     const std::uint16_t* wq = nullptr; ///< quantized weights (O, K)
     const std::uint16_t* xq = nullptr; ///< quantized activations (P, K)
+    const std::uint8_t* w_in_range = nullptr; ///< as wq
+    const std::uint8_t* x_in_range = nullptr; ///< as xq
 
     [[nodiscard]] std::int64_t p() const { return geom.positions(); }
     [[nodiscard]] std::int64_t k() const { return geom.patch(); }
@@ -76,34 +82,44 @@ struct LutGemmArgs {
 void accumulate_bias_grad(const float* gyp, std::int64_t p, std::int64_t o,
                           float* bias_grad);
 
-/// Backward: accumulates the multiplier-gradient sums
-///   gw_raw[o, k] += sum_p gyp[p, o] * (gradW[w,x] - Z_x)
-///   gx_raw[p, k] += sum_o gyp[p, o] * s_w[o] * (gradX[w,x] - Z_w)
-/// over the row-major codes of \p args, gx in ascending o and gw in
-/// ascending p. The weight scale is folded into gx_raw (it varies per row in
-/// per-channel mode); the remaining factors — s_x for gw, and the clamp
-/// masks — are applied by the caller (approx::GemmLayer::backward_gemm).
-/// Buffers must be zero-initialized. The ∂AM/∂X table is taken transposed,
-/// indexed (x << bits) | w (core::GradLut::dx_t_table()). Both walks put
-/// depth indices in the vector lanes: grad-X fixes each lane's activation
-/// code, and so its row of the transposed table, and replays the row's
-/// nonzero output gradients in ascending o; grad-W fixes each lane's weight
-/// code and replays the column's nonzero gradients in ascending p. Every
-/// LUT index is built from contiguous loads of both code matrices.
+/// Backward, Eq. (9): from the multiplier-gradient sums
+///   gw_raw[o, k] = sum_p gyp[p, o] * (gradW[w,x] - Z_x)
+///   gx_raw[p, k] = sum_o gyp[p, o] * s_w[o] * (gradX[w,x] - Z_w)
+/// over the row-major codes of \p args in the tap-major depth k, gx in
+/// ascending o and gw in ascending p, it finishes both gradients:
+///   - grad_w[o, c, ky, kx] += s_x * gw_raw[o, (ky, kx, c)] where
+///     args.w_in_range passes: \p grad_w is the (O, C, K, K) weight
+///     gradient, accumulated;
+///   - gx[p, k] = gx_raw[p, k], or +0.0f where args.x_in_range stops it, for
+///     every in-image tap k of row p: \p gx is the (P, K) tap-major input
+///     gradient columns, whose out-of-image elements are never touched
+///     (col2im_tap_major reads none).
+/// The ∂AM/∂X table is taken transposed, indexed (x << bits) | w
+/// (core::GradLut::dx_t_table()). Both walks put depth indices in the
+/// vector lanes: grad-X fixes each lane's activation code, and so its row
+/// of the transposed table, and replays the row's nonzero output gradients
+/// in ascending o; grad-W fixes each lane's weight code and replays the
+/// column's nonzero gradients in ascending p. Every LUT index is built from
+/// contiguous loads of both code matrices.
 ///
-/// Grad-X computes only the in-image taps of each row of args.geom: the
-/// depth runs of the row's TapBox, one per kernel row, or one for a full
-/// box. A padding tap's gx element stays as the caller left it (zero), and
-/// col2im_tap_major drops it; each computed element does the oracle's float
-/// ops in the oracle's order, so no bit moves. The skipped elements count
-/// in kernels.gemm.grad_x_pad_skipped. Grad-W keeps every tap: at the pad
-/// code Z_x, ∂AM/∂W - Z_x is not zero under the difference gradient, so
-/// padding taps feed gw. Parallel over chunk_grain chunks of gx rows, then
-/// of gw rows, each row in one chunk; scratch for the nonzero-gradient
-/// compaction comes from \p ws.
+/// Neither walk looks up a padding tap. Grad-X computes only the depth runs
+/// of each row's TapBox, one per kernel row or one for a full box, and
+/// stores each sum through the row's mask. Grad-W keeps every term, since
+/// at the pad code Z_x, ∂AM/∂W - Z_x is not zero under the difference
+/// gradient; but where a lane group's taps are all out of the image in row
+/// p, xq holds Z_x there, so its term is m * d with the per-lane constant
+/// d = ∂AM/∂W[w, Z_x] - Z_x, computed once per filter and group
+/// (simd::GradRowArgs::in_taps). Every computed element does the oracle's
+/// float ops in the oracle's order, so no bit moves. The skipped lookups
+/// count in kernels.gemm.grad_x_pad_skipped and
+/// kernels.gemm.grad_w_pad_skipped. Parallel over chunk_grain chunks of
+/// filters, then of gx rows; each chunk finishes the rows it owns, a
+/// filter in its own scratch from \p ws, where it also writes the
+/// filter's codes in the tap-major depth for grad-X (a 1x1 kernel's order
+/// already is).
 void lut_backward_rows(const LutGemmArgs& args, const float* gyp,
                        const float* grad_w_lut, const float* grad_x_lut_t,
-                       float* gw_raw, float* gx_raw, Workspace& ws);
+                       float* grad_w, float* gx, Workspace& ws);
 
 // ----------------------------------------------------------------------
 // Forward. Operands come pre-tiled as panels (layout.hpp) with the Eq. (8)

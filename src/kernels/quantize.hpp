@@ -1,10 +1,12 @@
 /// \file quantize.hpp
 /// \brief Quantization kernels writing into a Workspace.
 ///
-/// Thin parallel wrappers over quant::QuantParams (Eq. 7) for the layer hot
-/// paths: codes and clamp masks are bump-allocated from the layer's
-/// Workspace and stay valid from forward through the matching backward
-/// (see workspace.hpp lifetime rules).
+/// Parallel quant::QuantParams (Eq. 7) for the layer hot paths: each
+/// element's code and clamp mask come inline from one quotient, equal to
+/// QuantParams::quantize and in_range for every finite and infinite value.
+/// Codes and masks are bump-allocated from the layer's Workspace and stay
+/// valid from forward through the matching backward (see workspace.hpp
+/// lifetime rules).
 #pragma once
 
 #include "kernels/layout.hpp"
@@ -12,6 +14,7 @@
 #include "quant/quant.hpp"
 
 #include <cstdint>
+#include <utility>
 
 namespace amret::kernels {
 
@@ -28,6 +31,17 @@ struct QuantView {
 /// masks (elementwise; parallel).
 QuantView quantize_into(const float* src, std::int64_t n,
                         const quant::QuantParams& params, Workspace& ws);
+
+/// The first minimum and the first maximum of \p n > 0 floats, the
+/// elements std::min_element and std::max_element return, so a zero keeps
+/// its sign: one parallel pass, whose per-chunk extremes reduce in
+/// ascending chunk order. Chunk scratch comes from \p ws.
+std::pair<float, float> min_max(const float* v, std::int64_t n, Workspace& ws);
+
+/// Per-tensor weight quantization: quantize_into under the parameters of
+/// the tensor's min_max at \p bits.
+QuantView quantize_weights_per_tensor(const float* w, std::int64_t n,
+                                      unsigned bits, Workspace& ws);
 
 /// Per-output-channel weight quantization: each of the \p o rows of the
 /// (o, patch) weight matrix gets its own affine parameters derived from the

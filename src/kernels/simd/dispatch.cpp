@@ -192,27 +192,34 @@ void accumulate_panel(const LutGemmArgs& a, bool lut_u8, std::int64_t rb,
     detail::acc_panel_scalar(a, rb, ob, runs, acc);
 }
 
-void detail::grad_row_scalar(const GradRowArgs& a, std::int64_t kk0) {
+std::int64_t detail::grad_row_scalar(const GradRowArgs& a, std::int64_t kk0) {
+    std::int64_t skipped = 0;
     for (std::int64_t kk = kk0; kk < a.k; ++kk) {
         const std::uint32_t row = static_cast<std::uint32_t>(a.fixed[kk])
                                   << a.bits;
-        float acc = a.out[kk];
-        for (std::int64_t j = 0; j < a.cnt; ++j)
-            acc += a.m[j] * (a.lut[row | a.ops[a.off[j] + kk]] - a.z[j]);
-        a.out[kk] = acc;
+        const std::uint32_t tap = a.in_taps && a.cnt > 0 ? a.taps_of(kk, 1) : 0;
+        const float d = tap != 0 ? a.lut[row | a.pad_code] - a.z[0] : 0.0f;
+        float acc = 0.0f;
+        for (std::int64_t j = 0; j < a.cnt; ++j) {
+            if (tap != 0 && (a.in_taps[j] & tap) == 0) {
+                acc += a.m[j] * d;
+                ++skipped;
+            } else {
+                acc += a.m[j] * (a.lut[row | a.ops[a.off[j] + kk]] - a.z[j]);
+            }
+        }
+        a.out[kk] = a.mask && a.mask[kk] == 0 ? 0.0f : acc;
     }
+    return skipped;
 }
 
 namespace {
 
 /// Walks the row with the widest leaf level \p isa has.
-void grad_row(Isa isa, const GradRowArgs& a) {
-    if (isa == Isa::kAvx512)
-        detail::grad_row_avx512(a);
-    else if (isa == Isa::kAvx2)
-        detail::grad_row_avx2(a, 0);
-    else
-        detail::grad_row_scalar(a, 0);
+std::int64_t grad_row(Isa isa, const GradRowArgs& a) {
+    if (isa == Isa::kAvx512) return detail::grad_row_avx512(a);
+    if (isa == Isa::kAvx2) return detail::grad_row_avx2(a, 0);
+    return detail::grad_row_scalar(a, 0);
 }
 
 } // namespace
@@ -225,6 +232,7 @@ void grad_x_row(const GradRowArgs& a, const DepthRuns& runs) {
         run.fixed += start;
         run.ops += start;
         run.out += start;
+        if (run.mask) run.mask += start;
         run.k = runs.len;
         grad_row(isa, run);
     }
@@ -239,9 +247,9 @@ void grad_x_row(const GradRowArgs& a, const DepthRuns& runs) {
     }
 }
 
-void grad_w_row(const GradRowArgs& a) {
+std::int64_t grad_w_row(const GradRowArgs& a) {
     const Isa isa = select();
-    grad_row(isa, a);
+    const std::int64_t skipped = grad_row(isa, a);
     switch (isa) {
     case Isa::kAvx512:
         AMRET_OBS_COUNT("kernels.simd.grad_w_blocks.avx512", 1);
@@ -251,6 +259,7 @@ void grad_w_row(const GradRowArgs& a) {
         break;
     default: break;
     }
+    return skipped;
 }
 
 void gemm_f32_rows(const GemmF32Args& g, std::int64_t r0, std::int64_t r1) {

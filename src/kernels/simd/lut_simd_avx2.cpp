@@ -159,8 +159,9 @@ void acc_panel_olanes_avx2(const LutGemmArgs& a, std::int64_t rb,
     }
 }
 
-void grad_row_avx2(const GradRowArgs& a, std::int64_t kk0) {
+std::int64_t grad_row_avx2(const GradRowArgs& a, std::int64_t kk0) {
     const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(a.bits));
+    std::int64_t skipped = 0;
     for (; kk0 + 8 <= a.k; kk0 += 8) {
         // One widening load of the fixed row's codes, shifted to table-row
         // bases once; per j one widening load of the operand row and a
@@ -169,21 +170,41 @@ void grad_row_avx2(const GradRowArgs& a, std::int64_t kk0) {
             _mm256_cvtepu16_epi32(_mm_loadu_si128(
                 reinterpret_cast<const __m128i*>(a.fixed + kk0))),
             shift);
-        __m256 acc = _mm256_loadu_ps(a.out + kk0);
+        const std::uint32_t taps = a.in_taps && a.cnt > 0 ? a.taps_of(kk0, 8) : 0;
+        __m256 d = _mm256_setzero_ps();
+        if (taps != 0)
+            d = _mm256_sub_ps(
+                _mm256_i32gather_ps(
+                    a.lut, _mm256_or_si256(rows, _mm256_set1_epi32(a.pad_code)), 4),
+                _mm256_set1_ps(a.z[0]));
+        __m256 acc = _mm256_setzero_ps();
         for (std::int64_t j = 0; j < a.cnt; ++j) {
+            // Oracle order per lane: m * (lut - z), then add — explicit
+            // mul/add intrinsics, never FMA-contracted.
+            if (taps != 0 && (a.in_taps[j] & taps) == 0) {
+                acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(a.m[j]), d));
+                skipped += 8;
+                continue;
+            }
             const __m256i op = _mm256_cvtepu16_epi32(_mm_loadu_si128(
                 reinterpret_cast<const __m128i*>(a.ops + a.off[j] + kk0)));
             const __m256 lut =
                 _mm256_i32gather_ps(a.lut, _mm256_or_si256(rows, op), 4);
-            // Oracle order per lane: m * (lut - z), then add — explicit
-            // mul/add intrinsics, never FMA-contracted.
             acc = _mm256_add_ps(
                 acc, _mm256_mul_ps(_mm256_set1_ps(a.m[j]),
                                    _mm256_sub_ps(lut, _mm256_set1_ps(a.z[j]))));
         }
+        if (a.mask) {
+            // Lanes whose mask byte is 0 store +0.0f.
+            const __m256i stop = _mm256_cmpeq_epi32(
+                _mm256_cvtepu8_epi32(_mm_loadl_epi64(
+                    reinterpret_cast<const __m128i*>(a.mask + kk0))),
+                _mm256_setzero_si256());
+            acc = _mm256_andnot_ps(_mm256_castsi256_ps(stop), acc);
+        }
         _mm256_storeu_ps(a.out + kk0, acc);
     }
-    grad_row_scalar(a, kk0);
+    return skipped + grad_row_scalar(a, kk0);
 }
 
 void gemm_f32_rows_avx2(const GemmF32Args& g, std::int64_t r0, std::int64_t r1) {
@@ -205,7 +226,7 @@ void acc_panel_gather_avx2(const LutGemmArgs&, std::int64_t, std::int64_t,
                            const DepthRuns&, std::int64_t*) {}
 void acc_panel_olanes_avx2(const LutGemmArgs&, std::int64_t, std::int64_t,
                            const DepthRuns&, std::int64_t*) {}
-void grad_row_avx2(const GradRowArgs&, std::int64_t) {}
+std::int64_t grad_row_avx2(const GradRowArgs&, std::int64_t) { return 0; }
 
 void gemm_f32_rows_avx2(const GemmF32Args&, std::int64_t, std::int64_t) {}
 

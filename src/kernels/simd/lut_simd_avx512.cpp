@@ -120,28 +120,48 @@ void acc_panel_gather_avx512(const LutGemmArgs& a, std::int64_t rb,
     }
 }
 
-void grad_row_avx512(const GradRowArgs& a) {
+std::int64_t grad_row_avx512(const GradRowArgs& a) {
     const __m128i shift = _mm_cvtsi32_si128(static_cast<int>(a.bits));
+    std::int64_t skipped = 0;
     std::int64_t kk0 = 0;
     for (; kk0 + 16 <= a.k; kk0 += 16) {
         const __m512i rows = _mm512_sll_epi32(
             _mm512_cvtepu16_epi32(_mm256_loadu_si256(
                 reinterpret_cast<const __m256i*>(a.fixed + kk0))),
             shift);
-        __m512 acc = _mm512_loadu_ps(a.out + kk0);
+        const std::uint32_t taps = a.in_taps && a.cnt > 0 ? a.taps_of(kk0, 16) : 0;
+        __m512 d = _mm512_setzero_ps();
+        if (taps != 0)
+            d = _mm512_sub_ps(
+                _mm512_i32gather_ps(
+                    _mm512_or_si512(rows, _mm512_set1_epi32(a.pad_code)), a.lut, 4),
+                _mm512_set1_ps(a.z[0]));
+        __m512 acc = _mm512_setzero_ps();
         for (std::int64_t j = 0; j < a.cnt; ++j) {
+            // Oracle order per lane: m * (lut - z), then add.
+            if (taps != 0 && (a.in_taps[j] & taps) == 0) {
+                acc = _mm512_add_ps(acc, _mm512_mul_ps(_mm512_set1_ps(a.m[j]), d));
+                skipped += 16;
+                continue;
+            }
             const __m512i op = _mm512_cvtepu16_epi32(_mm256_loadu_si256(
                 reinterpret_cast<const __m256i*>(a.ops + a.off[j] + kk0)));
             const __m512 lut =
                 _mm512_i32gather_ps(_mm512_or_si512(rows, op), a.lut, 4);
-            // Oracle order per lane: m * (lut - z), then add.
             acc = _mm512_add_ps(
                 acc, _mm512_mul_ps(_mm512_set1_ps(a.m[j]),
                                    _mm512_sub_ps(lut, _mm512_set1_ps(a.z[j]))));
         }
+        if (a.mask) {
+            // Lanes whose mask byte is 0 store +0.0f.
+            const __m512i mk = _mm512_cvtepu8_epi32(
+                _mm_loadu_si128(reinterpret_cast<const __m128i*>(a.mask + kk0)));
+            acc = _mm512_maskz_mov_ps(_mm512_test_epi32_mask(mk, mk), acc);
+        }
         _mm512_storeu_ps(a.out + kk0, acc);
     }
-    grad_row_avx2(a, kk0); // at most one 8-lane step, then the scalar tail
+    // At most one 8-lane step, then the scalar tail.
+    return skipped + grad_row_avx2(a, kk0);
 }
 
 void gemm_f32_rows_avx512(const GemmF32Args& g, std::int64_t r0, std::int64_t r1) {
@@ -159,7 +179,7 @@ bool compiled_avx512() { return false; }
 // Unreachable: dispatch.cpp never routes to a level compiled() rejects.
 void acc_panel_gather_avx512(const LutGemmArgs&, std::int64_t,
                              std::int64_t, const DepthRuns&, std::int64_t*) {}
-void grad_row_avx512(const GradRowArgs&) {}
+std::int64_t grad_row_avx512(const GradRowArgs&) { return 0; }
 
 void gemm_f32_rows_avx512(const GemmF32Args&, std::int64_t, std::int64_t) {}
 

@@ -23,7 +23,9 @@
 ///     the depth axis, every LUT index comes from contiguous widening loads,
 ///     and the compacted nonzero-gradient replay stays serial per lane, so
 ///     every gx/gw element performs the scalar oracle's float additions in
-///     the scalar oracle's order.
+///     the scalar oracle's order; a grad-W lane group that reads only
+///     padding in a row adds its per-lane constant instead of gathering,
+///     and every sum is stored once, through its clamp mask.
 ///
 /// The float GEMM of the float path (kernels/gemm.hpp) has its register
 /// blocks here too: one source compiled per level at the level's native
@@ -105,15 +107,16 @@ void clear_isa_override();
 // whose lut_gemm_blocked template calls it for every (rb, ob) tile.
 
 /// One row of the row-major backward walk (lut_backward_rows): for kk in
-/// [0, k), out[kk] accumulates, over the compacted nonzero output gradients
-/// j in ascending order,
+/// [0, k), out[kk] is written with the sum from +0.0f, over the compacted
+/// nonzero output gradients j in ascending order, of
 ///   m[j] * (lut[(fixed[kk] << bits) | ops[off[j] + kk]] - z[j])
 /// one multiply, then one add, per term — the oracle's float ops in the
 /// oracle's order. Lanes run across kk, so each lane's table row
 /// (fixed[kk] << bits) stays put while j advances. grad-X passes the
 /// activation row as `fixed`, the weight codes as `ops`, the transposed
-/// ∂AM/∂X table, m = g * s_w and z = Z_w; grad-W passes the weight row, the
-/// activation codes, the ∂AM/∂W table, m = g and z = Z_x.
+/// ∂AM/∂X table, m = g * s_w, z = Z_w and the row's clamp mask; grad-W
+/// passes the weight row, the activation codes, the ∂AM/∂W table, m = g,
+/// z = Z_x and, for a padded conv, the rows' in-image taps.
 struct GradRowArgs {
     unsigned bits = 8;
     const std::uint16_t* fixed = nullptr; ///< row codes, one per lane (k)
@@ -123,7 +126,27 @@ struct GradRowArgs {
     const float* m = nullptr;             ///< per-j multipliers
     const float* z = nullptr;             ///< per-j zero points
     std::int64_t cnt = 0, k = 0;
-    float* out = nullptr; ///< k accumulators, read and written back
+    float* out = nullptr; ///< k sums, written
+    /// Store mask, one per lane: a lane whose mask is 0 stores +0.0f. Null
+    /// stores every sum.
+    const std::uint8_t* mask = nullptr;
+    /// Per-j in-image taps of the walk's ops rows: bit t is set when kernel
+    /// tap t, lanes [t * tap_lanes, (t + 1) * tap_lanes), reads a pixel of
+    /// row j. Where every tap of a lane group is out of the image, row j
+    /// holds pad_code in all its lanes, and the walk adds m[j] * d with the
+    /// group's per-lane constant d = lut[(fixed << bits) | pad_code] - z[0]
+    /// instead of loading and gathering: the same bits, for z is one value
+    /// (grad-W's Z_x) whenever in_taps is set. Null gathers every lane.
+    const std::uint32_t* in_taps = nullptr;
+    std::int64_t tap_lanes = 1;
+    std::uint16_t pad_code = 0;
+
+    /// The in_taps bits of lanes [kk0, kk0 + n): the taps they belong to.
+    [[nodiscard]] std::uint32_t taps_of(std::int64_t kk0, std::int64_t n) const {
+        const auto t0 = static_cast<unsigned>(kk0 / tap_lanes);
+        const auto t1 = static_cast<unsigned>((kk0 + n - 1) / tap_lanes);
+        return ((std::uint32_t{2} << t1) - 1) & ~((std::uint32_t{1} << t0) - 1);
+    }
 };
 
 /// grad-X and grad-W entry points of the same walk. Each runs the widest
@@ -131,10 +154,12 @@ struct GradRowArgs {
 /// level bumps its counter once per row
 /// (kernels.simd.grad_{x,w}_blocks.<isa>). grad-X walks only the depth
 /// \p runs of the row, the in-image taps of a conv row: each run is the
-/// walk of \p a with fixed, ops and out offset to the run's start and
-/// a.k = runs.len; a.k is not read. grad-W walks all a.k lanes.
+/// walk of \p a with fixed, ops, out and mask offset to the run's start and
+/// a.k = runs.len; a.k is not read, and out is not written outside the
+/// runs. grad-W walks all a.k lanes and returns the lookups the in_taps
+/// skip saved.
 void grad_x_row(const GradRowArgs& a, const DepthRuns& runs);
-void grad_w_row(const GradRowArgs& a);
+std::int64_t grad_w_row(const GradRowArgs& a);
 
 /// Operands of the float GEMM's row walk (kernels::gemm_nt_packed).
 struct GemmF32Args {

@@ -76,15 +76,18 @@ void acc_panel_olanes_avx2(const LutGemmArgs& a, std::int64_t rb,
 // its last k % 16 lanes to grad_row_avx2, which walks lanes [kk0, k) and
 // hands its last k % 8 to grad_row_scalar. Every gx/gw element performs the
 // scalar oracle's float ops in the oracle's order, so results are
-// bitwise-identical.
-void grad_row_avx2(const GradRowArgs& a, std::int64_t kk0);
-void grad_row_avx512(const GradRowArgs& a);
+// bitwise-identical. Each leaf applies the in_taps skip to whole lane
+// groups of its width (a scalar lane is a group of one), computes each
+// group's constant d with the same lookup and subtraction, and returns the
+// lanes it skipped.
+std::int64_t grad_row_avx2(const GradRowArgs& a, std::int64_t kk0);
+std::int64_t grad_row_avx512(const GradRowArgs& a);
 
 /// Lanes [kk0, k) of the row walk, one at a time: the vector leaves' tail
 /// and, below AVX2, the whole row. Defined in dispatch.cpp, which builds for
 /// the baseline target, so the multiply-then-add is never contracted into
 /// an FMA.
-void grad_row_scalar(const GradRowArgs& a, std::int64_t kk0);
+std::int64_t grad_row_scalar(const GradRowArgs& a, std::int64_t kk0);
 
 // Float GEMM row walks (contract of simd::gemm_f32_rows), one copy of
 // gemm_f32.inl per level: 4-row blocks in the AVX TUs, 2-row blocks in the

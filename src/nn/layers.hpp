@@ -105,6 +105,8 @@ public:
         return BatchCoupling::kSampleLocal;
     }
     [[nodiscard]] std::string name() const override { return "MaxPool2d"; }
+    /// Window side, equal to the stride.
+    [[nodiscard]] std::int64_t kernel() const { return kernel_; }
 
 private:
     struct State {
@@ -126,6 +128,8 @@ public:
         return BatchCoupling::kSampleLocal;
     }
     [[nodiscard]] std::string name() const override { return "AvgPool2d"; }
+    /// Window side, equal to the stride.
+    [[nodiscard]] std::int64_t kernel() const { return kernel_; }
 
 private:
     struct State {

@@ -83,7 +83,11 @@ RetrainOutcome RetrainPipeline::retrain(const appmult::AppMultLut& lut,
     Trainer trainer(*model_, train_set_, test_set_, tc);
     outcome.history = trainer.run();
 
-    const EpochStats fin = evaluate(*model_, test_set_, config_.train.batch_size);
+    // The last epoch's evaluation scored these weights already; evaluation
+    // changes no weight or statistic, so only a run without epochs scores.
+    const EpochStats fin = outcome.history.test.empty()
+                               ? evaluate(*model_, test_set_, config_.train.batch_size)
+                               : outcome.history.test.back();
     outcome.final_top1 = fin.top1;
     outcome.final_top5 = fin.top5;
     return outcome;

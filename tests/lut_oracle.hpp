@@ -9,11 +9,20 @@
 
 #include "kernels/layout.hpp"
 #include "kernels/lut_kernels.hpp"
+#include "util/rng.hpp"
 
 #include <cstdint>
 #include <vector>
 
 namespace amret::lut_oracle {
+
+/// Weight code of filter \p oo at tap-major depth index \p kk: a.wq keeps
+/// the (O, C, K, K) order, (c, ky, kx), the identity for a plain matrix.
+inline std::uint16_t w_code(const kernels::LutGemmArgs& a, std::int64_t oo,
+                            std::int64_t kk) {
+    const std::int64_t taps = a.geom.kernel * a.geom.kernel, c_in = a.geom.in_ch;
+    return a.wq[oo * a.k() + (kk % c_in) * taps + kk / c_in];
+}
 
 /// Naive forward: same int64 k-sum and the identical float epilogue
 /// expression as the kernel, so equality is exact, not approximate.
@@ -30,7 +39,7 @@ inline void naive_forward(const kernels::LutGemmArgs& a, const float* bias,
         for (std::int64_t oo = 0; oo < a.o; ++oo) {
             std::int64_t acc = 0;
             for (std::int64_t kk = 0; kk < k; ++kk)
-                acc += a.lut[(static_cast<std::uint32_t>(a.wq[oo * k + kk])
+                acc += a.lut[(static_cast<std::uint32_t>(w_code(a, oo, kk))
                               << a.bits) |
                              a.xq[pp * k + kk]];
             const std::int32_t zw = a.row_zero_w(oo);
@@ -46,15 +55,20 @@ inline void naive_forward(const kernels::LutGemmArgs& a, const float* bias,
     }
 }
 
-/// Naive backward in the kernels' defining accumulation orders: gx sums
-/// output channels in ascending o, gw sums positions in ascending p, so
-/// equality is exact. \p grad_x_lut is indexed (w << bits) | x
-/// (core::GradLut::dx_table()); gw_raw and gx_raw must be zero-initialized.
+/// Naive backward in the kernels' defining accumulation orders, finished as
+/// lut_backward_rows finishes it: gx sums output channels in ascending o
+/// and is stored through a.x_in_range into \p gx, every element written,
+/// padding taps included; gw sums positions in ascending p and folds into
+/// the (O, C, K, K) \p grad_w, accumulated, as s_x * gw where a.w_in_range
+/// passes. So equality is exact. \p grad_x_lut is indexed (w << bits) | x
+/// (core::GradLut::dx_table()).
 inline void naive_backward(const kernels::LutGemmArgs& a, const float* gyp,
                            const float* grad_w_lut, const float* grad_x_lut,
-                           float* gw_raw, float* gx_raw) {
+                           float* grad_w, float* gx) {
     const std::int64_t p = a.p(), k = a.k();
     const float zx = static_cast<float>(a.zero_x);
+    std::vector<float> gw_raw(static_cast<std::size_t>(a.o * k), 0.0f);
+    std::vector<float> gx_raw(static_cast<std::size_t>(p * k), 0.0f);
     for (std::int64_t pp = 0; pp < p; ++pp)
         for (std::int64_t oo = 0; oo < a.o; ++oo) {
             const float g = gyp[pp * a.o + oo];
@@ -63,9 +77,10 @@ inline void naive_backward(const kernels::LutGemmArgs& a, const float* gyp,
             const float gx_scale = a.row_scale_w(oo);
             for (std::int64_t kk = 0; kk < k; ++kk) {
                 const std::uint32_t idx =
-                    (static_cast<std::uint32_t>(a.wq[oo * k + kk]) << a.bits) |
+                    (static_cast<std::uint32_t>(w_code(a, oo, kk)) << a.bits) |
                     a.xq[pp * k + kk];
-                gx_raw[pp * k + kk] += g * gx_scale * (grad_x_lut[idx] - zw);
+                gx_raw[static_cast<std::size_t>(pp * k + kk)] +=
+                    g * gx_scale * (grad_x_lut[idx] - zw);
             }
         }
     for (std::int64_t oo = 0; oo < a.o; ++oo)
@@ -74,11 +89,56 @@ inline void naive_backward(const kernels::LutGemmArgs& a, const float* gyp,
             if (g == 0.0f) continue;
             for (std::int64_t kk = 0; kk < k; ++kk) {
                 const std::uint32_t idx =
-                    (static_cast<std::uint32_t>(a.wq[oo * k + kk]) << a.bits) |
+                    (static_cast<std::uint32_t>(w_code(a, oo, kk)) << a.bits) |
                     a.xq[pp * k + kk];
-                gw_raw[oo * k + kk] += g * (grad_w_lut[idx] - zx);
+                gw_raw[static_cast<std::size_t>(oo * k + kk)] +=
+                    g * (grad_w_lut[idx] - zx);
             }
         }
+    for (std::int64_t i = 0; i < p * k; ++i)
+        gx[i] = a.x_in_range[i] ? gx_raw[static_cast<std::size_t>(i)] : 0.0f;
+    const std::int64_t taps = a.geom.kernel * a.geom.kernel, c_in = a.geom.in_ch;
+    for (std::int64_t oo = 0; oo < a.o; ++oo)
+        for (std::int64_t c = 0; c < c_in; ++c)
+            for (std::int64_t t = 0; t < taps; ++t) {
+                const std::int64_t i = oo * k + c * taps + t;
+                const auto raw = static_cast<std::size_t>(oo * k + t * c_in + c);
+                if (a.w_in_range[i]) grad_w[i] += a.scale_x * gw_raw[raw];
+            }
+}
+
+/// Whether depth index \p d, tap-major (ky, kx, c), of im2col row \p pp
+/// (n, oy, ox) of \p g reads a pixel inside the image.
+inline bool tap_in_image(const tensor::ConvGeom& g, std::int64_t pp, std::int64_t d) {
+    const std::int64_t s = pp % (g.out_h() * g.out_w());
+    const std::int64_t t = d / g.in_ch;
+    const std::int64_t iy = (s / g.out_w()) * g.stride - g.pad + t / g.kernel;
+    const std::int64_t ix = (s % g.out_w()) * g.stride - g.pad + t % g.kernel;
+    return iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w;
+}
+
+/// Writes \p zero_x into every out-of-image tap of the (P, K) row codes
+/// \p xq of \p g, as quantize_conv_panels does: the precondition
+/// lut_backward_rows reads.
+inline void write_pad_codes(const tensor::ConvGeom& g, std::int32_t zero_x,
+                            std::uint16_t* xq) {
+    const std::int64_t k = g.patch();
+    for (std::int64_t pp = 0; pp < g.positions(); ++pp)
+        for (std::int64_t d = 0; d < k; ++d)
+            if (!tap_in_image(g, pp, d))
+                xq[pp * k + d] = static_cast<std::uint16_t>(zero_x);
+}
+
+/// Draws clamp masks for \p a, about one element in eight stopped, into
+/// \p w and \p x, and points a.w_in_range and a.x_in_range at them.
+inline void draw_masks(kernels::LutGemmArgs& a, util::Rng& rng,
+                       std::vector<std::uint8_t>& w, std::vector<std::uint8_t>& x) {
+    w.resize(static_cast<std::size_t>(a.o * a.k()));
+    x.resize(static_cast<std::size_t>(a.p() * a.k()));
+    for (auto& v : w) v = rng.uniform_u64(8) == 0 ? 0 : 1;
+    for (auto& v : x) v = rng.uniform_u64(8) == 0 ? 0 : 1;
+    a.w_in_range = w.data();
+    a.x_in_range = x.data();
 }
 
 /// \p a with its row-major codes packed as panels of tp x tk activation and

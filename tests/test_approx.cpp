@@ -132,6 +132,12 @@ TEST(LutGemm, BackwardSteMatchesDequantizedOperands) {
     args.geom = kernels::matrix_geom(P, K);
     args.zero_w = 7;
     args.zero_x = 4;
+    // Unit s_x and open masks leave the raw sums.
+    args.scale_x = 1.0f;
+    const std::vector<std::uint8_t> w_ok(static_cast<std::size_t>(O * K), 1);
+    const std::vector<std::uint8_t> x_ok(static_cast<std::size_t>(P * K), 1);
+    args.w_in_range = w_ok.data();
+    args.x_in_range = x_ok.data();
 
     std::vector<float> gw(static_cast<std::size_t>(O * K), 0.0f);
     std::vector<float> gx(static_cast<std::size_t>(P * K), 0.0f);

@@ -240,6 +240,63 @@ TEST(IntInference, RejectsCalibrationSetThatDoesNotFitTheHead) {
     EXPECT_THROW(IntInferenceEngine(*model, pair.train, 8), std::invalid_argument);
 }
 
+/// Relative L1 distance of the engine's logits from the model's float
+/// forward for conv 3->8 (3x3, pad 1), ReLU, \p pool, Flatten and
+/// Linear(8, 4) on 3x3 inputs: every pool kernel here leaves a 1x1 map, so
+/// every one compiles, and only a pool run with the layer's own kernel
+/// keeps the engine at its quantization gap. \p kernel receives the pool
+/// kernel describe() reports.
+template <class Pool>
+double pool_net_gap(std::int64_t pool_kernel, std::int64_t* kernel) {
+    data::SyntheticConfig dc;
+    dc.num_classes = 4;
+    dc.height = dc.width = 3;
+    dc.train_samples = 32;
+    dc.test_samples = 8;
+    dc.seed = 17;
+    const auto pair = data::make_synthetic(dc);
+    util::Rng rng(23);
+    nn::Sequential model;
+    auto* conv = model.emplace<approx::ApproxConv2d>(3, 8, 3, 1, 1, rng);
+    model.emplace<nn::ReLU>();
+    model.emplace<Pool>(pool_kernel);
+    model.emplace<nn::Flatten>();
+    model.emplace<nn::Linear>(8, 4, rng);
+    conv->set_multiplier(approx::MultiplierConfig::exact_ste(8));
+    model.set_training(false);
+    IntInferenceEngine engine(model, pair.train, 32);
+    for (const analysis::OpDesc& op : engine.describe().ops)
+        if (op.kind == analysis::OpDesc::Kind::kPool) *kernel = op.pool.kernel;
+
+    util::Rng xrng(29);
+    const tensor::Tensor x = tensor::Tensor::randn(tensor::Shape{16, 3, 3, 3}, xrng);
+    nn::Context ctx;
+    const tensor::Tensor want = model.forward(x, ctx);
+    const tensor::Tensor got = engine.forward(x);
+    double diff = 0.0, norm = 0.0;
+    for (std::int64_t i = 0; i < want.numel(); ++i) {
+        diff += std::abs(static_cast<double>(got[i]) - want[i]);
+        norm += std::abs(static_cast<double>(want[i]));
+    }
+    return diff / norm;
+}
+
+TEST(IntInference, PoolsWithEachLayersOwnKernel) {
+    // The engine once compiled every pool with kernel 2: on 3x3 maps a
+    // MaxPool2d(3) net then read 0.526 relative L1 from its float forward,
+    // against 0.015 for the MaxPool2d(2) net, the quantization gap.
+    std::int64_t kernel = 0;
+    const double gap = pool_net_gap<nn::MaxPool2d>(2, &kernel);
+    EXPECT_EQ(kernel, 2);
+    EXPECT_LT(gap, 0.05);
+    const double max3 = pool_net_gap<nn::MaxPool2d>(3, &kernel);
+    EXPECT_EQ(kernel, 3);
+    const double avg3 = pool_net_gap<nn::AvgPool2d>(3, &kernel);
+    EXPECT_EQ(kernel, 3);
+    EXPECT_LT(max3, 2.0 * gap) << "kernel-2 gap " << gap;
+    EXPECT_LT(avg3, 2.0 * gap) << "kernel-2 gap " << gap;
+}
+
 TEST(IntInference, RejectsResidualTopology) {
     models::ModelConfig mc;
     mc.in_size = 8;

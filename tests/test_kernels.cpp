@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -191,6 +193,63 @@ TEST(KernelQuantize, QuantizeIntoMatchesQuantParams) {
     }
 }
 
+TEST(KernelQuantize, InlineQuantizeMatchesQuantParamsOnTiesAndInfinities) {
+    // quantize_into rounds inline; codes and masks must equal the
+    // out-of-line QuantParams calls at exact ties (q = k + 0.5), at the
+    // mask's edges, for infinities, huge and tiny magnitudes, and for random
+    // bit patterns of every finite exponent.
+    quant::QuantParams params;
+    params.scale = 0.5f;
+    params.zero_point = 3.0f;
+    params.bits = 4;
+    std::vector<float> src;
+    for (int k = -40; k <= 40; ++k) src.push_back(0.25f * static_cast<float>(k));
+    for (const float v : {std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(), 1e30f, -1e30f,
+                          3.4e38f, -3.4e38f, 1e-40f, -1e-40f, 0.0f, -0.0f,
+                          2097152.25f, 4194304.5f, 8388607.5f, -8388607.5f})
+        src.push_back(v);
+    util::Rng rng(48);
+    while (src.size() < 20000) {
+        const auto bits =
+            static_cast<std::uint32_t>(rng.uniform_u64(std::uint64_t{1} << 32));
+        float v;
+        std::memcpy(&v, &bits, sizeof v);
+        if (!std::isnan(v)) src.push_back(v);
+    }
+    for (const quant::QuantParams& p : {params, quant::choose_params(-2.0f, 2.0f, 8)}) {
+        Workspace ws;
+        const auto n = static_cast<std::int64_t>(src.size());
+        const auto view = kernels::quantize_into(src.data(), n, p, ws);
+        for (std::int64_t i = 0; i < n; ++i) {
+            const float v = src[static_cast<std::size_t>(i)];
+            ASSERT_EQ(view.codes[i], static_cast<std::uint16_t>(p.quantize(v))) << v;
+            ASSERT_EQ(view.in_range[i] != 0, p.in_range(v)) << v;
+        }
+    }
+}
+
+TEST(KernelQuantize, MinMaxReturnsTheFirstExtremes) {
+    // Zeros of alternating sign from \p start on, ones before it, over
+    // several chunks: the parallel pass must return the elements
+    // std::min_element and std::max_element find, sign of zero included.
+    const std::int64_t n = 5000;
+    for (const float lead : {0.0f, -0.0f})
+        for (const std::int64_t start : {std::int64_t{0}, std::int64_t{1500},
+                                         std::int64_t{4000}}) {
+            std::vector<float> v(static_cast<std::size_t>(n));
+            for (std::int64_t i = 0; i < n; ++i)
+                v[static_cast<std::size_t>(i)] =
+                    i < start ? 1.0f : (i - start) % 2 == 0 ? lead : -lead;
+            Workspace ws;
+            const auto [lo, hi] = kernels::min_max(v.data(), n, ws);
+            const float want_lo = *std::min_element(v.begin(), v.end());
+            const float want_hi = *std::max_element(v.begin(), v.end());
+            EXPECT_EQ(std::memcmp(&lo, &want_lo, sizeof lo), 0) << start;
+            EXPECT_EQ(std::memcmp(&hi, &want_hi, sizeof hi), 0) << start;
+        }
+}
+
 TEST(KernelQuantize, PerChannelMatchesRowWiseReference) {
     util::Rng rng(47);
     const std::int64_t o = 5, patch = 27;
@@ -338,6 +397,23 @@ const std::map<std::string, std::uint64_t> kGolden = {
     // An engine with a 2x2 average pool and a global average pool, captured
     // while the engine still ran them as their own op types.
     {"engine_avg.logits", 0xc00ac3935b52ec6eull},
+    // Padded 3x3 convs on VGG19-slim's deepest maps: 32 channels at batch 32
+    // on 2x2 and 1x1 under the difference gradient and STE, and 24 channels,
+    // whose lane groups straddle taps. Captured while grad-W still looked up
+    // every padding tap and the backward zero-filled, folded and masked in
+    // separate passes.
+    {"conv_c32_2x2.y", 0x4fd94f418a12e700ull},      {"conv_c32_2x2.gx", 0x8d1133e7ce8eea66ull},
+    {"conv_c32_2x2.gw", 0x6939dd41a8a356a5ull},     {"conv_c32_2x2.gb", 0x00f082615eea2d38ull},
+    {"conv_c32_1x1.y", 0x39b7f13f7da4959bull},      {"conv_c32_1x1.gx", 0x013d9561a5115bdaull},
+    {"conv_c32_1x1.gw", 0x21f176c86c368ae7ull},     {"conv_c32_1x1.gb", 0x1793fdc55f6329bcull},
+    {"conv_c32_2x2_ste.y", 0x8c0b4844d0def115ull},  {"conv_c32_2x2_ste.gx", 0x3b2a8e3742e0a66aull},
+    {"conv_c32_2x2_ste.gw", 0xf5903e747b086a66ull}, {"conv_c32_2x2_ste.gb", 0x00f082615eea2d38ull},
+    {"conv_c32_1x1_ste.y", 0x5837b195906b78d9ull},  {"conv_c32_1x1_ste.gx", 0x2cd48f78e54fc3c1ull},
+    {"conv_c32_1x1_ste.gw", 0x2b33dfdc0f3fe295ull}, {"conv_c32_1x1_ste.gb", 0x1793fdc55f6329bcull},
+    {"conv_c24.y", 0x6215d17358b6c5bfull},          {"conv_c24.gx", 0xf0b687fc80c14c21ull},
+    {"conv_c24.gw", 0x38024f49fbf937dfull},         {"conv_c24.gb", 0x2a5f941546b71f5bull},
+    {"conv_c24_ste_pc.y", 0x358410404017b2adull},   {"conv_c24_ste_pc.gx", 0xcd8c6c3ffd63fef9ull},
+    {"conv_c24_ste_pc.gw", 0xe882830768082dabull},  {"conv_c24_ste_pc.gb", 0xb6ddd6a35119703eull},
 };
 
 void expect_golden(const std::string& key, std::uint64_t h) {
@@ -609,6 +685,37 @@ TEST(Golden, QuantizedOneByOneConvStrideTwo) {
     golden_two_steps("conv_1x1_s2",
                      quant_conv(6, 10, 1, 2, 0, 837, golden_config("mul8u_rm8")),
                      Shape{2, 6, 7, 9}, 948);
+}
+
+TEST(Golden, QuantizedConvVggDeepMapsDifferenceGradient) {
+    // 32 channels: every 16-lane group of the grad-W walk sits inside one
+    // tap, so at 2x2 and 1x1 whole groups read only the pad code.
+    const auto config = golden_config("mul8u_rm8");
+    golden_two_steps("conv_c32_2x2", quant_conv(32, 16, 3, 1, 1, 847, config),
+                     Shape{32, 32, 2, 2}, 958);
+    golden_two_steps("conv_c32_1x1", quant_conv(32, 16, 3, 1, 1, 847, config),
+                     Shape{32, 32, 1, 1}, 968);
+}
+
+TEST(Golden, QuantizedConvVggDeepMapsSte) {
+    // Under STE a padding tap's grad-W term is a signed zero.
+    const auto config = approx::MultiplierConfig::exact_ste(8);
+    golden_two_steps("conv_c32_2x2_ste", quant_conv(32, 16, 3, 1, 1, 847, config),
+                     Shape{32, 32, 2, 2}, 958);
+    golden_two_steps("conv_c32_1x1_ste", quant_conv(32, 16, 3, 1, 1, 847, config),
+                     Shape{32, 32, 1, 1}, 968);
+}
+
+TEST(Golden, QuantizedConvLaneGroupsStraddleTaps) {
+    // 24 channels: lane groups of 16 and 8 cover parts of two taps.
+    golden_two_steps("conv_c24",
+                     quant_conv(24, 10, 3, 1, 1, 857, golden_config("mul8u_rm8")),
+                     Shape{4, 24, 4, 4}, 978);
+    golden_two_steps("conv_c24_ste_pc",
+                     quant_conv(24, 10, 3, 1, 1, 857,
+                                approx::MultiplierConfig::exact_ste(8),
+                                /*per_channel=*/true),
+                     Shape{3, 24, 3, 3}, 988);
 }
 
 /// A quantized ApproxLinear(37, 21) on \p config, for golden_two_steps.

@@ -180,6 +180,7 @@ struct BlockedRandom {
     std::vector<float> gyp;
     std::vector<float> scale_per_o;
     std::vector<std::int32_t> zero_per_o;
+    std::vector<std::uint8_t> w_ok, x_ok;
     LutGemmArgs args;
 
     BlockedRandom(unsigned bits, std::int64_t o, std::int64_t p, std::int64_t k,
@@ -219,6 +220,7 @@ struct BlockedRandom {
             args.scale_w_per_o = scale_per_o.data();
             args.zero_w_per_o = zero_per_o.data();
         }
+        lut_oracle::draw_masks(args, rng, w_ok, x_ok);
     }
 };
 
@@ -268,7 +270,8 @@ TEST(BlockedKernels, ForwardMatchesScalarOracleBitwise) {
 
 TEST(BlockedKernels, BackwardMatchesScalarOracleBitwise) {
     // The backward needs no panels: it reads the row-major codes and the
-    // transposed dX table, and must memcmp-match the oracle.
+    // transposed dX table, and must memcmp-match the oracle, masks and the
+    // s_x fold included.
     util::Rng rng(92);
     for (const unsigned bits : {4u, 8u}) {
         for (const GemmShape& sh : kShapes) {
@@ -458,6 +461,42 @@ TEST(FusedIm2col, QuantizePanelsMatchUnfusedFloatPath) {
                 ASSERT_EQ(got.rows.in_range[i], want_rows.in_range[col])
                     << "row " << p << " depth " << d;
             }
+        }
+    }
+}
+
+TEST(FusedIm2col, QuantizePanelsWriteZeroXAtEveryOutOfImageTap) {
+    // lut_backward_rows reads each out-of-image tap of the row codes as the
+    // pad code zero_x, the int32 zero point GemmLayer hands it: the packer
+    // must write exactly that code there, whatever the range and width.
+    util::Rng rng(19);
+    const ConvGeom geoms[] = {
+        {2, 3, 5, 6, 3, 1, 1}, {1, 2, 7, 9, 5, 1, 2}, {2, 4, 2, 2, 3, 1, 1},
+        {3, 2, 1, 1, 3, 1, 1}, {2, 3, 7, 6, 3, 2, 1},
+    };
+    for (const quant::QuantParams& params :
+         {quant::choose_params(-1.0f, 3.0f, 8), quant::choose_params(-2.5f, 0.5f, 8),
+          quant::choose_params(-0.7f, 1.9f, 4)}) {
+        const auto zero_x = static_cast<std::int32_t>(params.zero_point);
+        for (const ConvGeom& geom : geoms) {
+            std::vector<float> x(static_cast<std::size_t>(
+                geom.batch * geom.in_ch * geom.in_h * geom.in_w));
+            for (auto& v : x) v = 2.0f + static_cast<float>(rng.normal());
+            const PanelPlan plan = kernels::make_conv_act_plan(
+                geom.positions(), geom.patch(), 16, 64);
+            Workspace ws;
+            const kernels::QuantPanels got =
+                kernels::quantize_conv_panels(x.data(), geom, params, plan, 1, ws);
+            std::int64_t padding = 0;
+            for (std::int64_t p = 0; p < geom.positions(); ++p)
+                for (std::int64_t d = 0; d < geom.patch(); ++d) {
+                    if (lut_oracle::tap_in_image(geom, p, d)) continue;
+                    ++padding;
+                    const std::int64_t i = p * geom.patch() + d;
+                    ASSERT_EQ(got.rows.codes[i], zero_x) << "row " << p << " depth " << d;
+                    ASSERT_EQ(got.rows.in_range[i], 1) << "row " << p << " depth " << d;
+                }
+            EXPECT_GT(padding, 0);
         }
     }
 }

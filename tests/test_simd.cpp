@@ -193,6 +193,7 @@ struct SimdRandom {
     std::vector<float> gyp;
     std::vector<float> scale_per_o;
     std::vector<std::int32_t> zero_per_o;
+    std::vector<std::uint8_t> w_ok, x_ok;
     LutGemmArgs args;
 
     SimdRandom(unsigned bits, std::int64_t o, std::int64_t p, std::int64_t k,
@@ -231,7 +232,12 @@ struct SimdRandom {
             args.scale_w_per_o = scale_per_o.data();
             args.zero_w_per_o = zero_per_o.data();
         }
+        lut_oracle::draw_masks(args, rng, w_ok, x_ok);
     }
+
+    /// Makes args a conv of \p geom (same P and K): its codes get zero_x at
+    /// every out-of-image tap, the precondition of lut_backward_rows.
+    void set_conv(const tensor::ConvGeom& geom);
 
     LutGemmArgs blocked(std::int64_t tp, std::int64_t to, std::int64_t tk,
                             Workspace& ws) const {
@@ -352,12 +358,16 @@ TEST(SimdKernels, NibbleVerdictFollowsTheTableNotItsAddress) {
 }
 
 /// Runs lut_backward_rows under every runnable dispatch level and memcmps
-/// gw and gx against the naive backward over the same codes.
+/// the weight gradient and gx against the naive backward over the same
+/// codes, from a weight gradient that already holds values.
 ::testing::AssertionResult backward_matches_oracle(const SimdRandom& g) {
     const LutGemmArgs& a = g.args;
     const std::size_t nw = static_cast<std::size_t>(a.o * a.k());
     const std::size_t nx = static_cast<std::size_t>(a.p() * a.k());
-    std::vector<float> gw_ref(nw, 0.0f), gx_ref(nx, 0.0f);
+    std::vector<float> gw0(nw);
+    for (std::size_t i = 0; i < nw; ++i)
+        gw0[i] = i % 3 == 0 ? -0.0f : 0.25f * static_cast<float>(i % 7);
+    std::vector<float> gw_ref(gw0), gx_ref(nx);
     lut_oracle::naive_backward(a, g.gyp.data(), g.grad.dw_table().data(),
                                g.grad.dx_table().data(), gw_ref.data(),
                                gx_ref.data());
@@ -365,8 +375,8 @@ TEST(SimdKernels, NibbleVerdictFollowsTheTableNotItsAddress) {
     std::vector<float> gw(nw), gx(nx);
     for (const Isa isa : runnable_isas()) {
         ScopedIsa pin(isa);
-        std::fill(gw.begin(), gw.end(), 0.0f);
-        std::fill(gx.begin(), gx.end(), 0.0f);
+        gw = gw0;
+        std::fill(gx.begin(), gx.end(), -1.0f);
         ws.reset();
         kernels::lut_backward_rows(a, g.gyp.data(), g.grad.dw_table().data(),
                                    g.grad.dx_t_table().data(), gw.data(),
@@ -419,47 +429,51 @@ TEST(SimdKernels, BackwardCoversEveryLaneTailAndZeroGradients) {
     }
 }
 
-// Conv geometries of the padding-free grad-X walk: pad 1 and 2, stride 1
-// and 2, K = 3 and 5, C = 3 and 20, and an unpadded conv whose rows are one
-// full run. The 20-channel maps give runs from one 20-lane tap to whole
-// kernel rows, so the 16-lane body, the 8-lane step and the scalar tail all
-// run inside a row's runs.
+// Conv geometries of the padding-free backward: pad 1 and 2, stride 1 and
+// 2, K = 3 and 5, C = 3, 16, 20, 24 and 32, and an unpadded conv whose rows
+// are one full run. The 20-channel maps give grad-X runs from one 20-lane
+// tap to whole kernel rows, so the 16-lane body, the 8-lane step and the
+// scalar tail all run inside a row's runs. The 16- and 32-channel maps keep
+// every grad-W lane group inside one tap, as VGG19-slim's deep layers do (a
+// batch of 32 on 2x2 and a 1x1 map); 3, 20 and 24 channels make groups
+// straddle taps.
 const tensor::ConvGeom kConvGeoms[] = {
-    {2, 3, 5, 6, 3, 1, 1},  {3, 20, 3, 3, 3, 1, 1}, {5, 20, 1, 1, 3, 1, 1},
-    {2, 3, 7, 6, 3, 2, 1},  {2, 3, 7, 9, 5, 1, 2},  {1, 20, 6, 5, 5, 2, 2},
-    {2, 20, 4, 4, 3, 2, 2}, {2, 3, 6, 6, 3, 1, 0},
+    {2, 3, 5, 6, 3, 1, 1},   {3, 20, 3, 3, 3, 1, 1}, {5, 20, 1, 1, 3, 1, 1},
+    {2, 3, 7, 6, 3, 2, 1},   {2, 3, 7, 9, 5, 1, 2},  {1, 20, 6, 5, 5, 2, 2},
+    {2, 20, 4, 4, 3, 2, 2},  {2, 3, 6, 6, 3, 1, 0},  {32, 32, 2, 2, 3, 1, 1},
+    {4, 32, 1, 1, 3, 1, 1},  {2, 24, 4, 4, 3, 1, 1}, {2, 16, 5, 5, 5, 2, 2},
 };
 
-/// Whether depth index \p d, tap-major (ky, kx, c), of im2col row \p pp
-/// (n, oy, ox) of \p g reads a pixel inside the image.
-bool tap_in_image(const tensor::ConvGeom& g, std::int64_t pp, std::int64_t d) {
-    const std::int64_t s = pp % (g.out_h() * g.out_w());
-    const std::int64_t t = d / g.in_ch;
-    const std::int64_t iy = (s / g.out_w()) * g.stride - g.pad + t / g.kernel;
-    const std::int64_t ix = (s % g.out_w()) * g.stride - g.pad + t % g.kernel;
-    return iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w;
+using lut_oracle::tap_in_image;
+
+void SimdRandom::set_conv(const tensor::ConvGeom& geom) {
+    ASSERT_EQ(geom.positions(), args.p());
+    ASSERT_EQ(geom.patch(), args.k());
+    args.geom = geom;
+    lut_oracle::write_pad_codes(geom, args.zero_x, xq.data());
 }
 
 TEST(SimdKernels, ConvBackwardSkipsPaddingTapsAndMatchesOracle) {
-    // Codes over im2col rows and a tap-major depth. grad-W keeps every tap,
-    // so gw equals the oracle everywhere; grad-X walks only each row's
-    // in-image taps, so gx equals the oracle there and stays +0.0f on the
+    // Codes over im2col rows and a tap-major depth, with zero_x at every
+    // out-of-image tap. grad-W keeps every term, so the weight gradient
+    // equals the oracle everywhere; grad-X writes only the in-image taps,
+    // so gx equals the oracle there and keeps what the caller left on the
     // padding taps, which col2im_tap_major drops.
     util::Rng rng(106);
-    const float zero = 0.0f;
+    const float untouched = -7.5f;
     int variant = 0;
     for (const tensor::ConvGeom& geom : kConvGeoms) {
         for (const unsigned bits : {4u, 8u}) {
             const bool per_channel = (variant++ % 2) == 1;
             SimdRandom g(bits, 7, geom.positions(), geom.patch(), per_channel,
                          rng);
-            g.args.geom = geom;
+            g.set_conv(geom);
             // Signed zeros beside the randn and +0.0f mix of SimdRandom.
             for (std::size_t i = 0; i < g.gyp.size(); i += 5) g.gyp[i] = -0.0f;
             const LutGemmArgs& a = g.args;
             const std::size_t nw = static_cast<std::size_t>(a.o * a.k());
             const std::size_t nx = static_cast<std::size_t>(a.p() * a.k());
-            std::vector<float> gw_ref(nw, 0.0f), gx_ref(nx, 0.0f);
+            std::vector<float> gw_ref(nw, 0.0f), gx_ref(nx);
             lut_oracle::naive_backward(a, g.gyp.data(), g.grad.dw_table().data(),
                                        g.grad.dx_table().data(), gw_ref.data(),
                                        gx_ref.data());
@@ -468,7 +482,7 @@ TEST(SimdKernels, ConvBackwardSkipsPaddingTapsAndMatchesOracle) {
             for (const Isa isa : runnable_isas()) {
                 ScopedIsa pin(isa);
                 std::fill(gw.begin(), gw.end(), 0.0f);
-                std::fill(gx.begin(), gx.end(), 0.0f);
+                std::fill(gx.begin(), gx.end(), untouched);
                 ws.reset();
                 kernels::lut_backward_rows(a, g.gyp.data(),
                                            g.grad.dw_table().data(),
@@ -483,7 +497,7 @@ TEST(SimdKernels, ConvBackwardSkipsPaddingTapsAndMatchesOracle) {
                     for (std::int64_t d = 0; d < a.k(); ++d) {
                         const std::size_t i = static_cast<std::size_t>(pp * a.k() + d);
                         const float* want =
-                            tap_in_image(geom, pp, d) ? &gx_ref[i] : &zero;
+                            tap_in_image(geom, pp, d) ? &gx_ref[i] : &untouched;
                         ASSERT_EQ(std::memcmp(&gx[i], want, sizeof(float)), 0)
                             << kernels::simd::isa_name(isa) << " bits=" << bits
                             << " C=" << geom.in_ch << " K=" << geom.kernel
@@ -504,7 +518,7 @@ TEST(SimdKernels, GradXPadSkippedCountsOutOfImageTaps) {
     util::Rng rng(107);
     for (const tensor::ConvGeom& geom : kConvGeoms) {
         SimdRandom g(8, 5, geom.positions(), geom.patch(), false, rng);
-        g.args.geom = geom;
+        g.set_conv(geom);
         std::int64_t want = 0;
         for (std::int64_t pp = 0; pp < geom.positions(); ++pp)
             for (std::int64_t t = 0; t < geom.kernel * geom.kernel; ++t)
@@ -519,6 +533,66 @@ TEST(SimdKernels, GradXPadSkippedCountsOutOfImageTaps) {
         EXPECT_EQ(skipped.value() - before, want)
             << "C=" << geom.in_ch << " K=" << geom.kernel << " pad=" << geom.pad
             << " stride=" << geom.stride;
+    }
+}
+
+/// Lanes of row \p pp that the grad-W walk at \p isa skips: the lane
+/// groups of its leaf chain (16 lanes on AVX-512, then 8 on AVX2, then
+/// single lanes) whose taps are all out of the image in that row.
+std::int64_t grad_w_skipped_lanes(const tensor::ConvGeom& g, Isa isa,
+                                  std::int64_t pp) {
+    std::vector<std::int64_t> widths{1};
+    if (isa == Isa::kAvx2) widths = {8, 1};
+    if (isa == Isa::kAvx512) widths = {16, 8, 1};
+    std::int64_t kk = 0, skipped = 0;
+    for (const std::int64_t w : widths)
+        for (; kk + w <= g.patch(); kk += w) {
+            bool out = true;
+            for (std::int64_t l = kk; l < kk + w; ++l)
+                out = out && !tap_in_image(g, pp, l);
+            if (out) skipped += w;
+        }
+    return skipped;
+}
+
+TEST(SimdKernels, GradWPadSkippedCountsPaddingLanes) {
+#if defined(AMRET_OBS_DISABLED)
+    GTEST_SKIP() << "obs instrumentation compiled out";
+#endif
+    // Each nonzero gradient of a filter skips the lookups of the lane groups
+    // its row reads only padding in. Where C is a multiple of 16, no group
+    // straddles taps, and that is every padding lane the geometry implies.
+    obs::Counter& skipped = obs::counter("kernels.gemm.grad_w_pad_skipped");
+    util::Rng rng(108);
+    for (const tensor::ConvGeom& geom : kConvGeoms) {
+        SimdRandom g(8, 5, geom.positions(), geom.patch(), false, rng);
+        g.set_conv(geom);
+        for (const Isa isa : runnable_isas()) {
+            ScopedIsa pin(isa);
+            std::int64_t want = 0, padding = 0;
+            for (std::int64_t pp = 0; pp < geom.positions(); ++pp) {
+                std::int64_t rows = 0;
+                for (std::int64_t oo = 0; oo < g.args.o; ++oo)
+                    rows += g.gyp[static_cast<std::size_t>(pp * g.args.o + oo)] != 0.0f;
+                want += rows * grad_w_skipped_lanes(geom, isa, pp);
+                for (std::int64_t d = 0; d < geom.patch(); ++d)
+                    if (!tap_in_image(geom, pp, d)) padding += rows;
+            }
+            if (geom.in_ch % 16 == 0) {
+                EXPECT_EQ(want, padding);
+            }
+            std::vector<float> gw(static_cast<std::size_t>(g.args.o * g.args.k()));
+            std::vector<float> gx(static_cast<std::size_t>(g.args.p() * g.args.k()));
+            Workspace ws;
+            const std::int64_t before = skipped.value();
+            kernels::lut_backward_rows(g.args, g.gyp.data(), g.grad.dw_table().data(),
+                                       g.grad.dx_t_table().data(), gw.data(),
+                                       gx.data(), ws);
+            EXPECT_EQ(skipped.value() - before, want)
+                << kernels::simd::isa_name(isa) << " C=" << geom.in_ch
+                << " K=" << geom.kernel << " pad=" << geom.pad
+                << " stride=" << geom.stride;
+        }
     }
 }
 

@@ -170,6 +170,32 @@ TEST(Pipeline, RetrainIsRepeatableFromSnapshot) {
     EXPECT_DOUBLE_EQ(a.final_top1, b.final_top1);
 }
 
+TEST(Pipeline, RetrainFinalScoreEqualsAFreshEvaluation) {
+    // retrain() takes its final score from the last epoch's evaluation when
+    // an epoch ran, and scores afresh when none did: either way it must
+    // equal evaluating the retrained model now.
+    const auto pair = tiny_data(4, 96);
+    auto& reg = appmult::Registry::instance();
+    const auto& lut = reg.lut("mul7u_rm6");
+    const auto grad = core::build_difference_grad(lut, 2);
+    for (const int epochs : {0, 1, 2}) {
+        train::PipelineConfig pc;
+        pc.model = "lenet";
+        pc.model_config = tiny_lenet_config();
+        pc.float_epochs = 1;
+        pc.qat_epochs = 1;
+        pc.retrain_epochs = epochs;
+        pc.train = fast_train(1);
+        train::RetrainPipeline pipeline(pc, pair.train, pair.test);
+        pipeline.prepare(7);
+        const auto outcome = pipeline.retrain(lut, grad);
+        const train::EpochStats fresh = pipeline.test_stats();
+        EXPECT_EQ(outcome.history.test.size(), static_cast<std::size_t>(epochs));
+        EXPECT_EQ(outcome.final_top1, fresh.top1) << epochs << " epochs";
+        EXPECT_EQ(outcome.final_top5, fresh.top5) << epochs << " epochs";
+    }
+}
+
 TEST(HwsSearch, ReturnsCandidateWithLosses) {
     const auto pair = tiny_data(4, 64);
     auto& reg = appmult::Registry::instance();

@@ -288,6 +288,33 @@ void dump_pointwise_convs() {
     }
 }
 
+/// Quantized 3x3 convs with pad 1 on VGG19-slim's deepest maps: 32 input
+/// channels at batch 32 on 2x2 and 1x1 maps, under the difference gradient
+/// and under exact_ste(8), so every 16-lane group of the grad-W walk sits
+/// inside one tap; and 24 input channels, whose lane groups straddle taps,
+/// per-tensor under the difference gradient and per-channel under STE.
+void dump_deep_padded_convs() {
+    const approx::MultiplierConfig diff = make_config("mul8u_rm8");
+    const approx::MultiplierConfig ste = approx::MultiplierConfig::exact_ste(8);
+    const auto run = [](const std::string& tag, std::int64_t in, std::int64_t out,
+                        std::uint64_t wseed, const approx::MultiplierConfig& config,
+                        bool per_channel, const tensor::Shape& xshape,
+                        std::uint64_t seed) {
+        util::Rng wrng(wseed);
+        approx::ApproxConv2d conv(in, out, 3, 1, 1, wrng);
+        conv.set_multiplier(config);
+        conv.set_mode(approx::ComputeMode::kQuantized);
+        conv.set_per_channel_weights(per_channel);
+        dump_two_steps(tag, conv, xshape, seed);
+    };
+    run("conv_c32_2x2", 32, 16, 847, diff, false, tensor::Shape{32, 32, 2, 2}, 958);
+    run("conv_c32_1x1", 32, 16, 847, diff, false, tensor::Shape{32, 32, 1, 1}, 968);
+    run("conv_c32_2x2_ste", 32, 16, 847, ste, false, tensor::Shape{32, 32, 2, 2}, 958);
+    run("conv_c32_1x1_ste", 32, 16, 847, ste, false, tensor::Shape{32, 32, 1, 1}, 968);
+    run("conv_c24", 24, 10, 857, diff, false, tensor::Shape{4, 24, 4, 4}, 978);
+    run("conv_c24_ste_pc", 24, 10, 857, ste, true, tensor::Shape{3, 24, 3, 3}, 988);
+}
+
 /// Quantized ApproxLinear(37, 21) layers: on mul8u_rm8 at batch 19 (one
 /// full 16-row position block and a 3-row tail), and on the 4-bit exact
 /// multiplier at batch 32, whose 16-row blocks take the nibble (pshufb) leaf.
@@ -489,6 +516,7 @@ int main() {
     dump_stride2_convs();
     dump_deep_convs();
     dump_pointwise_convs();
+    dump_deep_padded_convs();
     dump_quant_linears();
     dump_engine();
     dump_engine_head();

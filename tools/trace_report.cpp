@@ -22,8 +22,12 @@ int main(int argc, char** argv) {
     std::string error;
     const auto records = amret::obs::load_chrome_trace(path, &error);
     if (records.empty()) {
-        std::fprintf(stderr, "trace_report: %s: %s\n", path.c_str(),
-                     error.empty() ? "no complete (\"X\") events" : error.c_str());
+        // The loader's errors name the path already.
+        if (error.empty())
+            std::fprintf(stderr, "trace_report: %s: no complete (\"X\") events\n",
+                         path.c_str());
+        else
+            std::fprintf(stderr, "trace_report: %s\n", error.c_str());
         return 1;
     }
     std::printf("%s: %zu spans\n", path.c_str(), records.size());
