@@ -13,9 +13,11 @@
 ///                   leg) per ISA against it, a per-ISA lut_backward_rows
 ///                   leg (with the backward of a padded 3x3 conv at 2x2 and
 ///                   1x1, batch 32), a narrow-position leg (VGG19-slim's
-///                   last convs at batch 1, P = 1 and 4) and a padded-conv
+///                   last convs at batch 1, P = 1 and 4), a padded-conv
 ///                   leg (the same conv's forward through the engine
-///                   packer).
+///                   packer) and a product-plane leg (64-row blocks of an
+///                   8-bit table through the AVX-512 plane leaf and
+///                   through its gather leaf).
 ///                   Every output is memcmp'd against the naive loops of
 ///                   tests/lut_oracle.hpp and reported as a *bitwise_equal
 ///                   flag. Run by scripts/check.sh and the bench-smoke
@@ -545,6 +547,7 @@ std::string padded_leg_json(int iters, bool* all_eq) {
             kernels::make_conv_act_plan(p, k, tune::kTileP, tune::kTileK);
         kernels::Workspace weight_ws;
         kernels::LutGemmArgs b = g.args;
+        b.lut_planes = g.lut.planes(); // as the engine's ConvOp sets them
         b.geom = geom;
         b.w = kernels::pack_conv_weight_panels(
             g.wq.data(), b.bits,
@@ -580,10 +583,58 @@ std::string padded_leg_json(int iters, bool* all_eq) {
            "\n  }";
 }
 
+/// The "product_planes" leg of BENCH_kernels.json: an 8-bit GEMM (o=64,
+/// p=1024, k=576) in 64-row position blocks at the avx512 level, through
+/// the plane leaf (the table's planes set) and through the 16-lane gather
+/// leaf (planes unset), each memcmp'd against the naive forward;
+/// planes_vs_gather_speedup is gather_ms / planes_ms. Reports only
+/// "available": false where the level is not supported. Clears *all_eq on
+/// any mismatch.
+std::string planes_leg_json(int iters, bool* all_eq) {
+    const auto avx512 = kernels::simd::Isa::kAvx512;
+    if (!kernels::simd::supported(avx512))
+        return "  \"product_planes\": {\"available\": false}";
+    BenchGemm g(64, 1024, 576);
+    std::vector<float> y_ref(g.y.size()), y(g.y.size());
+    lut_oracle::naive_forward(g.args, nullptr, y_ref.data());
+    kernels::Workspace pack_ws, ws;
+    kernels::LutGemmArgs b = pack_compiled(g.args, pack_ws);
+    const auto time_with = [&](const kernels::LutPlaneRow* planes, bool* eq) {
+        b.lut_planes = planes;
+        kernels::simd::set_isa_for_test(avx512);
+        const double ms = time_ms_best(iters, [&] {
+            ws.reset();
+            kernels::lut_forward_blocked(b, nullptr, y.data(), ws);
+        });
+        kernels::simd::clear_isa_override();
+        *eq = std::memcmp(y.data(), y_ref.data(), y.size() * sizeof(float)) == 0;
+        return ms;
+    };
+    bool planes_eq = false, gather_eq = false;
+    const double planes_ms = time_with(g.lut.planes(), &planes_eq);
+    const double gather_ms = time_with(nullptr, &gather_eq);
+    const bool eq = planes_eq && gather_eq;
+    *all_eq = *all_eq && eq;
+    std::printf("product planes [avx512]: planes %.3f ms, gather %.3f ms "
+                "(%.2fx), bitwise_equal=%d\n",
+                planes_ms, gather_ms, gather_ms / planes_ms, eq ? 1 : 0);
+    char buf[512];
+    std::snprintf(buf, sizeof(buf),
+                  "  \"product_planes\": {\n"
+                  "    \"available\": true, \"o\": 64, \"p\": 1024, \"k\": 576, "
+                  "\"bits\": 8, \"block_rows\": %lld,\n"
+                  "    \"planes_ms\": %.4f, \"gather_ms\": %.4f,\n"
+                  "    \"planes_vs_gather_speedup\": %.3f,\n"
+                  "    \"bitwise_equal\": %s\n  }",
+                  static_cast<long long>(tune::kTileP), planes_ms, gather_ms,
+                  gather_ms / planes_ms, eq ? "true" : "false");
+    return buf;
+}
+
 /// Emits results/BENCH_kernels.json: the LUT-GEMM forward at scalar
 /// dispatch, the SIMD legs, the backward leg (backward_leg_json), the
-/// narrow-position leg (narrow_leg_json) and the padded-conv leg
-/// (padded_leg_json). Every leg carries a bitwise-equality flag against the
+/// narrow-position leg (narrow_leg_json), the padded-conv leg
+/// (padded_leg_json) and the product-plane leg (planes_leg_json). Every leg carries a bitwise-equality flag against the
 /// naive oracle; a false flag fails the run (a perf shortfall only prints —
 /// machine-dependent numbers should not gate CI).
 int run_kernels_json() {
@@ -720,6 +771,8 @@ int run_kernels_json() {
     const std::string narrow_json = narrow_leg_json(iters, &narrow_eq);
     bool padded_eq = true;
     const std::string padded_json = padded_leg_json(iters, &padded_eq);
+    bool planes_eq = true;
+    const std::string planes_json = planes_leg_json(iters, &planes_eq);
 
     std::filesystem::create_directories("results");
     std::FILE* f = std::fopen("results/BENCH_kernels.json", "w");
@@ -739,6 +792,7 @@ int run_kernels_json() {
         "%s,\n"
         "%s,\n"
         "%s,\n"
+        "%s,\n"
         "%s\n"
         "}\n",
         static_cast<long long>(g.args.o), static_cast<long long>(g.args.p()),
@@ -746,7 +800,7 @@ int run_kernels_json() {
         static_cast<long long>(tune::kTileP), static_cast<long long>(tune::kTileO),
         static_cast<long long>(tune::kTileK), blocked_ms,
         blocked_eq ? "true" : "false", simd_json.c_str(), backward_json.c_str(),
-        narrow_json.c_str(), padded_json.c_str());
+        narrow_json.c_str(), padded_json.c_str(), planes_json.c_str());
     std::fclose(f);
 
     std::printf("lut_gemm forward (o=%lld p=%lld k=%lld): blocked %.3f ms, "
@@ -756,7 +810,8 @@ int run_kernels_json() {
     std::printf("simd best: %s at %.2fx vs scalar-dispatch blocked\n",
                 best_overall.c_str(), best_overall_speedup);
     std::printf("wrote results/BENCH_kernels.json\n");
-    if (!blocked_eq || !simd_all_eq || !backward_eq || !narrow_eq || !padded_eq) {
+    if (!blocked_eq || !simd_all_eq || !backward_eq || !narrow_eq || !padded_eq ||
+        !planes_eq) {
         std::fprintf(stderr, "BENCH_kernels: bitwise equality violated\n");
         return 1;
     }

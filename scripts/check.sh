@@ -97,6 +97,7 @@ for isa in scalar ssse3 avx2 avx512; do
     AMRET_SIMD="$isa" ./build/tests/test_gemm
     AMRET_SIMD="$isa" ./build/tests/test_kernels
     AMRET_SIMD="$isa" ./build/tests/test_approx
+    AMRET_SIMD="$isa" ./build/tests/test_inference
   else
     echo "this machine lacks $isa; skipping AMRET_SIMD=$isa leg"
   fi

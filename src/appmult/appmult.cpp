@@ -6,19 +6,30 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <utility>
 
 namespace amret::appmult {
 
 AppMultLut::AppMultLut(unsigned bits,
-                       const std::function<std::uint64_t(std::uint64_t, std::uint64_t)>& fn)
-    : bits_(bits) {
+                       const std::function<std::uint64_t(std::uint64_t, std::uint64_t)>& fn) {
     assert(bits >= 2 && bits <= 10);
     const std::uint64_t n = std::uint64_t{1} << bits;
-    table_.resize(n * n);
+    std::vector<std::int32_t> table(n * n);
     for (std::uint64_t w = 0; w < n; ++w) {
         for (std::uint64_t x = 0; x < n; ++x) {
-            table_[(w << bits_) | x] = static_cast<std::int32_t>(fn(w, x));
+            table[(w << bits) | x] = static_cast<std::int32_t>(fn(w, x));
         }
+    }
+    set_table(bits, std::move(table));
+}
+
+void AppMultLut::set_table(unsigned bits, std::vector<std::int32_t> table) {
+    bits_ = bits;
+    table_ = std::move(table);
+    planes_.clear();
+    if (kernels::lut_has_planes(table_.data(), bits_)) {
+        planes_.resize(std::size_t{1} << bits_);
+        kernels::fill_lut_planes(table_.data(), bits_, planes_.data());
     }
 }
 
@@ -26,17 +37,17 @@ AppMultLut AppMultLut::from_netlist(unsigned bits, const netlist::Netlist& netli
     assert(netlist.num_inputs() == 2 * bits);
     assert(netlist.num_outputs() == 2 * bits);
     const auto outputs = netlist::eval_all_patterns(netlist);
-    AppMultLut lut;
-    lut.bits_ = bits;
     const std::uint64_t n = std::uint64_t{1} << bits;
-    lut.table_.resize(n * n);
+    std::vector<std::int32_t> table(n * n);
     // Simulation pattern p carries W in its low bits and X in its high bits
     // (inputs were added W-first); LUT index is (W << B) | X.
     for (std::uint64_t p = 0; p < n * n; ++p) {
         const std::uint64_t w = p & (n - 1);
         const std::uint64_t x = p >> bits;
-        lut.table_[(w << bits) | x] = static_cast<std::int32_t>(outputs[p]);
+        table[(w << bits) | x] = static_cast<std::int32_t>(outputs[p]);
     }
+    AppMultLut lut;
+    lut.set_table(bits, std::move(table));
     return lut;
 }
 
@@ -71,8 +82,7 @@ AppMultLut AppMultLut::load(const std::string& path) {
     f.read(reinterpret_cast<char*>(table.data()),
            static_cast<std::streamsize>(table.size() * sizeof(std::int32_t)));
     if (!f) return lut;
-    lut.bits_ = b;
-    lut.table_ = std::move(table);
+    lut.set_table(b, std::move(table));
     return lut;
 }
 

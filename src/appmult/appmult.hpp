@@ -7,6 +7,7 @@
 /// both the forward pass and the gradient construction consume.
 #pragma once
 
+#include "kernels/lut_planes.hpp"
 #include "netlist/netlist.hpp"
 
 #include <cstdint>
@@ -46,6 +47,14 @@ public:
     /// Raw table access (size 2^(2B)); used by the GEMM kernels.
     [[nodiscard]] const std::vector<std::int32_t>& table() const { return table_; }
 
+    /// The table's product planes (kernels/lut_planes.hpp), built with the
+    /// table, or null when the table has none (bits outside 5..8, or an
+    /// entry outside [0, 65535]); the GEMM kernels' AVX-512 forward reads
+    /// them through kernels::LutGemmArgs::lut_planes.
+    [[nodiscard]] const kernels::LutPlaneRow* planes() const {
+        return planes_.empty() ? nullptr : planes_.data();
+    }
+
     /// Serializes to a small binary file; returns false on I/O error.
     bool save(const std::string& path) const;
 
@@ -53,8 +62,12 @@ public:
     static AppMultLut load(const std::string& path);
 
 private:
+    /// Sets the table and builds its planes.
+    void set_table(unsigned bits, std::vector<std::int32_t> table);
+
     unsigned bits_ = 0;
     std::vector<std::int32_t> table_;
+    std::vector<kernels::LutPlaneRow> planes_;
 };
 
 /// Error metrics of Eq. (2), measured against the exact product under a

@@ -94,6 +94,7 @@ void GemmLayer::forward_gemm(const Tensor& x, State& st, nn::Context& ctx,
     assert(mult_.valid() && "set_multiplier() before quantized forward");
     a.bits = mult_.bits();
     a.lut = mult_.lut->table().data();
+    a.lut_planes = mult_.lut->planes();
     a.o = o;
 
     // Weight quantization parameters track the current weights each step;

@@ -34,10 +34,8 @@ Tensor DepthwiseConv2d::forward(const Tensor& x, nn::Context& ctx) {
     if (mode_ == ComputeMode::kQuantized) {
         assert(mult_.valid() && "set_multiplier() before quantized forward");
         const unsigned bits = mult_.bits();
-        a.wq = kernels::quantize_into(
-            weight.value.data(), weight.value.numel(),
-            quant::choose_params(weight.value.min(), weight.value.max(), bits),
-            st.ws);
+        a.wq = kernels::quantize_weights_per_tensor(
+            weight.value.data(), weight.value.numel(), bits, st.ws);
         a.xparams = activation_params(x, ctx);
         a.lut = mult_.lut->table().data();
         a.grad_w_lut = mult_.grad->dw_table().data();

@@ -186,6 +186,7 @@ struct ConvOp final : IntInferenceEngine::Op {
         kernels::LutGemmArgs a;
         a.bits = d.bits;
         a.lut = d.lut->table().data();
+        a.lut_planes = d.lut->planes();
         a.o = d.out_ch;
         a.geom = geom;
         a.zero_w = d.zero_w;

@@ -137,13 +137,11 @@ DepthwisePlanes depthwise_forward(const DepthwiseArgs& a, const float* x,
                 // the zero-padded im2col quantized to.
                 fill_border(g, codes + at0, code0);
                 fill_border(g, in_range + at0, mask0);
-                for (std::int64_t iy = 0; iy < g.h; ++iy)
-                    for (std::int64_t ix = 0; ix < g.w; ++ix) {
-                        const float v = src[iy * g.w + ix];
-                        const std::int64_t o = at0 + (iy + g.pad) * g.wp + ix + g.pad;
-                        codes[o] = static_cast<std::uint16_t>(xp.quantize(v));
-                        in_range[o] = xp.in_range(v) ? 1 : 0;
-                    }
+                for (std::int64_t iy = 0; iy < g.h; ++iy) {
+                    const std::int64_t o = at0 + (iy + g.pad) * g.wp + g.pad;
+                    quantize_values(src + iy * g.w, g.w, xp, codes + o,
+                                    in_range + o);
+                }
                 const std::uint16_t* plane = codes + at0;
                 for (std::int64_t oy = 0; oy < g.oh; ++oy)
                     for (std::int64_t ox = 0; ox < g.ow; ++ox) {

@@ -164,7 +164,10 @@ PanelPlan make_panel_plan(std::int64_t rows, std::int64_t depth, std::int64_t tr
 PanelPlan make_conv_act_plan(std::int64_t positions, std::int64_t patch,
                              std::int64_t tr, std::int64_t tk) {
     PanelPlan plan = make_panel_plan(positions, patch, tr, tk);
-    if (positions < 8) plan.tr = 1;
+    if (positions < 8)
+        plan.tr = 1;
+    else if (positions > 16 && positions < tr)
+        plan.tr = std::min(tr, (positions + 15) / 16 * 16);
     return plan;
 }
 

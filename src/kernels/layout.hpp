@@ -112,7 +112,10 @@ PanelPlan make_panel_plan(std::int64_t rows, std::int64_t depth, std::int64_t tr
 /// Plan of a conv's activation panels: make_panel_plan, except that a conv
 /// with fewer than 8 positions (a batch-1 conv at 2x2 or 1x1) gets one-row
 /// blocks, so each row walks its own tap box (TapBox). The rule reads the
-/// shape, not \p tr: a tile below 8 rows keeps its blocks.
+/// shape, not \p tr: a tile below 8 rows keeps its blocks. And a plan cut
+/// to more than 16 positions, fewer than \p tr, keeps whole 16-row
+/// groups up to \p tr (36 positions get 48 rows, the rest pad rows), so
+/// <= 4-bit codes keep their nibble sidecar (attach_packed4).
 PanelPlan make_conv_act_plan(std::int64_t positions, std::int64_t patch,
                              std::int64_t tr, std::int64_t tk);
 

@@ -11,6 +11,10 @@
 /// DepthwiseConv2d, whose per-channel GEMM would have O = 1 and a K^2 depth,
 /// runs on the direct padded-plane kernel (depthwise.hpp).
 ///
+/// The forward's products come from the product LUT, or, on the AVX-512
+/// level for 5- to 8-bit tables whose products fit 16 bits, from the same
+/// table's byte planes held in registers (lut_planes.hpp).
+///
 /// Blocking and vectorization never change results:
 ///   - the forward accumulator is int64 — integer addition is associative,
 ///     so any block order (and any split of the depth loop) is exact;
@@ -24,6 +28,7 @@
 #pragma once
 
 #include "kernels/layout.hpp"
+#include "kernels/lut_planes.hpp"
 #include "kernels/tuning.hpp"
 #include "kernels/workspace.hpp"
 #include "runtime/parallel.hpp"
@@ -44,6 +49,11 @@ namespace amret::kernels {
 struct LutGemmArgs {
     unsigned bits = 8;
     const std::int32_t* lut = nullptr; ///< product LUT, 2^(2*bits) entries
+    /// The planes of that same table (fill_lut_planes), or null: where set,
+    /// the AVX-512 forward looks its products up in registers
+    /// (lut_planes.hpp). Set it from the table's owner, e.g.
+    /// appmult::AppMultLut::planes(), never from a cache keyed by address.
+    const LutPlaneRow* lut_planes = nullptr;
     std::int64_t o = 0;                ///< output rows (channels)
     tensor::ConvGeom geom = matrix_geom(0, 0);
     float scale_w = 1.0f, scale_x = 1.0f;
@@ -184,7 +194,9 @@ inline std::int64_t forward_grain(const PanelPlan& x, std::int64_t o) {
 
 /// The blocked integer GEMM, parallel over chunks of forward_grain position
 /// row blocks; blocks write disjoint rows and each chunk owns an int64
-/// accumulator tile from \p ws.
+/// accumulator tile: on its stack when the panel tiles are at most
+/// tune::kTileP x tune::kTileO, as every plan built from the compiled
+/// tiles is, else from \p ws.
 ///
 /// Each row block reads only the depth runs of its tap box (TapBox): the
 /// taps outside it are padding in every row of the block, so their lookups
@@ -210,13 +222,20 @@ void lut_gemm_blocked(const LutGemmArgs& a, Workspace& ws, Epilogue&& epi) {
     const std::int64_t tp = xp.tr, to = wp.tr;
     const std::int64_t nblocks = xp.row_blocks(), oblocks = wp.row_blocks();
     const std::int64_t grain = forward_grain(xp, a.o);
+    // One stack tile per running chunk costs less than a workspace tile per
+    // chunk: a GEMM has up to runtime::kMaxChunks chunks.
+    constexpr std::int64_t kStackTile = tune::kTileP * tune::kTileO;
     std::int64_t* tiles =
-        ws.alloc<std::int64_t>(runtime::chunk_count(0, nblocks, grain) * tp * to);
+        tp * to <= kStackTile
+            ? nullptr
+            : ws.alloc<std::int64_t>(runtime::chunk_count(0, nblocks, grain) * tp * to);
     const bool lut_u8 = lut_fits_u8(a.lut, a.bits);
     runtime::parallel_for_chunks(0, nblocks, grain,
                                  [&](std::int64_t rb0, std::int64_t rb1,
                                      std::size_t chunk) {
-        std::int64_t* acc = tiles + static_cast<std::int64_t>(chunk) * tp * to;
+        alignas(64) std::int64_t stack_tile[kStackTile];
+        std::int64_t* acc =
+            tiles ? tiles + static_cast<std::int64_t>(chunk) * tp * to : stack_tile;
         std::int64_t skipped = 0;
         for (std::int64_t rb = rb0; rb < rb1; ++rb) {
             const std::int64_t pr = xp.block_rows(rb);

@@ -10,16 +10,12 @@
 
 namespace amret::kernels {
 
-namespace {
-
-/// quant::QuantParams::quantize and in_range of \p n values at \p src, into
-/// \p codes and \p in_range, inline and from one quotient v / s + Z per
-/// value. Adding and subtracting 1.5 * 2^23 rounds it half to even, as
-/// std::nearbyint does in the default rounding mode: exactly below 2^22 in
-/// magnitude, and a larger or infinite quotient keeps its sign and clamps
-/// to the same end of the code range. So codes and masks equal the
-/// out-of-line calls' for every finite and infinite value, with no libm
-/// call on a baseline target that lacks roundss.
+// Adding and subtracting 1.5 * 2^23 rounds the quotient half to even, as
+// std::nearbyint does in the default rounding mode: exactly below 2^22 in
+// magnitude, and a larger or infinite quotient keeps its sign and clamps to
+// the same end of the code range. So codes and masks equal the out-of-line
+// calls' for every finite and infinite value, with no libm call on a
+// baseline target that lacks roundss.
 void quantize_values(const float* src, std::int64_t n,
                      const quant::QuantParams& params, std::uint16_t* codes,
                      std::uint8_t* in_range) {
@@ -33,8 +29,6 @@ void quantize_values(const float* src, std::int64_t n,
         in_range[i] = q > -0.5f && q < qmax + 0.5f ? 1 : 0;
     }
 }
-
-} // namespace
 
 QuantView quantize_into(const float* src, std::int64_t n,
                         const quant::QuantParams& params, Workspace& ws) {

@@ -27,6 +27,14 @@ struct QuantView {
     std::int64_t size = 0;
 };
 
+/// quant::QuantParams::quantize and in_range of \p n values at \p src, into
+/// \p codes and \p in_range, inline and from one quotient v / s + Z per
+/// value: the serial element loop of every quantizer here, for callers
+/// that lay codes out themselves (the depthwise kernel's padded planes).
+void quantize_values(const float* src, std::int64_t n,
+                     const quant::QuantParams& params, std::uint16_t* codes,
+                     std::uint8_t* in_range);
+
 /// Quantizes \p n floats under \p params into workspace-backed codes and
 /// masks (elementwise; parallel).
 QuantView quantize_into(const float* src, std::int64_t n,

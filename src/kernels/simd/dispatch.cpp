@@ -53,7 +53,12 @@ bool cpu_supports(Isa isa) {
     case Isa::kScalar: return true;
     case Isa::kSsse3: return __builtin_cpu_supports("ssse3") != 0;
     case Isa::kAvx2: return __builtin_cpu_supports("avx2") != 0;
-    case Isa::kAvx512: return __builtin_cpu_supports("avx512f") != 0;
+    // The level's plane leaf needs byte shuffles and masks (BW) and
+    // two-table byte permutes (VBMI); a CPU without them runs AVX2.
+    case Isa::kAvx512:
+        return __builtin_cpu_supports("avx512f") != 0 &&
+               __builtin_cpu_supports("avx512bw") != 0 &&
+               __builtin_cpu_supports("avx512vbmi") != 0;
     }
     return false;
 #else
@@ -160,6 +165,9 @@ void accumulate_panel(const LutGemmArgs& a, bool lut_u8, std::int64_t rb,
     const Isa isa = select();
     const bool nibble = a.bits <= 4 && a.x.packed4 != nullptr &&
                         a.x.plan.tr % 16 == 0 && lut_u8;
+    // Leaves are chosen by the block's real rows: a ragged tail block runs
+    // the leaf of its own width.
+    const std::int64_t rows = a.x.plan.block_rows(rb);
     switch (isa) {
     case Isa::kScalar: break;
     case Isa::kSsse3:
@@ -170,7 +178,7 @@ void accumulate_panel(const LutGemmArgs& a, bool lut_u8, std::int64_t rb,
     case Isa::kAvx2:
         if (nibble)
             detail::acc_panel_nibble_avx2(a, rb, ob, runs, acc);
-        else if (a.x.plan.tr < 8)
+        else if (rows < 8)
             detail::acc_panel_olanes_avx2(a, rb, ob, runs, acc);
         else
             detail::acc_panel_gather_avx2(a, rb, ob, runs, acc);
@@ -180,12 +188,22 @@ void accumulate_panel(const LutGemmArgs& a, bool lut_u8, std::int64_t rb,
         // The byte-table path beats gathers even at 512-bit width, and the
         // 8-lane output-channel leaf beat a 16-lane copy on narrow blocks;
         // the AVX2-TU copies run VEX-encoded, which is fine under AVX-512.
-        if (nibble)
+        // The plane leaf loads a weight's planes once per 64 lanes, so it
+        // takes blocks of 32 rows or more; narrower ones gather, where 16
+        // lanes pay for each lookup they make. It holds at most 64 lanes
+        // (tune::kTileP), and its int32 lane sums one depth block of at
+        // most tune::kTileK products.
+        if (nibble) {
             detail::acc_panel_nibble_avx2(a, rb, ob, runs, acc);
-        else if (a.x.plan.tr < 8)
+        } else if (rows < 8) {
             detail::acc_panel_olanes_avx2(a, rb, ob, runs, acc);
-        else
+        } else if (rows >= 32 && a.lut_planes != nullptr &&
+                   a.x.plan.tr <= tune::kTileP && a.x.plan.tk <= tune::kTileK) {
+            detail::acc_panel_planes_avx512(a, rb, ob, runs, acc);
+            AMRET_OBS_COUNT("kernels.simd.plane_tiles", 1);
+        } else {
             detail::acc_panel_gather_avx512(a, rb, ob, runs, acc);
+        }
         AMRET_OBS_COUNT("kernels.simd.panels.avx512", 1);
         return;
     }

@@ -44,9 +44,13 @@ void acc_panel_gather_avx2(const LutGemmArgs& a, std::int64_t rb,
     const PanelPlan& xp = a.x.plan;
     const PanelPlan& wp = a.w.plan;
     const std::int64_t tp = xp.tr, to = wp.tr;
+    const std::int64_t pr = xp.block_rows(rb);
     const std::int64_t orr = wp.block_rows(ob);
     const std::int64_t kblocks = xp.depth_blocks();
-    const std::int64_t pvec = tp & ~std::int64_t{7};
+    // The block's rows in 8-lane groups, pad lanes up to the next multiple
+    // of 8 that the panel holds, then single rows.
+    const std::int64_t pvec =
+        std::min(tp, (pr + 7) & ~std::int64_t{7}) & ~std::int64_t{7};
     std::fill(acc, acc + orr * tp, std::int64_t{0});
     for (std::int64_t kb = 0; kb < kblocks; ++kb) {
         const std::int64_t kr = xp.block_depth(kb), kbase = kb * xp.tk;
@@ -90,13 +94,14 @@ void acc_panel_gather_avx2(const LutGemmArgs& a, std::int64_t rb,
                                              arow + pp0 + 4)),
                                      acc_hi));
             }
-            // Remaining lanes (tp % 8, incl. pads): scalar, still exact.
-            for (std::int64_t j = 0; j < runs.count && pvec < tp; ++j) {
+            // Remaining rows (pr % 8 where the panel ends first): scalar,
+            // still exact.
+            for (std::int64_t j = 0; j < runs.count && pvec < pr; ++j) {
                 const std::int64_t hi = runs.hi(j, kbase, kr);
                 for (std::int64_t kk = runs.lo(j, kbase); kk < hi; ++kk) {
                     const std::int32_t* lrow = a.lut + wpan[kk * to + oo];
                     const std::uint16_t* xv = xpan + kk * tp;
-                    for (std::int64_t pp = pvec; pp < tp; ++pp)
+                    for (std::int64_t pp = pvec; pp < pr; ++pp)
                         arow[pp] += lrow[xv[pp]];
                 }
             }

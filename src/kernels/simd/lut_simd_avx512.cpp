@@ -1,16 +1,22 @@
 /// \file lut_simd_avx512.cpp
-/// \brief AVX-512F leaf kernels (compiled with -mavx512f -ffp-contract=off).
+/// \brief AVX-512 leaf kernels (compiled with -mavx512f -mavx512bw
+///        -mavx512vbmi -ffp-contract=off).
 ///
-/// The wide-operand forward and the backward row walk widen here: 16
-/// activation codes per forward gather into 8+8 int64 accumulator lanes,
-/// and 16 depth lanes per backward gather. The float GEMM's 4x16 register
+/// The wide-operand forward and the backward row walk widen here. A
+/// position block of 32 rows or more whose table has product planes
+/// (lut_planes.hpp) looks its products up in registers: per (filter, depth
+/// index) it loads the weight's two byte planes into eight zmm registers
+/// and looks up 64 activation codes with two vpermi2b per plane and a blend
+/// on bit 7. Narrower blocks, and tables without planes, gather 16
+/// activation codes at a time into 8+8 int64 accumulator lanes. The
+/// backward walks 16 depth lanes per gather. The float GEMM's 4x16 register
 /// blocks (gemm_f32.inl) compile to one zmm vector per block row. The
 /// nibble path stays on the AVX2 byte-table copy (pshufb beats gathers for
 /// <=4-bit operands even at 512-bit width), routed by dispatch.cpp.
 
 #include "kernels/simd/simd_internal.hpp"
 
-#if defined(__AVX512F__)
+#if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VBMI__)
 
 #include <immintrin.h>
 
@@ -22,7 +28,12 @@ namespace amret::kernels::simd::detail {
 
 bool compiled_avx512() { return true; }
 
-void acc_panel_gather_avx512(const LutGemmArgs& a, std::int64_t rb,
+// The plane leaf sums one depth block's products in int32 lanes: at most
+// kTileK products below 2^16 each.
+static_assert(tune::kTileK * 0xffff < (std::int64_t{1} << 31),
+              "a depth block's 16-bit products must fit an int32 lane sum");
+
+void acc_panel_planes_avx512(const LutGemmArgs& a, std::int64_t rb,
                              std::int64_t ob, const DepthRuns& runs,
                              std::int64_t* acc) {
     const PanelPlan& xp = a.x.plan;
@@ -30,8 +41,124 @@ void acc_panel_gather_avx512(const LutGemmArgs& a, std::int64_t rb,
     const std::int64_t tp = xp.tr, to = wp.tr;
     const std::int64_t orr = wp.block_rows(ob);
     const std::int64_t kblocks = xp.depth_blocks();
-    const std::int64_t p16 = tp & ~std::int64_t{15};
-    const std::int64_t p8 = tp & ~std::int64_t{7};
+    // A panel holds tp <= 64 codes per depth index; lanes past tp would read
+    // the next index's codes, so they load as 0 and are never stored.
+    const auto lanes = [tp](std::int64_t first) -> __mmask32 {
+        const std::int64_t n = std::clamp<std::int64_t>(tp - first, 0, 32);
+        return n == 32 ? ~__mmask32{0} : (__mmask32{1} << n) - 1;
+    };
+    const __mmask32 lanes_lo = lanes(0), lanes_hi = lanes(32);
+    // Byte 2i of the pair (v0, v1): the low bytes of 64 16-bit codes < 256.
+    alignas(64) std::uint8_t even[64];
+    for (int i = 0; i < 64; ++i) even[i] = static_cast<std::uint8_t>(2 * i);
+    const __m512i narrow = _mm512_load_si512(even);
+    const __m512i low16 = _mm512_set1_epi32(0xffff);
+    alignas(64) std::int32_t sums[64];
+    std::fill(acc, acc + orr * tp, std::int64_t{0});
+    for (std::int64_t kb = 0; kb < kblocks; ++kb) {
+        const std::int64_t kr = xp.block_depth(kb), kbase = kb * xp.tk;
+        const std::uint16_t* xpan = a.x.codes + xp.panel_offset(rb, kb);
+        const std::uint32_t* wpan = a.w.codes + wp.panel_offset(ob, kb);
+        for (std::int64_t oo = 0; oo < orr; ++oo) {
+            // 16-bit sums over at most 256 depth indices. Word j of a byte
+            // vector holds row 2j's byte plus 256 times row 2j + 1's: wl and
+            // wh add whole words of the low and high planes' bytes, ol and
+            // oh the odd rows' bytes alone (at most 255 * 256). The even
+            // rows' sums, wl - (ol << 8) and wh - (oh << 8) mod 2^16, are
+            // below 2^16 too, so exact.
+            __m512i wl = _mm512_setzero_si512(), wh = wl, ol = wl, oh = wl;
+            // Row sums as int32: lane i of r_q holds row 4i + q.
+            __m512i r0 = wl, r1 = wl, r2 = wl, r3 = wl;
+            const auto flush = [&] {
+                const __m512i el = _mm512_sub_epi16(wl, _mm512_slli_epi16(ol, 8));
+                const __m512i eh = _mm512_sub_epi16(wh, _mm512_slli_epi16(oh, 8));
+                // Product sum of a row: its low-byte sum + 256 * high-byte sum.
+                const auto rows = [&](__m512i l, __m512i h, __m512i& lo, __m512i& hi) {
+                    lo = _mm512_add_epi32(
+                        lo, _mm512_add_epi32(_mm512_and_si512(l, low16),
+                                             _mm512_slli_epi32(_mm512_and_si512(h, low16), 8)));
+                    hi = _mm512_add_epi32(
+                        hi, _mm512_add_epi32(_mm512_srli_epi32(l, 16),
+                                             _mm512_slli_epi32(_mm512_srli_epi32(h, 16), 8)));
+                };
+                rows(el, eh, r0, r2);
+                rows(ol, oh, r1, r3);
+                wl = wh = ol = oh = _mm512_setzero_si512();
+            };
+            int steps = 0;
+            for (std::int64_t j = 0; j < runs.count; ++j) {
+                const std::int64_t hi = runs.hi(j, kbase, kr);
+                for (std::int64_t kk = runs.lo(j, kbase); kk < hi; ++kk) {
+                    const LutPlaneRow& row = a.lut_planes[wpan[kk * to + oo] >> a.bits];
+                    const std::uint16_t* xv = xpan + kk * tp;
+                    const __m512i x = _mm512_permutex2var_epi8(
+                        _mm512_maskz_loadu_epi16(lanes_lo, xv), narrow,
+                        _mm512_maskz_loadu_epi16(lanes_hi, xv + 32));
+                    const __mmask64 top = _mm512_movepi8_mask(x);
+                    // Bits 0-6 of a code pick a byte of two registers,
+                    // bit 7 the pair.
+                    const auto look_up = [&](const std::uint8_t* plane) {
+                        const __m512i* p = reinterpret_cast<const __m512i*>(plane);
+                        return _mm512_mask_blend_epi8(
+                            top,
+                            _mm512_permutex2var_epi8(_mm512_load_si512(p), x,
+                                                     _mm512_load_si512(p + 1)),
+                            _mm512_permutex2var_epi8(_mm512_load_si512(p + 2), x,
+                                                     _mm512_load_si512(p + 3)));
+                    };
+                    const __m512i plo = look_up(row.lo);
+                    const __m512i phi = look_up(row.hi);
+                    wl = _mm512_add_epi16(wl, plo);
+                    wh = _mm512_add_epi16(wh, phi);
+                    ol = _mm512_add_epi16(ol, _mm512_srli_epi16(plo, 8));
+                    oh = _mm512_add_epi16(oh, _mm512_srli_epi16(phi, 8));
+                    if (++steps == 256) {
+                        flush();
+                        steps = 0;
+                    }
+                }
+            }
+            flush();
+            // Back to row order: unpacking the 32-bit and then the 64-bit
+            // lanes gives rows 16L + 4q..16L + 4q + 3 in 128-bit lane L of
+            // t_q, and a transpose of the 128-bit lanes gathers rows
+            // 16L..16L+15.
+            const __m512i e01 = _mm512_unpacklo_epi32(r0, r1);
+            const __m512i e23 = _mm512_unpacklo_epi32(r2, r3);
+            const __m512i f01 = _mm512_unpackhi_epi32(r0, r1);
+            const __m512i f23 = _mm512_unpackhi_epi32(r2, r3);
+            const __m512i t0 = _mm512_unpacklo_epi64(e01, e23);
+            const __m512i t1 = _mm512_unpackhi_epi64(e01, e23);
+            const __m512i t2 = _mm512_unpacklo_epi64(f01, f23);
+            const __m512i t3 = _mm512_unpackhi_epi64(f01, f23);
+            const __m512i u0 = _mm512_shuffle_i32x4(t0, t1, 0x44);
+            const __m512i u1 = _mm512_shuffle_i32x4(t2, t3, 0x44);
+            const __m512i u2 = _mm512_shuffle_i32x4(t0, t1, 0xee);
+            const __m512i u3 = _mm512_shuffle_i32x4(t2, t3, 0xee);
+            _mm512_store_si512(sums, _mm512_shuffle_i32x4(u0, u1, 0x88));
+            _mm512_store_si512(sums + 16, _mm512_shuffle_i32x4(u0, u1, 0xdd));
+            _mm512_store_si512(sums + 32, _mm512_shuffle_i32x4(u2, u3, 0x88));
+            _mm512_store_si512(sums + 48, _mm512_shuffle_i32x4(u2, u3, 0xdd));
+            std::int64_t* arow = acc + oo * tp;
+            for (std::int64_t pp = 0; pp < tp; ++pp) arow[pp] += sums[pp];
+        }
+    }
+}
+
+void acc_panel_gather_avx512(const LutGemmArgs& a, std::int64_t rb,
+                             std::int64_t ob, const DepthRuns& runs,
+                             std::int64_t* acc) {
+    const PanelPlan& xp = a.x.plan;
+    const PanelPlan& wp = a.w.plan;
+    const std::int64_t tp = xp.tr, to = wp.tr;
+    const std::int64_t pr = xp.block_rows(rb);
+    const std::int64_t orr = wp.block_rows(ob);
+    const std::int64_t kblocks = xp.depth_blocks();
+    // The block's rows in 16- and 8-lane groups, pad lanes up to the next
+    // multiple of 8 that the panel holds, then single rows.
+    const std::int64_t lanes = std::min(tp, (pr + 7) & ~std::int64_t{7});
+    const std::int64_t p16 = lanes & ~std::int64_t{15};
+    const std::int64_t p8 = lanes & ~std::int64_t{7};
     std::fill(acc, acc + orr * tp, std::int64_t{0});
     for (std::int64_t kb = 0; kb < kblocks; ++kb) {
         const std::int64_t kr = xp.block_depth(kb), kbase = kb * xp.tk;
@@ -106,13 +233,14 @@ void acc_panel_gather_avx512(const LutGemmArgs& a, std::int64_t rb,
                                              arow + pp0 + 4)),
                                      acc_hi));
             }
-            // Remaining lanes (tp % 8, incl. pads): scalar, still exact.
-            for (std::int64_t j = 0; j < runs.count && p8 < tp; ++j) {
+            // Remaining rows (pr % 8 where the panel ends first): scalar,
+            // still exact.
+            for (std::int64_t j = 0; j < runs.count && p8 < pr; ++j) {
                 const std::int64_t hi = runs.hi(j, kbase, kr);
                 for (std::int64_t kk = runs.lo(j, kbase); kk < hi; ++kk) {
                     const std::int32_t* lrow = a.lut + wpan[kk * to + oo];
                     const std::uint16_t* xv = xpan + kk * tp;
-                    for (std::int64_t pp = p8; pp < tp; ++pp)
+                    for (std::int64_t pp = p8; pp < pr; ++pp)
                         arow[pp] += lrow[xv[pp]];
                 }
             }
@@ -170,13 +298,15 @@ void gemm_f32_rows_avx512(const GemmF32Args& g, std::int64_t r0, std::int64_t r1
 
 } // namespace amret::kernels::simd::detail
 
-#else // !defined(__AVX512F__)
+#else // AVX-512 F, BW and VBMI not all available
 
 namespace amret::kernels::simd::detail {
 
 bool compiled_avx512() { return false; }
 
 // Unreachable: dispatch.cpp never routes to a level compiled() rejects.
+void acc_panel_planes_avx512(const LutGemmArgs&, std::int64_t,
+                             std::int64_t, const DepthRuns&, std::int64_t*) {}
 void acc_panel_gather_avx512(const LutGemmArgs&, std::int64_t,
                              std::int64_t, const DepthRuns&, std::int64_t*) {}
 std::int64_t grad_row_avx512(const GradRowArgs&) { return 0; }
@@ -185,4 +315,4 @@ void gemm_f32_rows_avx512(const GemmF32Args&, std::int64_t, std::int64_t) {}
 
 } // namespace amret::kernels::simd::detail
 
-#endif // __AVX512F__
+#endif // __AVX512F__ && __AVX512BW__ && __AVX512VBMI__

@@ -12,12 +12,20 @@
 ///     weight's 2^bits-entry product-LUT row is packed into one 16-byte
 ///     register (all entries of a <=4-bit product LUT fit uint8), and one
 ///     pshufb yields 16 products per instruction;
+///   - an in-register product-plane path for 5- to 8-bit multipliers whose
+///     products fit 16 bits (AVX-512 F+BW+VBMI, blocks of 32 rows or more):
+///     each weight code's product row is two 256-byte planes of low and
+///     high bytes (kernels/lut_planes.hpp), built with the table and
+///     carried in LutGemmArgs::lut_planes; per (filter, depth index) the
+///     leaf loads them into eight zmm registers and looks up 64 activation
+///     codes with two vpermi2b per plane and a blend on bit 7;
 ///   - a gather path for 8x8 multipliers: 8/16 activation codes are widened,
 ///     OR'd with the pre-shifted weight code and looked up with a vector
 ///     gather, accumulating into 4 (AVX2) or 8 (AVX-512) independent int64
 ///     lanes per step; a position block narrower than 8 rows (batch-1 convs
 ///     at 2x2 or 1x1) puts 8 consecutive output channels in the lanes
-///     instead, against one broadcast activation code;
+///     instead, against one broadcast activation code. The forward routes
+///     each tile by its block's real rows;
 ///   - gather-vectorized gradient-LUT walks for the backward over
 ///     row-major codes (8 lanes on AVX2, 16 on AVX-512): lanes run across
 ///     the depth axis, every LUT index comes from contiguous widening loads,
@@ -32,7 +40,7 @@
 /// vector width (gemm_f32_rows).
 ///
 /// Dispatch contract (DESIGN.md section 17). select() probes the CPU once
-/// (SSSE3 / AVX2 / AVX-512F via cpuid) and honours AMRET_SIMD=
+/// (SSSE3 / AVX2 / AVX-512 F+BW+VBMI via cpuid) and honours AMRET_SIMD=
 /// scalar|ssse3|avx2|avx512 as a *cap*: requesting a level the machine or
 /// build lacks falls back to the best supported level below it, with a typed
 /// warning through src/obs. Every entry point always does its work: when
@@ -76,7 +84,8 @@ bool parse_isa(const char* s, Isa* out);
 /// compile every level; other targets only kScalar).
 bool compiled(Isa isa);
 
-/// True when the running CPU reports the level's feature bits.
+/// True when the running CPU reports the level's feature bits; kAvx512
+/// needs AVX-512 F, BW and VBMI.
 bool cpu_supports(Isa isa);
 
 /// compiled() && cpu_supports() — the level select() may return.

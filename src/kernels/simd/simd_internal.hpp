@@ -49,18 +49,32 @@ void acc_panel_nibble_avx2(const LutGemmArgs& a, std::int64_t rb,
 
 /// Vector-gather path for wide (e.g. 8x8) multipliers: 8 activation codes
 /// are widened, OR'd with the pre-shifted weight code and gathered from the
-/// product LUT, accumulating into 4+4 independent int64 lanes. Requires
-/// a.x.plan.tr >= 8.
+/// product LUT, accumulating into 4+4 independent int64 lanes. Walks the
+/// block's real rows in whole vectors (pad lanes up to the next multiple of
+/// 8 inside the panel) and the rest one by one.
 void acc_panel_gather_avx2(const LutGemmArgs& a, std::int64_t rb,
                            std::int64_t ob, const DepthRuns& runs,
                            std::int64_t* acc);
-/// 16-lane AVX-512F variant (8+8 int64 accumulator lanes).
+/// 16-lane AVX-512 variant (8+8 int64 accumulator lanes).
 void acc_panel_gather_avx512(const LutGemmArgs& a, std::int64_t rb,
                              std::int64_t ob, const DepthRuns& runs,
                              std::int64_t* acc);
 
+/// In-register product-plane path (lut_planes.hpp): per filter and depth
+/// index, the weight's two byte planes sit in eight zmm registers, and two
+/// vpermi2b per plane and a blend on bit 7 look up the block's 64 lanes
+/// at once. The looked-up bytes add into 16-bit partial sums, which widen
+/// into int32 row sums every 256 depth indices and at the end of each
+/// depth block, and those into the int64 tile. Requires
+/// a.lut_planes != nullptr, a.x.plan.tr <= 64 (tune::kTileP) and
+/// a.x.plan.tk <= tune::kTileK, so no row sum overflows; lanes past
+/// a.x.plan.tr load as 0 and are never stored.
+void acc_panel_planes_avx512(const LutGemmArgs& a, std::int64_t rb,
+                             std::int64_t ob, const DepthRuns& runs,
+                             std::int64_t* acc);
+
 /// Output-channel-lane gather path for position blocks narrower than the
-/// vector (a.x.plan.tr < 8, e.g. a batch-1 conv at 2x2 or 1x1): lanes run
+/// vector (fewer than 8 rows, e.g. a batch-1 conv at 2x2 or 1x1): lanes run
 /// across 8 consecutive output channels, whose pre-shifted weight codes are
 /// contiguous at each depth index of the k-major weight panel. Each is OR'd
 /// with the broadcast code of one real activation row and gathered; the

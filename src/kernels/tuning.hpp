@@ -52,9 +52,11 @@ inline constexpr std::int64_t kMinChunkWork = std::int64_t{1} << 18;
 /// dominate, so wide depth panels win (splitting K only adds accumulator
 /// traffic) and large row tiles amortize the epilogue; kTileK still bounds
 /// the operand rows one pass touches for very deep reductions (patch >
-/// 1024). Compiled constants: tiles swept per machine measured no better end
-/// to end (DESIGN.md §15.3).
-inline constexpr std::int64_t kTileP = 16;
+/// 1024), and the int32 lane sums of the AVX-512 plane leaf, which add at
+/// most kTileK 16-bit products. kTileP is 64 so that one load of a weight's
+/// product planes serves 64 lookups (DESIGN.md §15.3). Compiled constants:
+/// tiles swept per machine measured no better end to end.
+inline constexpr std::int64_t kTileP = 64;
 inline constexpr std::int64_t kTileO = 64;
 inline constexpr std::int64_t kTileK = 1024;
 

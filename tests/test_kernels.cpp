@@ -414,6 +414,22 @@ const std::map<std::string, std::uint64_t> kGolden = {
     {"conv_c24.gw", 0x38024f49fbf937dfull},         {"conv_c24.gb", 0x2a5f941546b71f5bull},
     {"conv_c24_ste_pc.y", 0x358410404017b2adull},   {"conv_c24_ste_pc.gx", 0xcd8c6c3ffd63fef9ull},
     {"conv_c24_ste_pc.gw", 0xe882830768082dabull},  {"conv_c24_ste_pc.gb", 0xb6ddd6a35119703eull},
+    // Padded convs on 64-row position blocks (one location per block at
+    // batch 64, a two-location tap box over two depth blocks, an 11-row
+    // tail) and on a 7-bit and a 6-bit multiplier, and a VGG engine at
+    // batch 64, captured while the forward gathered every product with
+    // 16-row blocks.
+    {"conv_b64.y", 0x5812e2e820a7487eull},   {"conv_b64.gx", 0xfd4b474d110e89aeull},
+    {"conv_b64.gw", 0xd1d65d26530a1c5dull},  {"conv_b64.gb", 0xcfe2cc99e4d69acaull},
+    {"conv_c128.y", 0x0555b05f2cc9618aull},  {"conv_c128.gx", 0x6d4d86ae5e33b7d6ull},
+    {"conv_c128.gw", 0x70b301df7d4a0fbaull}, {"conv_c128.gb", 0xddd8eea0311ab2a1ull},
+    {"conv_p75.y", 0x8751cd27c8c51c15ull},   {"conv_p75.gx", 0xa27ee54d5c5292dcull},
+    {"conv_p75.gw", 0x53e3288f0f71802dull},  {"conv_p75.gb", 0x9ba855b211cecadaull},
+    {"conv_7bit.y", 0xe21bc95635e8b0eeull},  {"conv_7bit.gx", 0x5e00900f2cb96ae1ull},
+    {"conv_7bit.gw", 0xb56fb6f37dae757aull}, {"conv_7bit.gb", 0xd2ce480427275927ull},
+    {"conv_6bit.y", 0x36a6c98403bc4ba7ull},  {"conv_6bit.gx", 0x6dd29adb78fa558full},
+    {"conv_6bit.gw", 0x589b9f8c94434f4dull}, {"conv_6bit.gb", 0x0da4d2c07af870cdull},
+    {"engine_vgg.b64.logits", 0x05acdddd1556b7bcull},
 };
 
 void expect_golden(const std::string& key, std::uint64_t h) {
@@ -718,6 +734,38 @@ TEST(Golden, QuantizedConvLaneGroupsStraddleTaps) {
                      Shape{3, 24, 3, 3}, 988);
 }
 
+TEST(Golden, QuantizedConvBatch64OneLocationPerBlock) {
+    // 16x16 at batch 64: each 64-row position block holds one location.
+    golden_two_steps("conv_b64",
+                     quant_conv(4, 12, 3, 1, 1, 1017, golden_config("mul8u_rm8")),
+                     Shape{64, 4, 16, 16}, 1018);
+}
+
+TEST(Golden, QuantizedConvTwoDepthBlocksUnionTapBox) {
+    // 128 channels: K = 1152 spans two 1024-deep blocks; at batch 32 on 2x2
+    // each 64-row block spans two locations and walks their union box.
+    golden_two_steps("conv_c128",
+                     quant_conv(128, 16, 3, 1, 1, 1027, golden_config("mul8u_rm8")),
+                     Shape{32, 128, 2, 2}, 1028);
+}
+
+TEST(Golden, QuantizedConvRaggedTailBlock) {
+    // 75 rows: one 64-row block and an 11-row tail.
+    golden_two_steps("conv_p75",
+                     quant_conv(6, 10, 3, 1, 1, 1037, golden_config("mul8u_rm8")),
+                     Shape{3, 6, 5, 5}, 1038);
+}
+
+TEST(Golden, QuantizedConvSevenAndSixBitMultipliers) {
+    // 288 rows: four 64-row blocks and a 32-row tail.
+    golden_two_steps("conv_7bit",
+                     quant_conv(5, 12, 3, 1, 1, 1047, golden_config("mul7u_rm6")),
+                     Shape{8, 5, 6, 6}, 1048);
+    golden_two_steps("conv_6bit",
+                     quant_conv(5, 12, 3, 1, 1, 1057, golden_config("mul6u_rm4")),
+                     Shape{8, 5, 6, 6}, 1058);
+}
+
 /// A quantized ApproxLinear(37, 21) on \p config, for golden_two_steps.
 auto quant_linear(approx::MultiplierConfig config) {
     return [config] {
@@ -823,9 +871,10 @@ TEST(Golden, IntInferenceEngineTwoLayerHead) {
 TEST(Golden, IntInferenceEngineVggNarrowBlocks) {
     // VGG19 at width 1/8 on 16x16 inputs: the last eight convs run at 2x2
     // and 1x1, so a batch of 1 (P = 4, 1) and of 3 (P = 12, 3) form position
-    // blocks narrower than 8 rows, and a batch of 20 puts one location (or
-    // the tail of one and the head of the next) in each 16-row block. The
-    // exact multiplier keeps the untrained network's logits apart.
+    // blocks narrower than 8 rows, a batch of 20 puts one location (or the
+    // tail of one and the head of the next) in each 16-row block, and a
+    // batch of 64 one location in each 64-row block. The exact multiplier
+    // keeps the untrained network's logits apart.
     data::SyntheticConfig dc;
     dc.num_classes = 4;
     dc.height = dc.width = 16;
@@ -860,6 +909,8 @@ TEST(Golden, IntInferenceEngineVggNarrowBlocks) {
                   0);
         const Tensor twenty = Tensor::randn(Shape{20, 3, 16, 16}, xrng);
         expect_golden("engine_vgg.b20.logits", hash_tensor(engine.forward(twenty)));
+        const Tensor sixty_four = Tensor::randn(Shape{64, 3, 16, 16}, xrng);
+        expect_golden("engine_vgg.b64.logits", hash_tensor(engine.forward(sixty_four)));
     });
 }
 

@@ -68,6 +68,28 @@ TEST(PanelPlan, ConvActPlanSplitsOnlyConvsWithFewerThanEightPositions) {
     EXPECT_EQ(kernels::make_conv_act_plan(8, 1152, 16, 64).tr, 8);
 }
 
+TEST(PanelPlan, ConvActPlanKeepsWholeSixteenRowGroups) {
+    // A batch-1 conv at 6x6 or 7x7 under a 64-row tile: cut to its 36 or 49
+    // positions, the plan keeps 48 or 64 rows, so 4-bit codes keep the
+    // nibble sidecar; 16 positions or fewer, and a full tile, keep theirs.
+    EXPECT_EQ(kernels::make_conv_act_plan(36, 576, 64, 1024).tr, 48);
+    EXPECT_EQ(kernels::make_conv_act_plan(49, 576, 64, 1024).tr, 64);
+    EXPECT_EQ(kernels::make_conv_act_plan(17, 576, 64, 1024).tr, 32);
+    EXPECT_EQ(kernels::make_conv_act_plan(12, 576, 64, 1024).tr, 12);
+    EXPECT_EQ(kernels::make_conv_act_plan(100, 576, 64, 1024).tr, 64);
+    EXPECT_EQ(kernels::make_conv_act_plan(36, 576, 40, 1024).tr, 40);
+    const tensor::ConvGeom geom{1, 8, 6, 6, 3, 1, 1};
+    const PanelPlan plan = kernels::make_conv_act_plan(
+        geom.positions(), geom.patch(), kernels::tune::kTileP, kernels::tune::kTileK);
+    ASSERT_EQ(plan.row_blocks(), 1);
+    ASSERT_EQ(plan.block_rows(0), 36);
+    std::vector<std::uint8_t> x(static_cast<std::size_t>(8 * 6 * 6), 3);
+    kernels::Workspace ws;
+    const kernels::ActPanels panels =
+        kernels::pack_im2col_panels_u8(x.data(), geom, 7, plan, ws, 4, 1);
+    EXPECT_NE(panels.packed4, nullptr);
+}
+
 // ------------------------------------------------------- pack round trips --
 
 TEST(PanelPack, RoundTripIsIdentityForAllPaddingConfigs) {
@@ -200,6 +222,7 @@ struct BlockedRandom {
                                           : static_cast<float>(rng.normal());
         args.bits = bits;
         args.lut = lut.table().data();
+        args.lut_planes = lut.planes();
         args.wq = wq.data();
         args.xq = xq.data();
         args.o = o;

@@ -1,10 +1,11 @@
 // Tests for the runtime-dispatched SIMD LUT-GEMM kernels (kernels/simd):
 // dispatch resolution (parse/cap/override semantics of AMRET_SIMD), the
-// nibble-packed activation sidecar (format and eligibility), and the bitwise
+// nibble-packed activation sidecar (format and eligibility), the product
+// planes (format, and planes that follow their table), and the bitwise
 // contract — at every dispatch level the forward output and the row-major
 // backward's grad-X and grad-W must memcmp-equal the naive loops of
 // lut_oracle.hpp, on every shape, including ragged edges and every
-// lane tail, for 4-, 6- and 8-bit codes, per-tensor and per-channel quantization,
+// lane tail, for 4- to 8-bit codes, per-tensor and per-channel quantization,
 // at both thread-count extremes (registered at AMRET_THREADS=1 and 8 in
 // CMakeLists.txt). The CI simd-dispatch matrix additionally re-runs tier-1
 // under AMRET_SIMD=scalar|ssse3|avx2 so the env-var path is exercised
@@ -185,9 +186,12 @@ core::GradLut random_grad(unsigned bits, util::Rng& rng) {
 
 /// Random GEMM operands shared by the naive oracle and every dispatch level;
 /// mirrors test_layout's fixture plus the packed4 sidecar so 4-bit runs
-/// exercise the pshufb path, not just the gather path.
+/// exercise the pshufb path, not just the gather path, and the product
+/// planes so 5- to 8-bit runs exercise the plane leaf.
 struct SimdRandom {
     appmult::AppMultLut lut;
+    std::vector<std::int32_t> table; ///< set_table's table, or empty
+    std::vector<kernels::LutPlaneRow> planes;
     core::GradLut grad;
     std::vector<std::uint16_t> wq, xq;
     std::vector<float> gyp;
@@ -212,6 +216,7 @@ struct SimdRandom {
                                           : static_cast<float>(rng.normal());
         args.bits = bits;
         args.lut = lut.table().data();
+        args.lut_planes = lut.planes();
         args.wq = wq.data();
         args.xq = xq.data();
         args.o = o;
@@ -239,6 +244,15 @@ struct SimdRandom {
     /// every out-of-image tap, the precondition of lut_backward_rows.
     void set_conv(const tensor::ConvGeom& geom);
 
+    /// Runs the forward on product table \p t (2^(2*bits) entries) and the
+    /// planes the kernels' builders give it.
+    void set_table(std::vector<std::int32_t> t) {
+        table = std::move(t);
+        planes = lut_oracle::lut_planes(table.data(), args.bits);
+        args.lut = table.data();
+        args.lut_planes = planes.empty() ? nullptr : planes.data();
+    }
+
     LutGemmArgs blocked(std::int64_t tp, std::int64_t to, std::int64_t tk,
                             Workspace& ws) const {
         LutGemmArgs b = lut_oracle::pack_blocked(args, tp, to, tk, ws);
@@ -263,43 +277,93 @@ constexpr GemmShape kShapes[] = {
     {1, 5, 1},      {7, 33, 19},  {17, 33, 120}, {3, 129, 9},
     {32, 40, 300},  {130, 1, 1153}, {64, 4, 576}, {33, 7, 40}};
 
+// Row tiles of 64 and 32 put blocks of 32 rows or more on the plane leaf
+// (with one or two depth blocks), the others keep every block on the
+// gather, nibble and output-channel leaves; 128 x 48 tiles are wider than
+// the plane leaf's lanes and than a chunk's stack tile, so they gather
+// into workspace tiles.
 constexpr struct {
     std::int64_t tp, to, tk;
-} kTiles[] = {{16, 64, 1024}, {16, 16, 64}, {8, 4, 7}, {2, 3, 5}};
+} kTiles[] = {{64, 64, 1024}, {64, 16, 64}, {32, 8, 100}, {16, 64, 1024},
+              {16, 16, 64},   {8, 4, 7},    {2, 3, 5},    {128, 48, 512}};
+
+/// A 2^(2*bits)-entry product table of random 16-bit values in which every
+/// fifth entry is 65535 and every seventh 0: the extremes of the planes'
+/// range.
+std::vector<std::int32_t> extreme_table(unsigned bits, util::Rng& rng) {
+    std::vector<std::int32_t> t(std::size_t{1} << (2 * bits));
+    for (std::size_t i = 0; i < t.size(); ++i)
+        t[i] = i % 5 == 0   ? 65535
+               : i % 7 == 0 ? 0
+                            : static_cast<std::int32_t>(rng.uniform_u64(65536));
+    return t;
+}
+
+/// Runs lut_forward_blocked over \p g's codes at every tile of kTiles and
+/// every runnable dispatch level, with the table's planes and without them
+/// (the gather leaf in their place), and memcmps each output against the
+/// naive forward.
+void expect_forward_matches_oracle(const SimdRandom& g, util::Rng& rng) {
+    const LutGemmArgs& a = g.args;
+    std::vector<float> bias(static_cast<std::size_t>(a.o));
+    for (auto& v : bias) v = static_cast<float>(rng.normal());
+    std::vector<float> ref(static_cast<std::size_t>(a.p() * a.o));
+    lut_oracle::naive_forward(a, bias.data(), ref.data());
+    std::vector<float> y(ref.size());
+    Workspace ws;
+    for (const auto& t : kTiles) {
+        ws.reset();
+        LutGemmArgs b = g.blocked(t.tp, t.to, t.tk, ws);
+        const kernels::LutPlaneRow* const none = nullptr;
+        for (const kernels::LutPlaneRow* planes : {a.lut_planes, none}) {
+            b.lut_planes = planes;
+            for (const Isa isa : runnable_isas()) {
+                ScopedIsa pin(isa);
+                std::fill(y.begin(), y.end(), -1.0f);
+                kernels::lut_forward_blocked(b, bias.data(), y.data(), ws);
+                ASSERT_EQ(std::memcmp(y.data(), ref.data(), y.size() * sizeof(float)),
+                          0)
+                    << kernels::simd::isa_name(isa) << " bits=" << a.bits
+                    << " o=" << a.o << " p=" << a.p() << " k=" << a.k() << " tiles=("
+                    << t.tp << "," << t.to << "," << t.tk << ")"
+                    << " planes=" << (planes != nullptr);
+            }
+        }
+    }
+}
+
+// Rows on either side of the plane leaf's 32-row threshold and of a 64-row
+// block: a 31-row block gathers, 32 and 33 rows load under a lane mask, 65
+// rows leave a 1-row tail, 100 rows a 36-row one.
+constexpr std::int64_t kPlaneRows[] = {31, 32, 33, 63, 64, 65, 100};
 
 TEST(SimdKernels, ForwardMatchesScalarOracleBitwise) {
     util::Rng rng(101);
-    const std::vector<Isa> isas = runnable_isas();
     for (const unsigned bits : {4u, 8u}) {
         for (const GemmShape& sh : kShapes) {
             const bool per_channel = (sh.o % 2) == 1;
             const SimdRandom g(bits, sh.o, sh.p, sh.k, per_channel, rng);
-            std::vector<float> bias(static_cast<std::size_t>(sh.o));
-            for (auto& v : bias) v = static_cast<float>(rng.normal());
-
-            Workspace ws;
-            std::vector<float> ref(static_cast<std::size_t>(sh.p * sh.o));
-            lut_oracle::naive_forward(g.args, bias.data(), ref.data());
-
-            std::vector<float> y(ref.size());
-            for (const auto& t : kTiles) {
-                ws.reset();
-                const LutGemmArgs b = g.blocked(t.tp, t.to, t.tk, ws);
-                for (const Isa isa : isas) {
-                    ScopedIsa pin(isa);
-                    std::fill(y.begin(), y.end(), -1.0f);
-                    kernels::lut_forward_blocked(b, bias.data(), y.data(), ws);
-                    ASSERT_EQ(std::memcmp(y.data(), ref.data(),
-                                          y.size() * sizeof(float)),
-                              0)
-                        << kernels::simd::isa_name(isa) << " bits=" << bits
-                        << " o=" << sh.o << " p=" << sh.p << " k=" << sh.k
-                        << " tiles=(" << t.tp << "," << t.to << "," << t.tk
-                        << ")";
-                }
-            }
+            expect_forward_matches_oracle(g, rng);
         }
     }
+    // Every width with planes, on its exact table and on a table holding 0
+    // and 65535, around the plane leaf's block edges.
+    for (const unsigned bits : {5u, 6u, 7u, 8u}) {
+        for (const std::int64_t p : kPlaneRows) {
+            SimdRandom g(bits, 9, p, 70, /*per_channel=*/p % 2 == 1, rng);
+            ASSERT_NE(g.args.lut_planes, nullptr) << "bits=" << bits;
+            expect_forward_matches_oracle(g, rng);
+            g.set_table(extreme_table(bits, rng));
+            ASSERT_NE(g.args.lut_planes, nullptr) << "bits=" << bits;
+            expect_forward_matches_oracle(g, rng);
+        }
+    }
+    // Every product 65535 over 600 depth indices in one depth block: the
+    // most a 16-bit partial sum of the plane leaf may gather before it
+    // widens.
+    SimdRandom g(8, 5, 64, 600, /*per_channel=*/false, rng);
+    g.set_table(std::vector<std::int32_t>(std::size_t{1} << 16, 65535));
+    expect_forward_matches_oracle(g, rng);
 }
 
 TEST(SimdKernels, NibbleVerdictFollowsTheTableNotItsAddress) {
@@ -354,6 +418,133 @@ TEST(SimdKernels, NibbleVerdictFollowsTheTableNotItsAddress) {
             for (std::int32_t x = 0; x < 16; ++x)
                 table[static_cast<std::size_t>(w * 16 + x)] = factor * w * x;
         expect_oracle(table.data(), factor == 1 ? "in-place w*x" : "in-place 3*w*x");
+    }
+}
+
+TEST(SimdKernels, PlanesFollowTheTableNotItsAddress) {
+    // The plane leaf holds 16-bit products as byte pairs, so a table has
+    // planes only while every entry lies in [0, 65535], and each table's
+    // planes are built from that table: a table rebuilt at a freed one's
+    // address, with other contents, brings its own or none.
+    util::Rng rng(110);
+    const std::int64_t o = 12, p = 64, k = 40;
+    std::vector<std::uint16_t> wq(static_cast<std::size_t>(o * k));
+    std::vector<std::uint16_t> xq(static_cast<std::size_t>(p * k));
+    for (auto& v : wq) v = static_cast<std::uint16_t>(rng.uniform_u64(256));
+    for (auto& v : xq) v = static_cast<std::uint16_t>(rng.uniform_u64(256));
+    obs::Counter& plane_tiles = obs::counter("kernels.simd.plane_tiles");
+    Workspace ws;
+    const auto expect_oracle = [&](const appmult::AppMultLut& lut, bool has_planes,
+                                   const char* what) {
+        ASSERT_EQ(lut.planes() != nullptr, has_planes) << what;
+        LutGemmArgs a;
+        a.bits = 8;
+        a.lut = lut.table().data();
+        a.lut_planes = lut.planes();
+        a.wq = wq.data();
+        a.xq = xq.data();
+        a.o = o;
+        a.geom = kernels::matrix_geom(p, k);
+        a.zero_w = 3;
+        a.zero_x = 5;
+        ws.reset();
+        std::vector<float> ref(static_cast<std::size_t>(p * o));
+        lut_oracle::naive_forward(a, nullptr, ref.data());
+        const LutGemmArgs b = lut_oracle::pack_blocked(
+            a, kernels::tune::kTileP, kernels::tune::kTileO, kernels::tune::kTileK, ws);
+        std::vector<float> y(ref.size());
+        for (const Isa isa : runnable_isas()) {
+            ScopedIsa pin(isa);
+            const std::int64_t before = plane_tiles.value();
+            kernels::lut_forward_blocked(b, nullptr, y.data(), ws);
+            ASSERT_EQ(std::memcmp(y.data(), ref.data(), y.size() * sizeof(float)),
+                      0)
+                << what << " " << kernels::simd::isa_name(isa);
+#if !defined(AMRET_OBS_DISABLED)
+            EXPECT_EQ(plane_tiles.value() > before,
+                      has_planes && isa == Isa::kAvx512)
+                << what << " " << kernels::simd::isa_name(isa);
+#endif
+        }
+    };
+    // Destroy and rebuild: the allocator usually returns the same block.
+    struct Case {
+        const char* what;
+        std::int64_t at_17_200; ///< the entry (w, x) = (17, 200)
+        bool has_planes;
+    };
+    std::unique_ptr<appmult::AppMultLut> lut;
+    for (const Case c : {Case{"w*x", 17 * 200, true}, Case{"w*x with -1", -1, false},
+                         Case{"w*x with 65535", 65535, true},
+                         Case{"w*x with 65536", 65536, false},
+                         Case{"w*x with 0", 0, true}}) {
+        lut.reset();
+        lut = std::make_unique<appmult::AppMultLut>(
+            8, [c](std::uint64_t w, std::uint64_t x) {
+                return w == 17 && x == 200 ? static_cast<std::uint64_t>(c.at_17_200)
+                                           : w * x;
+            });
+        expect_oracle(*lut, c.has_planes, c.what);
+    }
+    // The format, on raw tables: byte x of row w holds the low and high
+    // bytes of LUT[w, x], zero past 2^bits; no planes outside 5..8 bits.
+    const std::vector<std::int32_t> t6 = extreme_table(6, rng);
+    const std::vector<kernels::LutPlaneRow> planes = lut_oracle::lut_planes(t6.data(), 6);
+    ASSERT_EQ(planes.size(), 64u);
+    for (std::size_t w = 0; w < 64; ++w)
+        for (std::size_t x = 0; x < 256; ++x) {
+            const std::int32_t want = x < 64 ? t6[(w << 6) | x] : 0;
+            ASSERT_EQ(planes[w].lo[x] | (planes[w].hi[x] << 8), want)
+                << "w=" << w << " x=" << x;
+        }
+    EXPECT_FALSE(kernels::lut_has_planes(appmult::AppMultLut::exact(4).table().data(), 4));
+    EXPECT_FALSE(kernels::lut_has_planes(appmult::AppMultLut::exact(9).table().data(), 9));
+}
+
+TEST(SimdKernels, PadSkippedCountsLookupsOutsideEachBlocksTapBox) {
+#if defined(AMRET_OBS_DISABLED)
+    GTEST_SKIP() << "obs instrumentation compiled out";
+#endif
+    // VGG19-slim's deepest 3x3 convs (pad 1) at 2x2: at batch 32 each
+    // 64-row block spans two output locations and walks the union of their
+    // tap boxes, at batch 64 each holds one location. Independent count:
+    // the taps outside the union of the block's rows' in-image taps.
+    obs::Counter& skipped = obs::counter("kernels.gemm.pad_skipped");
+    const std::int64_t c_in = 16, c_out = 8;
+    util::Rng wrng(111);
+    approx::ApproxConv2d conv(c_in, c_out, 3, 1, 1, wrng);
+    conv.set_multiplier(approx::MultiplierConfig::exact_ste(8));
+    conv.set_mode(approx::ComputeMode::kQuantized);
+    for (const std::int64_t batch : {std::int64_t{32}, std::int64_t{64}}) {
+        const tensor::ConvGeom geom{batch, c_in, 2, 2, 3, 1, 1};
+        std::int64_t want = 0;
+        const std::int64_t rows = geom.positions();
+        for (std::int64_t r0 = 0; r0 < rows; r0 += kernels::tune::kTileP) {
+            const std::int64_t r1 = std::min(rows, r0 + kernels::tune::kTileP);
+            std::int64_t ky0 = 3, ky1 = 0, kx0 = 3, kx1 = 0;
+            for (std::int64_t r = r0; r < r1; ++r) {
+                // Location-major row r is location r / batch.
+                const std::int64_t pp = (r % batch) * 4 + r / batch;
+                for (std::int64_t t = 0; t < 9; ++t)
+                    if (lut_oracle::tap_in_image(geom, pp, t * c_in)) {
+                        ky0 = std::min(ky0, t / 3);
+                        ky1 = std::max(ky1, t / 3 + 1);
+                        kx0 = std::min(kx0, t % 3);
+                        kx1 = std::max(kx1, t % 3 + 1);
+                    }
+            }
+            want += (9 - (ky1 - ky0) * (kx1 - kx0)) * c_in * (r1 - r0) * c_out;
+        }
+        // Two locations of one output row: 6 of 9 taps in the box; one
+        // location: 4 of 9.
+        EXPECT_EQ(want, (batch == 32 ? 3 : 5) * c_in * rows * c_out);
+        util::Rng xrng(112);
+        const tensor::Tensor x =
+            tensor::Tensor::randn(tensor::Shape{batch, c_in, 2, 2}, xrng);
+        nn::Context ctx;
+        const std::int64_t before = skipped.value();
+        conv.forward(x, ctx);
+        EXPECT_EQ(skipped.value() - before, want) << "batch " << batch;
     }
 }
 

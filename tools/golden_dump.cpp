@@ -315,6 +315,30 @@ void dump_deep_padded_convs() {
     run("conv_c24_ste_pc", 24, 10, 857, ste, true, tensor::Shape{3, 24, 3, 3}, 988);
 }
 
+/// Quantized 3x3 pad-1 convs on 64-row position blocks: batch 64 on 16x16,
+/// whose blocks each hold one output location; 128 input channels at batch
+/// 32 on 2x2 (K = 1152, two depth blocks), whose blocks each span two
+/// locations and walk the union of their tap boxes; batch 3 on 5x5, 75
+/// rows, one 64-row block and an 11-row tail; and a 7-bit and a 6-bit
+/// multiplier at batch 8 on 6x6 (288 rows: four full blocks and a 32-row
+/// tail).
+void dump_block64_convs() {
+    const auto run = [](const std::string& tag, std::int64_t in, std::int64_t out,
+                        std::uint64_t wseed, const std::string& mult,
+                        const tensor::Shape& xshape, std::uint64_t seed) {
+        util::Rng wrng(wseed);
+        approx::ApproxConv2d conv(in, out, 3, 1, 1, wrng);
+        conv.set_multiplier(make_config(mult));
+        conv.set_mode(approx::ComputeMode::kQuantized);
+        dump_two_steps(tag, conv, xshape, seed);
+    };
+    run("conv_b64", 4, 12, 1017, "mul8u_rm8", tensor::Shape{64, 4, 16, 16}, 1018);
+    run("conv_c128", 128, 16, 1027, "mul8u_rm8", tensor::Shape{32, 128, 2, 2}, 1028);
+    run("conv_p75", 6, 10, 1037, "mul8u_rm8", tensor::Shape{3, 6, 5, 5}, 1038);
+    run("conv_7bit", 5, 12, 1047, "mul7u_rm6", tensor::Shape{8, 5, 6, 6}, 1048);
+    run("conv_6bit", 5, 12, 1057, "mul6u_rm4", tensor::Shape{8, 5, 6, 6}, 1058);
+}
+
 /// Quantized ApproxLinear(37, 21) layers: on mul8u_rm8 at batch 19 (one
 /// full 16-row position block and a 3-row tail), and on the 4-bit exact
 /// multiplier at batch 32, whose 16-row blocks take the nibble (pshufb) leaf.
@@ -405,7 +429,8 @@ void dump_engine_head() {
 /// of 1 is the batch of 3's first image. The exact multiplier keeps the
 /// untrained network's logits apart; the approximate ones tested here drive
 /// every logit to 0. A batch of 20 puts one output location, or the tail of
-/// one and the head of the next, in each 16-row position block.
+/// one and the head of the next, in each 16-row position block, and a batch
+/// of 64 one location in each 64-row block.
 void dump_engine_vgg() {
     data::SyntheticConfig dc;
     dc.num_classes = 4;
@@ -438,6 +463,9 @@ void dump_engine_vgg() {
     const tensor::Tensor twenty =
         tensor::Tensor::randn(tensor::Shape{20, 3, 16, 16}, xrng);
     print("engine_vgg.b20.logits", hash_tensor(engine.forward(twenty)));
+    const tensor::Tensor sixty_four =
+        tensor::Tensor::randn(tensor::Shape{64, 3, 16, 16}, xrng);
+    print("engine_vgg.b64.logits", hash_tensor(engine.forward(sixty_four)));
 }
 
 /// An engine with the two average pools (a 2x2 average pool, then a global
@@ -518,6 +546,7 @@ int main() {
     dump_pointwise_convs();
     dump_deep_padded_convs();
     dump_quant_linears();
+    dump_block64_convs();
     dump_engine();
     dump_engine_head();
     dump_engine_vgg();
