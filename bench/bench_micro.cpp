@@ -73,11 +73,10 @@ void BM_LutForwardGemm(benchmark::State& state) {
     args.o = o;
     args.geom = kernels::matrix_geom(p, k);
     std::vector<float> y(static_cast<std::size_t>(p * o));
-    kernels::Workspace pack_ws, ws;
+    kernels::Workspace pack_ws;
     const kernels::LutGemmArgs b = pack_compiled(args, pack_ws);
     for (auto _ : state) {
-        ws.reset();
-        kernels::lut_forward_blocked(b, nullptr, y.data(), ws);
+        kernels::lut_forward_blocked(b, nullptr, y.data());
         benchmark::DoNotOptimize(y.data());
     }
     state.SetItemsProcessed(state.iterations() * o * p * k);
@@ -204,11 +203,10 @@ void BM_LutForwardGemmThreads(benchmark::State& state) {
     args.o = o;
     args.geom = kernels::matrix_geom(p, k);
     std::vector<float> y(static_cast<std::size_t>(p * o));
-    kernels::Workspace pack_ws, ws;
+    kernels::Workspace pack_ws;
     const kernels::LutGemmArgs b = pack_compiled(args, pack_ws);
     for (auto _ : state) {
-        ws.reset();
-        kernels::lut_forward_blocked(b, nullptr, y.data(), ws);
+        kernels::lut_forward_blocked(b, nullptr, y.data());
         benchmark::DoNotOptimize(y.data());
     }
     state.SetItemsProcessed(state.iterations() * o * p * k);
@@ -480,7 +478,7 @@ std::string narrow_leg_json(int iters, bool* all_eq) {
     char buf[256];
     for (const std::int64_t p : {std::int64_t{1}, std::int64_t{4}}) {
         BenchGemm g(o, p, k);
-        kernels::Workspace pack_ws, ws;
+        kernels::Workspace pack_ws;
         const kernels::LutGemmArgs b = pack_compiled(g.args, pack_ws);
         std::vector<float> y_ref(g.y.size()), y(g.y.size());
         lut_oracle::naive_forward(g.args, nullptr, y_ref.data());
@@ -489,8 +487,7 @@ std::string narrow_leg_json(int iters, bool* all_eq) {
         for (const auto isa : supported_isas()) {
             kernels::simd::set_isa_for_test(isa);
             const double ms = time_ms_best(iters, [&] {
-                ws.reset();
-                kernels::lut_forward_blocked(b, nullptr, y.data(), ws);
+                kernels::lut_forward_blocked(b, nullptr, y.data());
             });
             kernels::simd::clear_isa_override();
             const bool eq =
@@ -562,7 +559,7 @@ std::string padded_leg_json(int iters, bool* all_eq) {
                 ws.reset();
                 b.x = kernels::pack_im2col_panels_u8(x.data(), geom, zp, xplan, ws,
                                                      b.bits, 1);
-                kernels::lut_forward_blocked(b, nullptr, y.data(), ws);
+                kernels::lut_forward_blocked(b, nullptr, y.data());
             });
             kernels::simd::clear_isa_override();
             const bool eq =
@@ -597,14 +594,13 @@ std::string planes_leg_json(int iters, bool* all_eq) {
     BenchGemm g(64, 1024, 576);
     std::vector<float> y_ref(g.y.size()), y(g.y.size());
     lut_oracle::naive_forward(g.args, nullptr, y_ref.data());
-    kernels::Workspace pack_ws, ws;
+    kernels::Workspace pack_ws;
     kernels::LutGemmArgs b = pack_compiled(g.args, pack_ws);
     const auto time_with = [&](const kernels::LutPlaneRow* planes, bool* eq) {
         b.lut_planes = planes;
         kernels::simd::set_isa_for_test(avx512);
         const double ms = time_ms_best(iters, [&] {
-            ws.reset();
-            kernels::lut_forward_blocked(b, nullptr, y.data(), ws);
+            kernels::lut_forward_blocked(b, nullptr, y.data());
         });
         kernels::simd::clear_isa_override();
         *eq = std::memcmp(y.data(), y_ref.data(), y.size() * sizeof(float)) == 0;
@@ -643,14 +639,13 @@ int run_kernels_json() {
     BenchGemm g(64, 1024, 576);
     std::vector<float> y_oracle(g.y.size()), y_blocked(g.y.size());
     lut_oracle::naive_forward(g.args, nullptr, y_oracle.data());
-    kernels::Workspace ws, pack_ws;
+    kernels::Workspace pack_ws;
     const kernels::LutGemmArgs bargs = pack_compiled(g.args, pack_ws);
     // The "blocked" leg is pinned to scalar dispatch, so it is the scalar
     // block loop: the baseline the SIMD legs below are measured against.
     kernels::simd::set_isa_for_test(kernels::simd::Isa::kScalar);
     const double blocked_ms = time_ms_best(iters, [&] {
-        ws.reset();
-        kernels::lut_forward_blocked(bargs, nullptr, y_blocked.data(), ws);
+        kernels::lut_forward_blocked(bargs, nullptr, y_blocked.data());
     });
     kernels::simd::clear_isa_override();
     const bool blocked_eq =
@@ -671,8 +666,7 @@ int run_kernels_json() {
     auto time_leg = [&](const kernels::LutGemmArgs& la, kernels::simd::Isa isa) {
         kernels::simd::set_isa_for_test(isa);
         const double ms = time_ms_best(iters, [&] {
-            ws.reset();
-            kernels::lut_forward_blocked(la, nullptr, y_leg.data(), ws);
+            kernels::lut_forward_blocked(la, nullptr, y_leg.data());
         });
         kernels::simd::clear_isa_override();
         return ms;

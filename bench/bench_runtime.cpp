@@ -42,7 +42,7 @@ void threads_sweep(int iters) {
     for (auto& v : wq) v = static_cast<std::uint16_t>(rng.uniform_u64(lut.domain()));
     for (auto& v : xq) v = static_cast<std::uint16_t>(rng.uniform_u64(lut.domain()));
     namespace tune = kernels::tune;
-    kernels::Workspace pack_ws, ws;
+    kernels::Workspace pack_ws;
     kernels::LutGemmArgs gemm;
     gemm.bits = bits;
     gemm.lut = lut.table().data();
@@ -67,8 +67,7 @@ void threads_sweep(int iters) {
     const Kernel kernels[] = {
         {"lut_gemm",
          [&] {
-             ws.reset();
-             kernels::lut_forward_blocked(gemm, nullptr, y.data(), ws);
+             kernels::lut_forward_blocked(gemm, nullptr, y.data());
          }},
         {"approx_conv",
          [&] {

@@ -138,7 +138,7 @@ void GemmLayer::forward_gemm(const Tensor& x, State& st, nn::Context& ctx,
     a.scale_x = xparams.scale;
     a.zero_w = static_cast<std::int32_t>(st.wq.params.zero_point);
     a.zero_x = static_cast<std::int32_t>(xparams.zero_point);
-    kernels::lut_forward_blocked(a, bias.value.data(), y, st.ws);
+    kernels::lut_forward_blocked(a, bias.value.data(), y);
 }
 
 void GemmLayer::backward_gemm(const float* gyp, State& st, nn::Context& ctx,

@@ -196,8 +196,8 @@ struct ConvOp final : IntInferenceEngine::Op {
         a.x = kernels::pack_im2col_panels_u8(
             x.data, geom, static_cast<std::uint16_t>(x.zero), xplan, ws, d.bits,
             kernels::forward_grain(xplan, d.out_ch));
-        kernels::lut_gemm_blocked(a, ws, [&](std::int64_t pp, std::int64_t oo,
-                                             std::int64_t corrected) {
+        kernels::lut_gemm_blocked(a, [&](std::int64_t pp, std::int64_t oo,
+                                         std::int64_t corrected) {
             const std::int64_t n = pp / spatial;
             y.data[(n * d.out_ch + oo) * spatial + pp % spatial] =
                 requantize(oo, corrected);

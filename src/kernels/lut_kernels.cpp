@@ -33,14 +33,13 @@ void count_pad_skipped([[maybe_unused]] std::int64_t n) {
     AMRET_OBS_COUNT("kernels.gemm.pad_skipped", n);
 }
 
-void lut_forward_blocked(const LutGemmArgs& args, const float* bias,
-                         float* y, Workspace& ws) {
+void lut_forward_blocked(const LutGemmArgs& args, const float* bias, float* y) {
     AMRET_OBS_SPAN("kernels.lut_forward_blocked");
     AMRET_OBS_COUNT("kernels.gemm.rows", args.p());
     // The epilogue is the naive forward's float expression (per-element
     // values are order-independent).
-    lut_gemm_blocked(args, ws, [&](std::int64_t pp, std::int64_t oo,
-                                   std::int64_t corrected) {
+    lut_gemm_blocked(args, [&](std::int64_t pp, std::int64_t oo,
+                               std::int64_t corrected) {
         const float ss = args.row_scale_w(oo) * args.scale_x;
         y[pp * args.o + oo] =
             ss * static_cast<float>(corrected) + (bias ? bias[oo] : 0.0f);

@@ -194,9 +194,10 @@ inline std::int64_t forward_grain(const PanelPlan& x, std::int64_t o) {
 
 /// The blocked integer GEMM, parallel over chunks of forward_grain position
 /// row blocks; blocks write disjoint rows and each chunk owns an int64
-/// accumulator tile: on its stack when the panel tiles are at most
-/// tune::kTileP x tune::kTileO, as every plan built from the compiled
-/// tiles is, else from \p ws.
+/// accumulator tile on its stack. Requires panel tiles no larger than the
+/// compiled ones (tune::kTileP x tune::kTileO x tune::kTileK), as every
+/// plan built from them is: the stack tile and the AVX-512 plane leaf's
+/// lanes and int32 lane sums are sized by them.
 ///
 /// Each row block reads only the depth runs of its tap box (TapBox): the
 /// taps outside it are padding in every row of the block, so their lookups
@@ -211,7 +212,7 @@ inline std::int64_t forward_grain(const PanelPlan& x, std::int64_t o) {
 /// (lut_forward_blocked) and the engine's requantizing conv are its two
 /// epilogues.
 template <class Epilogue>
-void lut_gemm_blocked(const LutGemmArgs& a, Workspace& ws, Epilogue&& epi) {
+void lut_gemm_blocked(const LutGemmArgs& a, Epilogue&& epi) {
     const PanelPlan& xp = a.x.plan;
     const PanelPlan& wp = a.w.plan;
     assert(xp.depth == wp.depth && xp.tk == wp.tk && "mismatched depth blocking");
@@ -220,22 +221,13 @@ void lut_gemm_blocked(const LutGemmArgs& a, Workspace& ws, Epilogue&& epi) {
     const std::int64_t k = xp.depth;
     const std::int64_t spatial = geom.out_h() * geom.out_w();
     const std::int64_t tp = xp.tr, to = wp.tr;
+    assert(tp <= tune::kTileP && to <= tune::kTileO && xp.tk <= tune::kTileK &&
+           "tiles larger than the compiled ones");
     const std::int64_t nblocks = xp.row_blocks(), oblocks = wp.row_blocks();
-    const std::int64_t grain = forward_grain(xp, a.o);
-    // One stack tile per running chunk costs less than a workspace tile per
-    // chunk: a GEMM has up to runtime::kMaxChunks chunks.
-    constexpr std::int64_t kStackTile = tune::kTileP * tune::kTileO;
-    std::int64_t* tiles =
-        tp * to <= kStackTile
-            ? nullptr
-            : ws.alloc<std::int64_t>(runtime::chunk_count(0, nblocks, grain) * tp * to);
     const bool lut_u8 = lut_fits_u8(a.lut, a.bits);
-    runtime::parallel_for_chunks(0, nblocks, grain,
-                                 [&](std::int64_t rb0, std::int64_t rb1,
-                                     std::size_t chunk) {
-        alignas(64) std::int64_t stack_tile[kStackTile];
-        std::int64_t* acc =
-            tiles ? tiles + static_cast<std::int64_t>(chunk) * tp * to : stack_tile;
+    runtime::parallel_for_chunks(0, nblocks, forward_grain(xp, a.o),
+                                 [&](std::int64_t rb0, std::int64_t rb1, std::size_t) {
+        alignas(64) std::int64_t acc[tune::kTileP * tune::kTileO];
         std::int64_t skipped = 0;
         for (std::int64_t rb = rb0; rb < rb1; ++rb) {
             const std::int64_t pr = xp.block_rows(rb);
@@ -278,8 +270,7 @@ void lut_gemm_blocked(const LutGemmArgs& a, Workspace& ws, Epilogue&& epi) {
 
 /// Forward into a (P, O) float matrix: y[p, o] = s_w*s_x*(sum_k LUT[w,x]
 /// - Z_x*sumW[o] - Z_w*sumX[p] + K*Z_w*Z_x) + bias[o], \p bias may be null.
-/// lut_gemm_blocked with that epilogue; scratch comes from \p ws.
-void lut_forward_blocked(const LutGemmArgs& args, const float* bias,
-                         float* y, Workspace& ws);
+/// lut_gemm_blocked with that epilogue.
+void lut_forward_blocked(const LutGemmArgs& args, const float* bias, float* y);
 
 } // namespace amret::kernels

@@ -190,15 +190,12 @@ void accumulate_panel(const LutGemmArgs& a, bool lut_u8, std::int64_t rb,
         // the AVX2-TU copies run VEX-encoded, which is fine under AVX-512.
         // The plane leaf loads a weight's planes once per 64 lanes, so it
         // takes blocks of 32 rows or more; narrower ones gather, where 16
-        // lanes pay for each lookup they make. It holds at most 64 lanes
-        // (tune::kTileP), and its int32 lane sums one depth block of at
-        // most tune::kTileK products.
+        // lanes pay for each lookup they make.
         if (nibble) {
             detail::acc_panel_nibble_avx2(a, rb, ob, runs, acc);
         } else if (rows < 8) {
             detail::acc_panel_olanes_avx2(a, rb, ob, runs, acc);
-        } else if (rows >= 32 && a.lut_planes != nullptr &&
-                   a.x.plan.tr <= tune::kTileP && a.x.plan.tk <= tune::kTileK) {
+        } else if (rows >= 32 && a.lut_planes != nullptr) {
             detail::acc_panel_planes_avx512(a, rb, ob, runs, acc);
             AMRET_OBS_COUNT("kernels.simd.plane_tiles", 1);
         } else {

@@ -60,32 +60,10 @@ void acc_panel_planes_avx512(const LutGemmArgs& a, std::int64_t rb,
         const std::uint16_t* xpan = a.x.codes + xp.panel_offset(rb, kb);
         const std::uint32_t* wpan = a.w.codes + wp.panel_offset(ob, kb);
         for (std::int64_t oo = 0; oo < orr; ++oo) {
-            // 16-bit sums over at most 256 depth indices. Word j of a byte
-            // vector holds row 2j's byte plus 256 times row 2j + 1's: wl and
-            // wh add whole words of the low and high planes' bytes, ol and
-            // oh the odd rows' bytes alone (at most 255 * 256). The even
-            // rows' sums, wl - (ol << 8) and wh - (oh << 8) mod 2^16, are
-            // below 2^16 too, so exact.
-            __m512i wl = _mm512_setzero_si512(), wh = wl, ol = wl, oh = wl;
-            // Row sums as int32: lane i of r_q holds row 4i + q.
-            __m512i r0 = wl, r1 = wl, r2 = wl, r3 = wl;
-            const auto flush = [&] {
-                const __m512i el = _mm512_sub_epi16(wl, _mm512_slli_epi16(ol, 8));
-                const __m512i eh = _mm512_sub_epi16(wh, _mm512_slli_epi16(oh, 8));
-                // Product sum of a row: its low-byte sum + 256 * high-byte sum.
-                const auto rows = [&](__m512i l, __m512i h, __m512i& lo, __m512i& hi) {
-                    lo = _mm512_add_epi32(
-                        lo, _mm512_add_epi32(_mm512_and_si512(l, low16),
-                                             _mm512_slli_epi32(_mm512_and_si512(h, low16), 8)));
-                    hi = _mm512_add_epi32(
-                        hi, _mm512_add_epi32(_mm512_srli_epi32(l, 16),
-                                             _mm512_slli_epi32(_mm512_srli_epi32(h, 16), 8)));
-                };
-                rows(el, eh, r0, r2);
-                rows(ol, oh, r1, r3);
-                wl = wh = ol = oh = _mm512_setzero_si512();
-            };
-            int steps = 0;
+            // Row sums in unpack order: int32 lane 4L + j of s0 holds row
+            // 16L + 2j, of s1 row 16L + 2j + 1, of s2 row 16L + 8 + 2j and
+            // of s3 row 16L + 9 + 2j.
+            __m512i s0 = _mm512_setzero_si512(), s1 = s0, s2 = s0, s3 = s0;
             for (std::int64_t j = 0; j < runs.count; ++j) {
                 const std::int64_t hi = runs.hi(j, kbase, kr);
                 for (std::int64_t kk = runs.lo(j, kbase); kk < hi; ++kk) {
@@ -108,29 +86,25 @@ void acc_panel_planes_avx512(const LutGemmArgs& a, std::int64_t rb,
                     };
                     const __m512i plo = look_up(row.lo);
                     const __m512i phi = look_up(row.hi);
-                    wl = _mm512_add_epi16(wl, plo);
-                    wh = _mm512_add_epi16(wh, phi);
-                    ol = _mm512_add_epi16(ol, _mm512_srli_epi16(plo, 8));
-                    oh = _mm512_add_epi16(oh, _mm512_srli_epi16(phi, 8));
-                    if (++steps == 256) {
-                        flush();
-                        steps = 0;
-                    }
+                    // Per 128-bit lane L, the words of the low unpack are
+                    // the products of rows 16L..16L+7 and those of the high
+                    // unpack of rows 16L+8..16L+15; each int32 lane holds
+                    // two of them.
+                    const __m512i w_lo = _mm512_unpacklo_epi8(plo, phi);
+                    const __m512i w_hi = _mm512_unpackhi_epi8(plo, phi);
+                    s0 = _mm512_add_epi32(s0, _mm512_and_si512(w_lo, low16));
+                    s1 = _mm512_add_epi32(s1, _mm512_srli_epi32(w_lo, 16));
+                    s2 = _mm512_add_epi32(s2, _mm512_and_si512(w_hi, low16));
+                    s3 = _mm512_add_epi32(s3, _mm512_srli_epi32(w_hi, 16));
                 }
             }
-            flush();
-            // Back to row order: unpacking the 32-bit and then the 64-bit
-            // lanes gives rows 16L + 4q..16L + 4q + 3 in 128-bit lane L of
-            // t_q, and a transpose of the 128-bit lanes gathers rows
-            // 16L..16L+15.
-            const __m512i e01 = _mm512_unpacklo_epi32(r0, r1);
-            const __m512i e23 = _mm512_unpacklo_epi32(r2, r3);
-            const __m512i f01 = _mm512_unpackhi_epi32(r0, r1);
-            const __m512i f23 = _mm512_unpackhi_epi32(r2, r3);
-            const __m512i t0 = _mm512_unpacklo_epi64(e01, e23);
-            const __m512i t1 = _mm512_unpackhi_epi64(e01, e23);
-            const __m512i t2 = _mm512_unpacklo_epi64(f01, f23);
-            const __m512i t3 = _mm512_unpackhi_epi64(f01, f23);
+            // Back to row order: unpacking the 32-bit lanes gives rows
+            // 16L + 4q..16L + 4q + 3 in 128-bit lane L of t_q, and a
+            // transpose of the 128-bit lanes gathers rows 16L..16L+15.
+            const __m512i t0 = _mm512_unpacklo_epi32(s0, s1);
+            const __m512i t1 = _mm512_unpackhi_epi32(s0, s1);
+            const __m512i t2 = _mm512_unpacklo_epi32(s2, s3);
+            const __m512i t3 = _mm512_unpackhi_epi32(s2, s3);
             const __m512i u0 = _mm512_shuffle_i32x4(t0, t1, 0x44);
             const __m512i u1 = _mm512_shuffle_i32x4(t2, t3, 0x44);
             const __m512i u2 = _mm512_shuffle_i32x4(t0, t1, 0xee);

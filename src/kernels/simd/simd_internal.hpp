@@ -63,10 +63,10 @@ void acc_panel_gather_avx512(const LutGemmArgs& a, std::int64_t rb,
 /// In-register product-plane path (lut_planes.hpp): per filter and depth
 /// index, the weight's two byte planes sit in eight zmm registers, and two
 /// vpermi2b per plane and a blend on bit 7 look up the block's 64 lanes
-/// at once. The looked-up bytes add into 16-bit partial sums, which widen
-/// into int32 row sums every 256 depth indices and at the end of each
-/// depth block, and those into the int64 tile. Requires
-/// a.lut_planes != nullptr, a.x.plan.tr <= 64 (tune::kTileP) and
+/// at once. Each lookup's low and high bytes unpack into 16-bit products
+/// that add into int32 row sums, one depth block's worth, and those into
+/// the int64 tile. Requires a.lut_planes != nullptr and, as
+/// lut_gemm_blocked does, a.x.plan.tr <= 64 (tune::kTileP) and
 /// a.x.plan.tk <= tune::kTileK, so no row sum overflows; lanes past
 /// a.x.plan.tr load as 0 and are never stored.
 void acc_panel_planes_avx512(const LutGemmArgs& a, std::int64_t rb,

@@ -141,18 +141,6 @@ inline void draw_masks(kernels::LutGemmArgs& a, util::Rng& rng,
     a.x_in_range = x.data();
 }
 
-/// The product planes of the raw table \p lut through the kernels' own
-/// builders, lut_has_planes and fill_lut_planes, or none.
-inline std::vector<kernels::LutPlaneRow> lut_planes(const std::int32_t* lut,
-                                                    unsigned bits) {
-    std::vector<kernels::LutPlaneRow> rows;
-    if (kernels::lut_has_planes(lut, bits)) {
-        rows.resize(std::size_t{1} << bits);
-        kernels::fill_lut_planes(lut, bits, rows.data());
-    }
-    return rows;
-}
-
 /// \p a with its row-major codes packed as panels of tp x tk activation and
 /// to x tk weight codes in \p ws: the operands of lut_forward_blocked that
 /// naive_forward over \p a must equal. The rows are packed in their order,

@@ -57,7 +57,7 @@ void blocked_forward(const kernels::LutGemmArgs& args, const float* bias, float*
     kernels::Workspace ws;
     const kernels::LutGemmArgs b =
         lut_oracle::pack_blocked(args, tune::kTileP, tune::kTileO, tune::kTileK, ws);
-    kernels::lut_forward_blocked(b, bias, y, ws);
+    kernels::lut_forward_blocked(b, bias, y);
 }
 
 TEST(LutGemm, ForwardMatchesDequantizedDotProduct) {

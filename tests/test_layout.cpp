@@ -279,7 +279,7 @@ TEST(BlockedKernels, ForwardMatchesScalarOracleBitwise) {
                 const LutGemmArgs b =
                     lut_oracle::pack_blocked(g.args, t.tp, t.to, t.tk, ws);
                 std::fill(y.begin(), y.end(), -1.0f);
-                kernels::lut_forward_blocked(b, bias.data(), y.data(), ws);
+                kernels::lut_forward_blocked(b, bias.data(), y.data());
                 ASSERT_EQ(std::memcmp(y.data(), ref.data(),
                                       y.size() * sizeof(float)),
                           0)

@@ -184,14 +184,19 @@ core::GradLut random_grad(unsigned bits, util::Rng& rng) {
     return core::build_custom_grad(bits, draw, draw);
 }
 
+/// The AppMultLut of the raw product table \p t (2^(2*bits) entries).
+appmult::AppMultLut table_lut(unsigned bits, const std::vector<std::int32_t>& t) {
+    return appmult::AppMultLut(bits, [&](std::uint64_t w, std::uint64_t x) {
+        return static_cast<std::uint64_t>(t[(w << bits) | x]);
+    });
+}
+
 /// Random GEMM operands shared by the naive oracle and every dispatch level;
 /// mirrors test_layout's fixture plus the packed4 sidecar so 4-bit runs
 /// exercise the pshufb path, not just the gather path, and the product
 /// planes so 5- to 8-bit runs exercise the plane leaf.
 struct SimdRandom {
     appmult::AppMultLut lut;
-    std::vector<std::int32_t> table; ///< set_table's table, or empty
-    std::vector<kernels::LutPlaneRow> planes;
     core::GradLut grad;
     std::vector<std::uint16_t> wq, xq;
     std::vector<float> gyp;
@@ -245,12 +250,11 @@ struct SimdRandom {
     void set_conv(const tensor::ConvGeom& geom);
 
     /// Runs the forward on product table \p t (2^(2*bits) entries) and the
-    /// planes the kernels' builders give it.
-    void set_table(std::vector<std::int32_t> t) {
-        table = std::move(t);
-        planes = lut_oracle::lut_planes(table.data(), args.bits);
-        args.lut = table.data();
-        args.lut_planes = planes.empty() ? nullptr : planes.data();
+    /// planes AppMultLut builds for it.
+    void set_table(const std::vector<std::int32_t>& t) {
+        lut = table_lut(args.bits, t);
+        args.lut = lut.table().data();
+        args.lut_planes = lut.planes();
     }
 
     LutGemmArgs blocked(std::int64_t tp, std::int64_t to, std::int64_t tk,
@@ -279,13 +283,12 @@ constexpr GemmShape kShapes[] = {
 
 // Row tiles of 64 and 32 put blocks of 32 rows or more on the plane leaf
 // (with one or two depth blocks), the others keep every block on the
-// gather, nibble and output-channel leaves; 128 x 48 tiles are wider than
-// the plane leaf's lanes and than a chunk's stack tile, so they gather
-// into workspace tiles.
+// gather, nibble and output-channel leaves. None is larger than the
+// compiled tiles, lut_gemm_blocked's precondition.
 constexpr struct {
     std::int64_t tp, to, tk;
 } kTiles[] = {{64, 64, 1024}, {64, 16, 64}, {32, 8, 100}, {16, 64, 1024},
-              {16, 16, 64},   {8, 4, 7},    {2, 3, 5},    {128, 48, 512}};
+              {16, 16, 64},   {8, 4, 7},    {2, 3, 5}};
 
 /// A 2^(2*bits)-entry product table of random 16-bit values in which every
 /// fifth entry is 65535 and every seventh 0: the extremes of the planes'
@@ -320,7 +323,7 @@ void expect_forward_matches_oracle(const SimdRandom& g, util::Rng& rng) {
             for (const Isa isa : runnable_isas()) {
                 ScopedIsa pin(isa);
                 std::fill(y.begin(), y.end(), -1.0f);
-                kernels::lut_forward_blocked(b, bias.data(), y.data(), ws);
+                kernels::lut_forward_blocked(b, bias.data(), y.data());
                 ASSERT_EQ(std::memcmp(y.data(), ref.data(), y.size() * sizeof(float)),
                           0)
                     << kernels::simd::isa_name(isa) << " bits=" << a.bits
@@ -358,10 +361,9 @@ TEST(SimdKernels, ForwardMatchesScalarOracleBitwise) {
             expect_forward_matches_oracle(g, rng);
         }
     }
-    // Every product 65535 over 600 depth indices in one depth block: the
-    // most a 16-bit partial sum of the plane leaf may gather before it
-    // widens.
-    SimdRandom g(8, 5, 64, 600, /*per_channel=*/false, rng);
+    // Every product 65535 over a whole depth block of tune::kTileK indices:
+    // the largest sums the plane leaf's int32 lanes hold.
+    SimdRandom g(8, 5, 64, kernels::tune::kTileK, /*per_channel=*/false, rng);
     g.set_table(std::vector<std::int32_t>(std::size_t{1} << 16, 65535));
     expect_forward_matches_oracle(g, rng);
 }
@@ -396,7 +398,7 @@ TEST(SimdKernels, NibbleVerdictFollowsTheTableNotItsAddress) {
         std::vector<float> y(ref.size());
         for (const Isa isa : runnable_isas()) {
             ScopedIsa pin(isa);
-            kernels::lut_forward_blocked(b, nullptr, y.data(), ws);
+            kernels::lut_forward_blocked(b, nullptr, y.data());
             ASSERT_EQ(std::memcmp(y.data(), ref.data(), y.size() * sizeof(float)),
                       0)
                 << what << " " << kernels::simd::isa_name(isa);
@@ -456,7 +458,7 @@ TEST(SimdKernels, PlanesFollowTheTableNotItsAddress) {
         for (const Isa isa : runnable_isas()) {
             ScopedIsa pin(isa);
             const std::int64_t before = plane_tiles.value();
-            kernels::lut_forward_blocked(b, nullptr, y.data(), ws);
+            kernels::lut_forward_blocked(b, nullptr, y.data());
             ASSERT_EQ(std::memcmp(y.data(), ref.data(), y.size() * sizeof(float)),
                       0)
                 << what << " " << kernels::simd::isa_name(isa);
@@ -486,19 +488,20 @@ TEST(SimdKernels, PlanesFollowTheTableNotItsAddress) {
             });
         expect_oracle(*lut, c.has_planes, c.what);
     }
-    // The format, on raw tables: byte x of row w holds the low and high
+    // The format, on a raw table: byte x of row w holds the low and high
     // bytes of LUT[w, x], zero past 2^bits; no planes outside 5..8 bits.
     const std::vector<std::int32_t> t6 = extreme_table(6, rng);
-    const std::vector<kernels::LutPlaneRow> planes = lut_oracle::lut_planes(t6.data(), 6);
-    ASSERT_EQ(planes.size(), 64u);
+    const appmult::AppMultLut lut6 = table_lut(6, t6);
+    const kernels::LutPlaneRow* planes = lut6.planes();
+    ASSERT_NE(planes, nullptr);
     for (std::size_t w = 0; w < 64; ++w)
         for (std::size_t x = 0; x < 256; ++x) {
             const std::int32_t want = x < 64 ? t6[(w << 6) | x] : 0;
             ASSERT_EQ(planes[w].lo[x] | (planes[w].hi[x] << 8), want)
                 << "w=" << w << " x=" << x;
         }
-    EXPECT_FALSE(kernels::lut_has_planes(appmult::AppMultLut::exact(4).table().data(), 4));
-    EXPECT_FALSE(kernels::lut_has_planes(appmult::AppMultLut::exact(9).table().data(), 9));
+    EXPECT_EQ(appmult::AppMultLut::exact(4).planes(), nullptr);
+    EXPECT_EQ(appmult::AppMultLut::exact(9).planes(), nullptr);
 }
 
 TEST(SimdKernels, PadSkippedCountsLookupsOutsideEachBlocksTapBox) {
@@ -812,7 +815,7 @@ TEST(SimdKernels, GemmLoopsSizeChunksWithChunkGrain) {
         const std::int64_t fwd_want = runtime::chunk_count(
             0, nblocks, kernels::chunk_grain(nblocks, b.x.plan.tr * sh.o * sh.k));
         std::int64_t before = chunks.value();
-        kernels::lut_forward_blocked(b, nullptr, y.data(), ws);
+        kernels::lut_forward_blocked(b, nullptr, y.data());
         EXPECT_EQ(chunks.value() - before, small ? 1 : fwd_want)
             << "forward, O=" << sh.o << " P=" << sh.p << " K=" << sh.k;
         if (!small) {
